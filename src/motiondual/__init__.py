@@ -16,11 +16,9 @@ from .dualspace import (
     FiniteT0Space,
     Point,
     build_dual_model,
-    closure_of,
     components_and_orc,
     distance,
     glimm_partition,
-    inseparable_points,
     separated_points,
 )
 from .errors import (

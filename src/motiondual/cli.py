@@ -142,10 +142,7 @@ def cmd_walk(args) -> int:
 
 def cmd_chain(args) -> int:
     if args.check:
-        with open(args.check) as fh:
-            payload = json.load(fh)
-        model = build_dual_model(int(payload["n"]), int(payload["bound"]))
-        chain, x, y, restrict = chains_mod.chain_from_json(model, payload)
+        model, chain, x, y, restrict = _read_json_file(args.check, "chain", _chain_from_payload)
         rep = chains_mod.validate_chain(model, chain)
         if not rep.valid:
             print("invalid chain: " + "; ".join(rep.violations), file=sys.stderr)
@@ -180,8 +177,8 @@ def cmd_chain(args) -> int:
     return 0
 
 
-def _read_certificate(path: str) -> primal_mod.MergeCertificate:
-    """Load a merge certificate, bare or wrapped as {"certificate": ..., "report": ...}.
+def _read_json_file(path: str, kind: str, parse):
+    """Load a JSON object from `path` and return `parse(payload)`.
 
     A file that cannot be read or parsed is a usage error (exit 1), not a
     verification failure.
@@ -191,16 +188,26 @@ def _read_certificate(path: str) -> primal_mod.MergeCertificate:
             payload = json.load(fh)
         if not isinstance(payload, dict):
             raise TypeError("top level is not a JSON object")
-        return primal_mod.certificate_from_dict(payload.get("certificate", payload))
+        return parse(payload)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise PreconditionViolated(
-            f"cannot parse certificate file {path}: {type(exc).__name__}: {exc}"
+            f"cannot parse {kind} file {path}: {type(exc).__name__}: {exc}"
         ) from exc
+
+
+def _chain_from_payload(payload: dict):
+    model = build_dual_model(int(payload["n"]), int(payload["bound"]))
+    return (model, *chains_mod.chain_from_json(model, payload))
+
+
+def _certificate_from_payload(payload: dict) -> primal_mod.MergeCertificate:
+    """A merge certificate, bare or wrapped as {"certificate": ..., "report": ...}."""
+    return primal_mod.certificate_from_dict(payload.get("certificate", payload))
 
 
 def cmd_certify(args) -> int:
     if args.check:
-        cert = _read_certificate(args.check)
+        cert = _read_json_file(args.check, "certificate", _certificate_from_payload)
         report = primal_mod.validate_certificate(cert)
         if not report.ok:
             print("certificate invalid: " + "; ".join(report.violations), file=sys.stderr)

@@ -8,6 +8,13 @@ germ's signature.  That encoding is an Alexandrov topology given by an
 explicit closure map, so inseparability, separation and distance become
 finite computations.
 
+All traversal lives in `Graph`: an undirected graph with a fixed vertex
+order, carrying breadth-first distances, balls, connected components and
+the largest component diameter, each optionally restricted to a vertex
+subset.  `FiniteT0Space` is the `Graph` of its inseparability relation and
+adds only the topology (closures and minimal open sets); the sub-ideal
+graph of `primal` is a plain `Graph`.
+
 Inside the model a germ is inseparable from every class in its hull, an
 artifact of the collapse (the half-line points themselves are separated).
 All headline metrics therefore run on the class-restricted graph by
@@ -48,21 +55,117 @@ class Point:
         return self.point_id
 
 
-class FiniteT0Space:
-    """A finite T0 space given by explicit point closures.
+def adjacency_of(vertices: Iterable, related) -> dict:
+    """Symmetric adjacency of a relation over the vertices, in vertex order;
+    `related` is called once for each unordered pair of distinct vertices."""
+    vertices = tuple(vertices)
+    adj: dict = {v: [] for v in vertices}
+    for i, x in enumerate(vertices):
+        for y in vertices[i + 1 :]:
+            if related(x, y):
+                adj[x].append(y)
+                adj[y].append(x)
+    return adj
+
+
+class Graph:
+    """An undirected graph with a fixed vertex order.
+
+    The vertex order is the insertion order of the adjacency mapping and is
+    used for every deterministic traversal; each neighbor tuple is kept in
+    that order.  All traversals are breadth-first searches, optionally
+    restricted to a vertex subset `within`.
+    """
+
+    def __init__(self, adjacency: Mapping[object, Iterable[object]]):
+        self.points: tuple = tuple(adjacency)
+        self._index = {p: i for i, p in enumerate(self.points)}
+        self._adj = {p: tuple(sorted(ns, key=self._index.__getitem__)) for p, ns in adjacency.items()}
+
+    def _require(self, *pts) -> None:
+        for p in pts:
+            if p not in self._index:
+                raise UnknownPoint(f"{p} is not a point of this space")
+
+    def neighbors(self, x) -> tuple:
+        self._require(x)
+        return self._adj[x]
+
+    def edges(self) -> list[tuple]:
+        """Every edge once, as (x, y) with x before y, in vertex order."""
+        index = self._index
+        return [(x, y) for x in self.points for y in self._adj[x] if index[x] < index[y]]
+
+    def bfs(self, sources: Iterable, within: frozenset | None = None) -> dict:
+        """Graph distances from the source set, restricted to `within`."""
+        sources = list(sources)
+        self._require(*sources)
+        dist = {}
+        queue = deque()
+        for s in sorted(sources, key=self._index.__getitem__):
+            if s not in dist and (within is None or s in within):
+                dist[s] = 0
+                queue.append(s)
+        while queue:
+            x = queue.popleft()
+            d = dist[x] + 1
+            for y in self._adj[x]:
+                if y not in dist and (within is None or y in within):
+                    dist[y] = d
+                    queue.append(y)
+        return dist
+
+    def distance(self, x, y, within: frozenset | None = None):
+        self._require(x, y)
+        if within is not None and (x not in within or y not in within):
+            raise PreconditionViolated("distance endpoints must lie in the restricted vertex set")
+        if x == y:
+            return 0
+        return self.bfs([x], within).get(y, inf)
+
+    def set_distance(self, xs: Iterable, ys: Iterable, within: frozenset | None = None):
+        ys = frozenset(ys)
+        if not ys or not frozenset(xs):
+            return inf
+        dist = self.bfs(xs, within)
+        hits = [d for p, d in dist.items() if p in ys]
+        return min(hits) if hits else inf
+
+    def ball(self, s: Iterable, n: int, within: frozenset | None = None) -> frozenset:
+        """All points at graph distance <= n from the set."""
+        dist = self.bfs(s, within)
+        return frozenset(p for p, d in dist.items() if d <= n)
+
+    def components(self, within: frozenset | None = None) -> tuple[frozenset, ...]:
+        seen: set = set()
+        comps = []
+        for p in self.points:
+            if p in seen or (within is not None and p not in within):
+                continue
+            comp = frozenset(self.bfs([p], within))
+            seen |= comp
+            comps.append(comp)
+        return tuple(comps)
+
+    def diameter(self, within: frozenset | None = None) -> int:
+        """Largest component diameter, i.e. the largest eccentricity of a
+        vertex; 0 when every component is a singleton."""
+        verts = self.points if within is None else [p for p in self.points if p in within]
+        return max((max(self.bfs([p], within).values()) for p in verts), default=0)
+
+
+class FiniteT0Space(Graph):
+    """A finite T0 space given by explicit point closures, as the graph of
+    its inseparability relation (intersecting minimal open sets).
 
     The closure map must be reflexive, transitive under the induced set
     operation, and injective (T0); the constructor verifies all three.
-    Point order is the insertion order of the mapping and is used for every
-    deterministic traversal.
+    Point order is the insertion order of the mapping.
     """
 
     def __init__(self, closures: Mapping[object, Iterable[object]]):
         self._closure = {p: frozenset(c) for p, c in closures.items()}
-        self.points: tuple = tuple(self._closure)
-        index = {p: i for i, p in enumerate(self.points)}
-        self._index = index
-        pts = set(self.points)
+        pts = set(self._closure)
         seen = {}
         for p, cl in self._closure.items():
             if not cl <= pts:
@@ -75,24 +178,13 @@ class FiniteT0Space:
                 raise ValueError(f"points {seen[cl]} and {p} share a closure (not T0)")
             seen[cl] = p
         # minimal open set of x: all q whose closure contains x
-        min_open: dict = {p: set() for p in self.points}
+        min_open: dict = {p: set() for p in self._closure}
         for q, cl in self._closure.items():
             for x in cl:
                 min_open[x].add(q)
         self._min_open = {p: frozenset(s) for p, s in min_open.items()}
-        adj: dict = {p: [] for p in self.points}
-        for i, x in enumerate(self.points):
-            ux = self._min_open[x]
-            for y in self.points[i + 1 :]:
-                if ux & self._min_open[y]:
-                    adj[x].append(y)
-                    adj[y].append(x)
-        self._adj = {p: tuple(sorted(ns, key=index.__getitem__)) for p, ns in adj.items()}
-
-    def _require(self, *pts) -> None:
-        for p in pts:
-            if p not in self._closure:
-                raise UnknownPoint(f"{p} is not a point of this space")
+        mo = self._min_open
+        super().__init__(adjacency_of(self._closure, lambda x, y: bool(mo[x] & mo[y])))
 
     def closure(self, x) -> frozenset:
         self._require(x)
@@ -124,62 +216,6 @@ class FiniteT0Space:
         """True iff the minimal open sets of x and y intersect."""
         self._require(x, y)
         return bool(self._min_open[x] & self._min_open[y])
-
-    def neighbors(self, x) -> tuple:
-        self._require(x)
-        return self._adj[x]
-
-    def bfs(self, sources: Iterable, within: frozenset | None = None) -> dict:
-        """Graph distances from the source set, restricted to `within`."""
-        sources = list(sources)
-        self._require(*sources)
-        allowed = set(self.points) if within is None else set(within)
-        dist = {}
-        queue = deque()
-        for s in sorted(sources, key=self._index.__getitem__):
-            if s in allowed and s not in dist:
-                dist[s] = 0
-                queue.append(s)
-        while queue:
-            x = queue.popleft()
-            for y in self._adj[x]:
-                if y in allowed and y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        return dist
-
-    def distance(self, x, y, within: frozenset | None = None):
-        self._require(x, y)
-        if within is not None and (x not in within or y not in within):
-            raise PreconditionViolated("distance endpoints must lie in the restricted vertex set")
-        if x == y:
-            return 0
-        return self.bfs([x], within).get(y, inf)
-
-    def set_distance(self, xs: Iterable, ys: Iterable, within: frozenset | None = None):
-        ys = frozenset(ys)
-        if not ys or not frozenset(xs):
-            return inf
-        dist = self.bfs(xs, within)
-        hits = [d for p, d in dist.items() if p in ys]
-        return min(hits) if hits else inf
-
-    def ball(self, s: Iterable, n: int, within: frozenset | None = None) -> frozenset:
-        """All points at graph distance <= n from the set."""
-        dist = self.bfs(s, within)
-        return frozenset(p for p, d in dist.items() if d <= n)
-
-    def components(self, within: frozenset | None = None) -> tuple[frozenset, ...]:
-        allowed = [p for p in self.points if within is None or p in within]
-        seen: set = set()
-        comps = []
-        for p in allowed:
-            if p in seen:
-                continue
-            comp = frozenset(self.bfs([p], frozenset(allowed) if within is not None else None))
-            seen |= comp
-            comps.append(comp)
-        return tuple(comps)
 
 
 @dataclass(frozen=True)
@@ -226,43 +262,22 @@ def build_dual_model(n: int, bound: int) -> DualModel:
     return DualModel(space, n, bound, frozenset(classes), frozenset(germs))
 
 
-def closure_of(space: FiniteT0Space, s: Iterable) -> frozenset:
-    return space.closure_of(s)
-
-
-def inseparable_points(space: FiniteT0Space, x, y) -> bool:
-    """True iff x and y cannot be put in disjoint open sets."""
-    return space.inseparable(x, y)
-
-
 def separated_points(model: DualModel) -> frozenset:
     """Points inseparable only from themselves among all model points."""
     return frozenset(p for p in model.space.points if not model.space.neighbors(p))
 
 
-def _class_vertices(model: DualModel, restrict_to_class: bool) -> frozenset | None:
-    return model.class_points if restrict_to_class else None
-
-
 def distance(model: DualModel, x, y, restrict_to_class: bool = True):
     """BFS distance in the inseparability graph; class-restricted by default
     (the faithful distance, since the half-line points are separated)."""
-    return model.space.distance(x, y, _class_vertices(model, restrict_to_class))
+    return model.space.distance(x, y, model.class_points if restrict_to_class else None)
 
 
 def components_and_orc(model: DualModel) -> tuple[tuple[frozenset, ...], int]:
     """Components of the class-restricted graph and the connecting order:
     the largest component diameter, a singleton component counting 1."""
-    space = model.space
-    comps = space.components(model.class_points)
-    orc = 1
-    for comp in comps:
-        if len(comp) == 1:
-            continue
-        for p in comp:
-            dist = space.bfs([p], model.class_points)
-            orc = max(orc, max(dist[q] for q in comp))
-    return comps, orc
+    comps = model.space.components(model.class_points)
+    return comps, max(1, model.space.diameter(model.class_points))
 
 
 @dataclass(frozen=True)
@@ -283,6 +298,8 @@ def glimm_partition(model: DualModel) -> GlimmPartition:
 
 
 def point_from_id(model: DualModel, point_id: str) -> Point:
+    if not isinstance(point_id, str):
+        raise TypeError(f"point id {point_id!r} is not a string")
     kind, _, rest = point_id.partition(":")
     if kind not in (CLASS_KIND, GERM_KIND):
         raise UnknownPoint(f"bad point id {point_id!r}")
@@ -299,12 +316,7 @@ def dual_model_to_json(model: DualModel) -> dict:
         "bound": model.bound,
         "points": [{"id": p.point_id, "kind": p.kind, "entries": list(p.sig.entries)} for p in space.points],
         "closures": {p.point_id: sorted(q.point_id for q in space.closure(p)) for p in space.points},
-        "edges": sorted(
-            [p.point_id, q.point_id]
-            for i, p in enumerate(space.points)
-            for q in space.points[i + 1 :]
-            if space.inseparable(p, q)
-        ),
+        "edges": sorted([p.point_id, q.point_id] for p, q in space.edges()),
     }
 
 
@@ -325,10 +337,8 @@ def dual_model_to_dot(model: DualModel) -> str:
     for p in space.points:
         shape = "ellipse" if p.kind == CLASS_KIND else "box"
         lines.append(f'  "{p.point_id}" [shape={shape}];')
-    for i, p in enumerate(space.points):
-        for q in space.points[i + 1 :]:
-            if space.inseparable(p, q):
-                lines.append(f'  "{p.point_id}" -> "{q.point_id}" [dir=none];')
+    for p, q in space.edges():
+        lines.append(f'  "{p.point_id}" -> "{q.point_id}" [dir=none];')
     for p in space.points:
         for q in sorted(space.closure(p) - {p}, key=space._index.__getitem__):
             lines.append(f'  "{p.point_id}" -> "{q.point_id}" [style=dashed];')

@@ -28,9 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import inf
 from typing import Sequence
 
+from .dualspace import Graph, adjacency_of
 from .errors import CertificationError, ContextMismatch, PreconditionViolated
 from .signatures import (
     EVEN,
@@ -134,51 +134,21 @@ def star_adjacent(I: SubIdeal, J: SubIdeal) -> bool:
     return common_extension([I.sigma, J.sigma]) is not None
 
 
-def _star_vertices(n: int, bound: int, *ideals: SubIdeal) -> list[SubIdeal]:
-    needed = max((max(map(abs, i.sigma.entries), default=0) for i in ideals), default=0)
-    return sub_ideals(n, max(bound, needed))
+def star_graph(n: int, bound: int) -> Graph:
+    """The sub-ideal graph on `sub_ideals(n, bound)`, adjacency by the
+    closed form `star_adjacent`."""
+    return Graph(adjacency_of(sub_ideals(n, bound), star_adjacent))
 
 
 def d_star(I: SubIdeal, J: SubIdeal, bound: int):
-    """BFS distance in the sub-ideal graph over the truncated vertex set."""
+    """BFS distance in the sub-ideal graph over the truncated vertex set,
+    enlarged when needed to hold both ends."""
     if I.sigma.ctx != J.sigma.ctx:
         raise ContextMismatch("sub-ideals live in different groups")
     if I == J:
         return 0
-    verts = _star_vertices(I.parent_n, bound, I, J)
-    dist = {I: 0}
-    frontier = [I]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in verts:
-                if y not in dist and star_adjacent(x, y):
-                    dist[y] = dist[x] + 1
-                    if y == J:
-                        return dist[y]
-                    nxt.append(y)
-        frontier = nxt
-    return inf
-
-
-def _star_components(verts: Sequence[SubIdeal]) -> list[list[SubIdeal]]:
-    remaining = list(verts)
-    comps = []
-    while remaining:
-        seed = remaining.pop(0)
-        comp = [seed]
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                hits = [y for y in remaining if star_adjacent(x, y)]
-                for y in hits:
-                    remaining.remove(y)
-                comp.extend(hits)
-                nxt.extend(hits)
-            frontier = nxt
-        comps.append(comp)
-    return comps
+    needed = max(abs(e) for i in (I, J) for e in (*i.sigma.entries, 0))
+    return star_graph(I.parent_n, max(bound, needed)).distance(I, J)
 
 
 def big_d(n: int, bound: int) -> int:
@@ -189,24 +159,7 @@ def big_d(n: int, bound: int) -> int:
         raise PreconditionViolated("big_d needs n >= 2")
     if n == 2:
         return 0
-    verts = sub_ideals(n, bound)
-    best = 0
-    for comp in _star_components(verts):
-        if len(comp) == 1:
-            continue
-        for x in comp:
-            dist = {x: 0}
-            frontier = [x]
-            while frontier:
-                nxt = []
-                for a in frontier:
-                    for b in comp:
-                        if b not in dist and star_adjacent(a, b):
-                            dist[b] = dist[a] + 1
-                            nxt.append(b)
-                frontier = nxt
-            best = max(best, max(dist.values()))
-    return best
+    return star_graph(n, bound).diameter()
 
 
 def min_primal(n: int, bound: int) -> list[SubIdeal]:
@@ -553,29 +506,22 @@ def validate_certificate(cert: MergeCertificate, bound: int | None = None) -> Ce
 
 
 def star_graph_to_json(n: int, bound: int) -> dict:
-    verts = sub_ideals(n, bound)
+    graph = star_graph(n, bound)
     return {
         "n": n,
         "bound": bound,
-        "ideals": [{"id": v.ideal_id, "kind": v.kind, "entries": list(v.sigma.entries)} for v in verts],
-        "edges": sorted(
-            [a.ideal_id, b.ideal_id]
-            for i, a in enumerate(verts)
-            for b in verts[i + 1 :]
-            if star_adjacent(a, b)
-        ),
+        "ideals": [{"id": v.ideal_id, "kind": v.kind, "entries": list(v.sigma.entries)} for v in graph.points],
+        "edges": sorted([a.ideal_id, b.ideal_id] for a, b in graph.edges()),
     }
 
 
 def star_graph_to_dot(n: int, bound: int) -> str:
-    verts = sub_ideals(n, bound)
+    graph = star_graph(n, bound)
     lines = [f'digraph "sub_so{n}_bound{bound}" {{']
-    for v in verts:
+    for v in graph.points:
         shape = "ellipse" if v.kind == GERM_IDEAL else "box"
         lines.append(f'  "{v.ideal_id}" [shape={shape}];')
-    for i, a in enumerate(verts):
-        for b in verts[i + 1 :]:
-            if star_adjacent(a, b):
-                lines.append(f'  "{a.ideal_id}" -> "{b.ideal_id}" [dir=none];')
+    for a, b in graph.edges():
+        lines.append(f'  "{a.ideal_id}" -> "{b.ideal_id}" [dir=none];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     ContextMismatch,
@@ -429,10 +429,6 @@ def walk(pi1: Signature, pi2: Signature) -> Walk:
     steps = [Signature(e, ctx) for e in steps_e]
     wits = [Signature(e, child) for e in wits_e]
     return _compress(steps, wits)
-
-
-def format_entries(entries: Iterable[int]) -> str:
-    return ",".join(str(e) for e in entries)
 
 
 def parse_entries(text: str) -> tuple[int, ...]:

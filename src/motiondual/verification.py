@@ -381,12 +381,25 @@ def _worker(args) -> list[CheckResult]:
     return run_checks_for_n(*args)
 
 
+def worker_count(jobs: int | str | None, tasks: int) -> int:
+    """Worker processes for `tasks` tasks: the requested count (default
+    MOTIONDUAL_JOBS, else 1), at most one per task and per CPU."""
+    if jobs is None:
+        jobs = os.environ.get("MOTIONDUAL_JOBS") or "1"
+    try:
+        count = int(jobs)
+    except ValueError:
+        count = 0
+    if count <= 0:
+        raise PreconditionViolated(f"jobs must be a positive integer, got {jobs!r}")
+    return min(count, tasks, os.cpu_count() or 1)
+
+
 def run_sweep(n_min: int, n_max: int, bound: int | None = None, seed: int = 0, jobs: int | None = None) -> SweepSummary:
     if n_min < 3 or n_max < n_min:
         raise PreconditionViolated("sweep range must satisfy 3 <= n_min <= n_max")
-    if jobs is None:
-        jobs = int(os.environ.get("MOTIONDUAL_JOBS", "1") or "1")
     ns = list(range(n_min, n_max + 1))
+    jobs = worker_count(jobs, len(ns))
     tasks = [(n, bound, seed) for n in ns]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

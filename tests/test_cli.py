@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from motiondual.cli import main
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -158,6 +160,48 @@ def test_chain_tampered_file_fails(capsys, tmp_path):
     assert code == 2
 
 
+def _check_chain_file(capsys, path):
+    code, _, err = run(["chain", "--n", "7", "--check", str(path)], capsys)
+    assert code == 1
+    assert err.startswith("error: cannot parse chain file")
+    assert len(err.splitlines()) == 1
+    return err
+
+
+def test_chain_check_non_json_is_usage_error(capsys, tmp_path):
+    bad = tmp_path / "chain.json"
+    bad.write_text("{")
+    assert "JSONDecodeError" in _check_chain_file(capsys, bad)
+
+
+def test_chain_check_missing_file_is_usage_error(capsys, tmp_path):
+    assert "FileNotFoundError" in _check_chain_file(capsys, tmp_path / "absent.json")
+
+
+def test_chain_check_missing_sets_is_usage_error(capsys, tmp_path):
+    out_file = tmp_path / "chain.json"
+    run(["chain", "--n", "7", "0,0,0", "1,1,1", "--bound", "1", "--output", str(out_file)], capsys)
+    payload = json.loads(out_file.read_text())
+    del payload["sets"]
+    out_file.write_text(json.dumps(payload))
+    assert "'sets'" in _check_chain_file(capsys, out_file)
+
+
+def test_chain_check_non_string_point_is_usage_error(capsys, tmp_path):
+    out_file = tmp_path / "chain.json"
+    run(["chain", "--n", "7", "0,0,0", "1,1,1", "--bound", "1", "--output", str(out_file)], capsys)
+    payload = json.loads(out_file.read_text())
+    payload["sets"][0] = [1]
+    out_file.write_text(json.dumps(payload))
+    assert "is not a string" in _check_chain_file(capsys, out_file)
+
+
+def test_chain_check_top_level_list_is_usage_error(capsys, tmp_path):
+    bad = tmp_path / "chain.json"
+    bad.write_text("[1]")
+    assert "not a JSON object" in _check_chain_file(capsys, bad)
+
+
 def test_certify_example(capsys):
     code, out, _ = run(["certify", "--n", "6", "1,0", "2,0", "1,1"], capsys)
     assert code == 0
@@ -297,6 +341,32 @@ def test_verify_env_jobs(capsys, monkeypatch):
     monkeypatch.setenv("MOTIONDUAL_JOBS", "2")
     code, out, _ = run(["verify", "--n-min", "3", "--n-max", "4", "--bound", "1"], capsys)
     assert code == 0
+
+
+def test_verify_rejects_bad_env_jobs(capsys, monkeypatch):
+    monkeypatch.setenv("MOTIONDUAL_JOBS", "abc")
+    code, _, err = run(["verify", "--n-min", "3", "--n-max", "3", "--bound", "1"], capsys)
+    assert code == 1
+    assert err == "error: jobs must be a positive integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_verify_rejects_non_positive_jobs(capsys, jobs):
+    code, _, err = run(["verify", "--n-min", "3", "--n-max", "3", "--bound", "1", "--jobs", jobs], capsys)
+    assert code == 1
+    assert err.startswith("error: jobs must be a positive integer")
+
+
+def test_worker_count_clamps(monkeypatch):
+    from motiondual.verification import worker_count
+
+    cpus = os.cpu_count() or 1
+    assert worker_count(10**9, 10) == min(10, cpus)
+    assert worker_count(10**9, 1) == 1
+    monkeypatch.setenv("MOTIONDUAL_JOBS", str(10**9))
+    assert worker_count(None, 3) == min(3, cpus)
+    monkeypatch.setenv("MOTIONDUAL_JOBS", "")
+    assert worker_count(None, 3) == 1
 
 
 # --- module entry point ----------------------------------------------------------

@@ -10,14 +10,12 @@ from motiondual.dualspace import (
     FiniteT0Space,
     Point,
     build_dual_model,
-    closure_of,
     components_and_orc,
     distance,
     dual_model_from_json,
     dual_model_to_dot,
     dual_model_to_json,
     glimm_partition,
-    inseparable_points,
     point_from_id,
     separated_points,
 )
@@ -105,11 +103,11 @@ def test_class_points_closed_and_discrete():
 
 def test_closure_of_examples():
     m = build_dual_model(4, 1)
-    assert closure_of(m.space, []) == frozenset()
+    assert m.space.closure_of([]) == frozenset()
     c = cls([1, 1], 4)
-    assert closure_of(m.space, [c]) == frozenset([c])
+    assert m.space.closure_of([c]) == frozenset([c])
     g = germ([0], 3)
-    assert closure_of(m.space, [g]) > frozenset([g])
+    assert m.space.closure_of([g]) > frozenset([g])
 
 
 # --- inseparability ----------------------------------------------------------
@@ -118,19 +116,19 @@ def test_closure_of_examples():
 def test_inseparable_points_reflexive():
     m = build_dual_model(5, 1)
     for p in list(m.space.points)[:4]:
-        assert inseparable_points(m.space, p, p)
+        assert m.space.inseparable(p, p)
 
 
 def test_inseparable_points_germ_vs_hull_class():
     m = build_dual_model(4, 2)
-    assert inseparable_points(m.space, germ([1], 3), cls([1, 0], 4))
-    assert not inseparable_points(m.space, germ([2], 3), cls([1, 0], 4))
+    assert m.space.inseparable(germ([1], 3), cls([1, 0], 4))
+    assert not m.space.inseparable(germ([2], 3), cls([1, 0], 4))
 
 
 def test_inseparable_points_class_pair_example():
     m = build_dual_model(4, 2)
-    assert not inseparable_points(m.space, cls([1, 1], 4), cls([2, 2], 4))
-    assert inseparable_points(m.space, cls([1, 1], 4), cls([1, -1], 4))
+    assert not m.space.inseparable(cls([1, 1], 4), cls([2, 2], 4))
+    assert m.space.inseparable(cls([1, 1], 4), cls([1, -1], 4))
 
 
 @pytest.mark.parametrize("n", range(3, 8))
@@ -139,7 +137,7 @@ def test_model_matches_signature_inseparability(n):
     sigs = enumerate_signatures(n, 2)
     for a in sigs:
         for b in sigs:
-            assert inseparable_points(m.space, Point(CLASS_KIND, a), Point(CLASS_KIND, b)) == inseparable(a, b)
+            assert m.space.inseparable(Point(CLASS_KIND, a), Point(CLASS_KIND, b)) == inseparable(a, b)
 
 
 def test_germs_pairwise_separated():
@@ -147,13 +145,13 @@ def test_germs_pairwise_separated():
     germs = sorted(m.germ_points, key=str)
     for i, a in enumerate(germs):
         for b in germs[i + 1 :]:
-            assert not inseparable_points(m.space, a, b)
+            assert not m.space.inseparable(a, b)
 
 
 def test_unknown_point():
     m = build_dual_model(4, 1)
     with pytest.raises(UnknownPoint):
-        inseparable_points(m.space, cls([5, 0], 4), cls([0, 0], 4))
+        m.space.inseparable(cls([5, 0], 4), cls([0, 0], 4))
 
 
 # --- separated points ---------------------------------------------------------
@@ -170,7 +168,7 @@ def test_bound_zero_mutual_inseparability():
     m = build_dual_model(4, 0)
     (c,) = m.class_points
     (g,) = m.germ_points
-    assert inseparable_points(m.space, c, g)
+    assert m.space.inseparable(c, g)
     assert separated_points(m) == frozenset()
 
 
