@@ -25,6 +25,7 @@ __all__ = [
     "Chain",
     "ChainReport",
     "Property1Report",
+    "chain_for_distance",
     "chain_lower_bound",
     "chain_to_json",
     "find_admissible_chain",
@@ -155,6 +156,17 @@ def chain_lower_bound(model, chain: Chain, x, y, restrict_to_class: bool = True)
     if d < n:
         raise CertificationError(f"chain of length {n} contradicted by graph distance {d}")
     return n
+
+
+def chain_for_distance(model, x, y, k: int, restrict_to_class: bool = True) -> tuple[Chain, int]:
+    """A chain certifying d(x, y) >= k, and the bound it certifies: the
+    admissible chain of length k for k >= 2, else the one-set chain on the
+    whole space."""
+    if k >= 2:
+        chain = find_admissible_chain(model, [x], [y], k, restrict_to_class)
+    else:
+        chain = Chain((frozenset(_space_of(model).points),))
+    return chain, chain_lower_bound(model, chain, x, y, restrict_to_class)
 
 
 def separate(model, Y: Iterable, Z: Iterable):

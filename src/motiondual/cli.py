@@ -29,7 +29,7 @@ from .errors import (
     TheoremViolation,
     UnknownPoint,
 )
-from .signatures import GroupContext, Signature, parse_entries, walk, walk_violations
+from .signatures import GroupContext, Signature, int_field, parse_entries, walk, walk_violations
 
 USAGE_ERRORS = (SignatureError, ContextMismatch, PreconditionViolated, UnknownPoint)
 
@@ -111,14 +111,7 @@ def cmd_distance(args) -> int:
         lines.append(f"walk upper bound: {w.length}")
         payload["walk_upper_bound"] = w.length
         payload["walk"] = w.to_dict()
-        if d >= 2:
-            chain = chains_mod.find_admissible_chain(model, [x], [y], int(d), restrict_to_class=True)
-            lb = chains_mod.chain_lower_bound(model, chain, x, y, restrict_to_class=True)
-        elif d == 1:
-            trivial = chains_mod.Chain((frozenset(model.space.points),))
-            lb = chains_mod.chain_lower_bound(model, trivial, x, y, restrict_to_class=True)
-        else:
-            lb = 0
+        lb = chains_mod.chain_for_distance(model, x, y, int(d))[1] if d >= 1 else 0
         lines.append(f"chain lower bound: {lb}")
         payload["chain_lower_bound"] = lb
     if args.format == "json":
@@ -163,13 +156,9 @@ def cmd_chain(args) -> int:
     k = args.k
     if k is None:
         k = int(distance(model, x, y, restrict_to_class=True))
-    if k >= 2:
-        chain = chains_mod.find_admissible_chain(model, [x], [y], k, restrict_to_class=True)
-    elif k == 1 and a != b:
-        chain = chains_mod.Chain((frozenset(model.space.points),))
-    else:
+    if k < 1 or (k == 1 and a == b):
         raise PreconditionViolated("no chain certificate for coinciding classes")
-    lb = chains_mod.chain_lower_bound(model, chain, x, y, restrict_to_class=True)
+    chain, lb = chains_mod.chain_for_distance(model, x, y, k)
     payload = chains_mod.chain_to_json(model, chain, x, y)
     _emit(json.dumps(payload, indent=2) + "\n", args.output)
     if args.output:
@@ -196,7 +185,7 @@ def _read_json_file(path: str, kind: str, parse):
 
 
 def _chain_from_payload(payload: dict):
-    model = build_dual_model(int(payload["n"]), int(payload["bound"]))
+    model = build_dual_model(int_field(payload, "n"), int_field(payload, "bound"))
     return (model, *chains_mod.chain_from_json(model, payload))
 
 

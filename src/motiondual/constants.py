@@ -143,14 +143,8 @@ def cross_check(n: int, bound: int) -> ConstantsReport:
     x, y = Point("class", zero), Point("class", ones)
     w = walk(zero, ones)
     bfs_d = distance(model, x, y, restrict_to_class=True)
-    if k >= 2:
-        chain = chains_mod.find_admissible_chain(model, [x], [y], k, restrict_to_class=True)
-        chain_bound = chains_mod.chain_lower_bound(model, chain, x, y, restrict_to_class=True)
-        chain_payload = chains_mod.chain_to_json(model, chain, x, y)
-    else:
-        chain = chains_mod.Chain((frozenset(model.space.points),))
-        chain_bound = chains_mod.chain_lower_bound(model, chain, x, y, restrict_to_class=True)
-        chain_payload = chains_mod.chain_to_json(model, chain, x, y)
+    chain, chain_bound = chains_mod.chain_for_distance(model, x, y, k)
+    chain_payload = chains_mod.chain_to_json(model, chain, x, y)
 
     cert = primal_mod.merge_certificate(n, *_merge_triple(n, bound))
     cert_report = primal_mod.validate_certificate(cert, bound)

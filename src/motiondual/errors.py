@@ -50,8 +50,8 @@ class CertificationError(MotionDualError):
     """An internally generated certificate failed its own re-verification.
 
     This never indicates bad user input; it means a constructed walk, chain,
-    separation, or truncation-stability check contradicts the identity it is
-    supposed to witness, i.e. an implementation bug or an unstable truncation.
+    separation or merge certificate contradicts the identity it is supposed
+    to witness, i.e. an implementation bug.
     """
 
 

@@ -10,10 +10,11 @@ kernel is maximal and therefore isolated, and two germ ideals are
 adjacent exactly when some class restricts to both signatures, which is
 the closed-form common-extension test.
 
-Germ ideals are ordered by reverse inclusion of their hulls.  Hulls are
-infinite, so containment and minimality are computed on a truncation and
-re-checked one bound higher; an answer that flips is reported as unstable
-instead of being returned.
+Germ ideals are ordered by reverse inclusion of their hulls.  By
+interleaving, a hull is a product of integer intervals, the first one
+unbounded above, so containment and minimality are exact O(k) closed forms
+with no truncation; :func:`hull` enumerates a truncated hull and is kept as
+the brute-force oracle they are tested against.
 
 Merge certificates package the constructions behind the derivation-constant
 bound ceil(n/2)/2 for the multiplier algebra: three germ signatures are
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .dualspace import Graph, adjacency_of
@@ -40,8 +40,10 @@ from .signatures import (
     common_extension,
     common_restriction,
     enumerate_signatures,
+    int_field,
     merge_max,
     restricts_to,
+    tail_start,
     walk_from_dict,
     walk_violations,
 )
@@ -77,19 +79,18 @@ def sub_ideals(n: int, bound: int) -> list[SubIdeal]:
     return [SubIdeal(GERM_IDEAL, s) for s in sigmas] + [SubIdeal(LINE_KERNEL, s) for s in sigmas]
 
 
-@lru_cache(maxsize=None)
-def _hull_cached(ideal: SubIdeal, bound: int) -> frozenset:
+def hull(ideal: SubIdeal, bound: int) -> frozenset:
+    """Classes containing the ideal, within the truncation.  A line kernel
+    has empty hull among the classes (its hull sits on the half-line).
+
+    This is the brute-force oracle for :func:`contains_ideal` and
+    :func:`min_primal`; neither calls it.
+    """
     if ideal.kind == LINE_KERNEL:
         return frozenset()
     return frozenset(
         pi for pi in enumerate_signatures(ideal.parent_n, bound) if restricts_to(pi, ideal.sigma)
     )
-
-
-def hull(ideal: SubIdeal, bound: int) -> frozenset:
-    """Classes containing the ideal, within the truncation.  A line kernel
-    has empty hull among the classes (its hull sits on the half-line)."""
-    return _hull_cached(ideal, bound)
 
 
 def _require_germs(*ideals: SubIdeal) -> None:
@@ -100,25 +101,32 @@ def _require_germs(*ideals: SubIdeal) -> None:
         raise ContextMismatch("germ ideals live in different groups")
 
 
-def contains_ideal(I: SubIdeal, J: SubIdeal, bound: int) -> bool:
-    """True when I contains J as an ideal, i.e. hull(I) is inside hull(J).
+def _hull_intervals(sigma: Signature) -> tuple[tuple[int, float], ...]:
+    """The hull of the germ ideal of `sigma` as a product of intervals in
+    the parent coordinates, by interleaving: [s1, inf) x [s2, s1] x ...,
+    ending in [|sk|, s(k-1)] for an odd parent (just [|s1|, inf) for SO(3))
+    and in [-s(k-1), s(k-1)] for an even one."""
+    s = sigma.entries
+    if sigma.ctx.parity == EVEN:  # odd parent
+        lows = s[:-1] + (abs(s[-1]),)
+    else:
+        lows = s + (-s[-1],)
+    return tuple(zip(lows, (float("inf"),) + s))
 
-    Truncated hulls can only over-approximate containment, so the answer is
-    re-computed at bound + 1; a flip raises CertificationError rather than
-    returning an unstable value.
-    """
+
+def contains_ideal(I: SubIdeal, J: SubIdeal) -> bool:
+    """True when I contains J as an ideal, i.e. hull(I) is inside hull(J):
+    every interval of I's hull lies inside the matching interval of J's.
+    Exact on the infinite hulls, so no truncation is involved."""
     _require_germs(I, J)
-    at = hull(I, bound) <= hull(J, bound)
-    at_next = hull(I, bound + 1) <= hull(J, bound + 1)
-    if at != at_next:
-        raise CertificationError(
-            f"containment of {J} in {I} is unstable between bounds {bound} and {bound + 1}"
-        )
-    return at
+    return all(
+        lo_j <= lo_i and hi_i <= hi_j
+        for (lo_i, hi_i), (lo_j, hi_j) in zip(_hull_intervals(I.sigma), _hull_intervals(J.sigma))
+    )
 
 
-def strictly_contains(I: SubIdeal, J: SubIdeal, bound: int) -> bool:
-    return contains_ideal(I, J, bound) and not contains_ideal(J, I, bound)
+def strictly_contains(I: SubIdeal, J: SubIdeal) -> bool:
+    return contains_ideal(I, J) and not contains_ideal(J, I)
 
 
 def star_adjacent(I: SubIdeal, J: SubIdeal) -> bool:
@@ -164,37 +172,21 @@ def big_d(n: int, bound: int) -> int:
 
 def min_primal(n: int, bound: int) -> list[SubIdeal]:
     """Sub-ideals minimal under containment: every line kernel, and the germ
-    ideals that strictly contain no other germ ideal.  Minimality is
-    re-checked at bound + 1 (enlarged competitor set included); instability
-    raises CertificationError."""
+    ideals that strictly contain no other germ ideal.
+
+    Containment of hulls is interval-inside-interval; each interval's upper
+    end is the previous interval's lower end, so containment forces every
+    coordinate of the two signatures to agree except the lower end of the
+    last interval.  For even n that end is -s(k-1), tied to the coordinate
+    before it, so no strict containment exists and every germ is minimal.
+    For odd n it is |sk|: a germ with sk != 0 strictly contains the germ
+    with sk = 0 (which lies in the same truncation), and one with sk = 0
+    strictly contains nothing.
+    """
     ideals = sub_ideals(n, bound)
-    germs = [i for i in ideals if i.kind == GERM_IDEAL]
-
-    def minimal_at(i: SubIdeal, b: int) -> bool:
-        h = hull(i, b)
-        for sigma in enumerate_signatures(n - 1, b):
-            other = SubIdeal(GERM_IDEAL, sigma)
-            if other == i:
-                continue
-            oh = hull(other, b)
-            if h < oh:  # hull(i) strictly inside hull(other): i strictly contains other
-                return False
-        return True
-
-    out = []
-    for i in ideals:
-        if i.kind == LINE_KERNEL:
-            out.append(i)
-            continue
-        now = minimal_at(i, bound)
-        nxt = minimal_at(i, bound + 1)
-        if now != nxt:
-            raise CertificationError(
-                f"minimality of {i} is unstable between bounds {bound} and {bound + 1}"
-            )
-        if now:
-            out.append(i)
-    return out
+    if n % 2 == 0:
+        return ideals
+    return [i for i in ideals if i.kind == LINE_KERNEL or i.sigma.entries[-1] == 0]
 
 
 def is_primal_family(pis: Sequence[Signature]) -> tuple[bool, Signature | None]:
@@ -217,14 +209,10 @@ def zero_tail_star_step(sigma: Signature, sigma_prime: Signature) -> bool:
     if not star_adjacent(SubIdeal(GERM_IDEAL, sigma), SubIdeal(GERM_IDEAL, sigma_prime)):
         raise PreconditionViolated("the tail step needs adjacent germ ideals")
     k = ctx.k
-    last_nonzero = 0
-    for idx in range(k, 0, -1):
-        if sigma.entries[idx - 1] != 0:
-            last_nonzero = idx
-            break
-    if last_nonzero > k - 2:
+    i = tail_start(sigma.entries)
+    if i > k - 2:
         return True
-    return all(sigma_prime.entries[j] == 0 for j in range(last_nonzero + 1, k))
+    return all(sigma_prime.entries[j] == 0 for j in range(i + 1, k))
 
 
 # ---------------------------------------------------------------------------
@@ -259,19 +247,19 @@ class MergeCertificate:
 
 
 def certificate_from_dict(payload: dict) -> MergeCertificate:
-    n = int(payload["n"])
+    n = int_field(payload, "n")
     parent = GroupContext(n)
     child = parent.child
     witness = payload.get("primal_witness")
     return MergeCertificate(
         n=n,
-        case=int(payload["case"]),
+        case=int_field(payload, "case"),
         inputs=tuple(Signature(tuple(e), child) for e in payload["inputs"]),
         containers=tuple(Signature(tuple(e), parent) for e in payload["containers"]),
         walks=tuple(walk_from_dict(w) for w in payload["walks"]),
         targets=tuple(Signature(tuple(e), parent) for e in payload["targets"]),
         primal_witness=Signature(tuple(witness), child) if witness is not None else None,
-        claimed_n=int(payload["claimed_n"]),
+        claimed_n=int_field(payload, "claimed_n"),
     )
 
 
@@ -302,30 +290,21 @@ def expected_k_bound(n: int) -> Fraction:
     return Fraction((n + 1) // 2, 2)
 
 
-def _even_state(P, q, k, i):
-    return tuple(P[:i]) + tuple(q[i - 1 : k - 1 - i]) + (0,) * i
-
-
-def _even_wit(P, q, k, i):
-    return tuple(P[:i]) + tuple(q[i : k - 1 - i]) + (0,) * i
-
-
-def _odd_state(P, p, k, i):
-    return tuple(P[:i]) + tuple(p[i - 1 : k - i]) + (0,) * (i - 1)
-
-
-def _odd_wit(P, p, k, i):
-    return tuple(P[:i]) + tuple(p[i : k - i]) + (0,) * i
+def _pad(entries: tuple[int, ...], length: int) -> tuple[int, ...]:
+    return entries + (0,) * (length - len(entries))
 
 
 def merge_certificate(n: int, s1: Signature, s2: Signature, s3: Signature) -> MergeCertificate:
-    """Build the case-by-case merge construction for three germ signatures.
+    """Build the merge construction for three germ signatures.
 
-    Containers prepend the merged maximum to a truncated copy of each input.
-    Every walk overwrites one more prefix coordinate with the merged maxima
-    while zeroing the tail, for exactly the case-table number of steps; the
-    triple cases stop one short of a full merge and certify primality of the
-    three ends through a shared restriction instead.
+    With P the merged maxima and c the child signature length, state i of
+    the walk from input e is P[:i] + e[i-1:c-i] padded with zeros, and the
+    witness of step i is P[:i] + e[i:c-i]: every step overwrites one more
+    prefix coordinate with the merged maxima while zeroing the tail, for
+    exactly the case-table number of steps s.  The triple cases (n = 1, 2
+    mod 4) stop one short of a full merge, ending at P[:s+1] + e[s+1:s+2]
+    when s >= 1, and certify primality of the three ends through the shared
+    restriction P[:s+1] instead.
     """
     if n < 3:
         raise PreconditionViolated("merge certificates need n >= 3")
@@ -334,83 +313,40 @@ def merge_certificate(n: int, s1: Signature, s2: Signature, s3: Signature) -> Me
     if any(s.ctx != child for s in sigmas):
         raise ContextMismatch(f"inputs must be {child} signatures")
     parent = GroupContext(n)
-    k = parent.k
-    case = n % 4
+    k, c = parent.k, child.k
     steps = claimed_steps(n)
-    P = merge_max(list(sigmas))
+    triple = target_count(n) == 3
+    P = tuple(merge_max(list(sigmas)))
 
     walks = []
-    targets = []
     for s in sigmas:
         e = s.entries
-        if parent.parity == EVEN:
-            states = [_even_state(P, e, k, 1)]
-            wits = []
-            if case == 0:
-                for i in range(1, steps + 1):
-                    wits.append(_even_wit(P, e, k, i))
-                    states.append(_even_state(P, e, k, i + 1))
-                target = states[-1]
-            else:  # case 2, triple targets
-                m = (n - 2) // 4
-                for i in range(1, steps):  # generic steps 1 .. m-2
-                    wits.append(_even_wit(P, e, k, i))
-                    states.append(_even_state(P, e, k, i + 1))
-                if steps >= 1:
-                    target = tuple(P[:m]) + (e[m],) + (0,) * (k - m - 1)
-                    wits.append(tuple(P[: m - 1]) + (e[m - 1], e[m]) + (0,) * (m - 1))
-                    states.append(target)
-                else:
-                    target = states[-1]
-        else:
-            states = [_odd_state(P, e, k, 1)]
-            wits = []
-            if case == 3:
-                m = (n - 3) // 4
-                for i in range(1, steps):  # generic steps 1 .. m-1
-                    wits.append(_odd_wit(P, e, k, i))
-                    states.append(_odd_state(P, e, k, i + 1))
-                if steps >= 1:
-                    target = tuple(P[: m + 1]) + (0,) * (k - m - 1)
-                    wits.append(tuple(P[:m]) + (e[m],) + (0,) * m)
-                    states.append(target)
-                else:
-                    target = states[-1]
-            else:  # case 1, triple targets
-                m = (n - 1) // 4
-                for i in range(1, steps):  # generic steps 1 .. m-2
-                    wits.append(_odd_wit(P, e, k, i))
-                    states.append(_odd_state(P, e, k, i + 1))
-                if steps >= 1:
-                    target = tuple(P[:m]) + (e[m],) + (0,) * (k - m - 1)
-                    wits.append(tuple(P[: m - 1]) + (e[m - 1], e[m]) + (0,) * (m - 1))
-                    states.append(target)
-                else:
-                    target = states[-1]
+        states = [_pad(P[:i] + e[i - 1 : c - i], k) for i in range(1, steps + 2)]
+        wits = [_pad(P[:i] + e[i : c - i], c) for i in range(1, steps + 1)]
+        if triple and steps >= 1:
+            states[-1] = _pad(P[: steps + 1] + e[steps + 1 : steps + 2], k)
         walks.append(
             Walk(
                 tuple(Signature(st, parent) for st in states),
                 tuple(Signature(w, child) for w in wits),
             )
         )
-        targets.append(Signature(target, parent))
 
-    containers = tuple(w.steps[0] for w in walks)
-    if target_count(n) == 1:
+    targets = tuple(w.steps[-1] for w in walks)
+    if triple:
+        witness = Signature(_pad(P[: steps + 1], c), child)
+    else:
         if len(set(targets)) != 1:
             raise CertificationError("single-target construction produced distinct targets")
         targets = targets[:1]
         witness = None
-    else:
-        m = (n - 2) // 4 if case == 2 else (n - 1) // 4
-        witness = Signature(tuple(P[:m]) + (0,) * (child.k - m), child)
     return MergeCertificate(
         n=n,
-        case=case,
+        case=n % 4,
         inputs=sigmas,
-        containers=containers,
+        containers=tuple(w.steps[0] for w in walks),
         walks=tuple(walks),
-        targets=tuple(targets),
+        targets=targets,
         primal_witness=witness,
         claimed_n=steps,
     )

@@ -26,6 +26,7 @@ from .errors import (
     MonotonicityViolated,
     NegativeEntry,
     PreconditionViolated,
+    SignatureError,
     WrongLength,
 )
 
@@ -98,7 +99,11 @@ class Signature:
     ctx: GroupContext
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
+        if type(self.entries) is not tuple:
+            object.__setattr__(self, "entries", tuple(self.entries))
+        for e in self.entries:
+            if type(e) is not int:  # no floats, strings or bools
+                raise SignatureError(f"signature entries must be integers, got {e!r}")
         _check_entries(self.entries, self.ctx)
 
     def __str__(self) -> str:
@@ -108,8 +113,18 @@ class Signature:
         return {"n": self.ctx.n, "entries": list(self.entries)}
 
 
+def int_field(payload: dict, key: str) -> int:
+    """`payload[key]`, which must be an integer (not a float, string or
+    bool): a file that reads 5.7 as 5 would re-verify a certificate it does
+    not contain."""
+    value = payload[key]
+    if type(value) is not int:
+        raise SignatureError(f"field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def signature_from_dict(payload: dict) -> Signature:
-    return Signature(tuple(payload["entries"]), GroupContext(int(payload["n"])))
+    return Signature(tuple(payload["entries"]), GroupContext(int_field(payload, "n")))
 
 
 def validate(entries: Sequence[int], n: int) -> Signature:
@@ -180,19 +195,6 @@ def branch_box(pi: Signature) -> BranchBox:
     return BranchBox(ivs, child)
 
 
-@lru_cache(maxsize=None)
-def _branch_cached(pi: Signature) -> tuple[Signature, ...]:
-    box = branch_box(pi)
-    out = []
-    for point in itertools.product(*(range(lo, hi + 1) for lo, hi in box.intervals)):
-        try:
-            out.append(Signature(point, box.ctx))
-        except (MonotonicityViolated, NegativeEntry):
-            continue
-    out.sort(key=lambda s: s.entries)
-    return tuple(out)
-
-
 def branch(pi: Signature) -> list[Signature]:
     """Explicit multiplicity-free branching set of `pi`, by box enumeration.
 
@@ -201,7 +203,15 @@ def branch(pi: Signature) -> list[Signature]:
     """
     if pi.ctx.n < 2:
         raise PreconditionViolated("branching needs n >= 2")
-    return list(_branch_cached(pi))
+    box = branch_box(pi)
+    out = []
+    for point in itertools.product(*(range(lo, hi + 1) for lo, hi in box.intervals)):
+        try:
+            out.append(Signature(point, box.ctx))
+        except (MonotonicityViolated, NegativeEntry):
+            continue
+    out.sort(key=lambda s: s.entries)
+    return out
 
 
 def _require_child(pi: Signature, sigma: Signature) -> None:
@@ -304,6 +314,14 @@ def common_extension(sigmas: Sequence[Signature]) -> Signature | None:
     return Signature(tuple(ms), parent)
 
 
+def tail_start(entries: tuple[int, ...]) -> int:
+    """1-based index of the last nonzero entry, 0 when all vanish."""
+    for idx in range(len(entries), 0, -1):
+        if entries[idx - 1] != 0:
+            return idx
+    return 0
+
+
 def merge_max(sigs: Sequence[Signature]) -> list[int]:
     """Coordinate-wise maximum of the entries; for an even group the last
     coordinate takes the maximum of absolute values.  The result is a plain
@@ -341,7 +359,7 @@ class Walk:
 
 
 def walk_from_dict(payload: dict) -> Walk:
-    ctx = GroupContext(int(payload["n"]))
+    ctx = GroupContext(int_field(payload, "n"))
     steps = tuple(Signature(tuple(e), ctx) for e in payload["steps"])
     wits = tuple(Signature(tuple(e), ctx.child) for e in payload["witnesses"])
     return Walk(steps, wits)

@@ -22,7 +22,15 @@ from . import primal as primal_mod
 from . import signatures as sig_mod
 from .dualspace import Point, build_dual_model, components_and_orc, separated_points
 from .errors import MotionDualError, PreconditionViolated
-from .signatures import Signature, branch, common_extension, enumerate_signatures, inseparable, restricts_to
+from .signatures import (
+    Signature,
+    branch,
+    common_extension,
+    enumerate_signatures,
+    inseparable,
+    restricts_to,
+    tail_start,
+)
 
 
 @dataclass(frozen=True)
@@ -51,9 +59,10 @@ def check_oracle_inseparable(n: int, bound: int, rng=None) -> CheckResult:
     if n > 9:
         return CheckResult(n, "oracle-inseparable", True, "skipped above n = 9", skipped=True)
     sigs = enumerate_signatures(n, bound)
+    branches = {s: set(branch(s)) for s in sigs}
     checked = 0
     for a, b in _pairs(sigs):
-        oracle = bool(set(branch(a)) & set(branch(b)))
+        oracle = bool(branches[a] & branches[b])
         if inseparable(a, b) != oracle:
             return CheckResult(n, "oracle-inseparable", False, f"mismatch at {a} vs {b}")
         checked += 1
@@ -104,14 +113,6 @@ def check_oracle_restriction(n: int, bound: int, rng=None) -> CheckResult:
     return CheckResult(n, "oracle-restriction", True, f"{checked} pairs")
 
 
-def _tail_start(entries: tuple[int, ...]) -> int:
-    """1-based index of the last nonzero entry, 0 when all vanish."""
-    for idx in range(len(entries), 0, -1):
-        if entries[idx - 1] != 0:
-            return idx
-    return 0
-
-
 def check_zero_tail_dual(n: int, bound: int, rng=None) -> CheckResult:
     """Inseparable classes propagate zero tails one position at a time."""
     k = n // 2
@@ -121,7 +122,7 @@ def check_zero_tail_dual(n: int, bound: int, rng=None) -> CheckResult:
     for a, b in _pairs(sigs):
         if not inseparable(a, b):
             continue
-        i = _tail_start(a.entries)
+        i = tail_start(a.entries)
         if i <= k - 2 and any(b.entries[j] != 0 for j in range(i + 1, k)):
             return CheckResult(n, "zero-tail-dual", False, f"counterexample {a} vs {b}")
     return CheckResult(n, "zero-tail-dual", True, f"{len(sigs)}^2 pairs at bound 1")
@@ -158,13 +159,28 @@ def check_big_d(n: int, bound: int, rng=None) -> CheckResult:
     return CheckResult(n, "big-d", ok, f"d={got}, want {want}")
 
 
+def _min_primal_oracle(n: int, bound: int) -> list:
+    """`min_primal` by hull enumeration: a germ ideal is minimal unless the
+    hull of some other germ ideal strictly contains its hull, with hulls
+    and competitors enumerated one bound above every kept entry."""
+    probe = bound + 1
+    germs = [primal_mod.SubIdeal(primal_mod.GERM_IDEAL, s) for s in enumerate_signatures(n - 1, probe)]
+    hulls = {g: primal_mod.hull(g, probe) for g in germs}
+    return [
+        i
+        for i in primal_mod.sub_ideals(n, bound)
+        if i.kind == primal_mod.LINE_KERNEL or not any(hulls[i] < h for h in hulls.values())
+    ]
+
+
 def check_min_primal_parity(n: int, bound: int, rng=None) -> CheckResult:
     """Strict germ-ideal containment exists iff n is odd: for even n every
-    sub-ideal is minimal, for odd n some germ ideal is excluded."""
+    sub-ideal is minimal, for odd n some germ ideal is excluded.  The closed
+    form `min_primal` must also agree with the hull-enumeration oracle."""
     minimal = primal_mod.min_primal(n, bound)
     total = primal_mod.sub_ideals(n, bound)
     strict_exists = len(minimal) < len(total)
-    ok = strict_exists == (n % 2 == 1)
+    ok = strict_exists == (n % 2 == 1) and minimal == _min_primal_oracle(n, bound)
     return CheckResult(n, "min-primal-parity", ok, f"{len(minimal)}/{len(total)} minimal")
 
 

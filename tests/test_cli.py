@@ -384,3 +384,47 @@ def test_module_invocation_subprocess():
     )
     assert proc.returncode == 0
     assert "3/2" in proc.stdout
+
+
+# --- non-integer fields in --check files ---------------------------------------
+
+
+def _set_path(payload, path, value):
+    for key in path[:-1]:
+        payload = payload[key]
+    payload[path[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("inputs", 0), [1.9, 0]),
+        (("inputs", 0), ["1", "0"]),
+        (("inputs", 0), [True, False]),
+        (("n",), 6.0),
+        (("claimed_n",), 0.0),
+        (("walks", 0, "n"), "6"),
+    ],
+    ids=["float-entry", "string-entries", "bool-entries", "float-n", "float-claimed-n", "string-walk-n"],
+)
+def test_certify_check_rejects_non_integer_fields(capsys, tmp_path, path, value):
+    # coerced with int(), each of these reads back as the original certificate
+    out_file = _issue_certificate(capsys, tmp_path)
+    payload = json.loads(out_file.read_text())
+    _set_path(payload["certificate"], path, value)
+    out_file.write_text(json.dumps(payload))
+    code, _, err = run(["certify", "--n", "6", "--check", str(out_file)], capsys)
+    assert code == 1
+    assert err.startswith("error: cannot parse certificate file")
+    assert "must be integers" in err or "must be an integer" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("key, value", [("n", 7.0), ("n", 7.5), ("n", "7"), ("bound", 1.5), ("bound", True)])
+def test_chain_check_rejects_non_integer_fields(capsys, tmp_path, key, value):
+    out_file = tmp_path / "chain.json"
+    run(["chain", "--n", "7", "0,0,0", "1,1,1", "--bound", "1", "--output", str(out_file)], capsys)
+    payload = json.loads(out_file.read_text())
+    payload[key] = value
+    out_file.write_text(json.dumps(payload))
+    assert "must be an integer" in _check_chain_file(capsys, out_file)

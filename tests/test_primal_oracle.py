@@ -1,0 +1,154 @@
+"""Closed-form containment, minimality and merge certificates against
+brute-force oracles.
+
+`contains_ideal` and `min_primal` are interval tests on the infinite hulls;
+the oracle is the enumerated `hull`, taken at a bound above every entry
+involved so that no hull is cut short.
+"""
+
+import itertools
+
+import pytest
+
+from motiondual import primal, signatures, verification
+from motiondual.primal import (
+    GERM_IDEAL,
+    LINE_KERNEL,
+    SubIdeal,
+    contains_ideal,
+    hull,
+    merge_certificate,
+    min_primal,
+    strictly_contains,
+    sub_ideals,
+    validate_certificate,
+)
+from motiondual.signatures import common_extension, enumerate_signatures, inseparable, validate
+
+
+def germ(entries, n_child):
+    return SubIdeal(GERM_IDEAL, validate(entries, n_child))
+
+
+def _hulls(n, entry_max):
+    """Germ ideals of SO(n) with entries up to `entry_max`, each with its
+    hull enumerated one bound higher."""
+    germs = [SubIdeal(GERM_IDEAL, s) for s in enumerate_signatures(n - 1, entry_max)]
+    return {g: hull(g, entry_max + 1) for g in germs}
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_contains_ideal_matches_hull_oracle(n):
+    # entries up to 3: the grid holds germs outside small truncations such
+    # as bound 1, where truncated hulls are empty
+    hulls = _hulls(n, 3)
+    for (a, ha), (b, hb) in itertools.product(hulls.items(), repeat=2):
+        assert contains_ideal(a, b) == (ha <= hb), (a, b)
+        assert strictly_contains(a, b) == (ha < hb), (a, b)
+
+
+def test_containment_beyond_small_truncation():
+    # at bound 1 the truncated hull of (5,3) is empty, so a truncated
+    # comparison would read containment here
+    assert not contains_ideal(germ([5, 3], 4), germ([1, 0], 4))
+    assert not contains_ideal(germ([5, 0], 4), germ([1, 0], 4))
+    assert contains_ideal(germ([5, 3], 4), germ([5, 0], 4))
+    assert not contains_ideal(germ([5, 3], 5), germ([1, 0], 5))
+
+
+def _min_primal_oracle(n, bound):
+    hulls = _hulls(n, bound)
+    return [
+        i
+        for i in sub_ideals(n, bound)
+        if i.kind == LINE_KERNEL or not any(hulls[i] < h for h in hulls.values())
+    ]
+
+
+GRID = [(n, b) for n in range(3, 8) for b in range(0, 4)] + [(8, 2), (9, 1), (10, 1), (11, 1)]
+
+
+@pytest.mark.parametrize("n, bound", GRID)
+def test_min_primal_matches_hull_oracle(n, bound):
+    assert min_primal(n, bound) == _min_primal_oracle(n, bound)
+
+
+def test_closed_forms_enumerate_no_hull_or_branch(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("closed form called an enumeration oracle")
+
+    monkeypatch.setattr(primal, "hull", forbidden)
+    monkeypatch.setattr(signatures, "branch", forbidden)
+    calls = []
+    enumerate_once = primal.enumerate_signatures
+    monkeypatch.setattr(
+        primal, "enumerate_signatures", lambda *a: calls.append(a) or enumerate_once(*a)
+    )
+
+    assert primal.contains_ideal(germ([2, 1], 4), germ([2, 0], 4))
+    assert primal.strictly_contains(germ([2, 1], 4), germ([2, 0], 4))
+    assert calls == []
+    kept = primal.min_primal(7, 2)
+    assert calls == [(6, 2)]  # the vertex set itself; no competitor enumeration
+    assert len(kept) < len(sub_ideals(7, 2))
+    assert inseparable(validate([2, 1], 5), validate([1, 1], 5))
+    assert common_extension([validate([2, 0], 4), validate([1, 1], 4)]) is not None
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_every_bound_one_triple_certifies(n):
+    pool = enumerate_signatures(n - 1, 1)
+    for triple in itertools.product(pool, repeat=3):
+        report = validate_certificate(merge_certificate(n, *triple), 1)
+        assert report.ok, (triple, report.violations)
+
+
+def test_sweep_check_catches_wrong_min_primal(monkeypatch):
+    assert verification.check_min_primal_parity(5, 2).ok
+    # still odd-n shaped (something excluded), but drops the zero germ too
+    monkeypatch.setattr(
+        primal,
+        "min_primal",
+        lambda n, b: [i for i in sub_ideals(n, b) if i.kind == LINE_KERNEL],
+    )
+    result = verification.check_min_primal_parity(5, 2)
+    assert not result.ok
+
+
+@pytest.mark.parametrize(
+    "n, triple, steps, witnesses, targets, primal_witness",
+    [
+        (
+            9,
+            ([2, 1, 1, -1], [1, 1, 0, 0], [2, 2, 1, 0]),
+            [[2, 2, 1, 1], [2, 2, 1, 0]],
+            [[2, 1, 1, 0]],
+            [[2, 2, 1, 0], [2, 2, 0, 0], [2, 2, 1, 0]],
+            [2, 2, 0, 0],
+        ),
+        (
+            10,
+            ([2, 1, 1, 0], [1, 1, 0, 0], [2, 2, 1, 1]),
+            [[2, 2, 1, 1, 0], [2, 2, 1, 0, 0]],
+            [[2, 1, 1, 0]],
+            [[2, 2, 1, 0, 0], [2, 2, 0, 0, 0], [2, 2, 1, 0, 0]],
+            [2, 2, 0, 0],
+        ),
+        (
+            13,
+            ([2, 1, 1, 1, 0, 0], [1, 1, 0, 0, 0, 0], [2, 2, 1, 1, 1, -1]),
+            [[2, 2, 1, 1, 1, 0], [2, 2, 1, 1, 1, 0], [2, 2, 1, 1, 0, 0]],
+            [[2, 1, 1, 1, 0, 0], [2, 2, 1, 1, 0, 0]],
+            [[2, 2, 1, 1, 0, 0], [2, 2, 1, 0, 0, 0], [2, 2, 1, 1, 0, 0]],
+            [2, 2, 1, 0, 0, 0],
+        ),
+    ],
+)
+def test_triple_case_walks_end_one_short(n, triple, steps, witnesses, targets, primal_witness):
+    # the final state of a triple-case walk keeps one input coordinate after
+    # the merged prefix; pinned because a fully generic last step also validates
+    cert = merge_certificate(n, *(validate(t, n - 1) for t in triple)).to_dict()
+    assert cert["walks"][0]["steps"] == steps
+    assert cert["walks"][0]["witnesses"] == witnesses
+    assert cert["targets"] == targets
+    assert cert["primal_witness"] == primal_witness

@@ -7,6 +7,7 @@ from motiondual.errors import (
     MonotonicityViolated,
     NegativeEntry,
     PreconditionViolated,
+    SignatureError,
     WrongLength,
 )
 from motiondual.signatures import (
@@ -336,6 +337,19 @@ def test_signature_json_roundtrip():
     s = sig([2, 1, -1], 6)
     assert signature_from_dict(s.to_dict()) == s
     assert str(s) == "2,1,-1"
+
+
+@pytest.mark.parametrize("entries", [(1.9, 0), ("1", "0"), (True, False), (1.0, 0)])
+def test_signature_rejects_non_integer_entries(entries):
+    with pytest.raises(SignatureError, match="must be integers"):
+        Signature(entries, GroupContext(4))
+    with pytest.raises(SignatureError):
+        signature_from_dict({"n": 4, "entries": list(entries)})
+
+
+def test_signature_from_dict_rejects_non_integer_n():
+    with pytest.raises(SignatureError, match="must be an integer"):
+        signature_from_dict({"n": 4.0, "entries": [1, 0]})
 
 
 def test_walk_json_roundtrip():
