@@ -310,4 +310,7 @@ def chain_from_json(model: DualModel, payload: dict) -> tuple[Chain, Point | Non
     chain = Chain(sets)
     x = point_from_id(model, payload["x"]) if "x" in payload else None
     y = point_from_id(model, payload["y"]) if "y" in payload else None
-    return chain, x, y, bool(payload.get("restrict_to_class", True))
+    restrict = payload.get("restrict_to_class", True)
+    if not isinstance(restrict, bool):
+        raise TypeError(f"restrict_to_class must be true or false, got {restrict!r}")
+    return chain, x, y, restrict

@@ -11,9 +11,13 @@ finite computations.
 All traversal lives in `Graph`: an undirected graph with a fixed vertex
 order, carrying breadth-first distances, balls, connected components and
 the largest component diameter, each optionally restricted to a vertex
-subset.  `FiniteT0Space` is the `Graph` of its inseparability relation and
-adds only the topology (closures and minimal open sets); the sub-ideal
-graph of `primal` is a plain `Graph`.
+subset.  Vertices are numbered once and the adjacency holds only these
+numbers, so every traversal is one breadth-first search over integers in
+which a vertex subset is a flag list; point objects are hashed only where
+they enter or leave the API.  `FiniteT0Space` is the `Graph` of its
+inseparability relation and adds only the topology, keeping closures and
+minimal open sets as bitmasks over the point numbers; the sub-ideal graph
+of `primal` is a plain `Graph`.
 
 Inside the model a germ is inseparable from every class in its hull, an
 artifact of the collapse (the half-line points themselves are separated).
@@ -23,11 +27,10 @@ default; the full-space relation is kept for the topological machinery.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from math import inf
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import PreconditionViolated, UnknownPoint
 from .signatures import (
@@ -55,103 +58,139 @@ class Point:
         return self.point_id
 
 
-def adjacency_of(vertices: Iterable, related) -> dict:
-    """Symmetric adjacency of a relation over the vertices, in vertex order;
-    `related` is called once for each unordered pair of distinct vertices."""
-    vertices = tuple(vertices)
-    adj: dict = {v: [] for v in vertices}
-    for i, x in enumerate(vertices):
-        for y in vertices[i + 1 :]:
-            if related(x, y):
-                adj[x].append(y)
-                adj[y].append(x)
-    return adj
+def _members(mask: int) -> list[int]:
+    """Positions of the set bits of `mask`, ascending."""
+    bits = bin(mask)[:1:-1]  # binary digits, lowest first
+    out = []
+    i = bits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = bits.find("1", i + 1)
+    return out
+
+
+def _union(masks: Sequence[int], mask: int) -> int:
+    """The union of `masks[i]` over the set bits i of `mask`."""
+    out = 0
+    for i in _members(mask):
+        out |= masks[i]
+    return out
 
 
 class Graph:
     """An undirected graph with a fixed vertex order.
 
-    The vertex order is the insertion order of the adjacency mapping and is
-    used for every deterministic traversal; each neighbor tuple is kept in
-    that order.  All traversals are breadth-first searches, optionally
-    restricted to a vertex subset `within`.
+    Vertices are numbered once, in the order given; the adjacency is a
+    tuple holding, for each vertex number, its neighbors' numbers in
+    ascending order.  Every traversal is one breadth-first search over
+    these numbers, optionally restricted to a vertex subset `within`;
+    vertex objects are looked up only at the API edge.
     """
 
-    def __init__(self, adjacency: Mapping[object, Iterable[object]]):
-        self.points: tuple = tuple(adjacency)
+    def __init__(self, points: Iterable, adjacency: Iterable[Iterable[int]]):
+        self.points: tuple = tuple(points)
         self._index = {p: i for i, p in enumerate(self.points)}
-        self._adj = {p: tuple(sorted(ns, key=self._index.__getitem__)) for p, ns in adjacency.items()}
+        self._adj = tuple(tuple(sorted(ns)) for ns in adjacency)
+        if len(self._adj) != len(self.points):
+            raise ValueError("adjacency needs one neighbor list per vertex")
 
-    def _require(self, *pts) -> None:
+    def _ids(self, pts: Iterable) -> list[int]:
+        index = self._index
+        ids = []
         for p in pts:
-            if p not in self._index:
+            i = index.get(p)
+            if i is None:
                 raise UnknownPoint(f"{p} is not a point of this space")
+            ids.append(i)
+        return ids
+
+    def _blank(self, within: frozenset | None) -> list[int]:
+        """A fresh distance list: -1 (unvisited) on the vertices of `within`,
+        -2 on the vertices the search may not enter."""
+        if within is None:
+            return [-1] * len(self.points)
+        return [-1 if p in within else -2 for p in self.points]
+
+    def _search(self, sources: list[int], dist: list[int], target: int = -1, radius: float = inf) -> list[int]:
+        """Breadth-first search from the source numbers, writing distances
+        into `dist` (see `_blank`) and returning the vertices reached, in
+        visiting order.  Stops after reaching `target`, and expands no
+        vertex at distance `radius` or more."""
+        order = []
+        for s in sorted(set(sources)):
+            if dist[s] == -1:
+                dist[s] = 0
+                order.append(s)
+        adj = self._adj
+        for x in order:  # `order` doubles as the queue
+            d = dist[x]
+            if x == target or d >= radius:
+                break
+            d += 1
+            for y in adj[x]:
+                if dist[y] == -1:
+                    dist[y] = d
+                    order.append(y)
+        return order
 
     def neighbors(self, x) -> tuple:
-        self._require(x)
-        return self._adj[x]
+        pts = self.points
+        return tuple(pts[j] for j in self._adj[self._ids((x,))[0]])
 
     def edges(self) -> list[tuple]:
         """Every edge once, as (x, y) with x before y, in vertex order."""
-        index = self._index
-        return [(x, y) for x in self.points for y in self._adj[x] if index[x] < index[y]]
+        pts = self.points
+        return [(pts[i], pts[j]) for i, ns in enumerate(self._adj) for j in ns if i < j]
 
     def bfs(self, sources: Iterable, within: frozenset | None = None) -> dict:
         """Graph distances from the source set, restricted to `within`."""
-        sources = list(sources)
-        self._require(*sources)
-        dist = {}
-        queue = deque()
-        for s in sorted(sources, key=self._index.__getitem__):
-            if s not in dist and (within is None or s in within):
-                dist[s] = 0
-                queue.append(s)
-        while queue:
-            x = queue.popleft()
-            d = dist[x] + 1
-            for y in self._adj[x]:
-                if y not in dist and (within is None or y in within):
-                    dist[y] = d
-                    queue.append(y)
-        return dist
+        dist = self._blank(within)
+        pts = self.points
+        return {pts[i]: dist[i] for i in self._search(self._ids(sources), dist)}
 
     def distance(self, x, y, within: frozenset | None = None):
-        self._require(x, y)
-        if within is not None and (x not in within or y not in within):
+        i, j = self._ids((x, y))
+        dist = self._blank(within)
+        if dist[i] == -2 or dist[j] == -2:
             raise PreconditionViolated("distance endpoints must lie in the restricted vertex set")
-        if x == y:
-            return 0
-        return self.bfs([x], within).get(y, inf)
+        self._search([i], dist, target=j)
+        return dist[j] if dist[j] >= 0 else inf
 
     def set_distance(self, xs: Iterable, ys: Iterable, within: frozenset | None = None):
-        ys = frozenset(ys)
-        if not ys or not frozenset(xs):
+        xs, ys = frozenset(xs), frozenset(ys)
+        if not xs or not ys:
             return inf
-        dist = self.bfs(xs, within)
-        hits = [d for p, d in dist.items() if p in ys]
-        return min(hits) if hits else inf
+        index = self._index
+        targets = {index[p] for p in ys if p in index}
+        dist = self._blank(within)
+        # the search visits vertices in order of distance: the first target wins
+        return next((dist[i] for i in self._search(self._ids(xs), dist) if i in targets), inf)
 
     def ball(self, s: Iterable, n: int, within: frozenset | None = None) -> frozenset:
         """All points at graph distance <= n from the set."""
-        dist = self.bfs(s, within)
-        return frozenset(p for p, d in dist.items() if d <= n)
+        pts = self.points
+        dist = self._blank(within)
+        return frozenset(pts[i] for i in self._search(self._ids(s), dist, radius=n) if dist[i] <= n)
 
     def components(self, within: frozenset | None = None) -> tuple[frozenset, ...]:
-        seen: set = set()
+        pts = self.points
+        dist = self._blank(within)  # shared: a visited vertex starts no new search
         comps = []
-        for p in self.points:
-            if p in seen or (within is not None and p not in within):
-                continue
-            comp = frozenset(self.bfs([p], within))
-            seen |= comp
-            comps.append(comp)
+        for i in range(len(dist)):
+            if dist[i] == -1:
+                comps.append(frozenset(pts[j] for j in self._search([i], dist)))
         return tuple(comps)
 
     def diameter(self, within: frozenset | None = None) -> int:
         """Largest component diameter, i.e. the largest eccentricity of a
         vertex; 0 when every component is a singleton."""
-        verts = self.points if within is None else [p for p in self.points if p in within]
-        return max((max(self.bfs([p], within).values()) for p in verts), default=0)
+        blank = self._blank(within)
+        best = 0
+        for i, b in enumerate(blank):
+            if b == -1:
+                dist = blank[:]
+                best = max(best, dist[self._search([i], dist)[-1]])
+        return best
 
 
 class FiniteT0Space(Graph):
@@ -160,62 +199,73 @@ class FiniteT0Space(Graph):
 
     The closure map must be reflexive, transitive under the induced set
     operation, and injective (T0); the constructor verifies all three.
-    Point order is the insertion order of the mapping.
+    Point order is the insertion order of the mapping.  Closures and minimal
+    open sets are kept as bitmasks over the point numbers, so
+    inseparability is one `&` and the graph is built from the masks.
     """
 
     def __init__(self, closures: Mapping[object, Iterable[object]]):
-        self._closure = {p: frozenset(c) for p, c in closures.items()}
-        pts = set(self._closure)
+        points = tuple(closures)
+        index = {p: i for i, p in enumerate(points)}
+        cl = []
+        for p, members in closures.items():
+            mask = 0
+            for q in members:
+                if q not in index:
+                    raise ValueError(f"closure of {p} leaves the point set")
+                mask |= 1 << index[q]
+            cl.append(mask)
         seen = {}
-        for p, cl in self._closure.items():
-            if not cl <= pts:
-                raise ValueError(f"closure of {p} leaves the point set")
-            if p not in cl:
+        for i, (p, mask) in enumerate(zip(points, cl)):
+            if not mask >> i & 1:
                 raise ValueError(f"closure of {p} is not reflexive")
-            if frozenset().union(*(self._closure[q] for q in cl)) != cl:
+            if _union(cl, mask) != mask:
                 raise ValueError(f"closure of {p} is not transitive")
-            if cl in seen:
-                raise ValueError(f"points {seen[cl]} and {p} share a closure (not T0)")
-            seen[cl] = p
+            if mask in seen:
+                raise ValueError(f"points {seen[mask]} and {p} share a closure (not T0)")
+            seen[mask] = p
         # minimal open set of x: all q whose closure contains x
-        min_open: dict = {p: set() for p in self._closure}
-        for q, cl in self._closure.items():
-            for x in cl:
-                min_open[x].add(q)
-        self._min_open = {p: frozenset(s) for p, s in min_open.items()}
-        mo = self._min_open
-        super().__init__(adjacency_of(self._closure, lambda x, y: bool(mo[x] & mo[y])))
+        mo = [0] * len(points)
+        for q, mask in enumerate(cl):
+            for x in _members(mask):
+                mo[x] |= 1 << q
+        self._closure = tuple(cl)
+        self._min_open = tuple(mo)
+        # x and y are inseparable iff some q has both in its closure
+        super().__init__(
+            points, (_members(_union(cl, m) & ~(1 << x)) for x, m in enumerate(mo))
+        )
+
+    def _mask(self, s: Iterable) -> int:
+        mask = 0
+        for i in self._ids(s):
+            mask |= 1 << i
+        return mask
+
+    def _set(self, mask: int) -> frozenset:
+        pts = self.points
+        return frozenset(pts[i] for i in _members(mask))
 
     def closure(self, x) -> frozenset:
-        self._require(x)
-        return self._closure[x]
+        return self._set(self._closure[self._ids((x,))[0]])
 
     def closure_of(self, s: Iterable) -> frozenset:
-        s = frozenset(s)
-        self._require(*s)
-        if not s:
-            return frozenset()
-        return frozenset().union(*(self._closure[p] for p in s))
+        return self._set(_union(self._closure, self._mask(s)))
 
     def is_closed(self, s: Iterable) -> bool:
-        s = frozenset(s)
-        return self.closure_of(s) == s
+        mask = self._mask(s)
+        return _union(self._closure, mask) == mask
 
     def min_open(self, x) -> frozenset:
-        self._require(x)
-        return self._min_open[x]
+        return self._set(self._min_open[self._ids((x,))[0]])
 
     def min_open_of(self, s: Iterable) -> frozenset:
-        s = frozenset(s)
-        self._require(*s)
-        if not s:
-            return frozenset()
-        return frozenset().union(*(self._min_open[p] for p in s))
+        return self._set(_union(self._min_open, self._mask(s)))
 
     def inseparable(self, x, y) -> bool:
         """True iff the minimal open sets of x and y intersect."""
-        self._require(x, y)
-        return bool(self._min_open[x] & self._min_open[y])
+        i, j = self._ids((x, y))
+        return bool(self._min_open[i] & self._min_open[j])
 
 
 @dataclass(frozen=True)
@@ -241,7 +291,7 @@ class DualModel:
         return p
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)  # a sweep revisits at most 4 bounds per n
 def build_dual_model(n: int, bound: int) -> DualModel:
     """Model of the dual of R^n x SO(n) truncated at the given leading entry.
 
@@ -305,7 +355,7 @@ def point_from_id(model: DualModel, point_id: str) -> Point:
         raise UnknownPoint(f"bad point id {point_id!r}")
     ctx = GroupContext(model.n if kind == CLASS_KIND else model.n - 1)
     p = Point(kind, Signature(parse_entries(rest), ctx))
-    model.space._require(p)
+    model.space._ids((p,))
     return p
 
 

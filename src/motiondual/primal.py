@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .dualspace import Graph, adjacency_of
+from .dualspace import Graph
 from .errors import CertificationError, ContextMismatch, PreconditionViolated
 from .signatures import (
     EVEN,
@@ -143,9 +143,19 @@ def star_adjacent(I: SubIdeal, J: SubIdeal) -> bool:
 
 
 def star_graph(n: int, bound: int) -> Graph:
-    """The sub-ideal graph on `sub_ideals(n, bound)`, adjacency by the
-    closed form `star_adjacent`."""
-    return Graph(adjacency_of(sub_ideals(n, bound), star_adjacent))
+    """The sub-ideal graph on `sub_ideals(n, bound)`, with the adjacency of
+    `star_adjacent`: line kernels are isolated, and two germ ideals are
+    joined when their hulls meet, i.e. when their hull intervals overlap in
+    every coordinate (the hull being the product of its intervals)."""
+    ideals = sub_ideals(n, bound)
+    hulls = [_hull_intervals(i.sigma) for i in ideals if i.kind == GERM_IDEAL]  # germs come first
+    adj: list[list[int]] = [[] for _ in ideals]
+    for a, ha in enumerate(hulls):
+        for b in range(a + 1, len(hulls)):
+            if all(lo_a <= hi_b and lo_b <= hi_a for (lo_a, hi_a), (lo_b, hi_b) in zip(ha, hulls[b])):
+                adj[a].append(b)
+                adj[b].append(a)
+    return Graph(ideals, adj)
 
 
 def d_star(I: SubIdeal, J: SubIdeal, bound: int):

@@ -136,7 +136,7 @@ def validate(entries: Sequence[int], n: int) -> Signature:
     return Signature(tuple(entries), GroupContext(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # a sweep revisits about a dozen (n, bound) keys at a time
 def _enumerate_cached(n: int, bound: int) -> tuple[Signature, ...]:
     ctx = GroupContext(n)
     k = ctx.k

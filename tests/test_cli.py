@@ -202,6 +202,17 @@ def test_chain_check_top_level_list_is_usage_error(capsys, tmp_path):
     assert "not a JSON object" in _check_chain_file(capsys, bad)
 
 
+@pytest.mark.parametrize("value", ["no", 0.5, 1, None], ids=["string", "float", "int", "null"])
+def test_chain_check_rejects_non_boolean_restrict_to_class(capsys, tmp_path, value):
+    # read with bool(), each of these re-verified as a class-restricted chain
+    out_file = tmp_path / "chain.json"
+    run(["chain", "--n", "7", "0,0,0", "1,1,1", "--bound", "1", "--output", str(out_file)], capsys)
+    payload = json.loads(out_file.read_text())
+    payload["restrict_to_class"] = value
+    out_file.write_text(json.dumps(payload))
+    assert "restrict_to_class must be true or false" in _check_chain_file(capsys, out_file)
+
+
 def test_certify_example(capsys):
     code, out, _ = run(["certify", "--n", "6", "1,0", "2,0", "1,1"], capsys)
     assert code == 0
@@ -384,6 +395,21 @@ def test_module_invocation_subprocess():
     )
     assert proc.returncode == 0
     assert "3/2" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [(["report", "--n", "5"], 0, ""), (["verify", "--jobs", "0"], 1, "error: jobs must be a positive integer")],
+    ids=["report", "bad-jobs"],
+)
+def test_package_invocation_subprocess(argv, code, err):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(REPO, "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "motiondual", *argv], capture_output=True, text=True, env=env, cwd=REPO
+    )
+    assert proc.returncode == code
+    assert proc.stderr.startswith(err) and len(proc.stderr.splitlines()) == (1 if err else 0)
 
 
 # --- non-integer fields in --check files ---------------------------------------

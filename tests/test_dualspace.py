@@ -1,4 +1,5 @@
 import json
+import random
 from math import inf
 
 import pytest
@@ -20,7 +21,7 @@ from motiondual.dualspace import (
     separated_points,
 )
 from motiondual.errors import PreconditionViolated, UnknownPoint
-from motiondual.signatures import enumerate_signatures, inseparable, validate
+from motiondual.signatures import enumerate_signatures, inseparable, restricts_to, validate
 
 
 def cls(entries, n):
@@ -108,6 +109,46 @@ def test_closure_of_examples():
     assert m.space.closure_of([c]) == frozenset([c])
     g = germ([0], 3)
     assert m.space.closure_of([g]) > frozenset([g])
+
+
+@pytest.mark.parametrize("n,bound", [(n, b) for n in range(3, 9) for b in (0, 1, 2)])
+def test_mask_methods_match_closure_map(n, bound):
+    # the closure map of the model, rebuilt from `restricts_to`, and every
+    # set operation taken by its frozenset definition
+    m = build_dual_model(n, bound)
+    space = m.space
+    pts = space.points
+    cl = {
+        p: frozenset([p]) | {c for c in m.class_points if p.kind == GERM_KIND and restricts_to(c.sig, p.sig)}
+        for p in pts
+    }
+    mo = {x: frozenset(q for q in pts if x in cl[q]) for x in pts}
+
+    def union(table, s):
+        return frozenset().union(*(table[p] for p in s))
+
+    rng = random.Random(f"{n}:{bound}")
+    samples = [frozenset(), frozenset(pts), m.class_points, m.germ_points]
+    samples += [frozenset(rng.sample(pts, rng.randint(1, len(pts)))) for _ in range(20)]
+    samples += list(cl.values()) + list(mo.values())
+    for x in pts:
+        assert space.closure(x) == cl[x]
+        assert space.min_open(x) == mo[x]
+        assert set(space.neighbors(x)) == {y for y in pts if y != x and mo[x] & mo[y]}
+        for y in pts:
+            assert space.inseparable(x, y) == bool(mo[x] & mo[y])
+    for s in samples:
+        assert space.closure_of(s) == union(cl, s)
+        assert space.min_open_of(s) == union(mo, s)
+        assert space.is_closed(s) == (union(cl, s) == s)
+
+
+def test_dual_model_cache_is_bounded():
+    info = build_dual_model.cache_info
+    assert info().maxsize is not None
+    for b in range(info().maxsize + 3):
+        build_dual_model(3, b)
+        assert info().currsize <= info().maxsize
 
 
 # --- inseparability ----------------------------------------------------------

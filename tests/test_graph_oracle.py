@@ -9,11 +9,14 @@ construction or traversal shows as a disagreement.
 from math import inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 nx = pytest.importorskip("networkx")
 
 from motiondual.dualspace import (  # noqa: E402
     CLASS_KIND,
+    Graph,
     Point,
     build_dual_model,
     components_and_orc,
@@ -30,6 +33,7 @@ from motiondual.primal import (  # noqa: E402
     star_graph_to_json,
     sub_ideals,
 )
+from motiondual.errors import PreconditionViolated  # noqa: E402
 from motiondual.signatures import enumerate_signatures, inseparable  # noqa: E402
 
 GRID = [(3, 1), (3, 3), (4, 1), (4, 2), (5, 1), (5, 2), (6, 1), (6, 2), (7, 1), (8, 1)]
@@ -113,3 +117,61 @@ def test_exporter_edges_match_pairwise_scan(n, bound):
     sub = pairwise_scan(sub_ideals(n, bound), star_adjacent, lambda v: v.ideal_id)
     assert dot_edges(star_graph_to_dot(n, bound)) == sub
     assert star_graph_to_json(n, bound)["edges"] == sorted(map(list, sub))
+
+
+# --- the graph core on random graphs ---------------------------------------------
+
+
+@st.composite
+def random_graphs(draw):
+    """Up to 12 string-labelled vertices, random edges, random vertex
+    subsets for `within`, the sources and the targets, and a radius."""
+    labels = draw(st.lists(st.text(min_size=1, max_size=3), unique=True, max_size=12))
+    pairs = [(i, j) for i in range(len(labels)) for j in range(i + 1, len(labels))]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    subsets = st.frozensets(st.sampled_from(labels)) if labels else st.just(frozenset())
+    within = draw(st.one_of(st.none(), subsets))
+    return labels, edges, within, draw(subsets), draw(subsets), draw(st.integers(-1, 4))
+
+
+@given(random_graphs())
+@settings(max_examples=300, deadline=None)
+def test_graph_core_matches_networkx(case):
+    labels, edges, within, xs, ys, radius = case
+    adjacency = [[] for _ in labels]
+    for i, j in edges:
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    graph = Graph(labels, adjacency)
+    ref = nx.Graph()
+    ref.add_nodes_from(labels)
+    ref.add_edges_from((labels[i], labels[j]) for i, j in edges)
+    sub = ref if within is None else ref.subgraph(within)
+    order = {v: i for i, v in enumerate(labels)}.__getitem__
+
+    assert graph.edges() == sorted(
+        (tuple(sorted(e, key=order)) for e in ref.edges()), key=lambda e: (order(e[0]), order(e[1]))
+    )
+    for v in labels:
+        assert list(graph.neighbors(v)) == sorted(ref[v], key=order)
+
+    lengths = nx.multi_source_dijkstra_path_length(sub, xs & set(sub)) if xs & set(sub) else {}
+    assert graph.bfs(xs, within) == lengths
+    hits = [d for y, d in lengths.items() if y in ys]
+    assert graph.set_distance(xs, ys, within) == (min(hits) if hits else inf)
+    assert graph.ball(xs, radius, within) == {v for v, d in lengths.items() if d <= radius}
+
+    comps = graph.components(within)
+    assert set(comps) == {frozenset(c) for c in nx.connected_components(sub)}
+    assert [min(map(order, c)) for c in comps] == sorted(min(map(order, c)) for c in comps)
+    want = max((nx.diameter(sub.subgraph(c)) for c in nx.connected_components(sub)), default=0)
+    assert graph.diameter(within) == want
+
+    for x in labels:
+        for y in labels:
+            if within is not None and not {x, y} <= within:
+                with pytest.raises(PreconditionViolated):
+                    graph.distance(x, y, within)
+            else:
+                want = nx.shortest_path_length(sub, x, y) if nx.has_path(sub, x, y) else inf
+                assert graph.distance(x, y, within) == want

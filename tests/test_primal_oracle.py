@@ -152,3 +152,18 @@ def test_triple_case_walks_end_one_short(n, triple, steps, witnesses, targets, p
     assert cert["walks"][0]["witnesses"] == witnesses
     assert cert["targets"] == targets
     assert cert["primal_witness"] == primal_witness
+
+
+@pytest.mark.parametrize("n,bound", [(n, b) for n in range(3, 11) for b in (0, 1, 2)])
+def test_star_graph_edges_match_pairwise_scans(n, bound):
+    # the interval-overlap adjacency of `star_graph` against the closed form
+    # `star_adjacent` and against the common-extension test it stands for
+    ideals = sub_ideals(n, bound)
+    scan = [(a, b) for i, a in enumerate(ideals) for b in ideals[i + 1 :] if primal.star_adjacent(a, b)]
+    extension = [
+        (a, b)
+        for i, a in enumerate(ideals)
+        for b in ideals[i + 1 :]
+        if a.kind == b.kind == GERM_IDEAL and common_extension([a.sigma, b.sigma]) is not None
+    ]
+    assert primal.star_graph(n, bound).edges() == scan == extension

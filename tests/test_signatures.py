@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motiondual import signatures
 from motiondual.errors import (
     ContextMismatch,
     MonotonicityViolated,
@@ -101,6 +102,14 @@ def test_enumerate_is_sorted_and_valid(n, bound):
     assert entries(sigs) == sorted(entries(sigs))
     assert len(set(sigs)) == len(sigs)
     assert all(s.entries[0] <= bound for s in sigs if s.entries)
+
+
+def test_enumeration_cache_is_bounded():
+    info = signatures._enumerate_cached.cache_info
+    assert info().maxsize is not None
+    for b in range(info().maxsize + 3):
+        enumerate_signatures(3, b)
+        assert info().currsize <= info().maxsize
 
 
 # --- branching --------------------------------------------------------------
