@@ -34,6 +34,7 @@ __all__ = [
     "separate",
     "validate_chain",
     "verify_property1",
+    "witness_violations",
 ]
 
 
@@ -139,23 +140,35 @@ def chain_lower_bound(model, chain: Chain, x, y, restrict_to_class: bool = True)
     rep = validate_chain(model, chain)
     if not rep.valid:
         raise PreconditionViolated("chain is not valid: " + "; ".join(rep.violations))
+    bad = witness_violations(model, chain, x, y, restrict_to_class)
+    if bad:
+        raise PreconditionViolated(bad[0])
     n = chain.length
-    if n == 1:
-        if x not in chain.sets[0] or y not in chain.sets[0]:
-            raise PreconditionViolated("end witnesses must lie in the chain")
-        if x == y:
-            raise PreconditionViolated("a length-1 certificate needs distinct end points")
-    else:
-        if x not in chain.sets[0] - chain.sets[1]:
-            raise PreconditionViolated("x must lie in the first set and not the second")
-        if y not in chain.sets[-1] - chain.sets[-2]:
-            raise PreconditionViolated("y must lie in the last set and not the second-to-last")
-    space = _space_of(model)
-    within = _vertices(model, restrict_to_class)
-    d = space.distance(x, y, within)
+    d = _space_of(model).distance(x, y, _vertices(model, restrict_to_class))
     if d < n:
         raise CertificationError(f"chain of length {n} contradicted by graph distance {d}")
     return n
+
+
+def witness_violations(model, chain: Chain, x, y, restrict_to_class: bool = True) -> tuple[str, ...]:
+    """Why x and y are not end witnesses of the (valid) chain: they must be
+    two distinct points of a one-set chain, or else x must lie in the first
+    set only and y in the last set only; class points when class-restricted."""
+    bad = []
+    if chain.length == 1:
+        if x not in chain.sets[0] or y not in chain.sets[0]:
+            bad.append("end witnesses must lie in the chain")
+        elif x == y:
+            bad.append("a length-1 certificate needs distinct end points")
+    else:
+        if x not in chain.sets[0] - chain.sets[1]:
+            bad.append("x must lie in the first set and not the second")
+        if y not in chain.sets[-1] - chain.sets[-2]:
+            bad.append("y must lie in the last set and not the second-to-last")
+    within = _vertices(model, restrict_to_class)
+    if within is not None and not {x, y} <= within:
+        bad.append("end witnesses of a class-restricted chain must be classes")
+    return tuple(bad)
 
 
 def chain_for_distance(model, x, y, k: int, restrict_to_class: bool = True) -> tuple[Chain, int]:

@@ -135,10 +135,15 @@ def cmd_walk(args) -> int:
 
 def cmd_chain(args) -> int:
     if args.check:
-        model, chain, x, y, restrict = _read_json_file(args.check, "chain", _chain_from_payload)
+        model, chain, x, y, restrict, length = _read_json_file(args.check, "chain", _chain_from_payload)
         rep = chains_mod.validate_chain(model, chain)
-        if not rep.valid:
-            print("invalid chain: " + "; ".join(rep.violations), file=sys.stderr)
+        bad = list(rep.violations)
+        if length != chain.length:
+            bad.append(f"length {length} differs from the {chain.length} sets")
+        if rep.valid and x is not None and y is not None:
+            bad += chains_mod.witness_violations(model, chain, x, y, restrict)
+        if bad:
+            print("invalid chain: " + "; ".join(bad), file=sys.stderr)
             return 2
         if x is not None and y is not None:
             lb = chains_mod.chain_lower_bound(model, chain, x, y, restrict_to_class=restrict)
@@ -186,7 +191,7 @@ def _read_json_file(path: str, kind: str, parse):
 
 def _chain_from_payload(payload: dict):
     model = build_dual_model(int_field(payload, "n"), int_field(payload, "bound"))
-    return (model, *chains_mod.chain_from_json(model, payload))
+    return (model, *chains_mod.chain_from_json(model, payload), int_field(payload, "length"))
 
 
 def _certificate_from_payload(payload: dict) -> primal_mod.MergeCertificate:

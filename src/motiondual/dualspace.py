@@ -11,13 +11,13 @@ finite computations.
 All traversal lives in `Graph`: an undirected graph with a fixed vertex
 order, carrying breadth-first distances, balls, connected components and
 the largest component diameter, each optionally restricted to a vertex
-subset.  Vertices are numbered once and the adjacency holds only these
-numbers, so every traversal is one breadth-first search over integers in
-which a vertex subset is a flag list; point objects are hashed only where
-they enter or leave the API.  `FiniteT0Space` is the `Graph` of its
-inseparability relation and adds only the topology, keeping closures and
-minimal open sets as bitmasks over the point numbers; the sub-ideal graph
-of `primal` is a plain `Graph`.
+subset.  Vertices are numbered once and the adjacency is one int bitmask
+of neighbors per vertex, so every traversal is one layered breadth-first
+search over masks (layers, the visited set and the vertex subset alike);
+point objects are hashed only where they enter or leave the API.
+`FiniteT0Space` is the `Graph` of its inseparability relation and adds
+only the topology, keeping closures and minimal open sets as bitmasks
+too; the sub-ideal graph of `primal` is a plain `Graph`.
 
 Inside the model a germ is inseparable from every class in its hull, an
 artifact of the collapse (the half-line points themselves are separated).
@@ -28,14 +28,16 @@ default; the full-space relation is kept for the topological machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import inf
-from typing import Iterable, Mapping, Sequence
+from operator import or_
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import PreconditionViolated, UnknownPoint
 from .signatures import (
     GroupContext,
     Signature,
+    count_signatures,
     enumerate_signatures,
     parse_entries,
     restricts_to,
@@ -70,29 +72,40 @@ def _members(mask: int) -> list[int]:
 
 
 def _union(masks: Sequence[int], mask: int) -> int:
-    """The union of `masks[i]` over the set bits i of `mask`."""
+    """The union of `masks[i]` over the set bits i of `mask`.  The bits are
+    found one 64-bit word at a time, so finding each one costs small-int
+    steps only: as fast as listing `_members` on masks of thousands of bits,
+    and faster on the small masks of the verification sweep."""
     out = 0
-    for i in _members(mask):
-        out |= masks[i]
+    base = -1  # bit_length() counts from 1
+    while mask:
+        word = mask & 0xFFFFFFFFFFFFFFFF
+        while word:
+            low = word & -word
+            out |= masks[base + low.bit_length()]
+            word ^= low
+        mask >>= 64
+        base += 64
     return out
 
 
 class Graph:
     """An undirected graph with a fixed vertex order.
 
-    Vertices are numbered once, in the order given; the adjacency is a
-    tuple holding, for each vertex number, its neighbors' numbers in
-    ascending order.  Every traversal is one breadth-first search over
-    these numbers, optionally restricted to a vertex subset `within`;
-    vertex objects are looked up only at the API edge.
+    Vertices are numbered once, in the order given, and the adjacency is
+    one int mask per vertex: bit j of `adjacency[i]` is set when vertices
+    i and j are joined.  Every traversal runs the one layered search
+    `_layers`, optionally restricted to a vertex subset `within`, which is
+    turned into a mask once per call (points outside the graph are
+    ignored); vertex objects are looked up only at the API edge.
     """
 
-    def __init__(self, points: Iterable, adjacency: Iterable[Iterable[int]]):
+    def __init__(self, points: Iterable, adjacency: Iterable[int]):
         self.points: tuple = tuple(points)
         self._index = {p: i for i, p in enumerate(self.points)}
-        self._adj = tuple(tuple(sorted(ns)) for ns in adjacency)
+        self._adj = tuple(adjacency)
         if len(self._adj) != len(self.points):
-            raise ValueError("adjacency needs one neighbor list per vertex")
+            raise ValueError("adjacency needs one neighbor mask per vertex")
 
     def _ids(self, pts: Iterable) -> list[int]:
         index = self._index
@@ -104,93 +117,88 @@ class Graph:
             ids.append(i)
         return ids
 
-    def _blank(self, within: frozenset | None) -> list[int]:
-        """A fresh distance list: -1 (unvisited) on the vertices of `within`,
-        -2 on the vertices the search may not enter."""
-        if within is None:
-            return [-1] * len(self.points)
-        return [-1 if p in within else -2 for p in self.points]
+    def _mask(self, s: Iterable) -> int:
+        mask = 0
+        for i in self._ids(s):
+            mask |= 1 << i
+        return mask
 
-    def _search(self, sources: list[int], dist: list[int], target: int = -1, radius: float = inf) -> list[int]:
-        """Breadth-first search from the source numbers, writing distances
-        into `dist` (see `_blank`) and returning the vertices reached, in
-        visiting order.  Stops after reaching `target`, and expands no
-        vertex at distance `radius` or more."""
-        order = []
-        for s in sorted(set(sources)):
-            if dist[s] == -1:
-                dist[s] = 0
-                order.append(s)
+    def _set(self, mask: int) -> frozenset:
+        pts = self.points
+        return frozenset(pts[i] for i in _members(mask))
+
+    def _within(self, within: Iterable | None) -> int:
+        """The mask of `within` (every vertex for None), ignoring points
+        outside the graph."""
+        if within is None:
+            return (1 << len(self.points)) - 1
+        return reduce(or_, (1 << i for i in map(self._index.get, within) if i is not None), 0)
+
+    def _layers(self, sources: int, within: int, stop: int = 0, radius: float = inf) -> Iterator[int]:
+        """Breadth-first layers from the `sources` mask inside the `within`
+        mask: layer d is the mask of the vertices at distance d.  Ends after
+        the first layer that meets `stop`, or after layer `radius`."""
         adj = self._adj
-        for x in order:  # `order` doubles as the queue
-            d = dist[x]
-            if x == target or d >= radius:
-                break
+        seen = layer = sources & within if radius >= 0 else 0
+        d = 0
+        while layer:
+            yield layer
+            if layer & stop or d >= radius:
+                return
+            layer = _union(adj, layer) & within & ~seen
+            seen |= layer
             d += 1
-            for y in adj[x]:
-                if dist[y] == -1:
-                    dist[y] = d
-                    order.append(y)
-        return order
 
     def neighbors(self, x) -> tuple:
         pts = self.points
-        return tuple(pts[j] for j in self._adj[self._ids((x,))[0]])
+        return tuple(pts[j] for j in _members(self._adj[self._ids((x,))[0]]))
 
     def edges(self) -> list[tuple]:
         """Every edge once, as (x, y) with x before y, in vertex order."""
         pts = self.points
-        return [(pts[i], pts[j]) for i, ns in enumerate(self._adj) for j in ns if i < j]
+        return [(pts[i], pts[j]) for i, m in enumerate(self._adj) for j in _members(m) if i < j]
 
-    def bfs(self, sources: Iterable, within: frozenset | None = None) -> dict:
+    def bfs(self, sources: Iterable, within: Iterable | None = None) -> dict:
         """Graph distances from the source set, restricted to `within`."""
-        dist = self._blank(within)
         pts = self.points
-        return {pts[i]: dist[i] for i in self._search(self._ids(sources), dist)}
+        layers = self._layers(self._mask(sources), self._within(within))
+        return {pts[i]: d for d, layer in enumerate(layers) for i in _members(layer)}
 
-    def distance(self, x, y, within: frozenset | None = None):
+    def distance(self, x, y, within: Iterable | None = None):
         i, j = self._ids((x, y))
-        dist = self._blank(within)
-        if dist[i] == -2 or dist[j] == -2:
+        inside = self._within(within)
+        if not (inside >> i & 1 and inside >> j & 1):
             raise PreconditionViolated("distance endpoints must lie in the restricted vertex set")
-        self._search([i], dist, target=j)
-        return dist[j] if dist[j] >= 0 else inf
+        for d, layer in enumerate(self._layers(1 << i, inside, stop=1 << j)):
+            if layer >> j & 1:
+                return d
+        return inf
 
-    def set_distance(self, xs: Iterable, ys: Iterable, within: frozenset | None = None):
-        xs, ys = frozenset(xs), frozenset(ys)
-        if not xs or not ys:
-            return inf
-        index = self._index
-        targets = {index[p] for p in ys if p in index}
-        dist = self._blank(within)
-        # the search visits vertices in order of distance: the first target wins
-        return next((dist[i] for i in self._search(self._ids(xs), dist) if i in targets), inf)
+    def set_distance(self, xs: Iterable, ys: Iterable, within: Iterable | None = None):
+        targets = self._within(frozenset(ys))
+        for d, layer in enumerate(self._layers(self._mask(xs), self._within(within), stop=targets)):
+            if layer & targets:
+                return d
+        return inf
 
-    def ball(self, s: Iterable, n: int, within: frozenset | None = None) -> frozenset:
+    def ball(self, s: Iterable, n: int, within: Iterable | None = None) -> frozenset:
         """All points at graph distance <= n from the set."""
-        pts = self.points
-        dist = self._blank(within)
-        return frozenset(pts[i] for i in self._search(self._ids(s), dist, radius=n) if dist[i] <= n)
+        return self._set(reduce(or_, self._layers(self._mask(s), self._within(within), radius=n), 0))
 
-    def components(self, within: frozenset | None = None) -> tuple[frozenset, ...]:
-        pts = self.points
-        dist = self._blank(within)  # shared: a visited vertex starts no new search
+    def components(self, within: Iterable | None = None) -> tuple[frozenset, ...]:
+        left = self._within(within)
         comps = []
-        for i in range(len(dist)):
-            if dist[i] == -1:
-                comps.append(frozenset(pts[j] for j in self._search([i], dist)))
+        while left:
+            comp = reduce(or_, self._layers(left & -left, left), 0)  # from the lowest vertex left
+            comps.append(self._set(comp))
+            left &= ~comp
         return tuple(comps)
 
-    def diameter(self, within: frozenset | None = None) -> int:
+    def diameter(self, within: Iterable | None = None) -> int:
         """Largest component diameter, i.e. the largest eccentricity of a
         vertex; 0 when every component is a singleton."""
-        blank = self._blank(within)
-        best = 0
-        for i, b in enumerate(blank):
-            if b == -1:
-                dist = blank[:]
-                best = max(best, dist[self._search([i], dist)[-1]])
-        return best
+        inside = self._within(within)
+        return max((sum(1 for _ in self._layers(1 << i, inside)) - 1 for i in _members(inside)), default=0)
 
 
 class FiniteT0Space(Graph):
@@ -232,19 +240,7 @@ class FiniteT0Space(Graph):
         self._closure = tuple(cl)
         self._min_open = tuple(mo)
         # x and y are inseparable iff some q has both in its closure
-        super().__init__(
-            points, (_members(_union(cl, m) & ~(1 << x)) for x, m in enumerate(mo))
-        )
-
-    def _mask(self, s: Iterable) -> int:
-        mask = 0
-        for i in self._ids(s):
-            mask |= 1 << i
-        return mask
-
-    def _set(self, mask: int) -> frozenset:
-        pts = self.points
-        return frozenset(pts[i] for i in _members(mask))
+        super().__init__(points, (_union(cl, m) & ~(1 << x) for x, m in enumerate(mo)))
 
     def closure(self, x) -> frozenset:
         return self._set(self._closure[self._ids((x,))[0]])
@@ -291,6 +287,25 @@ class DualModel:
         return p
 
 
+MAX_SIZE = 8192
+"""The largest model `build_dual_model` and `primal.sub_ideals` will build,
+in signature entries: points times floor(n/2).  A point counts by its
+length because the build compares signatures entry by entry.  The cap
+admits every (n, bound) of the benchmark and of `BENCH_bitmask_core.json`;
+the largest, (8, 10), has 8008 entries."""
+
+
+def require_size(n: int, bound: int, points: Callable[[], int]) -> None:
+    """Refuse a model of `points()` points with more than MAX_SIZE signature
+    entries.  An n or a bound above MAX_SIZE is refused before the points
+    are counted: either gives at least MAX_SIZE entries, and counting a
+    huge truncation is slow in itself."""
+    if n > MAX_SIZE or bound > MAX_SIZE or points() * (n // 2) > MAX_SIZE:
+        raise PreconditionViolated(
+            f"n = {n}, bound = {bound} is beyond the model size cap of {MAX_SIZE} signature entries"
+        )
+
+
 @lru_cache(maxsize=16)  # a sweep revisits at most 4 bounds per n
 def build_dual_model(n: int, bound: int) -> DualModel:
     """Model of the dual of R^n x SO(n) truncated at the given leading entry.
@@ -303,6 +318,7 @@ def build_dual_model(n: int, bound: int) -> DualModel:
         raise PreconditionViolated("dual models need n >= 3; n = 2 is covered by closed formulas")
     if bound < 0:
         raise PreconditionViolated("bound must be >= 0")
+    require_size(n, bound, lambda: count_signatures(n, bound) + count_signatures(n - 1, bound))
     classes = [Point(CLASS_KIND, s) for s in enumerate_signatures(n, bound)]
     germs = [Point(GERM_KIND, s) for s in enumerate_signatures(n - 1, bound)]
     closures: dict = {p: {p} for p in classes}

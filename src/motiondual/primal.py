@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .dualspace import Graph
+from .dualspace import Graph, require_size
 from .errors import CertificationError, ContextMismatch, PreconditionViolated
 from .signatures import (
     EVEN,
@@ -39,6 +39,7 @@ from .signatures import (
     Walk,
     common_extension,
     common_restriction,
+    count_signatures,
     enumerate_signatures,
     int_field,
     merge_max,
@@ -75,6 +76,7 @@ def sub_ideals(n: int, bound: int) -> list[SubIdeal]:
     """One germ ideal and one line kernel per SO(n-1) signature."""
     if n < 3:
         raise PreconditionViolated("sub-ideal models need n >= 3")
+    require_size(n, bound, lambda: 2 * count_signatures(n - 1, bound))
     sigmas = enumerate_signatures(n - 1, bound)
     return [SubIdeal(GERM_IDEAL, s) for s in sigmas] + [SubIdeal(LINE_KERNEL, s) for s in sigmas]
 
@@ -149,12 +151,12 @@ def star_graph(n: int, bound: int) -> Graph:
     every coordinate (the hull being the product of its intervals)."""
     ideals = sub_ideals(n, bound)
     hulls = [_hull_intervals(i.sigma) for i in ideals if i.kind == GERM_IDEAL]  # germs come first
-    adj: list[list[int]] = [[] for _ in ideals]
+    adj = [0] * len(ideals)
     for a, ha in enumerate(hulls):
         for b in range(a + 1, len(hulls)):
             if all(lo_a <= hi_b and lo_b <= hi_a for (lo_a, hi_a), (lo_b, hi_b) in zip(ha, hulls[b])):
-                adj[a].append(b)
-                adj[b].append(a)
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
     return Graph(ideals, adj)
 
 

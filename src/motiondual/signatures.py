@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import Sequence
 
 from .errors import (
@@ -166,6 +167,19 @@ def enumerate_signatures(n: int, bound: int) -> list[Signature]:
     if bound < 0:
         raise PreconditionViolated("enumeration bound must be >= 0")
     return list(_enumerate_cached(n, bound))
+
+
+def count_signatures(n: int, bound: int) -> int:
+    """`len(enumerate_signatures(n, bound))` in closed form.  For n = 2k+1
+    the signatures are the weakly decreasing k-tuples in [0, bound], which
+    number C(bound+k, k); for n = 2k those with a negative last entry add
+    the mirror images of the tuples in [1, bound], C(bound+k-1, k)."""
+    if bound < 0:
+        raise PreconditionViolated("enumeration bound must be >= 0")
+    k = GroupContext(n).k
+    if n % 2:
+        return comb(bound + k, k)
+    return comb(bound + k, k) + comb(bound + k - 1, k)
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,26 @@ def test_graph_bound_zero_renders(capsys):
     assert code == 0 and out.startswith("digraph")
 
 
+@pytest.mark.parametrize("kind", ["dual", "sub"])
+def test_graph_refuses_models_above_size_cap(capsys, kind):
+    code, out, err = run(["graph", "--n", "20", "--bound", "50", "--kind", kind], capsys)
+    assert code == 1 and not out
+    assert err.startswith("error: ") and "size cap" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_chain_check_refuses_model_above_size_cap(capsys, tmp_path):
+    out_file = tmp_path / "chain.json"
+    run(["chain", "--n", "7", "0,0,0", "1,1,1", "--bound", "1", "--output", str(out_file)], capsys)
+    payload = json.loads(out_file.read_text())
+    payload.update(n=20, bound=50)
+    out_file.write_text(json.dumps(payload))
+    code, _, err = run(["chain", "--n", "7", "--check", str(out_file)], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and "size cap" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_graph_json_roundtrips(capsys):
     code, out, _ = run(["graph", "--n", "4", "--kind", "dual", "--bound", "1", "--format", "json"], capsys)
     payload = json.loads(out)
@@ -158,6 +178,42 @@ def test_chain_tampered_file_fails(capsys, tmp_path):
     out_file.write_text(json.dumps(payload))
     code, _, err = run(["chain", "--n", "7", "--check", str(out_file)], capsys)
     assert code == 2
+
+
+def _tampered_chain(capsys, tmp_path, **fields):
+    """Re-check a written chain file with `fields` replaced (a value naming
+    another field takes that field's value) and expect one failure line."""
+    out_file = tmp_path / "chain.json"
+    run(["chain", "--n", "7", "0,0,0", "1,1,1", "--bound", "1", "--output", str(out_file)], capsys)
+    payload = json.loads(out_file.read_text())
+    payload.update({k: payload[v] if v in payload else v for k, v in fields.items()})
+    out_file.write_text(json.dumps(payload))
+    code, _, err = run(["chain", "--n", "7", "--check", str(out_file)], capsys)
+    assert code == 2
+    assert err.startswith("invalid chain: ")
+    assert len(err.splitlines()) == 1
+    return err
+
+
+@pytest.mark.parametrize(
+    "fields, reason",
+    [
+        ({"x": "y", "y": "x"}, "x must lie in the first set"),
+        ({"x": "class:1,0,0"}, "x must lie in the first set"),
+        ({"y": "class:0,0,0"}, "y must lie in the last set"),
+        ({"x": "germ:0,0,0"}, "must be classes"),
+    ],
+    ids=["swapped", "x-inside", "y-inside", "germ-x"],
+)
+def test_chain_check_misplaced_witness_fails(capsys, tmp_path, fields, reason):
+    # a parsed chain whose end witnesses are misplaced is a failed
+    # verification (exit 2), not a usage error
+    assert reason in _tampered_chain(capsys, tmp_path, **fields)
+
+
+@pytest.mark.parametrize("length", [99, 2, 0])
+def test_chain_check_wrong_length_fails(capsys, tmp_path, length):
+    assert "differs from the 3 sets" in _tampered_chain(capsys, tmp_path, length=length)
 
 
 def _check_chain_file(capsys, path):

@@ -4,6 +4,7 @@ from math import inf
 
 import pytest
 
+from motiondual import dualspace, primal
 from motiondual.dualspace import (
     CLASS_KIND,
     GERM_KIND,
@@ -149,6 +150,51 @@ def test_dual_model_cache_is_bounded():
     for b in range(info().maxsize + 3):
         build_dual_model(3, b)
         assert info().currsize <= info().maxsize
+
+
+# the (n, bound) points of the recorded timings and of the benchmark's deep
+# workload, which the size cap must admit
+ADMITTED = [(6, 8), (10, 6), (9, 8), (8, 10), (6, 16), (5, 40), (5, 24), (8, 5), (5, 12), (6, 6), (24, 2)]
+
+
+class _Admitted(Exception):
+    pass
+
+
+def _guard_answer(monkeypatch, module, build, n, bound):
+    """True when the size guard lets `build(n, bound)` reach the enumeration."""
+
+    def stop(*args):
+        raise _Admitted
+
+    monkeypatch.setattr(module, "enumerate_signatures", stop)
+    try:
+        build(n, bound)
+    except _Admitted:
+        return True
+    except PreconditionViolated:
+        return False
+    raise AssertionError("the build neither enumerated nor refused")
+
+
+@pytest.mark.parametrize("n,bound", ADMITTED)
+def test_size_cap_admits_recorded_points(monkeypatch, n, bound):
+    assert _guard_answer(monkeypatch, dualspace, build_dual_model.__wrapped__, n, bound)
+    assert _guard_answer(monkeypatch, primal, primal.sub_ideals, n, bound)
+
+
+@pytest.mark.parametrize("n,bound", [(20, 50), (8, 11), (5, 52), (200, 1), (10**9, 0), (5, 10**100)])
+def test_size_cap_refuses_large_models(monkeypatch, n, bound):
+    assert not _guard_answer(monkeypatch, dualspace, build_dual_model.__wrapped__, n, bound)
+    with pytest.raises(PreconditionViolated, match="size cap"):
+        build_dual_model(n, bound)
+
+
+@pytest.mark.parametrize("n,bound", [(20, 50), (5, 45), (200, 1), (10**9, 0), (5, 10**100)])
+def test_size_cap_refuses_large_sub_ideal_graphs(monkeypatch, n, bound):
+    assert not _guard_answer(monkeypatch, primal, primal.sub_ideals, n, bound)
+    with pytest.raises(PreconditionViolated, match="size cap"):
+        primal.big_d(n, bound)
 
 
 # --- inseparability ----------------------------------------------------------

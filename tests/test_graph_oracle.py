@@ -6,6 +6,7 @@ sub-ideals), never from `Graph`'s own adjacency, so a fault in the core's
 construction or traversal shows as a disagreement.
 """
 
+from itertools import islice
 from math import inf
 
 import pytest
@@ -138,10 +139,10 @@ def random_graphs(draw):
 @settings(max_examples=300, deadline=None)
 def test_graph_core_matches_networkx(case):
     labels, edges, within, xs, ys, radius = case
-    adjacency = [[] for _ in labels]
+    adjacency = [0] * len(labels)
     for i, j in edges:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
+        adjacency[i] |= 1 << j
+        adjacency[j] |= 1 << i
     graph = Graph(labels, adjacency)
     ref = nx.Graph()
     ref.add_nodes_from(labels)
@@ -175,3 +176,24 @@ def test_graph_core_matches_networkx(case):
             else:
                 want = nx.shortest_path_length(sub, x, y) if nx.has_path(sub, x, y) else inf
                 assert graph.distance(x, y, within) == want
+
+
+@given(random_graphs())
+@settings(max_examples=200, deadline=None)
+def test_layers_match_networkx_bfs_layers(case):
+    # the one layered search itself, bounded by islice so that a search
+    # that never ends shows as a failure rather than a hang
+    labels, edges, within, xs, _, _ = case
+    adjacency = [0] * len(labels)
+    for i, j in edges:
+        adjacency[i] |= 1 << j
+        adjacency[j] |= 1 << i
+    graph = Graph(labels, adjacency)
+    ref = nx.Graph()
+    ref.add_nodes_from(labels)
+    ref.add_edges_from((labels[i], labels[j]) for i, j in edges)
+    sub = ref if within is None else ref.subgraph(within)
+    starts = xs & set(sub)
+    want = [graph._mask(layer) for layer in nx.bfs_layers(sub, starts)] if starts else []
+    got = list(islice(graph._layers(graph._mask(xs), graph._within(within)), len(labels) + 1))
+    assert got == want

@@ -18,6 +18,7 @@ from motiondual.signatures import (
     branch_box,
     common_extension,
     common_restriction,
+    count_signatures,
     enumerate_signatures,
     inseparable,
     merge_max,
@@ -102,6 +103,18 @@ def test_enumerate_is_sorted_and_valid(n, bound):
     assert entries(sigs) == sorted(entries(sigs))
     assert len(set(sigs)) == len(sigs)
     assert all(s.entries[0] <= bound for s in sigs if s.entries)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_count_signatures_matches_enumeration(n):
+    for bound in range(7):
+        assert count_signatures(n, bound) == len(enumerate_signatures(n, bound))
+
+
+def test_count_signatures_closed_form_values():
+    assert count_signatures(8, 10) == 1716 and count_signatures(7, 10) == 286
+    with pytest.raises(PreconditionViolated):
+        count_signatures(5, -1)
 
 
 def test_enumeration_cache_is_bounded():
