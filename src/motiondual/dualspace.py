@@ -27,7 +27,7 @@ default; the full-space relation is kept for the topological machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from math import inf
 from operator import or_
@@ -47,10 +47,22 @@ CLASS_KIND = "class"
 GERM_KIND = "germ"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
+    """A class or germ point of the dual model.  Its hash is computed once,
+    from ints only: a cached hash travels inside pickles, and a `str` hash
+    is salted per process, so a point pickled by one process would be missed
+    in the dicts of another.  Slots keep the point as small as before."""
+
     kind: str
     sig: Signature
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.kind == CLASS_KIND, self.sig.entries, self.sig.ctx.n)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def point_id(self) -> str:

@@ -6,6 +6,13 @@ the computed graph invariants against the closed formulas, chain and walk
 certificates on systematic and seeded random inputs, and truncation
 stability of distances.  Checks are pure functions of (n, bound, seed), so
 the sweep can fan out across processes and aggregate order-independently.
+
+The pair oracles compare bitmasks built once per check: a `branch` set is
+a mask over the child enumeration, and the parents that restrict to a child
+are a mask over the parent enumeration, of which every smaller bound is a
+prefix.  They stay quadratic in the signatures, so `run_sweep` refuses a
+bound below 1 and any n whose pairs exceed `MAX_ORACLE_PAIRS` before any
+check runs.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from .signatures import (
     Signature,
     branch,
     common_extension,
+    count_signatures,
     enumerate_signatures,
     inseparable,
     restricts_to,
@@ -42,6 +50,17 @@ class CheckResult:
     skipped: bool = False
 
 
+ORACLE_MAX_N = 9
+"""The brute-force pair oracles run for n up to this and are skipped above."""
+
+MAX_ORACLE_PAIRS = 2**18
+"""The most signature pairs one check of the sweep may compare.  The pair
+oracles are quadratic in the signatures at the bound: the slowest admitted
+single-n sweeps, (7, 10), (3, 255) and (5, 21), take 10 to 12 s each (wall
+clock, 2-vCPU guest), while the checks at (5, 30) compare 923,521 pairs and
+take over 30 s."""
+
+
 def default_bound(n: int) -> int:
     """Sweep default: 3 while the lattice is small, 1 from n = 10 on."""
     return 3 if n <= 9 else 1
@@ -55,15 +74,16 @@ def _pairs(items):
 
 def check_oracle_inseparable(n: int, bound: int, rng=None) -> CheckResult:
     """Closed-form inseparability == branching-set intersection, all ordered
-    pairs (order independence comes for free)."""
-    if n > 9:
-        return CheckResult(n, "oracle-inseparable", True, "skipped above n = 9", skipped=True)
+    pairs (order independence comes for free).  Each `branch` set is a mask
+    over the child enumeration, so a pair costs one `&` of two ints."""
+    if n > ORACLE_MAX_N:
+        return CheckResult(n, "oracle-inseparable", True, f"skipped above n = {ORACLE_MAX_N}", skipped=True)
     sigs = enumerate_signatures(n, bound)
-    branches = {s: set(branch(s)) for s in sigs}
+    index = {c: i for i, c in enumerate(enumerate_signatures(n - 1, bound))}
+    masks = [sum(1 << index[c] for c in branch(s)) for s in sigs]
     checked = 0
-    for a, b in _pairs(sigs):
-        oracle = bool(branches[a] & branches[b])
-        if inseparable(a, b) != oracle:
+    for (a, ma), (b, mb) in _pairs(list(zip(sigs, masks))):
+        if inseparable(a, b) != bool(ma & mb):
             return CheckResult(n, "oracle-inseparable", False, f"mismatch at {a} vs {b}")
         checked += 1
     return CheckResult(n, "oracle-inseparable", True, f"{checked} pairs")
@@ -71,16 +91,19 @@ def check_oracle_inseparable(n: int, bound: int, rng=None) -> CheckResult:
 
 def check_oracle_common_extension(n: int, bound: int, rng=None) -> CheckResult:
     """Closed-form parent feasibility == brute-force parent search with the
-    enumeration bound raised one past the largest entry."""
-    if n > 9:
-        return CheckResult(n, "oracle-common-extension", True, "skipped above n = 9", skipped=True)
+    enumeration bound raised one past the largest entry.  Each child has the
+    mask of the parents at bound + 1 that restrict to it, and the parents at
+    probe p are the first `count_signatures(n, p)` (leading entry first)."""
+    if n > ORACLE_MAX_N:
+        return CheckResult(n, "oracle-common-extension", True, f"skipped above n = {ORACLE_MAX_N}", skipped=True)
     children = enumerate_signatures(n - 1, bound)
+    parents = enumerate_signatures(n, bound + 1)
+    below = [sum(1 << i for i, pi in enumerate(parents) if restricts_to(pi, c)) for c in children]
+    prefix = [(1 << count_signatures(n, p)) - 1 for p in range(bound + 2)]
     checked = 0
-    for a, b in _pairs(children):
+    for (a, ma), (b, mb) in _pairs(list(zip(children, below))):
         probe = max((abs(e) for s in (a, b) for e in s.entries), default=0) + 1
-        oracle = any(
-            restricts_to(pi, a) and restricts_to(pi, b) for pi in enumerate_signatures(n, probe)
-        )
+        oracle = bool(ma & mb & prefix[probe])
         got = common_extension([a, b])
         if (got is not None) != oracle:
             return CheckResult(n, "oracle-common-extension", False, f"mismatch at {a} vs {b}")
@@ -93,8 +116,8 @@ def check_oracle_common_extension(n: int, bound: int, rng=None) -> CheckResult:
 def check_oracle_restriction(n: int, bound: int, rng=None) -> CheckResult:
     """restricts_to == membership in the enumerated branching set, and the
     branching set size matches an independent count over the enumeration."""
-    if n > 9:
-        return CheckResult(n, "oracle-restriction", True, "skipped above n = 9", skipped=True)
+    if n > ORACLE_MAX_N:
+        return CheckResult(n, "oracle-restriction", True, f"skipped above n = {ORACLE_MAX_N}", skipped=True)
     parents = enumerate_signatures(n, bound)
     children = enumerate_signatures(n - 1, bound)
     checked = 0
@@ -411,9 +434,29 @@ def worker_count(jobs: int | str | None, tasks: int) -> int:
     return min(count, tasks, os.cpu_count() or 1)
 
 
+def oracle_pairs(n: int, bound: int) -> int:
+    """The most signature pairs one check compares at (n, bound): the pair
+    oracles take all pairs of SO(n) or SO(n-1) signatures at the bound, and
+    the zero-tail checks, which run for every n, those at bound 1."""
+    b = bound if n <= ORACLE_MAX_N else min(bound, 1)
+    return max(count_signatures(n, b), count_signatures(n - 1, b)) ** 2
+
+
 def run_sweep(n_min: int, n_max: int, bound: int | None = None, seed: int = 0, jobs: int | None = None) -> SweepSummary:
+    """Run every check for n_min..n_max.  A bound below 1 (a degenerate
+    truncation, where the closed formulas do not hold) and an n whose
+    `oracle_pairs` exceed MAX_ORACLE_PAIRS are refused before any check runs."""
     if n_min < 3 or n_max < n_min:
         raise PreconditionViolated("sweep range must satisfy 3 <= n_min <= n_max")
+    if bound is not None and bound < 1:
+        raise PreconditionViolated(f"sweep bound must be >= 1, got {bound}")
+    for n in range(n_min, n_max + 1):
+        b = default_bound(n) if bound is None else bound
+        if (pairs := oracle_pairs(n, b)) > MAX_ORACLE_PAIRS:
+            raise PreconditionViolated(
+                f"n = {n}, bound = {b}: the sweep would compare {pairs} signature pairs,"
+                f" beyond its cap of {MAX_ORACLE_PAIRS}"
+            )
     ns = list(range(n_min, n_max + 1))
     jobs = worker_count(jobs, len(ns))
     tasks = [(n, bound, seed) for n in ns]

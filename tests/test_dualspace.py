@@ -1,5 +1,9 @@
 import json
+import os
+import pickle
 import random
+import subprocess
+import sys
 from math import inf
 
 import pytest
@@ -369,3 +373,41 @@ def test_dot_export_shapes():
     assert dot.count("[shape=box]") == 2
     assert "[dir=none]" in dot and "[style=dashed]" in dot
     assert dot.startswith("digraph") and dot.rstrip().endswith("}")
+
+
+# --- point hashing ---------------------------------------------------------------
+
+_HASH_SCRIPT = """
+import pickle, sys
+from motiondual.dualspace import CLASS_KIND, Point
+from motiondual.signatures import validate
+p = Point(CLASS_KIND, validate((2, -1), 4))
+print(hash(p))
+print(pickle.dumps(p).hex())
+"""
+
+
+def _in_subprocess(hashseed):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(hashseed))
+    proc = subprocess.run([sys.executable, "-c", _HASH_SCRIPT], capture_output=True, text=True, env=env, check=True)
+    return proc.stdout.split()
+
+
+def test_equal_points_hash_equal():
+    a, b = cls([2, -1], 4), cls([2, -1], 4)
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert germ([2, 1], 5) != cls([2, 1], 5)
+    assert len({a, b, germ([2, 1], 5), cls([2, 1], 5)}) == 3
+
+
+def test_point_hash_does_not_depend_on_the_hash_seed():
+    assert _in_subprocess(1)[0] == _in_subprocess(2)[0] == str(hash(cls([2, -1], 4)))
+
+
+def test_pickled_point_is_found_as_a_dict_key():
+    p = cls([2, -1], 4)
+    table = {p: "here", germ([2, 1], 5): "germ"}
+    assert table[pickle.loads(pickle.dumps(p))] == "here"
+    # a point pickled by a process with another string-hash salt, as a --jobs worker sends it
+    assert table[pickle.loads(bytes.fromhex(_in_subprocess(3)[1]))] == "here"
