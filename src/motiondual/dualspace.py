@@ -4,8 +4,11 @@ The dual consists of the SO(n) classes (a closed, relatively discrete
 subset) together with, for each SO(n-1) signature, an open half-line of
 separated points.  Each half-line is collapsed to a single "germ" point
 whose closure is its limit set: the classes whose restriction contains the
-germ's signature.  That encoding is an Alexandrov topology given by an
-explicit closure map, so inseparability, separation and distance become
+germ's signature.  By interleaving that set is a product of integer
+intervals (`signatures.hull_intervals`), so each closure is enumerated
+straight from the germ's intervals, cut at the truncation bound, with no
+search over the classes.  That encoding is an Alexandrov topology given by
+an explicit closure map, so inseparability, separation and distance become
 finite computations.
 
 All traversal lives in `Graph`: an undirected graph with a fixed vertex
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from itertools import product
 from math import inf
 from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -39,8 +43,8 @@ from .signatures import (
     Signature,
     count_signatures,
     enumerate_signatures,
+    hull_intervals,
     parse_entries,
-    restricts_to,
 )
 
 CLASS_KIND = "class"
@@ -301,10 +305,14 @@ class DualModel:
 
 MAX_SIZE = 8192
 """The largest model `build_dual_model` and `primal.sub_ideals` will build,
-in signature entries: points times floor(n/2).  A point counts by its
-length because the build compares signatures entry by entry.  The cap
-admits every (n, bound) of the benchmark and of `BENCH_bitmask_core.json`;
-the largest, (8, 10), has 8008 entries."""
+in signature entries: points times floor(n/2).  The closures are
+enumerated directly, so the cost lies in what consumes them: the
+`FiniteT0Space` constructor checks every closure and folds the minimal
+open sets into neighbor masks, and every traversal runs over masks as long
+as the model.  A point counts by its length because each signature is
+built, hashed and enumerated entry by entry.  The cap admits every
+(n, bound) of the benchmark and of `BENCH_bitmask_core.json`; the largest,
+(8, 10), has 8008 entries."""
 
 
 def require_size(n: int, bound: int, points: Callable[[], int]) -> None:
@@ -323,8 +331,11 @@ def build_dual_model(n: int, bound: int) -> DualModel:
     """Model of the dual of R^n x SO(n) truncated at the given leading entry.
 
     Class points are the SO(n) signatures, each closed; germ points are the
-    SO(n-1) signatures, each closing onto its hull of classes.  Accepts
-    bound 0 (the degenerate one-class model).
+    SO(n-1) signatures, each closing onto its hull of classes, enumerated as
+    the product of its hull intervals with the first one cut at `bound`.
+    Every point of that product is a class of the truncation, so a failed
+    lookup is a fault and raises.  Accepts bound 0 (the degenerate one-class
+    model).
     """
     if n < 3:
         raise PreconditionViolated("dual models need n >= 3; n = 2 is covered by closed formulas")
@@ -333,9 +344,12 @@ def build_dual_model(n: int, bound: int) -> DualModel:
     require_size(n, bound, lambda: count_signatures(n, bound) + count_signatures(n - 1, bound))
     classes = [Point(CLASS_KIND, s) for s in enumerate_signatures(n, bound)]
     germs = [Point(GERM_KIND, s) for s in enumerate_signatures(n - 1, bound)]
-    closures: dict = {p: {p} for p in classes}
+    closures: dict = {p: (p,) for p in classes}
+    by_entries = {p.sig.entries: p for p in classes}
     for g in germs:
-        closures[g] = {g} | {p for p in classes if restricts_to(p.sig, g.sig)}
+        (lo, _), *rest = hull_intervals(g.sig)
+        ranges = (range(lo, hi + 1) for lo, hi in rest)
+        closures[g] = [g, *(by_entries[e] for e in product(range(lo, bound + 1), *ranges))]
     space = FiniteT0Space(closures)
     return DualModel(space, n, bound, frozenset(classes), frozenset(germs))
 

@@ -12,9 +12,10 @@ the closed-form common-extension test.
 
 Germ ideals are ordered by reverse inclusion of their hulls.  By
 interleaving, a hull is a product of integer intervals, the first one
-unbounded above, so containment and minimality are exact O(k) closed forms
-with no truncation; :func:`hull` enumerates a truncated hull and is kept as
-the brute-force oracle they are tested against.
+unbounded above (`signatures.hull_intervals`), so containment and
+minimality are exact O(k) closed forms with no truncation; :func:`hull`
+enumerates a truncated hull and is kept as the brute-force oracle they are
+tested against.
 
 Merge certificates package the constructions behind the derivation-constant
 bound ceil(n/2)/2 for the multiplier algebra: three germ signatures are
@@ -41,6 +42,7 @@ from .signatures import (
     common_restriction,
     count_signatures,
     enumerate_signatures,
+    hull_intervals,
     int_field,
     merge_max,
     restricts_to,
@@ -103,19 +105,6 @@ def _require_germs(*ideals: SubIdeal) -> None:
         raise ContextMismatch("germ ideals live in different groups")
 
 
-def _hull_intervals(sigma: Signature) -> tuple[tuple[int, float], ...]:
-    """The hull of the germ ideal of `sigma` as a product of intervals in
-    the parent coordinates, by interleaving: [s1, inf) x [s2, s1] x ...,
-    ending in [|sk|, s(k-1)] for an odd parent (just [|s1|, inf) for SO(3))
-    and in [-s(k-1), s(k-1)] for an even one."""
-    s = sigma.entries
-    if sigma.ctx.parity == EVEN:  # odd parent
-        lows = s[:-1] + (abs(s[-1]),)
-    else:
-        lows = s + (-s[-1],)
-    return tuple(zip(lows, (float("inf"),) + s))
-
-
 def contains_ideal(I: SubIdeal, J: SubIdeal) -> bool:
     """True when I contains J as an ideal, i.e. hull(I) is inside hull(J):
     every interval of I's hull lies inside the matching interval of J's.
@@ -123,7 +112,7 @@ def contains_ideal(I: SubIdeal, J: SubIdeal) -> bool:
     _require_germs(I, J)
     return all(
         lo_j <= lo_i and hi_i <= hi_j
-        for (lo_i, hi_i), (lo_j, hi_j) in zip(_hull_intervals(I.sigma), _hull_intervals(J.sigma))
+        for (lo_i, hi_i), (lo_j, hi_j) in zip(hull_intervals(I.sigma), hull_intervals(J.sigma))
     )
 
 
@@ -150,7 +139,7 @@ def star_graph(n: int, bound: int) -> Graph:
     joined when their hulls meet, i.e. when their hull intervals overlap in
     every coordinate (the hull being the product of its intervals)."""
     ideals = sub_ideals(n, bound)
-    hulls = [_hull_intervals(i.sigma) for i in ideals if i.kind == GERM_IDEAL]  # germs come first
+    hulls = [hull_intervals(i.sigma) for i in ideals if i.kind == GERM_IDEAL]  # germs come first
     adj = [0] * len(ideals)
     for a, ha in enumerate(hulls):
         for b in range(a + 1, len(hulls)):

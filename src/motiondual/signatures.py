@@ -11,7 +11,9 @@ inequalities, so every branching set is an integer box intersected with
 the child validity constraints.  That makes "do two restrictions share an
 irreducible" an O(k) interval-overlap test; the box enumeration in
 :func:`branch` is kept as the brute-force oracle that the closed forms are
-tested against.
+tested against.  Read the other way, interleaving makes the classes that
+restrict to an SO(N-1) signature a product of intervals too, its hull
+(:func:`hull_intervals`).
 """
 
 from __future__ import annotations
@@ -209,6 +211,20 @@ def branch_box(pi: Signature) -> BranchBox:
     return BranchBox(ivs, child)
 
 
+def hull_intervals(sigma: Signature) -> tuple[tuple[int, float], ...]:
+    """The parent classes whose restriction contains `sigma`, as a product
+    of intervals in the parent coordinates, by interleaving: [s1, inf) x
+    [s2, s1] x ..., ending in [|sk|, s(k-1)] for an odd parent (just
+    [|s1|, inf) for SO(3)) and in [-s(k-1), s(k-1)] for an even one.  Every
+    point of the product is a valid parent signature."""
+    s = sigma.entries
+    if sigma.ctx.parity == EVEN:  # odd parent
+        lows = s[:-1] + (abs(s[-1]),)
+    else:
+        lows = s + (-s[-1],)
+    return tuple(zip(lows, (float("inf"),) + s))
+
+
 def branch(pi: Signature) -> list[Signature]:
     """Explicit multiplicity-free branching set of `pi`, by box enumeration.
 
@@ -228,17 +244,26 @@ def branch(pi: Signature) -> list[Signature]:
     return out
 
 
-def _require_child(pi: Signature, sigma: Signature) -> None:
-    if sigma.ctx != pi.ctx.child:
-        raise ContextMismatch(f"{sigma.ctx} is not the child group of {pi.ctx}")
-
-
 def restricts_to(pi: Signature, sigma: Signature) -> bool:
-    """True iff `sigma` occurs in the restriction of `pi`, by interval
-    membership in the branching box (O(k), no enumeration)."""
-    _require_child(pi, sigma)
-    box = branch_box(pi)
-    return all(lo <= v <= hi for v, (lo, hi) in zip(sigma.entries, box.intervals))
+    """True iff `sigma` occurs in the restriction of `pi`: the interleaving
+    inequalities of :func:`branch_box`, tested in place (O(k), no
+    enumeration and no allocation)."""
+    n = pi.ctx.n
+    if n < 2:
+        raise PreconditionViolated("SO(1) has no child group")
+    if sigma.ctx.n != n - 1:
+        raise ContextMismatch(f"{sigma.ctx} is not the child group of {pi.ctx}")
+    m, s = pi.entries, sigma.entries
+    last = len(m) - 1
+    if n % 2 == 0:
+        for i in range(last):
+            if not abs(m[i + 1]) <= s[i] <= m[i]:
+                return False
+        return True
+    for i in range(last):
+        if not m[i + 1] <= s[i] <= m[i]:
+            return False
+    return -m[last] <= s[last] <= m[last]
 
 
 def _require_same_ctx(sigs: Sequence[Signature], minimum_n: int, op: str) -> GroupContext:

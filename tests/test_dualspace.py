@@ -8,7 +8,7 @@ from math import inf
 
 import pytest
 
-from motiondual import dualspace, primal
+from motiondual import dualspace, primal, signatures
 from motiondual.dualspace import (
     CLASS_KIND,
     GERM_KIND,
@@ -146,6 +146,50 @@ def test_mask_methods_match_closure_map(n, bound):
         assert space.closure_of(s) == union(cl, s)
         assert space.min_open_of(s) == union(mo, s)
         assert space.is_closed(s) == (union(cl, s) == s)
+
+
+# small truncations, the benchmark's deep points and the larger recorded
+# timing points
+CLOSURE_GRID = [(n, b) for n in range(3, 11) for b in range(5)]
+CLOSURE_GRID += [(8, 5), (5, 12), (6, 6), (24, 2), (9, 8), (10, 6)]
+
+
+@pytest.mark.parametrize("n,bound", CLOSURE_GRID)
+def test_closures_match_restricts_to_scan(n, bound):
+    # the hull-interval closures against a `restricts_to` scan of every
+    # class x germ pair, with the point order classes then germs
+    classes = enumerate_signatures(n, bound)
+    germs = enumerate_signatures(n - 1, bound)
+    space = build_dual_model(n, bound).space
+    assert space.points == tuple(Point(CLASS_KIND, c) for c in classes) + tuple(Point(GERM_KIND, g) for g in germs)
+    for c in classes:
+        assert space.closure(Point(CLASS_KIND, c)) == {Point(CLASS_KIND, c)}
+    for g in germs:
+        hull = {Point(CLASS_KIND, c) for c in classes if restricts_to(c, g)}
+        assert space.closure(Point(GERM_KIND, g)) == hull | {Point(GERM_KIND, g)}, g
+
+
+def test_build_calls_no_restriction_oracle(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the model build called a restriction oracle")
+
+    assert not hasattr(dualspace, "restricts_to")
+    for name in ("restricts_to", "branch", "branch_box"):
+        monkeypatch.setattr(signatures, name, forbidden)
+    model = build_dual_model.__wrapped__(6, 3)
+    assert len(model.space.closure(germ([3, 3], 5))) == 1 + 7  # (3,3,m) for |m| <= 3
+
+
+def test_build_raises_on_a_product_point_outside_the_truncation(monkeypatch):
+    # hull intervals one too wide in their last coordinate reach points that
+    # are no class; the build must fail there, not skip them
+    def too_wide(sigma):
+        *head, (lo, hi) = signatures.hull_intervals(sigma)
+        return (*head, (lo, hi + 1))
+
+    monkeypatch.setattr(dualspace, "hull_intervals", too_wide)
+    with pytest.raises(KeyError):
+        build_dual_model.__wrapped__(5, 2)
 
 
 def test_dual_model_cache_is_bounded():

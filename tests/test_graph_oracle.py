@@ -3,20 +3,24 @@
 The reference graphs are built straight from the closed forms
 (`signatures.inseparable` for classes, `primal.star_adjacent` for
 sub-ideals), never from `Graph`'s own adjacency, so a fault in the core's
-construction or traversal shows as a disagreement.
+construction or traversal shows as a disagreement.  Besides a fixed grid,
+hypothesis draws (N, bound) under a small entry budget and runs the same
+comparisons, with the model's germ closures checked against a
+`restricts_to` scan.
 """
 
 from itertools import islice
 from math import inf
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 nx = pytest.importorskip("networkx")
 
 from motiondual.dualspace import (  # noqa: E402
     CLASS_KIND,
+    GERM_KIND,
     Graph,
     Point,
     build_dual_model,
@@ -35,9 +39,26 @@ from motiondual.primal import (  # noqa: E402
     sub_ideals,
 )
 from motiondual.errors import PreconditionViolated  # noqa: E402
-from motiondual.signatures import enumerate_signatures, inseparable  # noqa: E402
+from motiondual.signatures import count_signatures, enumerate_signatures, inseparable, restricts_to  # noqa: E402
 
 GRID = [(3, 1), (3, 3), (4, 1), (4, 2), (5, 1), (5, 2), (6, 1), (6, 2), (7, 1), (8, 1)]
+
+# signature entries (points times floor(N/2), as `dualspace.MAX_SIZE`
+# counts them) of the largest drawn model: about 80 classes at most, so
+# the all-pairs distance comparison stays well under a second per draw
+ENTRY_BUDGET = 200
+
+
+def model_entries(n, bound):
+    return (count_signatures(n, bound) + count_signatures(n - 1, bound)) * (n // 2)
+
+
+def max_bound(n):
+    """The largest bound up to 8 whose model fits the entry budget."""
+    return max(b for b in range(9) if model_entries(n, b) <= ENTRY_BUDGET)
+
+
+truncations = st.integers(3, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, max_bound(n))))
 
 
 def reference(vertices, related) -> "nx.Graph":
@@ -60,8 +81,15 @@ def components_of(g) -> set:
     return {frozenset(c) for c in nx.connected_components(g)}
 
 
-@pytest.mark.parametrize("n,bound", GRID)
-def test_class_graph_matches_networkx(n, bound):
+def check_closures(n, bound):
+    classes = enumerate_signatures(n, bound)
+    space = build_dual_model(n, bound).space
+    for g in enumerate_signatures(n - 1, bound):
+        hull = {Point(CLASS_KIND, c) for c in classes if restricts_to(c, g)}
+        assert space.closure(Point(GERM_KIND, g)) == hull | {Point(GERM_KIND, g)}, g
+
+
+def check_class_graph(n, bound):
     model = build_dual_model(n, bound)
     ref = class_reference(n, bound)
     comps, orc = components_and_orc(model)
@@ -74,12 +102,33 @@ def test_class_graph_matches_networkx(n, bound):
             assert distance(model, x, y) == lengths.get(y, inf)
 
 
-@pytest.mark.parametrize("n,bound", GRID)
-def test_sub_ideal_graph_matches_networkx(n, bound):
+def check_sub_ideal_graph(n, bound):
     ref = reference(sub_ideals(n, bound), star_adjacent)
     graph = star_graph(n, bound)
     assert set(graph.components()) == components_of(ref)
     assert graph.diameter() == big_d(n, bound) == largest_diameter(ref)
+
+
+@pytest.mark.parametrize("n,bound", GRID)
+def test_class_graph_matches_networkx(n, bound):
+    check_class_graph(n, bound)
+
+
+@pytest.mark.parametrize("n,bound", GRID)
+def test_sub_ideal_graph_matches_networkx(n, bound):
+    check_sub_ideal_graph(n, bound)
+
+
+@given(truncations)
+@example((3, 8))
+@example((4, 8))
+@settings(max_examples=25, deadline=None)
+def test_drawn_truncations_match_oracles(case):
+    n, bound = case
+    assert model_entries(n, bound) <= ENTRY_BUDGET
+    check_closures(n, bound)
+    check_class_graph(n, bound)
+    check_sub_ideal_graph(n, bound)
 
 
 @pytest.mark.parametrize("n,bound", [(4, 1), (5, 2), (6, 1), (7, 1)])

@@ -161,6 +161,23 @@ def test_restricts_to_context_mismatch():
         restricts_to(sig([1, 0], 4), sig([1, 0], 4))
 
 
+def test_restricts_to_so1_parent():
+    with pytest.raises(PreconditionViolated):
+        restricts_to(sig([], 1), sig([], 1))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_restricts_to_matches_branch_box(n):
+    # the in-place interleaving test against membership in the branching
+    # box, with children one bound higher so that some lie outside it
+    for bound in range(4):
+        children = enumerate_signatures(n - 1, bound + 1)
+        for pi in enumerate_signatures(n, bound):
+            box = branch_box(pi).intervals
+            for s in children:
+                assert restricts_to(pi, s) == all(lo <= v <= hi for v, (lo, hi) in zip(s.entries, box)), (pi, s)
+
+
 @given(st.integers(3, 9), st.integers(0, 3))
 @settings(max_examples=30, deadline=None)
 def test_branch_consistency(n, bound):
