@@ -8,6 +8,13 @@ functions here validate chains, certify that bound against an independent
 BFS, decide separation by disjoint open sets, and construct admissible
 chains of prescribed length from a set pair at sufficient distance.
 
+Inside, every set is an int mask over `space.points` and every search is
+the space's layered search on masks (`Graph._layers`): the private helpers
+`_violations`, `_admissible`, `_separate` and the space's `_ball` do the
+set algebra.  Point sets are turned into masks once where they enter the
+public functions and back into frozensets once where they leave them, so
+a chain is built, validated and re-checked without hashing its points.
+
 Topological operations (closure, separation, neighborhoods used during
 construction) run on the full model relation; distance certificates are
 class-restricted by default, matching the faithful metric on the classes.
@@ -16,9 +23,11 @@ class-restricted by default, matching the faithful metric on the classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import reduce
+from operator import or_
+from typing import Iterable, Sequence
 
-from .dualspace import DualModel, FiniteT0Space, Point
+from .dualspace import DualModel, FiniteT0Space, Point, _union
 from .errors import CertificationError, PreconditionViolated
 
 __all__ = [
@@ -65,6 +74,84 @@ def _vertices(obj, restrict_to_class: bool) -> frozenset | None:
     return obj.class_points
 
 
+def _inside(obj, restrict_to_class: bool) -> int:
+    """The mask of the vertices a search may use: the classes when
+    class-restricted, else every point."""
+    if _vertices(obj, restrict_to_class) is None:
+        return _space_of(obj)._within(None)
+    return obj.class_mask
+
+
+def _violations(space: FiniteT0Space, sets: Sequence[int]) -> tuple[str, ...]:
+    """Why the chain of set masks is not valid, in the order of the checks:
+    closedness, cover, non-consecutive disjointness, end sets."""
+    n = len(sets)
+    if n == 0:
+        return ("chain has no sets",)
+    cl = space._closure
+    bad = [f"set {i} is not closed" for i, s in enumerate(sets, start=1) if _union(cl, s) != s]
+    if reduce(or_, sets) != space._within(None):
+        bad.append("union of the sets does not cover the space")
+    for i in range(n):
+        for j in range(i + 2, n):
+            if sets[i] & sets[j]:
+                bad.append(f"sets {i + 1} and {j + 1} overlap")
+    if n > 1:
+        if not sets[0] & ~sets[1]:
+            bad.append("first set minus second set is empty")
+        if not sets[-1] & ~sets[-2]:
+            bad.append("last set minus second-to-last set is empty")
+    return tuple(bad)
+
+
+def _valid_masks(space: FiniteT0Space, chain: Chain) -> list[int]:
+    """The set masks of a chain that must be valid; PreconditionViolated
+    names the violations otherwise."""
+    sets = [space._mask(s) for s in chain.sets]
+    bad = _violations(space, sets)
+    if bad:
+        raise PreconditionViolated("chain is not valid: " + "; ".join(bad))
+    return sets
+
+
+def _admissible(space: FiniteT0Space, sets: Sequence[int], within: int) -> tuple[int, int] | None:
+    """End witnesses (x, y) of the valid chain at finite distance inside
+    `within`, as point numbers: the first x in point order that reaches an
+    end candidate, and the first candidate y in x's whole component."""
+    if len(sets) == 1:
+        xs = ys = sets[0] & within
+    else:
+        xs = sets[0] & ~sets[1] & within
+        ys = sets[-1] & ~sets[-2] & within
+    while xs:
+        x = xs & -xs
+        comp = space._ball(x, within)
+        hits = comp & ys
+        if hits:
+            return x.bit_length() - 1, (hits & -hits).bit_length() - 1
+        xs &= ~comp  # the rest of this component reaches no candidate either
+    return None
+
+
+def _separate(space: FiniteT0Space, Y: int, Z: int) -> tuple[int, int] | None:
+    """`separate` on masks: the minimal open sets around Y and Z when they
+    are disjoint, cross-checked against the closure criterion."""
+    U = _union(space._min_open, Y)
+    V = _union(space._min_open, Z)
+    found = not U & V
+    everything = space._within(None)
+    cl = space._closure
+    criterion = (
+        not _union(cl, space._ball(Y, everything, 1)) & Z
+        and not _union(cl, space._ball(Z, everything, 1)) & Y
+    )
+    if found != criterion:
+        raise CertificationError(
+            "separation by minimal open sets disagrees with the closure criterion"
+        )
+    return (U, V) if found else None
+
+
 def n_neighborhood(model, Y: Iterable, n: int, restrict_to_class: bool = False) -> frozenset:
     """All points at graph distance <= n from Y; Y^0 = Y."""
     if n < 0:
@@ -74,77 +161,37 @@ def n_neighborhood(model, Y: Iterable, n: int, restrict_to_class: bool = False) 
     Y = frozenset(Y)
     if within is not None and not Y <= within:
         raise PreconditionViolated("class-restricted neighborhoods need class seeds")
-    return space.ball(Y, n, within)
+    return space._set(space._ball(space._mask(Y), _inside(model, restrict_to_class), n))
 
 
 def validate_chain(model, chain: Chain) -> ChainReport:
     """Check closedness, cover, non-consecutive disjointness and end sets."""
     space = _space_of(model)
-    bad: list[str] = []
-    n = chain.length
-    if n == 0:
-        return ChainReport(False, ("chain has no sets",))
-    for i, s in enumerate(chain.sets, start=1):
-        if not space.is_closed(s):
-            bad.append(f"set {i} is not closed")
-    if frozenset().union(*chain.sets) != frozenset(space.points):
-        bad.append("union of the sets does not cover the space")
-    for i in range(n):
-        for j in range(i + 2, n):
-            if chain.sets[i] & chain.sets[j]:
-                bad.append(f"sets {i + 1} and {j + 1} overlap")
-    if n > 1:
-        if not chain.sets[0] - chain.sets[1]:
-            bad.append("first set minus second set is empty")
-        if not chain.sets[-1] - chain.sets[-2]:
-            bad.append("last set minus second-to-last set is empty")
-    return ChainReport(not bad, tuple(bad))
-
-
-def _end_candidates(model, chain: Chain, restrict_to_class: bool):
-    space = _space_of(model)
-    within = _vertices(model, restrict_to_class)
-    order = space._index.__getitem__
-    if chain.length == 1:
-        pool = chain.sets[0] if within is None else chain.sets[0] & within
-        pool = sorted(pool, key=order)
-        return pool, pool
-    xs = chain.sets[0] - chain.sets[1]
-    ys = chain.sets[-1] - chain.sets[-2]
-    if within is not None:
-        xs, ys = xs & within, ys & within
-    return sorted(xs, key=order), sorted(ys, key=order)
+    bad = _violations(space, [space._mask(s) for s in chain.sets])
+    return ChainReport(not bad, bad)
 
 
 def is_admissible(model, chain: Chain, restrict_to_class: bool = True):
     """Search for end witnesses at finite distance; returns (found, x, y)."""
-    rep = validate_chain(model, chain)
-    if not rep.valid:
-        raise PreconditionViolated("chain is not valid: " + "; ".join(rep.violations))
     space = _space_of(model)
-    within = _vertices(model, restrict_to_class)
-    xs, ys = _end_candidates(model, chain, restrict_to_class)
-    ys_set = frozenset(ys)
-    for x in xs:
-        dist = space.bfs([x], within)
-        hits = [y for y in ys if y in dist and y in ys_set]
-        if hits:
-            return True, x, hits[0]
-    return False, None, None
+    hit = _admissible(space, _valid_masks(space, chain), _inside(model, restrict_to_class))
+    if hit is None:
+        return False, None, None
+    return True, space.points[hit[0]], space.points[hit[1]]
 
 
 def chain_lower_bound(model, chain: Chain, x, y, restrict_to_class: bool = True) -> int:
     """Certify d(x, y) >= chain length and re-check it with an independent
     BFS; a contradiction raises CertificationError (it would mean a bug,
     the bound being a theorem about valid chains)."""
-    rep = validate_chain(model, chain)
-    if not rep.valid:
-        raise PreconditionViolated("chain is not valid: " + "; ".join(rep.violations))
+    space = _space_of(model)
+    _valid_masks(space, chain)
     bad = witness_violations(model, chain, x, y, restrict_to_class)
     if bad:
         raise PreconditionViolated(bad[0])
     n = chain.length
-    d = _space_of(model).distance(x, y, _vertices(model, restrict_to_class))
+    i, j = space._ids((x, y))
+    d = space._reach(1 << i, 1 << j, _inside(model, restrict_to_class))
     if d < n:
         raise CertificationError(f"chain of length {n} contradicted by graph distance {d}")
     return n
@@ -155,15 +202,16 @@ def witness_violations(model, chain: Chain, x, y, restrict_to_class: bool = True
     two distinct points of a one-set chain, or else x must lie in the first
     set only and y in the last set only; class points when class-restricted."""
     bad = []
+    sets = chain.sets
     if chain.length == 1:
-        if x not in chain.sets[0] or y not in chain.sets[0]:
+        if x not in sets[0] or y not in sets[0]:
             bad.append("end witnesses must lie in the chain")
         elif x == y:
             bad.append("a length-1 certificate needs distinct end points")
     else:
-        if x not in chain.sets[0] - chain.sets[1]:
+        if x not in sets[0] or x in sets[1]:
             bad.append("x must lie in the first set and not the second")
-        if y not in chain.sets[-1] - chain.sets[-2]:
+        if y not in sets[-1] or y in sets[-2]:
             bad.append("y must lie in the last set and not the second-to-last")
     within = _vertices(model, restrict_to_class)
     if within is not None and not {x, y} <= within:
@@ -191,19 +239,8 @@ def separate(model, Y: Iterable, Z: Iterable):
     separation lemma guarantees on these finite spaces.
     """
     space = _space_of(model)
-    Y, Z = frozenset(Y), frozenset(Z)
-    U = space.min_open_of(Y)
-    V = space.min_open_of(Z)
-    found = not (U & V)
-    criterion = (
-        not (space.closure_of(space.ball(Y, 1)) & Z)
-        and not (space.closure_of(space.ball(Z, 1)) & Y)
-    )
-    if found != criterion:
-        raise CertificationError(
-            "separation by minimal open sets disagrees with the closure criterion"
-        )
-    return (U, V) if found else None
+    sep = _separate(space, space._mask(Y), space._mask(Z))
+    return None if sep is None else (space._set(sep[0]), space._set(sep[1]))
 
 
 def find_admissible_chain(model, X: Iterable, Y: Iterable, k: int, restrict_to_class: bool = True) -> Chain:
@@ -223,43 +260,43 @@ def find_admissible_chain(model, X: Iterable, Y: Iterable, k: int, restrict_to_c
         raise PreconditionViolated("class-restricted chains need class end sets")
     if k < 2:
         raise PreconditionViolated("chain construction needs k >= 2")
-    d = space.set_distance(X, Y, within)
+    inside = _inside(model, restrict_to_class)
+    xm, ym = space._mask(X), space._mask(Y)
+    d = space._reach(xm, ym, inside)
     if d < k:
         raise PreconditionViolated(f"need d(X, Y) >= {k}, got {d}")
-    anchor = min(X | Y, key=space._index.__getitem__)
-    reach = space.bfs([anchor], within)
-    if any(p not in reach for p in X | Y):
+    ends = xm | ym
+    if ends & ~space._ball(ends & -ends, inside):  # from the first end point
         raise PreconditionViolated("X and Y must lie in one component")
 
-    pts = frozenset(space.points)
-    sep = separate(space, X, space.ball(Y, k - 2))
+    everything = space._within(None)
+    sep = _separate(space, xm, space._ball(ym, everything, k - 2))
     if sep is None:
         raise CertificationError("initial separation failed despite the distance bound")
     U, V = sep
-    sets = [pts - V]
-    front_complement = pts - U  # the current Y_i
+    sets = [everything & ~V]
+    front = sets[0]  # the union of the sets so far
+    front_complement = everything & ~U  # the current Y_i
     for i in range(2, k):
-        front = frozenset().union(*sets)
-        sep = separate(space, front, space.ball(Y, k - i - 1))
+        sep = _separate(space, front, space._ball(ym, everything, k - i - 1))
         if sep is None:
             raise CertificationError(f"separation stage {i} failed despite the distance bound")
         U, V = sep
-        sets.append((pts - V) & front_complement)
-        front_complement = pts - U
+        sets.append(front_complement & ~V)
+        front |= sets[-1]
+        front_complement = everything & ~U
     sets.append(front_complement)
-    chain = Chain(tuple(sets))
 
-    rep = validate_chain(space, chain)
-    if not rep.valid:
-        raise CertificationError("constructed chain is invalid: " + "; ".join(rep.violations))
-    if not X <= chain.sets[0] - chain.sets[1]:
+    bad = _violations(space, sets)
+    if bad:
+        raise CertificationError("constructed chain is invalid: " + "; ".join(bad))
+    if xm & ~(sets[0] & ~sets[1]):
         raise CertificationError("constructed chain does not isolate X in the first set")
-    if not Y <= chain.sets[-1] - chain.sets[-2]:
+    if ym & ~(sets[-1] & ~sets[-2]):
         raise CertificationError("constructed chain does not isolate Y in the last set")
-    ok, _, _ = is_admissible(model, chain, restrict_to_class)
-    if not ok:
+    if _admissible(space, sets, inside) is None:
         raise CertificationError("constructed chain is not admissible")
-    return chain
+    return Chain(tuple(space._set(s) for s in sets))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ default; the full-space relation is kept for the topological machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import product
 from math import inf
 from operator import or_
@@ -165,6 +165,19 @@ class Graph:
             seen |= layer
             d += 1
 
+    def _ball(self, sources: int, within: int, radius: float = inf) -> int:
+        """The mask of the vertices within `radius` of the `sources` mask
+        inside `within`: their whole components for the default radius."""
+        return reduce(or_, self._layers(sources, within, radius=radius), 0)
+
+    def _reach(self, sources: int, targets: int, within: int):
+        """The distance from the `sources` mask to the `targets` mask inside
+        `within`: the first layer that meets the targets, inf if none does."""
+        for d, layer in enumerate(self._layers(sources, within, stop=targets)):
+            if layer & targets:
+                return d
+        return inf
+
     def neighbors(self, x) -> tuple:
         pts = self.points
         return tuple(pts[j] for j in _members(self._adj[self._ids((x,))[0]]))
@@ -185,27 +198,20 @@ class Graph:
         inside = self._within(within)
         if not (inside >> i & 1 and inside >> j & 1):
             raise PreconditionViolated("distance endpoints must lie in the restricted vertex set")
-        for d, layer in enumerate(self._layers(1 << i, inside, stop=1 << j)):
-            if layer >> j & 1:
-                return d
-        return inf
+        return self._reach(1 << i, 1 << j, inside)
 
     def set_distance(self, xs: Iterable, ys: Iterable, within: Iterable | None = None):
-        targets = self._within(frozenset(ys))
-        for d, layer in enumerate(self._layers(self._mask(xs), self._within(within), stop=targets)):
-            if layer & targets:
-                return d
-        return inf
+        return self._reach(self._mask(xs), self._within(frozenset(ys)), self._within(within))
 
     def ball(self, s: Iterable, n: int, within: Iterable | None = None) -> frozenset:
         """All points at graph distance <= n from the set."""
-        return self._set(reduce(or_, self._layers(self._mask(s), self._within(within), radius=n), 0))
+        return self._set(self._ball(self._mask(s), self._within(within), n))
 
     def components(self, within: Iterable | None = None) -> tuple[frozenset, ...]:
         left = self._within(within)
         comps = []
         while left:
-            comp = reduce(or_, self._layers(left & -left, left), 0)  # from the lowest vertex left
+            comp = self._ball(left & -left, left)  # from the lowest vertex left
             comps.append(self._set(comp))
             left &= ~comp
         return tuple(comps)
@@ -290,6 +296,12 @@ class DualModel:
     class_points: frozenset
     germ_points: frozenset
 
+    @cached_property
+    def class_mask(self) -> int:
+        """The class points as a mask over `space.points`: the classes come
+        first in point order, so it is the mask of the first len(classes)."""
+        return (1 << len(self.class_points)) - 1
+
     def class_point(self, sig: Signature) -> Point:
         p = Point(CLASS_KIND, sig)
         if p not in self.class_points:
@@ -334,8 +346,9 @@ def build_dual_model(n: int, bound: int) -> DualModel:
     SO(n-1) signatures, each closing onto its hull of classes, enumerated as
     the product of its hull intervals with the first one cut at `bound`.
     Every point of that product is a class of the truncation, so a failed
-    lookup is a fault and raises.  Accepts bound 0 (the degenerate one-class
-    model).
+    lookup is a fault and raises.  The classes come first in point order,
+    which `DualModel.class_mask` relies on.  Accepts bound 0 (the degenerate
+    one-class model).
     """
     if n < 3:
         raise PreconditionViolated("dual models need n >= 3; n = 2 is covered by closed formulas")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .dualspace import Graph, require_size
@@ -133,6 +134,7 @@ def star_adjacent(I: SubIdeal, J: SubIdeal) -> bool:
     return common_extension([I.sigma, J.sigma]) is not None
 
 
+@lru_cache(maxsize=16)  # as `build_dual_model`; d_star, big_d and the exports share a build
 def star_graph(n: int, bound: int) -> Graph:
     """The sub-ideal graph on `sub_ideals(n, bound)`, with the adjacency of
     `star_adjacent`: line kernels are isolated, and two germ ideals are

@@ -250,16 +250,17 @@ def check_chain_lemma(n: int, bound: int, rng: random.Random) -> CheckResult:
     trials = []
     if k >= 2:
         trials.append((frozenset([x]), frozenset([y]), k))
-    classes = sorted(model.class_points, key=model.space._index.__getitem__)
+    # the classes are the first points, so class indices are point numbers
+    space, classes = model.space, range(len(model.class_points))
     attempts = 0
     while len(trials) < 51 and attempts < 5000:
         attempts += 1
-        xs = frozenset(rng.sample(classes, rng.randint(1, min(3, len(classes)))))
-        ys = frozenset(rng.sample(classes, rng.randint(1, min(3, len(classes)))))
-        d = model.space.set_distance(xs, ys, model.class_points)
+        xs = sum(1 << i for i in rng.sample(classes, rng.randint(1, min(3, len(classes)))))
+        ys = sum(1 << i for i in rng.sample(classes, rng.randint(1, min(3, len(classes)))))
+        d = space._reach(xs, ys, model.class_mask)
         if d == inf or d < 2:
             continue
-        trials.append((xs, ys, rng.randint(2, int(d))))
+        trials.append((space._set(xs), space._set(ys), rng.randint(2, int(d))))
     for xs, ys, kk in trials:
         try:
             chain = chains_mod.find_admissible_chain(model, xs, ys, kk, restrict_to_class=True)

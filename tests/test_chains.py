@@ -2,7 +2,10 @@ import random
 from math import inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from motiondual import chains
 from motiondual.chains import (
     Chain,
     chain_from_json,
@@ -15,8 +18,8 @@ from motiondual.chains import (
     validate_chain,
     verify_property1,
 )
-from motiondual.dualspace import CLASS_KIND, FiniteT0Space, Point, build_dual_model
-from motiondual.errors import PreconditionViolated
+from motiondual.dualspace import CLASS_KIND, DualModel, FiniteT0Space, Point, build_dual_model
+from motiondual.errors import CertificationError, PreconditionViolated, UnknownPoint
 from motiondual.signatures import validate
 
 
@@ -248,3 +251,323 @@ def test_property1_witness(n):
 def test_property1_empty_sample_closed():
     m = build_dual_model(4, 1)
     assert m.space.is_closed(m.space.ball(frozenset(), 1))
+
+
+# --- reference oracle: the chain code on frozensets of points -------------------
+#
+# The library keeps every chain set as a bitmask.  These functions are the
+# same algorithms on point sets, written against the public `FiniteT0Space`
+# methods only, and the mask-native functions must agree with them exactly:
+# the same sets, violations in the same order, the same witnesses and the
+# same errors.
+
+
+def ref_space(model):
+    return model.space if isinstance(model, DualModel) else model
+
+
+def ref_vertices(model, restrict_to_class):
+    if not restrict_to_class:
+        return None
+    if not isinstance(model, DualModel):
+        raise PreconditionViolated("class restriction needs a dual model")
+    return model.class_points
+
+
+def ref_violations(model, chain):
+    space = ref_space(model)
+    bad = []
+    n = chain.length
+    if n == 0:
+        return ("chain has no sets",)
+    for i, s in enumerate(chain.sets, start=1):
+        if not space.is_closed(s):
+            bad.append(f"set {i} is not closed")
+    if frozenset().union(*chain.sets) != frozenset(space.points):
+        bad.append("union of the sets does not cover the space")
+    for i in range(n):
+        for j in range(i + 2, n):
+            if chain.sets[i] & chain.sets[j]:
+                bad.append(f"sets {i + 1} and {j + 1} overlap")
+    if n > 1:
+        if not chain.sets[0] - chain.sets[1]:
+            bad.append("first set minus second set is empty")
+        if not chain.sets[-1] - chain.sets[-2]:
+            bad.append("last set minus second-to-last set is empty")
+    return tuple(bad)
+
+
+def ref_is_admissible(model, chain, restrict_to_class=True):
+    bad = ref_violations(model, chain)
+    if bad:
+        raise PreconditionViolated("chain is not valid: " + "; ".join(bad))
+    space = ref_space(model)
+    within = ref_vertices(model, restrict_to_class)
+    order = space.points.index
+    if chain.length == 1:
+        xs = ys = chain.sets[0] if within is None else chain.sets[0] & within
+    else:
+        xs, ys = chain.sets[0] - chain.sets[1], chain.sets[-1] - chain.sets[-2]
+        if within is not None:
+            xs, ys = xs & within, ys & within
+    xs, ys = sorted(xs, key=order), sorted(ys, key=order)
+    for x in xs:
+        dist = space.bfs([x], within)
+        hits = [y for y in ys if y in dist]
+        if hits:
+            return True, x, hits[0]
+    return False, None, None
+
+
+def ref_separate(model, Y, Z):
+    space = ref_space(model)
+    Y, Z = frozenset(Y), frozenset(Z)
+    U, V = space.min_open_of(Y), space.min_open_of(Z)
+    found = not (U & V)
+    criterion = not (space.closure_of(space.ball(Y, 1)) & Z) and not (space.closure_of(space.ball(Z, 1)) & Y)
+    if found != criterion:
+        raise CertificationError("separation by minimal open sets disagrees with the closure criterion")
+    return (U, V) if found else None
+
+
+def ref_find(model, X, Y, k, restrict_to_class=True):
+    space = ref_space(model)
+    within = ref_vertices(model, restrict_to_class)
+    X, Y = frozenset(X), frozenset(Y)
+    if not X or not Y:
+        raise PreconditionViolated("X and Y must be nonempty")
+    if within is not None and not (X | Y) <= within:
+        raise PreconditionViolated("class-restricted chains need class end sets")
+    if k < 2:
+        raise PreconditionViolated("chain construction needs k >= 2")
+    d = space.set_distance(X, Y, within)
+    if d < k:
+        raise PreconditionViolated(f"need d(X, Y) >= {k}, got {d}")
+    reach = space.bfs([min(X | Y, key=space.points.index)], within)
+    if any(p not in reach for p in X | Y):
+        raise PreconditionViolated("X and Y must lie in one component")
+    pts = frozenset(space.points)
+    sep = ref_separate(space, X, space.ball(Y, k - 2))
+    if sep is None:
+        raise CertificationError("initial separation failed despite the distance bound")
+    U, V = sep
+    sets = [pts - V]
+    front_complement = pts - U
+    for i in range(2, k):
+        sep = ref_separate(space, frozenset().union(*sets), space.ball(Y, k - i - 1))
+        if sep is None:
+            raise CertificationError(f"separation stage {i} failed despite the distance bound")
+        U, V = sep
+        sets.append((pts - V) & front_complement)
+        front_complement = pts - U
+    sets.append(front_complement)
+    chain = Chain(tuple(sets))
+    bad = ref_violations(space, chain)
+    if bad:
+        raise CertificationError("constructed chain is invalid: " + "; ".join(bad))
+    if not X <= chain.sets[0] - chain.sets[1]:
+        raise CertificationError("constructed chain does not isolate X in the first set")
+    if not Y <= chain.sets[-1] - chain.sets[-2]:
+        raise CertificationError("constructed chain does not isolate Y in the last set")
+    if not ref_is_admissible(model, chain, restrict_to_class)[0]:
+        raise CertificationError("constructed chain is not admissible")
+    return chain
+
+
+def outcome(fn, *args):
+    """The result of a call, or the type and message of what it raised."""
+    try:
+        return "returned", fn(*args)
+    except Exception as exc:  # the error itself is what is compared
+        return "raised", type(exc), str(exc)
+
+
+def assert_agree(mask_fn, ref_fn, *args):
+    got = outcome(mask_fn, *args)
+    assert got == outcome(ref_fn, *args)
+    return got
+
+
+def assert_chain_agrees(model, chain, restrict_to_class=True):
+    assert validate_chain(model, chain).violations == ref_violations(model, chain)
+    assert_agree(is_admissible, ref_is_admissible, model, chain, restrict_to_class)
+
+
+def assert_construction_agrees(model, xs, ys, restrict_to_class=True):
+    """Every length from 2 to d(X, Y) + 1 builds the same chain (or raises
+    the same error), and each built chain validates and re-checks alike."""
+    d = model.space.set_distance(xs, ys, model.class_points if restrict_to_class else None)
+    top = 3 if d == inf else int(d) + 1
+    for k in range(2, top + 1):
+        got = assert_agree(find_admissible_chain, ref_find, model, xs, ys, k, restrict_to_class)
+        if got[0] == "returned":
+            assert_chain_agrees(model, got[1], restrict_to_class)
+
+
+ORACLE_GRID = [(n, b) for n in range(3, 10) for b in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("n,bound", ORACLE_GRID)
+def test_mask_chains_match_reference_oracle(n, bound):
+    m = build_dual_model(n, bound)
+    classes = sorted(m.class_points, key=m.space.points.index)
+    k = n // 2
+    rng = random.Random(f"oracle:{n}:{bound}")
+    cases = [([cls([0] * k, n)], [cls([1] * k, n)], True)]
+    most = min(3, len(classes))
+    for _ in range(20):
+        cases.append((rng.sample(classes, rng.randint(1, most)), rng.sample(classes, rng.randint(1, most)), True))
+    for _ in range(5):
+        # unrestricted chains may end on germs
+        cases.append(([rng.choice(m.space.points)], [rng.choice(m.space.points)], False))
+    for xs, ys, restrict in cases:
+        assert_construction_agrees(m, xs, ys, restrict)
+    whole = Chain((all_points(m),))
+    assert_chain_agrees(m, whole, True)
+    assert_chain_agrees(m, whole, False)
+    for _ in range(20):
+        ys = rng.sample(m.space.points, rng.randint(1, 3))
+        zs = rng.sample(m.space.points, rng.randint(1, 3))
+        assert_agree(separate, ref_separate, m, ys, zs)
+        radius = rng.randint(0, 3)
+        assert n_neighborhood(m, ys, radius) == m.space.ball(ys, radius)
+
+
+def class_sets(max_classes):
+    return st.lists(st.integers(0, max_classes - 1), min_size=1, max_size=3, unique=True)
+
+
+@given(st.sampled_from(ORACLE_GRID), class_sets(10**6), class_sets(10**6))
+@settings(max_examples=100, deadline=None)
+def test_drawn_end_sets_match_reference_oracle(case, xs, ys):
+    m = build_dual_model(*case)
+    classes = m.space.points[: len(m.class_points)]
+    xs = {classes[i % len(classes)] for i in xs}
+    ys = {classes[i % len(classes)] for i in ys}
+    assert_construction_agrees(m, xs, ys)
+
+
+def tiny_model():
+    return build_dual_model(4, 1)
+
+
+def not_closed(m):
+    g = next(iter(m.germ_points))
+    open_set = all_points(m) - m.space.closure(g) | {g}
+    return Chain((open_set, all_points(m) - open_set))
+
+
+def foreign_point_chain(m):
+    foreign = Point(CLASS_KIND, validate([9, 9], 4))
+    return Chain((all_points(m) | {foreign},))
+
+
+INVALID_CHAINS = {
+    "no sets": lambda m: Chain(()),
+    "set not closed": not_closed,
+    "sets 1 and 3 overlap": lambda m: Chain((all_points(m),) * 3),
+    "cover missing": lambda m: Chain((m.class_points,)),
+    "empty end differences": lambda m: Chain((all_points(m), all_points(m))),
+    "one empty end difference": lambda m: Chain((m.class_points, all_points(m))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_CHAINS))
+def test_invalid_chains_match_reference_oracle(name):
+    m = tiny_model()
+    chain = INVALID_CHAINS[name](m)
+    rep = validate_chain(m, chain)
+    assert not rep.valid
+    assert rep.violations == ref_violations(m, chain)
+    got = assert_agree(is_admissible, ref_is_admissible, m, chain, True)
+    assert got[:2] == ("raised", PreconditionViolated)
+    x, y = cls([0, 0], 4), cls([1, 1], 4)
+    with pytest.raises(PreconditionViolated, match="chain is not valid"):
+        chain_lower_bound(m, chain, x, y)
+
+
+def test_foreign_point_raises_unknown_point():
+    m = tiny_model()
+    chain = foreign_point_chain(m)
+    for fn in (validate_chain, ref_violations, is_admissible, ref_is_admissible):
+        with pytest.raises(UnknownPoint):
+            fn(m, chain)
+    foreign = next(iter(chain.sets[0] - all_points(m)))
+    with pytest.raises(UnknownPoint):
+        separate(m, [foreign], [cls([0, 0], 4)])
+    for xs, ys in (([foreign], [cls([0, 0], 4)]), ([cls([0, 0], 4)], [foreign])):
+        with pytest.raises(UnknownPoint):
+            find_admissible_chain(m, xs, ys, 2, restrict_to_class=False)
+    with pytest.raises(UnknownPoint):
+        n_neighborhood(m, [foreign], 1)
+
+
+# A two-point discrete space with one mask tampered: minimal open sets that
+# meet while the closure criterion separates, or disjoint minimal open sets
+# while the closure of one side's neighborhood reaches the other side.
+TAMPERED = {
+    "open sets meet": ("_min_open", (0b11, 0b10)),
+    "closure of Y reaches Z": ("_closure", (0b11, 0b10)),
+    "closure of Z reaches Y": ("_closure", (0b01, 0b11)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERED))
+def test_separation_disagreement_raises_in_both(name):
+    sp = FiniteT0Space({"a": {"a"}, "b": {"b"}})
+    attr, masks = TAMPERED[name]
+    setattr(sp, attr, masks)
+    got = assert_agree(separate, ref_separate, sp, ["a"], ["b"])
+    assert got[:2] == ("raised", CertificationError)
+
+
+def test_end_sets_in_two_components_refused():
+    # a - m - b through the closures of q1 and q2, and c on its own
+    sp = FiniteT0Space({"a": "a", "m": "m", "b": "b", "q1": ["q1", "a", "m"], "q2": ["q2", "m", "b"], "c": "c"})
+    assert sp.set_distance(["a", "c"], ["b"]) == 2
+    got = assert_agree(find_admissible_chain, ref_find, sp, ["a", "c"], ["b"], 2, False)
+    assert got == ("raised", PreconditionViolated, "X and Y must lie in one component")
+    got = assert_agree(find_admissible_chain, ref_find, sp, ["a"], ["b"], 2, False)
+    assert got[0] == "returned"
+    assert_chain_agrees(sp, got[1], False)
+
+
+def test_independent_bfs_catches_a_short_path(monkeypatch):
+    m = build_dual_model(7, 1)
+    x, y = cls([0, 0, 0], 7), cls([1, 1, 1], 7)
+    chain = find_admissible_chain(m, [x], [y], 3)
+    i, j = m.space.points.index(x), m.space.points.index(y)
+    adj = list(m.space._adj)
+    adj[i] |= 1 << j
+    adj[j] |= 1 << i
+    monkeypatch.setattr(m.space, "_adj", tuple(adj))
+    assert validate_chain(m, chain).valid
+    with pytest.raises(CertificationError, match="contradicted by graph distance 1"):
+        chain_lower_bound(m, chain, x, y)
+
+
+# Each re-check of the construction must run: with the separation (and the
+# earlier checks) replaced by a faulty one, the named check raises.
+RECHECKS = {
+    "initial separation failed": {"_separate": lambda space, Y, Z: None},
+    "constructed chain is invalid": {"_separate": lambda space, Y, Z: (0, 0)},
+    "does not isolate X": {"_separate": lambda space, Y, Z: (0, 0), "_violations": lambda space, sets: ()},
+    "does not isolate Y": {"_separate": lambda space, Y, Z: (-1, 0), "_violations": lambda space, sets: ()},
+    "is not admissible": {"_admissible": lambda space, sets, within: None},
+}
+
+
+@pytest.mark.parametrize("message", sorted(RECHECKS))
+@pytest.mark.parametrize("k", [2, 3])
+def test_construction_rechecks_run(monkeypatch, message, k):
+    m = build_dual_model(7, 1)
+    for name, fake in RECHECKS[message].items():
+        monkeypatch.setattr(chains, name, fake)
+    with pytest.raises(CertificationError, match=message):
+        find_admissible_chain(m, [cls([0, 0, 0], 7)], [cls([1, 1, 1], 7)], k)
+
+
+def test_class_mask_is_the_class_points():
+    for n, bound in ORACLE_GRID:
+        m = build_dual_model(n, bound)
+        assert m.space._set(m.class_mask) == m.class_points

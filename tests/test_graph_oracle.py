@@ -131,6 +131,34 @@ def test_drawn_truncations_match_oracles(case):
     check_sub_ideal_graph(n, bound)
 
 
+def bounded_largest_diameter(g) -> int:
+    """`largest_diameter` by networkx's exact bounding search (Takes and
+    Kosters) on a copy of each component: on a subgraph view the search
+    took 157 s for the (6, 16) class graph, on the graph itself 33 s."""
+    return max(
+        nx.diameter(g if len(c) == len(g) else g.subgraph(c).copy(), usebounds=True)
+        for c in nx.connected_components(g)
+    )
+
+
+# the (N, bound) table of the model-build record; together about 70 s and
+# 230 MB at most, so they run only under --runslow
+LARGE_TRUNCATIONS = [(8, 10), (6, 16), (5, 40), (9, 8), (10, 6)]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n,bound", LARGE_TRUNCATIONS)
+def test_orc_and_d_at_large_truncations_match_networkx(n, bound):
+    ref = class_reference(n, bound)
+    comps, orc = components_and_orc(build_dual_model(n, bound))
+    assert set(comps) == components_of(ref)
+    assert orc == max(1, bounded_largest_diameter(ref)) == n // 2
+    del ref
+    sub = reference(sub_ideals(n, bound), star_adjacent)
+    assert set(star_graph(n, bound).components()) == components_of(sub)
+    assert big_d(n, bound) == bounded_largest_diameter(sub)
+
+
 @pytest.mark.parametrize("n,bound", [(4, 1), (5, 2), (6, 1), (7, 1)])
 def test_d_star_matches_networkx(n, bound):
     verts = sub_ideals(n, bound)

@@ -23,6 +23,7 @@ from motiondual.primal import (
     merge_certificate,
     min_primal,
     star_adjacent,
+    star_graph,
     star_graph_to_dot,
     star_graph_to_json,
     strictly_contains,
@@ -134,6 +135,17 @@ def test_d_star_examples():
 
 def test_d_star_line_infinite():
     assert d_star(line([0, 0], 4), germ([0, 0], 4), 1) == inf
+
+
+def test_d_star_calls_share_one_star_graph():
+    star_graph.cache_clear()
+    rng = random.Random(3)
+    germs = [SubIdeal(GERM_IDEAL, s) for s in enumerate_signatures(4, 12)]
+    for _ in range(20):
+        x, y = rng.sample(germs, 2)
+        d_star(x, y, 12)
+    info = star_graph.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (1, 19, 16)
 
 
 def test_big_d_values():

@@ -4,11 +4,16 @@ Each oracle check is run against a deliberately broken closed form and must
 fail; with the real closed forms every n of the oracle range must pass.
 """
 
+import random
 import time
+from math import inf
 
 import pytest
 
-from motiondual import verification
+from motiondual import chains, verification
+from motiondual.chains import ChainReport
+from motiondual.dualspace import build_dual_model
+from motiondual.errors import CertificationError
 from motiondual.cli import main
 from motiondual.signatures import Signature, count_signatures, enumerate_signatures
 
@@ -131,3 +136,69 @@ def test_oracle_pairs_counts_the_larger_group():
     assert verification.oracle_pairs(5, 30) == count_signatures(4, 30) ** 2 == 961**2
     # above the oracle range only the zero-tail checks compare pairs, at bound 1
     assert verification.oracle_pairs(12, 30) == count_signatures(12, 1) ** 2
+
+
+# --- the chain-lemma check ------------------------------------------------------
+
+
+def point_set_trials(n, bound, rng):
+    """The random trials of `check_chain_lemma` drawn as it drew them on
+    point sets (sorted class points, `set_distance` over the class points),
+    leaving `rng` where that loop left it."""
+    model = build_dual_model(n, bound)
+    classes = sorted(model.class_points, key=model.space.points.index)
+    trials = []
+    attempts = 0
+    while len(trials) < 51 - (n // 2 >= 2) and attempts < 5000:
+        attempts += 1
+        xs = frozenset(rng.sample(classes, rng.randint(1, min(3, len(classes)))))
+        ys = frozenset(rng.sample(classes, rng.randint(1, min(3, len(classes)))))
+        d = model.space.set_distance(xs, ys, model.class_points)
+        if d == inf or d < 2:
+            continue
+        trials.append((xs, ys, rng.randint(2, int(d))))
+    return trials
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", range(3, 10))
+def test_chain_lemma_draws_the_point_set_trials(monkeypatch, n, seed):
+    """The same trials and the same rng state afterwards, so the
+    merge-certificates check, which shares the rng, sees the same triples."""
+    bound = verification.default_bound(n)
+    built = []
+    real = chains.find_admissible_chain
+
+    def recording(model, X, Y, k, restrict_to_class=True):
+        built.append((frozenset(X), frozenset(Y), k))
+        return real(model, X, Y, k, restrict_to_class)
+
+    monkeypatch.setattr(chains, "find_admissible_chain", recording)
+    rng, expected = random.Random(f"{seed}:{n}"), random.Random(f"{seed}:{n}")
+    result = verification.check_chain_lemma(n, bound, rng)
+    trials = point_set_trials(n, bound, expected)
+    assert result.ok, result
+    assert rng.getstate() == expected.getstate()
+    assert built[n // 2 >= 2 :] == trials
+    assert result.detail == f"{len(built)} chains"
+
+
+def contradicted(*args, **kwargs):
+    raise CertificationError("stand-in")
+
+
+# Each public re-check that the chain-lemma check makes after a construction
+# must run: a failing stand-in for it fails the check.
+FAILING_RECHECKS = {
+    "validate_chain": (lambda model, chain: ChainReport(False, ("stand-in",)), "constructed chain invalid"),
+    "is_admissible": (lambda model, chain, restrict_to_class=True: (False, None, None), "constructed chain inadmissible"),
+    "chain_lower_bound": (contradicted, "stand-in"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_RECHECKS))
+def test_chain_lemma_runs_every_recheck(monkeypatch, name):
+    fake, detail = FAILING_RECHECKS[name]
+    monkeypatch.setattr(chains, name, fake)
+    result = verification.check_chain_lemma(6, 3, random.Random(0))
+    assert not result.ok and result.detail == detail
