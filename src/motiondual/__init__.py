@@ -40,7 +40,6 @@ from .primal import (
     contains_ideal,
     d_star,
     hull,
-    is_primal_family,
     merge_certificate,
     min_primal,
     star_adjacent,
@@ -49,7 +48,6 @@ from .primal import (
     zero_tail_star_step,
 )
 from .signatures import (
-    BranchBox,
     GroupContext,
     Signature,
     Walk,

@@ -66,19 +66,13 @@ def _space_of(obj) -> FiniteT0Space:
     return obj.space if isinstance(obj, DualModel) else obj
 
 
-def _vertices(obj, restrict_to_class: bool) -> frozenset | None:
-    if not restrict_to_class:
-        return None
-    if not isinstance(obj, DualModel):
-        raise PreconditionViolated("class restriction needs a dual model")
-    return obj.class_points
-
-
 def _inside(obj, restrict_to_class: bool) -> int:
     """The mask of the vertices a search may use: the classes when
-    class-restricted, else every point."""
-    if _vertices(obj, restrict_to_class) is None:
+    class-restricted, which needs a dual model, else every point."""
+    if not restrict_to_class:
         return _space_of(obj)._within(None)
+    if not isinstance(obj, DualModel):
+        raise PreconditionViolated("class restriction needs a dual model")
     return obj.class_mask
 
 
@@ -157,11 +151,11 @@ def n_neighborhood(model, Y: Iterable, n: int, restrict_to_class: bool = False) 
     if n < 0:
         raise PreconditionViolated("neighborhood radius must be >= 0")
     space = _space_of(model)
-    within = _vertices(model, restrict_to_class)
+    inside = _inside(model, restrict_to_class)
     Y = frozenset(Y)
-    if within is not None and not Y <= within:
+    if restrict_to_class and not Y <= model.class_points:
         raise PreconditionViolated("class-restricted neighborhoods need class seeds")
-    return space._set(space._ball(space._mask(Y), _inside(model, restrict_to_class), n))
+    return space._set(space._ball(space._mask(Y), inside, n))
 
 
 def validate_chain(model, chain: Chain) -> ChainReport:
@@ -213,8 +207,8 @@ def witness_violations(model, chain: Chain, x, y, restrict_to_class: bool = True
             bad.append("x must lie in the first set and not the second")
         if y not in sets[-1] or y in sets[-2]:
             bad.append("y must lie in the last set and not the second-to-last")
-    within = _vertices(model, restrict_to_class)
-    if within is not None and not {x, y} <= within:
+    _inside(model, restrict_to_class)  # class restriction needs a dual model
+    if restrict_to_class and not {x, y} <= model.class_points:
         bad.append("end witnesses of a class-restricted chain must be classes")
     return tuple(bad)
 
@@ -252,15 +246,14 @@ def find_admissible_chain(model, X: Iterable, Y: Iterable, k: int, restrict_to_c
     shrinking neighborhoods of Y.  The result is re-validated before return.
     """
     space = _space_of(model)
-    within = _vertices(model, restrict_to_class)
+    inside = _inside(model, restrict_to_class)
     X, Y = frozenset(X), frozenset(Y)
     if not X or not Y:
         raise PreconditionViolated("X and Y must be nonempty")
-    if within is not None and not (X | Y) <= within:
+    if restrict_to_class and not (X | Y) <= model.class_points:
         raise PreconditionViolated("class-restricted chains need class end sets")
     if k < 2:
         raise PreconditionViolated("chain construction needs k >= 2")
-    inside = _inside(model, restrict_to_class)
     xm, ym = space._mask(X), space._mask(Y)
     d = space._reach(xm, ym, inside)
     if d < k:

@@ -25,8 +25,6 @@ from .dualspace import Point, build_dual_model, components_and_orc, distance
 from .errors import PreconditionViolated, TheoremViolation
 from .signatures import GroupContext, Signature, enumerate_signatures, walk
 
-GERM = primal_mod.GERM_IDEAL
-
 N2_NOTE = (
     "the ceil(n/2)/2 formula does not apply at n = 2; K(M) = 1 there is an "
     "external input (the plane motion algebra is the one quasi-standard case)"
@@ -61,22 +59,6 @@ class ConstantsReport:
             "checks": [[name, ok] for name, ok in self.checks],
             "certificates": self.certificates,
         }
-
-
-def report_from_dict(payload: dict) -> ConstantsReport:
-    return ConstantsReport(
-        n=int(payload["n"]),
-        bound=payload["bound"],
-        orc_a=int(payload["orc_a"]),
-        d_a=int(payload["d_a"]),
-        orc_ma=int(payload["orc_ma"]),
-        ks_ma=Fraction(payload["ks_ma"]),
-        k_ma=Fraction(payload["k_ma"]),
-        k_a=Fraction(payload["k_a"]),
-        formula_exception=payload.get("formula_exception"),
-        checks=tuple((name, ok) for name, ok in payload.get("checks", [])),
-        certificates=payload.get("certificates"),
-    )
 
 
 def predicted_d(n: int) -> int:

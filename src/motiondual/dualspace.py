@@ -201,7 +201,7 @@ class Graph:
         return self._reach(1 << i, 1 << j, inside)
 
     def set_distance(self, xs: Iterable, ys: Iterable, within: Iterable | None = None):
-        return self._reach(self._mask(xs), self._within(frozenset(ys)), self._within(within))
+        return self._reach(self._mask(xs), self._mask(ys), self._within(within))
 
     def ball(self, s: Iterable, n: int, within: Iterable | None = None) -> frozenset:
         """All points at graph distance <= n from the set."""
@@ -301,18 +301,6 @@ class DualModel:
         """The class points as a mask over `space.points`: the classes come
         first in point order, so it is the mask of the first len(classes)."""
         return (1 << len(self.class_points)) - 1
-
-    def class_point(self, sig: Signature) -> Point:
-        p = Point(CLASS_KIND, sig)
-        if p not in self.class_points:
-            raise UnknownPoint(f"{p} is not in this model (n={self.n}, bound={self.bound})")
-        return p
-
-    def germ_point(self, sig: Signature) -> Point:
-        p = Point(GERM_KIND, sig)
-        if p not in self.germ_points:
-            raise UnknownPoint(f"{p} is not in this model (n={self.n}, bound={self.bound})")
-        return p
 
 
 MAX_SIZE = 8192
@@ -423,15 +411,6 @@ def dual_model_to_json(model: DualModel) -> dict:
         "closures": {p.point_id: sorted(q.point_id for q in space.closure(p)) for p in space.points},
         "edges": sorted([p.point_id, q.point_id] for p, q in space.edges()),
     }
-
-
-def dual_model_from_json(payload: dict) -> DualModel:
-    n = int(payload["n"])
-    bound = int(payload["bound"])
-    model = build_dual_model(n, bound)
-    if dual_model_to_json(model) != payload:
-        raise ValueError("payload does not describe a truncated dual model")
-    return model
 
 
 def dual_model_to_dot(model: DualModel) -> str:

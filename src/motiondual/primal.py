@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 from .dualspace import Graph, require_size
 from .errors import CertificationError, ContextMismatch, PreconditionViolated
@@ -190,13 +189,6 @@ def min_primal(n: int, bound: int) -> list[SubIdeal]:
     if n % 2 == 0:
         return ideals
     return [i for i in ideals if i.kind == LINE_KERNEL or i.sigma.entries[-1] == 0]
-
-
-def is_primal_family(pis: Sequence[Signature]) -> tuple[bool, Signature | None]:
-    """A family of classes has primal intersection iff the restrictions
-    share an irreducible; returns the deterministic witness."""
-    witness = common_restriction(pis)
-    return witness is not None, witness
 
 
 def zero_tail_star_step(sigma: Signature, sigma_prime: Signature) -> bool:
@@ -424,8 +416,7 @@ def validate_certificate(cert: MergeCertificate, bound: int | None = None) -> Ce
             for j, t in enumerate(cert.targets, start=1):
                 if not restricts_to(t, cert.primal_witness):
                     bad.append(f"primal witness is not in the branching set of target {j}")
-        ok, _ = is_primal_family(list(cert.targets))
-        if not ok:
+        if common_restriction(cert.targets) is None:
             bad.append("targets have no common restriction (family not primal)")
     if bound is not None:
         entries = [

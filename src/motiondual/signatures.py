@@ -112,9 +112,6 @@ class Signature:
     def __str__(self) -> str:
         return ",".join(str(e) for e in self.entries)
 
-    def to_dict(self) -> dict:
-        return {"n": self.ctx.n, "entries": list(self.entries)}
-
 
 def int_field(payload: dict, key: str) -> int:
     """`payload[key]`, which must be an integer (not a float, string or
@@ -124,10 +121,6 @@ def int_field(payload: dict, key: str) -> int:
     if type(value) is not int:
         raise SignatureError(f"field {key!r} must be an integer, got {value!r}")
     return value
-
-
-def signature_from_dict(payload: dict) -> Signature:
-    return Signature(tuple(payload["entries"]), GroupContext(int_field(payload, "n")))
 
 
 def validate(entries: Sequence[int], n: int) -> Signature:
@@ -184,31 +177,20 @@ def count_signatures(n: int, bound: int) -> int:
     return comb(bound + k, k) + comb(bound + k - 1, k)
 
 
-@dataclass(frozen=True)
-class BranchBox:
-    """Closed integer intervals, one per coordinate of the child signature.
-
-    The branching set of the parent is exactly the points of this box that
-    are also valid child signatures.
-    """
-
-    intervals: tuple[tuple[int, int], ...]
-    ctx: GroupContext  # child group
-
-
-def branch_box(pi: Signature) -> BranchBox:
-    """Interval hull of the restriction of `pi` to SO(n-1)."""
+def branch_box(pi: Signature) -> tuple[tuple[int, int], ...]:
+    """Interval hull of the restriction of `pi` to SO(n-1): closed integer
+    intervals, one per child coordinate.  The branching set is exactly the
+    points of this box that are valid child signatures."""
     ctx = pi.ctx
-    child = ctx.child
     m = pi.entries
     k = ctx.k
+    if ctx.n < 2:
+        raise PreconditionViolated("SO(1) has no child group")
     if ctx.n == 2:
-        return BranchBox((), child)
+        return ()
     if ctx.parity == EVEN:
-        ivs = tuple((abs(m[i + 1]), m[i]) for i in range(k - 1))
-    else:
-        ivs = tuple((m[i + 1], m[i]) for i in range(k - 1)) + ((-m[k - 1], m[k - 1]),)
-    return BranchBox(ivs, child)
+        return tuple((abs(m[i + 1]), m[i]) for i in range(k - 1))
+    return tuple((m[i + 1], m[i]) for i in range(k - 1)) + ((-m[k - 1], m[k - 1]),)
 
 
 def hull_intervals(sigma: Signature) -> tuple[tuple[int, float], ...]:
@@ -233,11 +215,11 @@ def branch(pi: Signature) -> list[Signature]:
     """
     if pi.ctx.n < 2:
         raise PreconditionViolated("branching needs n >= 2")
-    box = branch_box(pi)
+    child = pi.ctx.child
     out = []
-    for point in itertools.product(*(range(lo, hi + 1) for lo, hi in box.intervals)):
+    for point in itertools.product(*(range(lo, hi + 1) for lo, hi in branch_box(pi))):
         try:
-            out.append(Signature(point, box.ctx))
+            out.append(Signature(point, child))
         except (MonotonicityViolated, NegativeEntry):
             continue
     out.sort(key=lambda s: s.entries)
@@ -421,10 +403,6 @@ def walk_violations(w: Walk) -> tuple[str, ...]:
         if not restricts_to(w.steps[i + 1], wit):
             bad.append(f"witness {i + 1} is not in the branching set of step {i + 2}")
     return tuple(bad)
-
-
-def verify_walk(w: Walk) -> bool:
-    return not walk_violations(w)
 
 
 def _tower(entries: tuple[int, ...], s: list[int], r: int, parity: str, k: int):

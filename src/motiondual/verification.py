@@ -21,6 +21,7 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 from math import inf
 
 from . import chains as chains_mod
@@ -66,12 +67,6 @@ def default_bound(n: int) -> int:
     return 3 if n <= 9 else 1
 
 
-def _pairs(items):
-    for a in items:
-        for b in items:
-            yield a, b
-
-
 def check_oracle_inseparable(n: int, bound: int, rng=None) -> CheckResult:
     """Closed-form inseparability == branching-set intersection, all ordered
     pairs (order independence comes for free).  Each `branch` set is a mask
@@ -82,7 +77,7 @@ def check_oracle_inseparable(n: int, bound: int, rng=None) -> CheckResult:
     index = {c: i for i, c in enumerate(enumerate_signatures(n - 1, bound))}
     masks = [sum(1 << index[c] for c in branch(s)) for s in sigs]
     checked = 0
-    for (a, ma), (b, mb) in _pairs(list(zip(sigs, masks))):
+    for (a, ma), (b, mb) in product(zip(sigs, masks), repeat=2):
         if inseparable(a, b) != bool(ma & mb):
             return CheckResult(n, "oracle-inseparable", False, f"mismatch at {a} vs {b}")
         checked += 1
@@ -101,7 +96,7 @@ def check_oracle_common_extension(n: int, bound: int, rng=None) -> CheckResult:
     below = [sum(1 << i for i, pi in enumerate(parents) if restricts_to(pi, c)) for c in children]
     prefix = [(1 << count_signatures(n, p)) - 1 for p in range(bound + 2)]
     checked = 0
-    for (a, ma), (b, mb) in _pairs(list(zip(children, below))):
+    for (a, ma), (b, mb) in product(zip(children, below), repeat=2):
         probe = max((abs(e) for s in (a, b) for e in s.entries), default=0) + 1
         oracle = bool(ma & mb & prefix[probe])
         got = common_extension([a, b])
@@ -142,7 +137,7 @@ def check_zero_tail_dual(n: int, bound: int, rng=None) -> CheckResult:
     if k < 2:
         return CheckResult(n, "zero-tail-dual", True, "vacuous below k = 2", skipped=True)
     sigs = enumerate_signatures(n, min(bound, 1))
-    for a, b in _pairs(sigs):
+    for a, b in product(sigs, repeat=2):
         if not inseparable(a, b):
             continue
         i = tail_start(a.entries)
@@ -157,7 +152,7 @@ def check_zero_tail_star(n: int, bound: int, rng=None) -> CheckResult:
         return CheckResult(n, "zero-tail-star", True, "applies to odd n only", skipped=True)
     sigmas = enumerate_signatures(n - 1, min(bound, 1))
     germ = primal_mod.GERM_IDEAL
-    for a, b in _pairs(sigmas):
+    for a, b in product(sigmas, repeat=2):
         if not primal_mod.star_adjacent(primal_mod.SubIdeal(germ, a), primal_mod.SubIdeal(germ, b)):
             continue
         if not primal_mod.zero_tail_star_step(a, b):
@@ -302,10 +297,11 @@ def check_mediation_and_separated(n: int, bound: int, rng=None) -> CheckResult:
         return CheckResult(n, "germ-mediation", True, "skipped above n = 9", skipped=True)
     model = build_dual_model(n, min(bound, 2))
     space = model.space
-    classes = sorted(model.class_points, key=space._index.__getitem__)
-    for g in sorted(model.germ_points, key=space._index.__getitem__):
+    # the classes come first in point order, then the germs
+    classes = space.points[: len(model.class_points)]
+    for g in space.points[len(classes) :]:
         hullpts = [p for p in space.neighbors(g) if p in model.class_points]
-        for a, b in _pairs(hullpts):
+        for a, b in product(hullpts, repeat=2):
             if not space.inseparable(a, b):
                 return CheckResult(n, "germ-mediation", False, f"open triangle through {g}")
     for a in classes:
@@ -329,9 +325,9 @@ def check_distance_stability(n: int, bound: int, rng=None) -> CheckResult:
     m3 = build_dual_model(n, 3)
     m4 = build_dual_model(n, 4)
     for a in small:
-        pa3, pa4 = Point("class", a), Point("class", a)
-        d3 = m3.space.bfs([pa3], m3.class_points)
-        d4 = m4.space.bfs([pa4], m4.class_points)
+        pa = Point("class", a)
+        d3 = m3.space.bfs([pa], m3.class_points)
+        d4 = m4.space.bfs([pa], m4.class_points)
         for b in small:
             pb = Point("class", b)
             if d3.get(pb, inf) != d4.get(pb, inf):
@@ -356,23 +352,6 @@ CHECKS = (
     check_distance_stability,
 )
 
-CHECK_NAMES = (
-    "oracle-inseparable",
-    "oracle-common-extension",
-    "oracle-restriction",
-    "zero-tail-dual",
-    "zero-tail-star",
-    "orc",
-    "big-d",
-    "min-primal-parity",
-    "constants-cross-check",
-    "walk-validity",
-    "chain-lemma",
-    "merge-certificates",
-    "germ-mediation",
-    "distance-stability",
-)
-
 
 def run_checks_for_n(n: int, bound: int | None, seed: int) -> list[CheckResult]:
     b = default_bound(n) if bound is None else bound
@@ -383,15 +362,15 @@ def run_checks_for_n(n: int, bound: int | None, seed: int) -> list[CheckResult]:
 @dataclass(frozen=True)
 class SweepSummary:
     results: tuple[CheckResult, ...]
+    names: tuple[str, ...]  # the check names in `CHECKS` order
     ok: bool
 
     def render(self) -> str:
         ns = sorted({r.n for r in self.results})
-        names = list(CHECK_NAMES)
         by_key = {(r.n, r.name): r for r in self.results}
-        width = max(len(name) for name in names) + 2
+        width = max(len(name) for name in self.names) + 2
         lines = [" " * width + " ".join(f"{n:>3}" for n in ns)]
-        for name in names:
+        for name in self.names:
             marks = []
             for n in ns:
                 r = by_key.get((n, name))
@@ -399,7 +378,7 @@ class SweepSummary:
                     marks.append("  .")
                 else:
                     marks.append("  +" if r.ok else "  X")
-            lines.append(f"{name:<{width}}" + " ".join(m[-3:] for m in marks))
+            lines.append(f"{name:<{width}}" + " ".join(marks))
         failures = [r for r in self.results if not r.ok]
         ran = [r for r in self.results if not r.skipped]
         lines.append(f"checks passed: {len(ran) - len(failures)}/{len(ran)} (+ {len(self.results) - len(ran)} not applicable)")
@@ -468,4 +447,4 @@ def run_sweep(n_min: int, n_max: int, bound: int | None = None, seed: int = 0, j
         chunks = [run_checks_for_n(*t) for t in tasks]
     results = tuple(r for chunk in chunks for r in chunk)
     results = tuple(sorted(results, key=lambda r: (r.n, r.name)))
-    return SweepSummary(results, all(r.ok for r in results))
+    return SweepSummary(results, tuple(r.name for r in chunks[0]), all(r.ok for r in results))

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from motiondual.cli import main
+from motiondual.dualspace import build_dual_model, dual_model_to_json
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -108,11 +109,8 @@ def test_chain_check_refuses_model_above_size_cap(capsys, tmp_path):
 
 def test_graph_json_roundtrips(capsys):
     code, out, _ = run(["graph", "--n", "4", "--kind", "dual", "--bound", "1", "--format", "json"], capsys)
-    payload = json.loads(out)
-    from motiondual.dualspace import dual_model_from_json
-
-    model = dual_model_from_json(payload)
-    assert model.n == 4 and model.bound == 1
+    assert code == 0
+    assert json.loads(out) == dual_model_to_json(build_dual_model(4, 1))
 
 
 # --- distance / walk / chain / certify -------------------------------------------

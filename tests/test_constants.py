@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -10,7 +9,6 @@ from motiondual.constants import (
     predict,
     predicted_d,
     render_table,
-    report_from_dict,
 )
 from motiondual.errors import PreconditionViolated, TheoremViolation
 
@@ -87,12 +85,6 @@ def test_cross_check_names_failed_identity(monkeypatch):
         cross_check(5, 1)
     assert any("parity formula" in name for name in exc.value.failed)
     assert getattr(exc.value, "report").d_a == 99
-
-
-def test_report_json_roundtrip():
-    r = cross_check(6, 1)
-    payload = json.loads(json.dumps(r.to_dict()))
-    assert report_from_dict(payload) == r
 
 
 def test_render_table():

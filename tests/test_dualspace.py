@@ -18,7 +18,6 @@ from motiondual.dualspace import (
     build_dual_model,
     components_and_orc,
     distance,
-    dual_model_from_json,
     dual_model_to_dot,
     dual_model_to_json,
     glimm_partition,
@@ -91,7 +90,8 @@ def test_build_accepts_bound_zero():
 
 def test_germ_closure_is_hull():
     m = build_dual_model(4, 1)
-    g = m.germ_point(validate([1], 3))
+    g = germ([1], 3)
+    assert g in m.germ_points
     cl = m.space.closure(g)
     assert g in cl
     assert {p.sig.entries for p in cl if p.kind == CLASS_KIND} == {(1, -1), (1, 0), (1, 1)}
@@ -339,6 +339,19 @@ def test_distance_restriction_requires_class():
         distance(m, germ([1], 3), cls([1, 1], 4), restrict_to_class=True)
 
 
+def test_set_distance_refuses_a_point_outside_the_graph():
+    # (3,3) lies beyond bound 1: as a target it is an unknown point, as it
+    # is as a source, not an unreachable one at distance inf
+    m = build_dual_model(5, 1)
+    x, outside = cls([0, 0], 5), cls([3, 3], 5)
+    for xs, ys in (([x], [outside]), ([outside], [x]), ([x], [cls([1, 1], 5), outside])):
+        with pytest.raises(UnknownPoint):
+            m.space.set_distance(xs, ys)
+        with pytest.raises(UnknownPoint):
+            m.space.set_distance(xs, ys, m.class_points)
+    assert m.space.set_distance([x], [cls([1, 1], 5)], m.class_points) == 2
+
+
 def test_germ_mediation_no_shortcuts():
     m = build_dual_model(6, 2)
     classes = sorted(m.class_points, key=str)
@@ -398,8 +411,8 @@ def test_glimm_partition_bound_zero():
 def test_json_roundtrip():
     m = build_dual_model(4, 1)
     payload = json.loads(json.dumps(dual_model_to_json(m)))
-    m2 = dual_model_from_json(payload)
-    assert m2.n == 4 and m2.bound == 1
+    assert payload == dual_model_to_json(m)
+    assert payload["n"] == 4 and payload["bound"] == 1
 
 
 def test_point_from_id():

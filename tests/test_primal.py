@@ -19,7 +19,6 @@ from motiondual.primal import (
     expected_k_bound,
     hull,
     implied_k_bound,
-    is_primal_family,
     merge_certificate,
     min_primal,
     star_adjacent,
@@ -32,7 +31,7 @@ from motiondual.primal import (
     validate_certificate,
     zero_tail_star_step,
 )
-from motiondual.signatures import Signature, Walk, enumerate_signatures, restricts_to, validate
+from motiondual.signatures import Signature, Walk, common_restriction, enumerate_signatures, restricts_to, validate
 
 
 def germ(entries, n_child):
@@ -194,20 +193,21 @@ def test_strict_containment_parity(n):
 # --- primal families ---------------------------------------------------------------
 
 
-def test_is_primal_family_singleton():
-    ok, w = is_primal_family([validate([2, 1], 5)])
-    assert ok and w is not None
+# a family of classes is primal iff their restrictions share an irreducible
 
 
-def test_is_primal_family_triple():
+def test_common_restriction_of_singleton_family():
+    assert common_restriction([validate([2, 1], 5)]) is not None
+
+
+def test_common_restriction_of_primal_triple():
     fam = [validate([2, 1, 0], 6), validate([2, 2, 0], 6), validate([2, 1, 0], 6)]
-    ok, w = is_primal_family(fam)
-    assert ok and all(restricts_to(p, w) for p in fam)
+    w = common_restriction(fam)
+    assert w is not None and all(restricts_to(p, w) for p in fam)
 
 
-def test_is_primal_family_false():
-    ok, w = is_primal_family([validate([1, 1], 4), validate([2, 2], 4)])
-    assert not ok and w is None
+def test_common_restriction_of_non_primal_pair():
+    assert common_restriction([validate([1, 1], 4), validate([2, 2], 4)]) is None
 
 
 # --- tail step -----------------------------------------------------------------------

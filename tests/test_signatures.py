@@ -23,12 +23,10 @@ from motiondual.signatures import (
     inseparable,
     merge_max,
     restricts_to,
-    signature_from_dict,
     validate,
     walk,
     walk_from_dict,
     walk_violations,
-    verify_walk,
 )
 
 
@@ -129,15 +127,15 @@ def test_enumeration_cache_is_bounded():
 
 
 def test_branch_box_even():
-    assert branch_box(sig([1, 0], 4)).intervals == ((0, 1),)
+    assert branch_box(sig([1, 0], 4)) == ((0, 1),)
 
 
 def test_branch_box_odd():
-    assert branch_box(sig([2, 1], 5)).intervals == ((1, 2), (-1, 1))
+    assert branch_box(sig([2, 1], 5)) == ((1, 2), (-1, 1))
 
 
 def test_branch_box_zero():
-    assert branch_box(sig([0, 0, 0], 7)).intervals == ((0, 0), (0, 0), (0, 0))
+    assert branch_box(sig([0, 0, 0], 7)) == ((0, 0), (0, 0), (0, 0))
 
 
 def test_branch_examples():
@@ -173,7 +171,7 @@ def test_restricts_to_matches_branch_box(n):
     for bound in range(4):
         children = enumerate_signatures(n - 1, bound + 1)
         for pi in enumerate_signatures(n, bound):
-            box = branch_box(pi).intervals
+            box = branch_box(pi)
             for s in children:
                 assert restricts_to(pi, s) == all(lo <= v <= hi for v, (lo, hi) in zip(s.entries, box)), (pi, s)
 
@@ -305,7 +303,7 @@ def test_walk_extremal_length_k():
         k = n // 2
         w = walk(sig([0] * k, n), sig([1] * k, n))
         assert w.length == k
-        assert verify_walk(w)
+        assert not walk_violations(w)
 
 
 def test_walk_trivial():
@@ -322,7 +320,7 @@ def test_walk_so3_single_step():
 
 def test_walk_n4_bounded():
     w = walk(sig([1, 1], 4), sig([2, 2], 4))
-    assert w.length <= 2 and verify_walk(w)
+    assert w.length <= 2 and not walk_violations(w)
 
 
 @given(st.integers(3, 9), st.data())
@@ -334,16 +332,16 @@ def test_walk_properties(n, data):
     w = walk(a, b)
     assert w.steps[0] == a and w.steps[-1] == b
     assert w.length <= n // 2
-    assert verify_walk(w)
+    assert not walk_violations(w)
     for i in range(w.length):
         assert inseparable(w.steps[i], w.steps[i + 1])
 
 
 def test_walk_violations_detects_tampering():
     w = walk(sig([0, 0], 5), sig([2, 2], 5))
-    assert verify_walk(w)
+    assert not walk_violations(w)
     bad = type(w)(w.steps, (sig([9, 9], 4),) + w.witnesses[1:])
-    assert not verify_walk(bad)
+    assert walk_violations(bad)
 
 
 # --- zero tail --------------------------------------------------------------
@@ -372,23 +370,14 @@ def test_zero_tail_dual(n):
 # --- serialization ----------------------------------------------------------
 
 
-def test_signature_json_roundtrip():
-    s = sig([2, 1, -1], 6)
-    assert signature_from_dict(s.to_dict()) == s
-    assert str(s) == "2,1,-1"
+def test_signature_str():
+    assert str(sig([2, 1, -1], 6)) == "2,1,-1"
 
 
 @pytest.mark.parametrize("entries", [(1.9, 0), ("1", "0"), (True, False), (1.0, 0)])
 def test_signature_rejects_non_integer_entries(entries):
     with pytest.raises(SignatureError, match="must be integers"):
         Signature(entries, GroupContext(4))
-    with pytest.raises(SignatureError):
-        signature_from_dict({"n": 4, "entries": list(entries)})
-
-
-def test_signature_from_dict_rejects_non_integer_n():
-    with pytest.raises(SignatureError, match="must be an integer"):
-        signature_from_dict({"n": 4.0, "entries": [1, 0]})
 
 
 def test_walk_json_roundtrip():
