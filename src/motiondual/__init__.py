@@ -1,15 +1,12 @@
 """Combinatorial invariants of the duals of the Euclidean motion groups."""
 
-from .constants import ConstantsReport, cross_check, predict, render_table
+from .constants import cross_check, predict, render_table
 from .chains import (
-    Chain,
     chain_lower_bound,
     find_admissible_chain,
     is_admissible,
-    n_neighborhood,
     separate,
     validate_chain,
-    verify_property1,
 )
 from .dualspace import (
     DualModel,
@@ -38,7 +35,6 @@ from .primal import (
     SubIdeal,
     big_d,
     contains_ideal,
-    d_star,
     hull,
     merge_certificate,
     min_primal,
@@ -52,7 +48,6 @@ from .signatures import (
     Signature,
     Walk,
     branch,
-    branch_box,
     common_extension,
     common_restriction,
     enumerate_signatures,

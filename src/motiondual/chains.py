@@ -18,6 +18,12 @@ a chain is built, validated and re-checked without hashing its points.
 Topological operations (closure, separation, neighborhoods used during
 construction) run on the full model relation; distance certificates are
 class-restricted by default, matching the faithful metric on the classes.
+
+The chain lemma rests on the paper's Property 1: the classes form a closed,
+relatively discrete set, and one-step neighborhoods of closed sets are
+closed.  The `chain-lemma` check of the verification sweep
+(`verification.check_chain_lemma`) tests it on the model's masks before it
+builds any chain.
 """
 
 from __future__ import annotations
@@ -33,16 +39,13 @@ from .errors import CertificationError, PreconditionViolated
 __all__ = [
     "Chain",
     "ChainReport",
-    "Property1Report",
     "chain_for_distance",
     "chain_lower_bound",
     "chain_to_json",
     "find_admissible_chain",
     "is_admissible",
-    "n_neighborhood",
     "separate",
     "validate_chain",
-    "verify_property1",
     "witness_violations",
 ]
 
@@ -144,18 +147,6 @@ def _separate(space: FiniteT0Space, Y: int, Z: int) -> tuple[int, int] | None:
             "separation by minimal open sets disagrees with the closure criterion"
         )
     return (U, V) if found else None
-
-
-def n_neighborhood(model, Y: Iterable, n: int, restrict_to_class: bool = False) -> frozenset:
-    """All points at graph distance <= n from Y; Y^0 = Y."""
-    if n < 0:
-        raise PreconditionViolated("neighborhood radius must be >= 0")
-    space = _space_of(model)
-    inside = _inside(model, restrict_to_class)
-    Y = frozenset(Y)
-    if restrict_to_class and not Y <= model.class_points:
-        raise PreconditionViolated("class-restricted neighborhoods need class seeds")
-    return space._set(space._ball(space._mask(Y), inside, n))
 
 
 def validate_chain(model, chain: Chain) -> ChainReport:
@@ -290,46 +281,6 @@ def find_admissible_chain(model, X: Iterable, Y: Iterable, k: int, restrict_to_c
     if _admissible(space, sets, inside) is None:
         raise CertificationError("constructed chain is not admissible")
     return Chain(tuple(space._set(s) for s in sets))
-
-
-@dataclass(frozen=True)
-class Property1Report:
-    ok: bool
-    witness: frozenset
-    checks: tuple[tuple[str, bool], ...]
-    notes: tuple[str, ...]
-
-
-def verify_property1(model: DualModel, sample_limit: int = 16) -> Property1Report:
-    """Exhibit the class-point set as a closed, relatively discrete set
-    containing every non-singleton component of the faithful relation, and
-    spot-check that one-step neighborhoods of closed sample sets are closed.
-    """
-    space = model.space
-    checks: list[tuple[str, bool]] = []
-    classes = model.class_points
-    checks.append(("class set closed", space.is_closed(classes)))
-    checks.append(
-        ("class set relatively discrete", all(space.closure(p) == frozenset([p]) for p in classes))
-    )
-    non_singleton = [c for c in space.components(classes) if len(c) > 1]
-    checks.append(
-        ("non-singleton components covered", all(c <= classes for c in non_singleton))
-    )
-    samples: list[frozenset] = [frozenset(), frozenset(classes), frozenset(space.points)]
-    germs = [p for p in space.points if p in model.germ_points]
-    for g in germs[:sample_limit]:
-        samples.append(space.closure(g))
-    if len(germs) >= 2:
-        samples.append(space.closure(germs[0]) | space.closure(germs[-1]))
-    ok_samples = all(space.is_closed(space.ball(s, 1)) for s in samples)
-    checks.append(("one-step neighborhoods of closed samples closed", ok_samples))
-    notes = (
-        "model artifact: each germ is inseparable from its hull, standing in for "
-        "a half-line of separated points; the faithful relation treats germs as "
-        "singleton components",
-    )
-    return Property1Report(all(ok for _, ok in checks), classes, tuple(checks), notes)
 
 
 def chain_to_json(model: DualModel, chain: Chain, x=None, y=None, restrict_to_class: bool = True) -> dict:

@@ -113,7 +113,8 @@ class Graph:
     i and j are joined.  Every traversal runs the one layered search
     `_layers`, optionally restricted to a vertex subset `within`, which is
     turned into a mask once per call (points outside the graph are
-    ignored); vertex objects are looked up only at the API edge.
+    ignored) unless it is given as a mask; vertex objects are looked up
+    only at the API edge.
     """
 
     def __init__(self, points: Iterable, adjacency: Iterable[int]):
@@ -143,11 +144,13 @@ class Graph:
         pts = self.points
         return frozenset(pts[i] for i in _members(mask))
 
-    def _within(self, within: Iterable | None) -> int:
+    def _within(self, within: Iterable | int | None) -> int:
         """The mask of `within` (every vertex for None), ignoring points
-        outside the graph."""
+        outside the graph; a mask is passed through as it is."""
         if within is None:
             return (1 << len(self.points)) - 1
+        if isinstance(within, int):
+            return within
         return reduce(or_, (1 << i for i in map(self._index.get, within) if i is not None), 0)
 
     def _layers(self, sources: int, within: int, stop: int = 0, radius: float = inf) -> Iterator[int]:
@@ -187,27 +190,27 @@ class Graph:
         pts = self.points
         return [(pts[i], pts[j]) for i, m in enumerate(self._adj) for j in _members(m) if i < j]
 
-    def bfs(self, sources: Iterable, within: Iterable | None = None) -> dict:
+    def bfs(self, sources: Iterable, within: Iterable | int | None = None) -> dict:
         """Graph distances from the source set, restricted to `within`."""
         pts = self.points
         layers = self._layers(self._mask(sources), self._within(within))
         return {pts[i]: d for d, layer in enumerate(layers) for i in _members(layer)}
 
-    def distance(self, x, y, within: Iterable | None = None):
+    def distance(self, x, y, within: Iterable | int | None = None):
         i, j = self._ids((x, y))
         inside = self._within(within)
         if not (inside >> i & 1 and inside >> j & 1):
             raise PreconditionViolated("distance endpoints must lie in the restricted vertex set")
         return self._reach(1 << i, 1 << j, inside)
 
-    def set_distance(self, xs: Iterable, ys: Iterable, within: Iterable | None = None):
+    def set_distance(self, xs: Iterable, ys: Iterable, within: Iterable | int | None = None):
         return self._reach(self._mask(xs), self._mask(ys), self._within(within))
 
-    def ball(self, s: Iterable, n: int, within: Iterable | None = None) -> frozenset:
+    def ball(self, s: Iterable, n: int, within: Iterable | int | None = None) -> frozenset:
         """All points at graph distance <= n from the set."""
         return self._set(self._ball(self._mask(s), self._within(within), n))
 
-    def components(self, within: Iterable | None = None) -> tuple[frozenset, ...]:
+    def components(self, within: Iterable | int | None = None) -> tuple[frozenset, ...]:
         left = self._within(within)
         comps = []
         while left:
@@ -216,7 +219,7 @@ class Graph:
             left &= ~comp
         return tuple(comps)
 
-    def diameter(self, within: Iterable | None = None) -> int:
+    def diameter(self, within: Iterable | int | None = None) -> int:
         """Largest component diameter, i.e. the largest eccentricity of a
         vertex; 0 when every component is a singleton."""
         inside = self._within(within)
@@ -363,14 +366,14 @@ def separated_points(model: DualModel) -> frozenset:
 def distance(model: DualModel, x, y, restrict_to_class: bool = True):
     """BFS distance in the inseparability graph; class-restricted by default
     (the faithful distance, since the half-line points are separated)."""
-    return model.space.distance(x, y, model.class_points if restrict_to_class else None)
+    return model.space.distance(x, y, model.class_mask if restrict_to_class else None)
 
 
 def components_and_orc(model: DualModel) -> tuple[tuple[frozenset, ...], int]:
     """Components of the class-restricted graph and the connecting order:
     the largest component diameter, a singleton component counting 1."""
-    comps = model.space.components(model.class_points)
-    return comps, max(1, model.space.diameter(model.class_points))
+    comps = model.space.components(model.class_mask)
+    return comps, max(1, model.space.diameter(model.class_mask))
 
 
 @dataclass(frozen=True)
@@ -384,7 +387,7 @@ class GlimmPartition:
 
 
 def glimm_partition(model: DualModel) -> GlimmPartition:
-    class_comps = model.space.components(model.class_points)
+    class_comps = model.space.components(model.class_mask)
     germ_blocks = tuple(frozenset([g]) for g in model.space.points if g in model.germ_points)
     blocks = tuple(class_comps) + germ_blocks
     return GlimmPartition(blocks, len(class_comps), len(class_comps) == 1)

@@ -116,10 +116,6 @@ def contains_ideal(I: SubIdeal, J: SubIdeal) -> bool:
     )
 
 
-def strictly_contains(I: SubIdeal, J: SubIdeal) -> bool:
-    return contains_ideal(I, J) and not contains_ideal(J, I)
-
-
 def star_adjacent(I: SubIdeal, J: SubIdeal) -> bool:
     """True when the two sub-ideals sum to a proper ideal.  Reflexive; a
     line kernel is maximal, hence adjacent only to itself; two germ ideals
@@ -133,12 +129,13 @@ def star_adjacent(I: SubIdeal, J: SubIdeal) -> bool:
     return common_extension([I.sigma, J.sigma]) is not None
 
 
-@lru_cache(maxsize=16)  # as `build_dual_model`; d_star, big_d and the exports share a build
+@lru_cache(maxsize=16)  # as `build_dual_model`; big_d and the graph exports share a build
 def star_graph(n: int, bound: int) -> Graph:
     """The sub-ideal graph on `sub_ideals(n, bound)`, with the adjacency of
     `star_adjacent`: line kernels are isolated, and two germ ideals are
     joined when their hulls meet, i.e. when their hull intervals overlap in
-    every coordinate (the hull being the product of its intervals)."""
+    every coordinate (the hull being the product of its intervals).  Its
+    `distance` is the sub-ideal distance d* on the truncated vertex set."""
     ideals = sub_ideals(n, bound)
     hulls = [hull_intervals(i.sigma) for i in ideals if i.kind == GERM_IDEAL]  # germs come first
     adj = [0] * len(ideals)
@@ -148,17 +145,6 @@ def star_graph(n: int, bound: int) -> Graph:
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
     return Graph(ideals, adj)
-
-
-def d_star(I: SubIdeal, J: SubIdeal, bound: int):
-    """BFS distance in the sub-ideal graph over the truncated vertex set,
-    enlarged when needed to hold both ends."""
-    if I.sigma.ctx != J.sigma.ctx:
-        raise ContextMismatch("sub-ideals live in different groups")
-    if I == J:
-        return 0
-    needed = max(abs(e) for i in (I, J) for e in (*i.sigma.entries, 0))
-    return star_graph(I.parent_n, max(bound, needed)).distance(I, J)
 
 
 def big_d(n: int, bound: int) -> int:

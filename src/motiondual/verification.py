@@ -28,7 +28,7 @@ from . import chains as chains_mod
 from . import constants as constants_mod
 from . import primal as primal_mod
 from . import signatures as sig_mod
-from .dualspace import Point, build_dual_model, components_and_orc, separated_points
+from .dualspace import Point, _union, build_dual_model, components_and_orc, separated_points
 from .errors import MotionDualError, PreconditionViolated
 from .signatures import (
     Signature,
@@ -232,12 +232,39 @@ def check_walks(n: int, bound: int, rng: random.Random) -> CheckResult:
     return CheckResult(n, "walk-validity", True, f"{len(sample)} pairs")
 
 
+def _property1_violation(model) -> str:
+    """Why the model breaks the paper's Property 1, on masks; "" when it
+    holds.  Each class closure must be the class alone, so the class set is
+    closed and relatively discrete, and the one-step neighborhood of each
+    closed sample must be closed.  The samples are the empty set, the
+    classes, every point, the first 16 germ closures and the union of the
+    first and last germ closure (the germs follow the classes)."""
+    space = model.space
+    cl = space._closure
+    classes = len(model.class_points)
+    if any(cl[i] != 1 << i for i in range(classes)):
+        return "Property 1 fails: the class set is not closed and relatively discrete"
+    everything = space._within(None)
+    germs = cl[classes:]
+    samples = [0, model.class_mask, everything, *germs[:16]]
+    if len(germs) >= 2:
+        samples.append(germs[0] | germs[-1])
+    for s in samples:
+        ball = space._ball(s, everything, 1)
+        if _union(cl, ball) != ball:
+            return "Property 1 fails: a one-step neighborhood of a closed set is not closed"
+    return ""
+
+
 def check_chain_lemma(n: int, bound: int, rng: random.Random) -> CheckResult:
     """Admissible chains never overestimate the distance: systematic for the
-    extremal pair plus seeded random class-set pairs."""
+    extremal pair plus seeded random class-set pairs.  Property 1, which the
+    chain lemma rests on, is checked first and draws nothing from `rng`."""
     if n > 9:
         return CheckResult(n, "chain-lemma", True, "skipped above n = 9", skipped=True)
     model = build_dual_model(n, bound)
+    if bad := _property1_violation(model):
+        return CheckResult(n, "chain-lemma", False, bad)
     k = n // 2
     ctx = sig_mod.GroupContext(n)
     x = Point("class", Signature((0,) * k, ctx))
@@ -306,7 +333,7 @@ def check_mediation_and_separated(n: int, bound: int, rng=None) -> CheckResult:
                 return CheckResult(n, "germ-mediation", False, f"open triangle through {g}")
     for a in classes:
         full = space.bfs([a])
-        restricted = space.bfs([a], model.class_points)
+        restricted = space.bfs([a], model.class_mask)
         for b in classes:
             if full.get(b, inf) != restricted.get(b, inf):
                 return CheckResult(n, "germ-mediation", False, f"shortcut between {a} and {b}")
@@ -326,8 +353,8 @@ def check_distance_stability(n: int, bound: int, rng=None) -> CheckResult:
     m4 = build_dual_model(n, 4)
     for a in small:
         pa = Point("class", a)
-        d3 = m3.space.bfs([pa], m3.class_points)
-        d4 = m4.space.bfs([pa], m4.class_points)
+        d3 = m3.space.bfs([pa], m3.class_mask)
+        d4 = m4.space.bfs([pa], m4.class_mask)
         for b in small:
             pb = Point("class", b)
             if d3.get(pb, inf) != d4.get(pb, inf):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motiondual import chains
+from motiondual import chains, verification
 from motiondual.chains import (
     Chain,
     chain_from_json,
@@ -13,10 +13,8 @@ from motiondual.chains import (
     chain_to_json,
     find_admissible_chain,
     is_admissible,
-    n_neighborhood,
     separate,
     validate_chain,
-    verify_property1,
 )
 from motiondual.dualspace import CLASS_KIND, DualModel, FiniteT0Space, Point, build_dual_model
 from motiondual.errors import CertificationError, PreconditionViolated, UnknownPoint
@@ -37,20 +35,20 @@ def all_points(model):
 def test_neighborhood_zero_is_identity():
     m = build_dual_model(4, 2)
     y = frozenset([cls([1, 1], 4)])
-    assert n_neighborhood(m, y, 0) == y
+    assert m.space.ball(y, 0) == y
 
 
 def test_neighborhood_saturates_at_diameter():
     m = build_dual_model(5, 1)
     y = frozenset([cls([0, 0], 5)])
-    big = n_neighborhood(m, y, 10, restrict_to_class=True)
+    big = m.space.ball(y, 10, m.class_points)
     assert big == m.class_points  # one component
 
 
 def test_neighborhood_class_restricted_adjacency_scan():
     m = build_dual_model(4, 2)
     y = frozenset([cls([2, 2], 4)])
-    got = n_neighborhood(m, y, 1, restrict_to_class=True)
+    got = m.space.ball(y, 1, m.class_points)
     expect = {p for p in m.class_points if m.space.inseparable(p, cls([2, 2], 4))}
     assert got == frozenset(expect) | y
 
@@ -60,18 +58,11 @@ def test_neighborhood_monotone_and_additive():
     y = frozenset([cls([0, 0, 0], 6)])
     prev = y
     for n in range(4):
-        cur = n_neighborhood(m, y, n)
+        cur = m.space.ball(y, n)
         assert prev <= cur
         prev = cur
-    two_then_one = n_neighborhood(m, n_neighborhood(m, y, 2), 1)
-    assert two_then_one == n_neighborhood(m, y, 3)
-
-
-def test_neighborhood_rejects_germ_seed_when_restricted():
-    m = build_dual_model(4, 1)
-    g = next(iter(m.germ_points))
-    with pytest.raises(PreconditionViolated):
-        n_neighborhood(m, [g], 1, restrict_to_class=True)
+    two_then_one = m.space.ball(m.space.ball(y, 2), 1)
+    assert two_then_one == m.space.ball(y, 3)
 
 
 # --- chain validation ---------------------------------------------------------
@@ -242,10 +233,7 @@ def test_chain_roundtrip_json():
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_property1_witness(n):
-    rep = verify_property1(build_dual_model(n, 2))
-    assert rep.ok, rep.checks
-    assert rep.witness == build_dual_model(n, 2).class_points
-    assert any("one-step neighborhoods" in name for name, _ in rep.checks)
+    assert verification._property1_violation(build_dual_model(n, 2)) == ""
 
 
 def test_property1_empty_sample_closed():
@@ -429,8 +417,6 @@ def test_mask_chains_match_reference_oracle(n, bound):
         ys = rng.sample(m.space.points, rng.randint(1, 3))
         zs = rng.sample(m.space.points, rng.randint(1, 3))
         assert_agree(separate, ref_separate, m, ys, zs)
-        radius = rng.randint(0, 3)
-        assert n_neighborhood(m, ys, radius) == m.space.ball(ys, radius)
 
 
 def class_sets(max_classes):
@@ -499,7 +485,7 @@ def test_foreign_point_raises_unknown_point():
         with pytest.raises(UnknownPoint):
             find_admissible_chain(m, xs, ys, 2, restrict_to_class=False)
     with pytest.raises(UnknownPoint):
-        n_neighborhood(m, [foreign], 1)
+        m.space.ball([foreign], 1)
 
 
 # A two-point discrete space with one mask tampered: minimal open sets that

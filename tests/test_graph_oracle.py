@@ -31,7 +31,6 @@ from motiondual.dualspace import (  # noqa: E402
 )
 from motiondual.primal import (  # noqa: E402
     big_d,
-    d_star,
     star_adjacent,
     star_graph,
     star_graph_to_dot,
@@ -163,9 +162,10 @@ def test_orc_and_d_at_large_truncations_match_networkx(n, bound):
 def test_d_star_matches_networkx(n, bound):
     verts = sub_ideals(n, bound)
     ref = reference(verts, star_adjacent)
+    graph = star_graph(n, bound)
     for x, lengths in nx.all_pairs_shortest_path_length(ref):
         for y in verts:
-            assert d_star(x, y, bound) == lengths.get(y, inf)
+            assert graph.distance(x, y) == lengths.get(y, inf)
 
 
 def pairwise_scan(vertices, related, label) -> list:

@@ -35,3 +35,46 @@ def test_guard_reports_an_unused_import():
     source = "from typing import Iterable, Sequence\n\ndef f(xs: Iterable):\n    return xs\n"
     assert unused_imports(source) == ["line 1: Sequence"]
     assert unused_imports("import os.path\nos.sep\n") == []
+
+
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
+# Kept without a caller: the closed-form ideal containment that the ROADMAP
+# keeps next to its `hull` oracle in the tests.
+UNCALLED_EXPORTS = {"contains_ideal"}
+
+
+def references(source: str) -> set[str]:
+    """Every name, attribute and string constant the source mentions."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def exports() -> dict[str, str]:
+    """Each name `__init__.py` re-exports, with the module it comes from."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {
+        alias.asname or alias.name: node.module
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+
+
+def test_every_export_has_a_caller():
+    """A name the package exports is used by the benchmark or by another
+    library module; a name only the tests call is not library API."""
+    bench = set().union(*(references(p.read_text()) for p in PERFBENCH.glob("*.py")))
+    used = {p.stem: references(p.read_text()) for p in MODULES}
+    uncalled = sorted(
+        name
+        for name, home in exports().items()
+        if name not in bench and not any(name in refs for stem, refs in used.items() if stem != home)
+    )
+    assert uncalled == sorted(UNCALLED_EXPORTS)

@@ -15,7 +15,6 @@ from motiondual.primal import (
     certificate_from_dict,
     claimed_steps,
     contains_ideal,
-    d_star,
     expected_k_bound,
     hull,
     implied_k_bound,
@@ -25,7 +24,6 @@ from motiondual.primal import (
     star_graph,
     star_graph_to_dot,
     star_graph_to_json,
-    strictly_contains,
     sub_ideals,
     target_count,
     validate_certificate,
@@ -73,7 +71,6 @@ def test_contains_ideal_n3():
     # the germ ideal at 1 strictly contains the germ ideal at 0
     assert contains_ideal(germ([1], 2), germ([0], 2))
     assert not contains_ideal(germ([0], 2), germ([1], 2))
-    assert strictly_contains(germ([1], 2), germ([0], 2))
     assert contains_ideal(germ([1], 2), germ([1], 2))
 
 
@@ -87,13 +84,15 @@ def test_no_strict_containment_even_n():
         for b in enumerate_signatures(3, 2):
             if a == b:
                 continue
-            assert not strictly_contains(germ(a.entries, 3), germ(b.entries, 3))
+            ga, gb = germ(a.entries, 3), germ(b.entries, 3)
+            assert not (contains_ideal(ga, gb) and not contains_ideal(gb, ga))
 
 
 def test_twin_germ_ideals_share_hull():
     # an odd parent cannot see the sign of the last coordinate
     assert hull(germ([1, 1], 4), 2) == hull(germ([1, -1], 4), 2)
-    assert not strictly_contains(germ([1, 1], 4), germ([1, -1], 4))
+    a, b = germ([1, 1], 4), germ([1, -1], 4)
+    assert not (contains_ideal(a, b) and not contains_ideal(b, a))
 
 
 # --- star adjacency -------------------------------------------------------------
@@ -127,13 +126,13 @@ def test_star_context_mismatch():
 
 
 def test_d_star_examples():
-    assert d_star(germ([0, 0], 4), germ([1, 1], 4), 1) == 2
-    assert d_star(germ([1, 0], 4), germ([1, 0], 4), 1) == 0
-    assert d_star(germ([0, 0, 0], 6), germ([1, 1, 1], 6), 1) == 3
+    assert star_graph(5, 1).distance(germ([0, 0], 4), germ([1, 1], 4)) == 2
+    assert star_graph(5, 1).distance(germ([1, 0], 4), germ([1, 0], 4)) == 0
+    assert star_graph(7, 1).distance(germ([0, 0, 0], 6), germ([1, 1, 1], 6)) == 3
 
 
 def test_d_star_line_infinite():
-    assert d_star(line([0, 0], 4), germ([0, 0], 4), 1) == inf
+    assert star_graph(5, 1).distance(line([0, 0], 4), germ([0, 0], 4)) == inf
 
 
 def test_d_star_calls_share_one_star_graph():
@@ -142,7 +141,7 @@ def test_d_star_calls_share_one_star_graph():
     germs = [SubIdeal(GERM_IDEAL, s) for s in enumerate_signatures(4, 12)]
     for _ in range(20):
         x, y = rng.sample(germs, 2)
-        d_star(x, y, 12)
+        star_graph(5, 12).distance(x, y)
     info = star_graph.cache_info()
     assert (info.misses, info.hits, info.maxsize) == (1, 19, 16)
 

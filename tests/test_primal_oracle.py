@@ -19,7 +19,6 @@ from motiondual.primal import (
     hull,
     merge_certificate,
     min_primal,
-    strictly_contains,
     sub_ideals,
     validate_certificate,
 )
@@ -44,7 +43,7 @@ def test_contains_ideal_matches_hull_oracle(n):
     hulls = _hulls(n, 3)
     for (a, ha), (b, hb) in itertools.product(hulls.items(), repeat=2):
         assert contains_ideal(a, b) == (ha <= hb), (a, b)
-        assert strictly_contains(a, b) == (ha < hb), (a, b)
+        assert (contains_ideal(a, b) and not contains_ideal(b, a)) == (ha < hb), (a, b)
 
 
 def test_containment_beyond_small_truncation():
@@ -86,7 +85,7 @@ def test_closed_forms_enumerate_no_hull_or_branch(monkeypatch):
     )
 
     assert primal.contains_ideal(germ([2, 1], 4), germ([2, 0], 4))
-    assert primal.strictly_contains(germ([2, 1], 4), germ([2, 0], 4))
+    assert not primal.contains_ideal(germ([2, 0], 4), germ([2, 1], 4))
     assert calls == []
     kept = primal.min_primal(7, 2)
     assert calls == [(6, 2)]  # the vertex set itself; no competitor enumeration

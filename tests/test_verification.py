@@ -12,10 +12,10 @@ import pytest
 
 from motiondual import chains, verification
 from motiondual.chains import ChainReport
-from motiondual.dualspace import build_dual_model
+from motiondual.dualspace import CLASS_KIND, GERM_KIND, DualModel, FiniteT0Space, Point, build_dual_model
 from motiondual.errors import CertificationError
 from motiondual.cli import main
-from motiondual.signatures import Signature, count_signatures, enumerate_signatures
+from motiondual.signatures import Signature, count_signatures, enumerate_signatures, validate
 
 ORACLE_NS = range(3, verification.ORACLE_MAX_N + 1)
 REAL_COMMON_EXTENSION = verification.common_extension
@@ -202,3 +202,39 @@ def test_chain_lemma_runs_every_recheck(monkeypatch, name):
     monkeypatch.setattr(chains, name, fake)
     result = verification.check_chain_lemma(6, 3, random.Random(0))
     assert not result.ok and result.detail == detail
+
+
+# Hand-built n = 3 models on classes c0, c1 and germs g0, g1, in that point
+# order, that break Property 1: the point closures and, where given, neighbor
+# masks (bit i for the i-th point) that replace the ones the closures induce.
+C0, C1 = (Point(CLASS_KIND, validate([e], 3)) for e in (0, 1))
+G0, G1 = (Point(GERM_KIND, validate([e], 2)) for e in (0, 1))
+BROKEN_PROPERTY1 = {
+    # c1 closes onto c0: the class set is closed but not relatively discrete
+    "class closure holds another class": (
+        {C0: [C0], C1: [C1, C0], G0: [G0, C1, C0], G1: [G1, C0]},
+        None,
+        "Property 1 fails: the class set is not closed and relatively discrete",
+    ),
+    # an extra edge g0 - g1: the neighborhood of the closure of g0 reaches g1
+    # but not c0, which lies in the closure of g1
+    "neighborhood of a closed set not closed": (
+        {C0: [C0], C1: [C1], G0: [G0, C1], G1: [G1, C0]},
+        (0b1000, 0b0100, 0b1010, 0b0101),
+        "Property 1 fails: a one-step neighborhood of a closed set is not closed",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_PROPERTY1))
+def test_chain_lemma_fails_on_a_model_that_breaks_property1(monkeypatch, name):
+    closures, adjacency, detail = BROKEN_PROPERTY1[name]
+    space = FiniteT0Space(closures)
+    if adjacency is not None:
+        monkeypatch.setattr(space, "_adj", adjacency)
+    model = DualModel(space, 3, 1, frozenset([C0, C1]), frozenset([G0, G1]))
+    monkeypatch.setattr(verification, "build_dual_model", lambda n, bound: model)
+    rng = random.Random(0)
+    result = verification.check_chain_lemma(3, 1, rng)
+    assert (result.ok, result.detail) == (False, detail)
+    assert rng.getstate() == random.Random(0).getstate()
