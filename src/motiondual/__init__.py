@@ -35,7 +35,6 @@ from .primal import (
     SubIdeal,
     big_d,
     contains_ideal,
-    hull,
     merge_certificate,
     min_primal,
     star_adjacent,

@@ -20,18 +20,8 @@ from .dualspace import (
     dual_model_to_dot,
     dual_model_to_json,
 )
-from .errors import (
-    CertificationError,
-    ContextMismatch,
-    MotionDualError,
-    PreconditionViolated,
-    SignatureError,
-    TheoremViolation,
-    UnknownPoint,
-)
+from .errors import CertificationError, MotionDualError, PreconditionViolated, TheoremViolation
 from .signatures import GroupContext, Signature, int_field, parse_entries, walk, walk_violations
-
-USAGE_ERRORS = (SignatureError, ContextMismatch, PreconditionViolated, UnknownPoint)
 
 
 class _UsageError(Exception):
@@ -103,7 +93,7 @@ def cmd_distance(args) -> int:
     b = _signature(args.sig2, args.n)
     model = build_dual_model(args.n, max(bound, *(abs(e) for s in (a, b) for e in s.entries), 1))
     x, y = Point("class", a), Point("class", b)
-    d = distance(model, x, y, restrict_to_class=True)
+    d = distance(model, x, y)
     lines = [f"distance: {d}"]
     payload = {"n": args.n, "from": str(a), "to": str(b), "distance": d}
     if args.certificates:
@@ -160,7 +150,7 @@ def cmd_chain(args) -> int:
     x, y = Point("class", a), Point("class", b)
     k = args.k
     if k is None:
-        k = int(distance(model, x, y, restrict_to_class=True))
+        k = int(distance(model, x, y))
     if k < 1 or (k == 1 and a == b):
         raise PreconditionViolated("no chain certificate for coinciding classes")
     chain, lb = chains_mod.chain_for_distance(model, x, y, k)
@@ -282,7 +272,7 @@ def build_parser() -> Parser:
     p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser("certify", help="merge certificate for three germ signatures")
-    add_common(p)
+    add_common(p, with_bound=False)
     p.add_argument("sig1", nargs="?")
     p.add_argument("sig2", nargs="?")
     p.add_argument("sig3", nargs="?")
@@ -310,18 +300,9 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except TheoremViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CertificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MotionDualError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, CertificationError) else 1
 
 
 def entry() -> None:

@@ -124,7 +124,7 @@ def cross_check(n: int, bound: int) -> ConstantsReport:
     ones = Signature((1,) * k, ctx)
     x, y = Point("class", zero), Point("class", ones)
     w = walk(zero, ones)
-    bfs_d = distance(model, x, y, restrict_to_class=True)
+    bfs_d = distance(model, x, y)
     chain, chain_bound = chains_mod.chain_for_distance(model, x, y, k)
     chain_payload = chains_mod.chain_to_json(model, chain, x, y)
 

@@ -12,20 +12,21 @@ an explicit closure map, so inseparability, separation and distance become
 finite computations.
 
 All traversal lives in `Graph`: an undirected graph with a fixed vertex
-order, carrying breadth-first distances, balls, connected components and
-the largest component diameter, each optionally restricted to a vertex
-subset.  Vertices are numbered once and the adjacency is one int bitmask
-of neighbors per vertex, so every traversal is one layered breadth-first
-search over masks (layers, the visited set and the vertex subset alike);
-point objects are hashed only where they enter or leave the API.
+order, carrying breadth-first distances, connected components and the
+largest component diameter, each optionally restricted to a vertex subset
+given as a mask.  Vertices are numbered once and the adjacency is one int
+bitmask of neighbors per vertex, so every traversal is one layered
+breadth-first search over masks (layers, the visited set and the vertex
+subset alike); point objects are hashed only where they enter or leave the
+API.
 `FiniteT0Space` is the `Graph` of its inseparability relation and adds
 only the topology, keeping closures and minimal open sets as bitmasks
 too; the sub-ideal graph of `primal` is a plain `Graph`.
 
 Inside the model a germ is inseparable from every class in its hull, an
 artifact of the collapse (the half-line points themselves are separated).
-All headline metrics therefore run on the class-restricted graph by
-default; the full-space relation is kept for the topological machinery.
+All headline metrics therefore run on the class-restricted graph; the
+full-space relation is kept for the topological machinery.
 """
 
 from __future__ import annotations
@@ -111,10 +112,9 @@ class Graph:
     Vertices are numbered once, in the order given, and the adjacency is
     one int mask per vertex: bit j of `adjacency[i]` is set when vertices
     i and j are joined.  Every traversal runs the one layered search
-    `_layers`, optionally restricted to a vertex subset `within`, which is
-    turned into a mask once per call (points outside the graph are
-    ignored) unless it is given as a mask; vertex objects are looked up
-    only at the API edge.
+    `_layers`, optionally restricted to a vertex subset `within`: a mask
+    over the vertex numbers, or None for every vertex.  Vertex objects are
+    looked up only at the API edge.
     """
 
     def __init__(self, points: Iterable, adjacency: Iterable[int]):
@@ -144,14 +144,8 @@ class Graph:
         pts = self.points
         return frozenset(pts[i] for i in _members(mask))
 
-    def _within(self, within: Iterable | int | None) -> int:
-        """The mask of `within` (every vertex for None), ignoring points
-        outside the graph; a mask is passed through as it is."""
-        if within is None:
-            return (1 << len(self.points)) - 1
-        if isinstance(within, int):
-            return within
-        return reduce(or_, (1 << i for i in map(self._index.get, within) if i is not None), 0)
+    def _within(self, within: int | None) -> int:
+        return (1 << len(self.points)) - 1 if within is None else within
 
     def _layers(self, sources: int, within: int, stop: int = 0, radius: float = inf) -> Iterator[int]:
         """Breadth-first layers from the `sources` mask inside the `within`
@@ -190,27 +184,20 @@ class Graph:
         pts = self.points
         return [(pts[i], pts[j]) for i, m in enumerate(self._adj) for j in _members(m) if i < j]
 
-    def bfs(self, sources: Iterable, within: Iterable | int | None = None) -> dict:
+    def bfs(self, sources: Iterable, within: int | None = None) -> dict:
         """Graph distances from the source set, restricted to `within`."""
         pts = self.points
         layers = self._layers(self._mask(sources), self._within(within))
         return {pts[i]: d for d, layer in enumerate(layers) for i in _members(layer)}
 
-    def distance(self, x, y, within: Iterable | int | None = None):
+    def distance(self, x, y, within: int | None = None):
         i, j = self._ids((x, y))
         inside = self._within(within)
         if not (inside >> i & 1 and inside >> j & 1):
             raise PreconditionViolated("distance endpoints must lie in the restricted vertex set")
         return self._reach(1 << i, 1 << j, inside)
 
-    def set_distance(self, xs: Iterable, ys: Iterable, within: Iterable | int | None = None):
-        return self._reach(self._mask(xs), self._mask(ys), self._within(within))
-
-    def ball(self, s: Iterable, n: int, within: Iterable | int | None = None) -> frozenset:
-        """All points at graph distance <= n from the set."""
-        return self._set(self._ball(self._mask(s), self._within(within), n))
-
-    def components(self, within: Iterable | int | None = None) -> tuple[frozenset, ...]:
+    def components(self, within: int | None = None) -> tuple[frozenset, ...]:
         left = self._within(within)
         comps = []
         while left:
@@ -219,7 +206,7 @@ class Graph:
             left &= ~comp
         return tuple(comps)
 
-    def diameter(self, within: Iterable | int | None = None) -> int:
+    def diameter(self, within: int | None = None) -> int:
         """Largest component diameter, i.e. the largest eccentricity of a
         vertex; 0 when every component is a singleton."""
         inside = self._within(within)
@@ -269,19 +256,6 @@ class FiniteT0Space(Graph):
 
     def closure(self, x) -> frozenset:
         return self._set(self._closure[self._ids((x,))[0]])
-
-    def closure_of(self, s: Iterable) -> frozenset:
-        return self._set(_union(self._closure, self._mask(s)))
-
-    def is_closed(self, s: Iterable) -> bool:
-        mask = self._mask(s)
-        return _union(self._closure, mask) == mask
-
-    def min_open(self, x) -> frozenset:
-        return self._set(self._min_open[self._ids((x,))[0]])
-
-    def min_open_of(self, s: Iterable) -> frozenset:
-        return self._set(_union(self._min_open, self._mask(s)))
 
     def inseparable(self, x, y) -> bool:
         """True iff the minimal open sets of x and y intersect."""
@@ -363,10 +337,10 @@ def separated_points(model: DualModel) -> frozenset:
     return frozenset(p for p in model.space.points if not model.space.neighbors(p))
 
 
-def distance(model: DualModel, x, y, restrict_to_class: bool = True):
-    """BFS distance in the inseparability graph; class-restricted by default
-    (the faithful distance, since the half-line points are separated)."""
-    return model.space.distance(x, y, model.class_mask if restrict_to_class else None)
+def distance(model: DualModel, x, y):
+    """BFS distance in the class-restricted inseparability graph (the
+    faithful distance, since the half-line points are separated)."""
+    return model.space.distance(x, y, model.class_mask)
 
 
 def components_and_orc(model: DualModel) -> tuple[tuple[frozenset, ...], int]:

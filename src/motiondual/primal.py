@@ -13,9 +13,9 @@ the closed-form common-extension test.
 Germ ideals are ordered by reverse inclusion of their hulls.  By
 interleaving, a hull is a product of integer intervals, the first one
 unbounded above (`signatures.hull_intervals`), so containment and
-minimality are exact O(k) closed forms with no truncation; :func:`hull`
-enumerates a truncated hull and is kept as the brute-force oracle they are
-tested against.
+minimality are exact O(k) closed forms with no truncation.  The tests
+enumerate truncated hulls as the brute-force oracle they are checked
+against, and the sweep's `min-primal-parity` check does the same on masks.
 
 Merge certificates package the constructions behind the derivation-constant
 bound ceil(n/2)/2 for the multiplier algebra: three germ signatures are
@@ -63,10 +63,6 @@ class SubIdeal:
     sigma: Signature
 
     @property
-    def parent_n(self) -> int:
-        return self.sigma.ctx.n + 1
-
-    @property
     def ideal_id(self) -> str:
         return f"{self.kind}:{self.sigma}"
 
@@ -81,20 +77,6 @@ def sub_ideals(n: int, bound: int) -> list[SubIdeal]:
     require_size(n, bound, lambda: 2 * count_signatures(n - 1, bound))
     sigmas = enumerate_signatures(n - 1, bound)
     return [SubIdeal(GERM_IDEAL, s) for s in sigmas] + [SubIdeal(LINE_KERNEL, s) for s in sigmas]
-
-
-def hull(ideal: SubIdeal, bound: int) -> frozenset:
-    """Classes containing the ideal, within the truncation.  A line kernel
-    has empty hull among the classes (its hull sits on the half-line).
-
-    This is the brute-force oracle for :func:`contains_ideal` and
-    :func:`min_primal`; neither calls it.
-    """
-    if ideal.kind == LINE_KERNEL:
-        return frozenset()
-    return frozenset(
-        pi for pi in enumerate_signatures(ideal.parent_n, bound) if restricts_to(pi, ideal.sigma)
-    )
 
 
 def _require_germs(*ideals: SubIdeal) -> None:

@@ -84,6 +84,11 @@ def check_oracle_inseparable(n: int, bound: int, rng=None) -> CheckResult:
     return CheckResult(n, "oracle-inseparable", True, f"{checked} pairs")
 
 
+def _restriction_masks(parents: list, children: list) -> list[int]:
+    """For each child, the mask over `parents` of those that restrict to it."""
+    return [sum(1 << i for i, pi in enumerate(parents) if restricts_to(pi, c)) for c in children]
+
+
 def check_oracle_common_extension(n: int, bound: int, rng=None) -> CheckResult:
     """Closed-form parent feasibility == brute-force parent search with the
     enumeration bound raised one past the largest entry.  Each child has the
@@ -93,7 +98,7 @@ def check_oracle_common_extension(n: int, bound: int, rng=None) -> CheckResult:
         return CheckResult(n, "oracle-common-extension", True, f"skipped above n = {ORACLE_MAX_N}", skipped=True)
     children = enumerate_signatures(n - 1, bound)
     parents = enumerate_signatures(n, bound + 1)
-    below = [sum(1 << i for i, pi in enumerate(parents) if restricts_to(pi, c)) for c in children]
+    below = _restriction_masks(parents, children)
     prefix = [(1 << count_signatures(n, p)) - 1 for p in range(bound + 2)]
     checked = 0
     for (a, ma), (b, mb) in product(zip(children, below), repeat=2):
@@ -180,15 +185,17 @@ def check_big_d(n: int, bound: int, rng=None) -> CheckResult:
 def _min_primal_oracle(n: int, bound: int) -> list:
     """`min_primal` by hull enumeration: a germ ideal is minimal unless the
     hull of some other germ ideal strictly contains its hull, with hulls
-    and competitors enumerated one bound above every kept entry."""
+    and competitors enumerated one bound above every kept entry.  Each hull
+    is the mask of the parents that restrict to the germ's signature."""
     probe = bound + 1
-    germs = [primal_mod.SubIdeal(primal_mod.GERM_IDEAL, s) for s in enumerate_signatures(n - 1, probe)]
-    hulls = {g: primal_mod.hull(g, probe) for g in germs}
-    return [
-        i
-        for i in primal_mod.sub_ideals(n, bound)
-        if i.kind == primal_mod.LINE_KERNEL or not any(hulls[i] < h for h in hulls.values())
-    ]
+    children = enumerate_signatures(n - 1, probe)
+    hulls = dict(zip(children, _restriction_masks(enumerate_signatures(n, probe), children)))
+    kept = []
+    for i in primal_mod.sub_ideals(n, bound):
+        h = hulls[i.sigma]
+        if i.kind == primal_mod.LINE_KERNEL or not any(h | o == o != h for o in hulls.values()):
+            kept.append(i)
+    return kept
 
 
 def check_min_primal_parity(n: int, bound: int, rng=None) -> CheckResult:
@@ -238,7 +245,14 @@ def _property1_violation(model) -> str:
     closed and relatively discrete, and the one-step neighborhood of each
     closed sample must be closed.  The samples are the empty set, the
     classes, every point, the first 16 germ closures and the union of the
-    first and last germ closure (the germs follow the classes)."""
+    first and last germ closure (the germs follow the classes).
+
+    The neighborhood half cannot fail on neighbor masks that the
+    `FiniteT0Space` constructor folds from the closures: a point joined to
+    x shares some closure cl(q) with x, its own closure lies inside cl(q),
+    and every point of cl(q) is joined to x.  It is kept as a cross-check
+    of that adjacency fold; the tampered-adjacency model in
+    `tests/test_verification.py` shows what it catches."""
     space = model.space
     cl = space._closure
     classes = len(model.class_points)
@@ -259,7 +273,9 @@ def _property1_violation(model) -> str:
 def check_chain_lemma(n: int, bound: int, rng: random.Random) -> CheckResult:
     """Admissible chains never overestimate the distance: systematic for the
     extremal pair plus seeded random class-set pairs.  Property 1, which the
-    chain lemma rests on, is checked first and draws nothing from `rng`."""
+    chain lemma rests on, is checked first and draws nothing from `rng`; its
+    neighborhood half cross-checks the constructor's adjacency fold (see
+    `_property1_violation` and its tampered-adjacency test)."""
     if n > 9:
         return CheckResult(n, "chain-lemma", True, "skipped above n = 9", skipped=True)
     model = build_dual_model(n, bound)

@@ -70,7 +70,7 @@ def test_criterion_2_extremal_distance():
         bound = sweep_bound(n)
         model = build_dual_model(n, bound)
         x, y = cls([0] * k, n), cls([1] * k, n)
-        d = distance(model, x, y, restrict_to_class=True)
+        d = distance(model, x, y)
         w = walk(x.sig, y.sig)
         if k >= 2:
             chain = find_admissible_chain(model, [x], [y], k, restrict_to_class=True)
@@ -180,7 +180,8 @@ def test_criterion_8_chain_lemma():
             attempts += 1
             xs = frozenset(rng.sample(classes, rng.randint(1, 3)))
             ys = frozenset(rng.sample(classes, rng.randint(1, 3)))
-            d = model.space.set_distance(xs, ys, model.class_points)
+            dist = model.space.bfs(xs, model.class_mask)
+            d = min((dist[y] for y in ys if y in dist), default=inf)
             if d == inf or d < 2:
                 continue
             trials.append((xs, ys, rng.randint(2, int(d))))
@@ -190,7 +191,7 @@ def test_criterion_8_chain_lemma():
             if not ok:
                 violations += 1
                 continue
-            d = model.space.distance(wx, wy, model.class_points)
+            d = model.space.distance(wx, wy, model.class_mask)
             if d < chain.length:
                 violations += 1
             total += 1
@@ -225,8 +226,8 @@ def test_criterion_10_truncation_stability_and_sweep():
         small = [Point(CLASS_KIND, s) for s in enumerate_signatures(n, 2)]
         m3, m4 = build_dual_model(n, 3), build_dual_model(n, 4)
         for a in small:
-            d3 = m3.space.bfs([a], m3.class_points)
-            d4 = m4.space.bfs([a], m4.class_points)
+            d3 = m3.space.bfs([a], m3.class_mask)
+            d4 = m4.space.bfs([a], m4.class_mask)
             for b in small:
                 if d3.get(b, inf) != d4.get(b, inf):
                     stable = False

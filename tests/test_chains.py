@@ -16,7 +16,7 @@ from motiondual.chains import (
     separate,
     validate_chain,
 )
-from motiondual.dualspace import CLASS_KIND, DualModel, FiniteT0Space, Point, build_dual_model
+from motiondual.dualspace import CLASS_KIND, DualModel, FiniteT0Space, Point, _union, build_dual_model
 from motiondual.errors import CertificationError, PreconditionViolated, UnknownPoint
 from motiondual.signatures import validate
 
@@ -32,23 +32,29 @@ def all_points(model):
 # --- neighborhoods ------------------------------------------------------------
 
 
+def ball(space, s, radius, within=None):
+    """The points within `radius` of the point set `s`: the space's mask
+    ball, which the chain construction runs on."""
+    return space._set(space._ball(space._mask(s), space._within(within), radius))
+
+
 def test_neighborhood_zero_is_identity():
     m = build_dual_model(4, 2)
     y = frozenset([cls([1, 1], 4)])
-    assert m.space.ball(y, 0) == y
+    assert ball(m.space, y, 0) == y
 
 
 def test_neighborhood_saturates_at_diameter():
     m = build_dual_model(5, 1)
     y = frozenset([cls([0, 0], 5)])
-    big = m.space.ball(y, 10, m.class_points)
+    big = ball(m.space, y, 10, m.class_mask)
     assert big == m.class_points  # one component
 
 
 def test_neighborhood_class_restricted_adjacency_scan():
     m = build_dual_model(4, 2)
     y = frozenset([cls([2, 2], 4)])
-    got = m.space.ball(y, 1, m.class_points)
+    got = ball(m.space, y, 1, m.class_mask)
     expect = {p for p in m.class_points if m.space.inseparable(p, cls([2, 2], 4))}
     assert got == frozenset(expect) | y
 
@@ -58,11 +64,11 @@ def test_neighborhood_monotone_and_additive():
     y = frozenset([cls([0, 0, 0], 6)])
     prev = y
     for n in range(4):
-        cur = m.space.ball(y, n)
+        cur = ball(m.space, y, n)
         assert prev <= cur
         prev = cur
-    two_then_one = m.space.ball(m.space.ball(y, 2), 1)
-    assert two_then_one == m.space.ball(y, 3)
+    two_then_one = ball(m.space, ball(m.space, y, 2), 1)
+    assert two_then_one == ball(m.space, y, 3)
 
 
 # --- chain validation ---------------------------------------------------------
@@ -114,7 +120,7 @@ def test_chain_lower_bound_extremal_n7():
     assert chain.length == 3
     assert chain_lower_bound(m, chain, x, y, restrict_to_class=True) == 3
     # the bound is tight here
-    assert m.space.distance(x, y, m.class_points) == 3
+    assert m.space.distance(x, y, m.class_mask) == 3
 
 
 def test_chain_lower_bound_length_one():
@@ -208,7 +214,7 @@ def test_chain_lemma_random_pairs_never_violated():
         while done < 10:
             xs = frozenset(rng.sample(classes, rng.randint(1, 3)))
             ys = frozenset(rng.sample(classes, rng.randint(1, 3)))
-            d = m.space.set_distance(xs, ys, m.class_points)
+            d = RefSpace(m).set_distance(xs, ys, m.class_points)
             if d == inf or d < 2:
                 continue
             k = rng.randint(2, int(d))
@@ -238,20 +244,75 @@ def test_property1_witness(n):
 
 def test_property1_empty_sample_closed():
     m = build_dual_model(4, 1)
-    assert m.space.is_closed(m.space.ball(frozenset(), 1))
+    empty = m.space._ball(0, m.space._within(None), 1)
+    assert empty == 0 == _union(m.space._closure, empty)
 
 
 # --- reference oracle: the chain code on frozensets of points -------------------
 #
 # The library keeps every chain set as a bitmask.  These functions are the
-# same algorithms on point sets, written against the public `FiniteT0Space`
-# methods only, and the mask-native functions must agree with them exactly:
-# the same sets, violations in the same order, the same witnesses and the
-# same errors.
+# same algorithms on point sets, and the mask-native functions must agree
+# with them exactly: the same sets, violations in the same order, the same
+# witnesses and the same errors.  They read a space only through its
+# per-point maps `closure(p)` and `neighbors(p)`, and take the closures,
+# minimal open sets, balls and distances of point sets by frozenset unions
+# and a plain breadth-first search, so they share no set algebra and no
+# search with the library.
+
+
+class RefSpace:
+    """The topology of a space (or of a dual model's space) as frozensets."""
+
+    def __init__(self, model):
+        space = model.space if isinstance(model, DualModel) else model
+        self.points = space.points
+        self.order = {p: i for i, p in enumerate(self.points)}
+        self.cl = {p: space.closure(p) for p in self.points}
+        self.nb = {p: frozenset(space.neighbors(p)) for p in self.points}
+        # minimal open set of x: all q whose closure contains x
+        mo = {p: set() for p in self.points}
+        for q, c in self.cl.items():
+            for x in c:
+                mo[x].add(q)
+        self.mo = {p: frozenset(s) for p, s in mo.items()}
+
+    def known(self, s):
+        for p in s:
+            if p not in self.cl:
+                raise UnknownPoint(f"{p} is not a point of this space")
+        return frozenset(s)
+
+    def closure_of(self, s):
+        return frozenset().union(*(self.cl[p] for p in self.known(s)))
+
+    def min_open_of(self, s):
+        return frozenset().union(*(self.mo[p] for p in self.known(s)))
+
+    def distances(self, sources, within=None):
+        """Breadth-first distances from the point set inside `within`."""
+        inside = self.cl.keys() if within is None else within
+        dist = {p: 0 for p in self.known(sources) if p in inside}
+        frontier = list(dist)
+        while frontier:
+            step = []
+            for p in frontier:
+                for q in self.nb[p]:
+                    if q in inside and q not in dist:
+                        dist[q] = dist[p] + 1
+                        step.append(q)
+            frontier = step
+        return dist
+
+    def ball(self, s, radius):
+        return frozenset(p for p, d in self.distances(s).items() if d <= radius)
+
+    def set_distance(self, xs, ys, within=None):
+        dist = self.distances(xs, within)
+        return min((dist[y] for y in self.known(ys) if y in dist), default=inf)
 
 
 def ref_space(model):
-    return model.space if isinstance(model, DualModel) else model
+    return model if isinstance(model, RefSpace) else RefSpace(model)
 
 
 def ref_vertices(model, restrict_to_class):
@@ -268,8 +329,8 @@ def ref_violations(model, chain):
     n = chain.length
     if n == 0:
         return ("chain has no sets",)
-    for i, s in enumerate(chain.sets, start=1):
-        if not space.is_closed(s):
+    for i, s in enumerate(map(space.known, chain.sets), start=1):
+        if space.closure_of(s) != s:
             bad.append(f"set {i} is not closed")
     if frozenset().union(*chain.sets) != frozenset(space.points):
         bad.append("union of the sets does not cover the space")
@@ -291,16 +352,15 @@ def ref_is_admissible(model, chain, restrict_to_class=True):
         raise PreconditionViolated("chain is not valid: " + "; ".join(bad))
     space = ref_space(model)
     within = ref_vertices(model, restrict_to_class)
-    order = space.points.index
     if chain.length == 1:
         xs = ys = chain.sets[0] if within is None else chain.sets[0] & within
     else:
         xs, ys = chain.sets[0] - chain.sets[1], chain.sets[-1] - chain.sets[-2]
         if within is not None:
             xs, ys = xs & within, ys & within
-    xs, ys = sorted(xs, key=order), sorted(ys, key=order)
+    xs, ys = sorted(xs, key=space.order.get), sorted(ys, key=space.order.get)
     for x in xs:
-        dist = space.bfs([x], within)
+        dist = space.distances([x], within)
         hits = [y for y in ys if y in dist]
         if hits:
             return True, x, hits[0]
@@ -309,7 +369,7 @@ def ref_is_admissible(model, chain, restrict_to_class=True):
 
 def ref_separate(model, Y, Z):
     space = ref_space(model)
-    Y, Z = frozenset(Y), frozenset(Z)
+    Y, Z = space.known(Y), space.known(Z)
     U, V = space.min_open_of(Y), space.min_open_of(Z)
     found = not (U & V)
     criterion = not (space.closure_of(space.ball(Y, 1)) & Z) and not (space.closure_of(space.ball(Z, 1)) & Y)
@@ -331,7 +391,7 @@ def ref_find(model, X, Y, k, restrict_to_class=True):
     d = space.set_distance(X, Y, within)
     if d < k:
         raise PreconditionViolated(f"need d(X, Y) >= {k}, got {d}")
-    reach = space.bfs([min(X | Y, key=space.points.index)], within)
+    reach = space.distances([min(X | Y, key=space.order.get)], within)
     if any(p not in reach for p in X | Y):
         raise PreconditionViolated("X and Y must lie in one component")
     pts = frozenset(space.points)
@@ -384,7 +444,7 @@ def assert_chain_agrees(model, chain, restrict_to_class=True):
 def assert_construction_agrees(model, xs, ys, restrict_to_class=True):
     """Every length from 2 to d(X, Y) + 1 builds the same chain (or raises
     the same error), and each built chain validates and re-checks alike."""
-    d = model.space.set_distance(xs, ys, model.class_points if restrict_to_class else None)
+    d = RefSpace(model).set_distance(xs, ys, model.class_points if restrict_to_class else None)
     top = 3 if d == inf else int(d) + 1
     for k in range(2, top + 1):
         got = assert_agree(find_admissible_chain, ref_find, model, xs, ys, k, restrict_to_class)
@@ -479,38 +539,48 @@ def test_foreign_point_raises_unknown_point():
         with pytest.raises(UnknownPoint):
             fn(m, chain)
     foreign = next(iter(chain.sets[0] - all_points(m)))
-    with pytest.raises(UnknownPoint):
-        separate(m, [foreign], [cls([0, 0], 4)])
+    for fn in (separate, ref_separate):
+        with pytest.raises(UnknownPoint):
+            fn(m, [foreign], [cls([0, 0], 4)])
     for xs, ys in (([foreign], [cls([0, 0], 4)]), ([cls([0, 0], 4)], [foreign])):
         with pytest.raises(UnknownPoint):
             find_admissible_chain(m, xs, ys, 2, restrict_to_class=False)
     with pytest.raises(UnknownPoint):
-        m.space.ball([foreign], 1)
+        m.space.bfs([foreign])
 
 
-# A two-point discrete space with one mask tampered: minimal open sets that
-# meet while the closure criterion separates, or disjoint minimal open sets
-# while the closure of one side's neighborhood reaches the other side.
+# Three points a, b, q whose neighbor masks are stale: they come from the
+# first closure map, while the closures and minimal open sets come from the
+# second.  Separating Y from Z then finds minimal open sets that meet while
+# the closure criterion separates, or disjoint minimal open sets while the
+# closure of one side's neighborhood reaches the other side.  Both the masks
+# and the per-point maps that the reference reads carry the disagreement.
 TAMPERED = {
-    "open sets meet": ("_min_open", (0b11, 0b10)),
-    "closure of Y reaches Z": ("_closure", (0b11, 0b10)),
-    "closure of Z reaches Y": ("_closure", (0b01, 0b11)),
+    "open sets meet": ({"q": "q"}, {"q": "qab"}, "a", "b"),
+    "closure of Y reaches Z": ({"q": "qa"}, {"q": "qb"}, "a", "b"),
+    "closure of Z reaches Y": ({"q": "qa"}, {"q": "qb"}, "b", "a"),
 }
+
+
+def stale_adjacency(adjacency_closures, closures):
+    sp = FiniteT0Space({"a": "a", "b": "b", **adjacency_closures})
+    actual = FiniteT0Space({"a": "a", "b": "b", **closures})
+    sp._closure, sp._min_open = actual._closure, actual._min_open
+    return sp
 
 
 @pytest.mark.parametrize("name", sorted(TAMPERED))
 def test_separation_disagreement_raises_in_both(name):
-    sp = FiniteT0Space({"a": {"a"}, "b": {"b"}})
-    attr, masks = TAMPERED[name]
-    setattr(sp, attr, masks)
-    got = assert_agree(separate, ref_separate, sp, ["a"], ["b"])
+    adjacency_closures, closures, y, z = TAMPERED[name]
+    sp = stale_adjacency(adjacency_closures, closures)
+    got = assert_agree(separate, ref_separate, sp, [y], [z])
     assert got[:2] == ("raised", CertificationError)
 
 
 def test_end_sets_in_two_components_refused():
     # a - m - b through the closures of q1 and q2, and c on its own
     sp = FiniteT0Space({"a": "a", "m": "m", "b": "b", "q1": ["q1", "a", "m"], "q2": ["q2", "m", "b"], "c": "c"})
-    assert sp.set_distance(["a", "c"], ["b"]) == 2
+    assert RefSpace(sp).set_distance(["a", "c"], ["b"]) == 2
     got = assert_agree(find_admissible_chain, ref_find, sp, ["a", "c"], ["b"], 2, False)
     assert got == ("raised", PreconditionViolated, "X and Y must lie in one component")
     got = assert_agree(find_admissible_chain, ref_find, sp, ["a"], ["b"], 2, False)

@@ -5,8 +5,10 @@ import sys
 
 import pytest
 
+from motiondual import cli
 from motiondual.cli import main
 from motiondual.dualspace import build_dual_model, dual_model_to_json
+from motiondual.errors import CertificationError, MotionDualError, PreconditionViolated, TheoremViolation
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -367,6 +369,39 @@ def test_certify_needs_three_signatures(capsys):
     assert code == 1
     assert "certify needs three signatures" in err
     assert "Traceback" not in err
+
+
+def test_certify_takes_no_bound(capsys):
+    # a merge certificate does not depend on a truncation, so --bound is
+    # refused rather than accepted and ignored
+    code, out, err = run(["certify", "--n", "6", "--bound", "1", "1,0", "2,0", "1,1"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: unrecognized arguments: --bound 1")
+    assert len(err.splitlines()) == 1
+
+
+# --- error handling -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (CertificationError("stand-in"), 2),
+        (TheoremViolation(("stand-in",)), 2),
+        (PreconditionViolated("stand-in"), 1),
+        (MotionDualError("stand-in"), 1),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_main_maps_library_errors_to_exit_codes(capsys, monkeypatch, error, code):
+    # a certificate that fails its own re-check is exit 2, anything else exit 1
+    def failing(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_walk", failing)
+    got, out, err = run(["walk", "--n", "5", "0,0", "1,1"], capsys)
+    assert (got, out) == (code, "")
+    assert err == f"error: {error}\n"
 
 
 # --- verify -------------------------------------------------------------------

@@ -15,6 +15,7 @@ from motiondual.dualspace import (
     DualModel,
     FiniteT0Space,
     Point,
+    _union,
     build_dual_model,
     components_and_orc,
     distance,
@@ -99,27 +100,19 @@ def test_germ_closure_is_hull():
 
 def test_class_points_closed_and_discrete():
     m = build_dual_model(6, 1)
-    assert m.space.is_closed(m.class_points)
+    assert _union(m.space._closure, m.class_mask) == m.class_mask
     for p in m.class_points:
         assert m.space.closure(p) == frozenset([p])
     # every subset of class points is closed
-    some = frozenset(list(m.class_points)[:3])
-    assert m.space.is_closed(some)
-
-
-def test_closure_of_examples():
-    m = build_dual_model(4, 1)
-    assert m.space.closure_of([]) == frozenset()
-    c = cls([1, 1], 4)
-    assert m.space.closure_of([c]) == frozenset([c])
-    g = germ([0], 3)
-    assert m.space.closure_of([g]) > frozenset([g])
+    some = m.space._mask(list(m.class_points)[:3])
+    assert _union(m.space._closure, some) == some
 
 
 @pytest.mark.parametrize("n,bound", [(n, b) for n in range(3, 9) for b in (0, 1, 2)])
 def test_mask_methods_match_closure_map(n, bound):
-    # the closure map of the model, rebuilt from `restricts_to`, and every
-    # set operation taken by its frozenset definition
+    # the closure map of the model, rebuilt from `restricts_to`, and the
+    # mask unions of closures and minimal open sets against their frozenset
+    # definitions
     m = build_dual_model(n, bound)
     space = m.space
     pts = space.points
@@ -136,16 +129,16 @@ def test_mask_methods_match_closure_map(n, bound):
     samples = [frozenset(), frozenset(pts), m.class_points, m.germ_points]
     samples += [frozenset(rng.sample(pts, rng.randint(1, len(pts)))) for _ in range(20)]
     samples += list(cl.values()) + list(mo.values())
-    for x in pts:
+    for i, x in enumerate(pts):
         assert space.closure(x) == cl[x]
-        assert space.min_open(x) == mo[x]
+        assert space._set(space._min_open[i]) == mo[x]
         assert set(space.neighbors(x)) == {y for y in pts if y != x and mo[x] & mo[y]}
         for y in pts:
             assert space.inseparable(x, y) == bool(mo[x] & mo[y])
     for s in samples:
-        assert space.closure_of(s) == union(cl, s)
-        assert space.min_open_of(s) == union(mo, s)
-        assert space.is_closed(s) == (union(cl, s) == s)
+        mask = space._mask(s)
+        assert space._set(_union(space._closure, mask)) == union(cl, s)
+        assert space._set(_union(space._min_open, mask)) == union(mo, s)
 
 
 # small truncations, the benchmark's deep points and the larger recorded
@@ -319,7 +312,7 @@ def test_separated_implies_singleton_component():
 def test_distance_extremal_examples():
     for n in (4, 5):
         m = build_dual_model(n, 1)
-        d = distance(m, cls([0, 0], n), cls([1, 1], n), restrict_to_class=True)
+        d = distance(m, cls([0, 0], n), cls([1, 1], n))
         assert d == 2
 
 
@@ -336,20 +329,7 @@ def test_distance_n7_example():
 def test_distance_restriction_requires_class():
     m = build_dual_model(4, 1)
     with pytest.raises(PreconditionViolated):
-        distance(m, germ([1], 3), cls([1, 1], 4), restrict_to_class=True)
-
-
-def test_set_distance_refuses_a_point_outside_the_graph():
-    # (3,3) lies beyond bound 1: as a target it is an unknown point, as it
-    # is as a source, not an unreachable one at distance inf
-    m = build_dual_model(5, 1)
-    x, outside = cls([0, 0], 5), cls([3, 3], 5)
-    for xs, ys in (([x], [outside]), ([outside], [x]), ([x], [cls([1, 1], 5), outside])):
-        with pytest.raises(UnknownPoint):
-            m.space.set_distance(xs, ys)
-        with pytest.raises(UnknownPoint):
-            m.space.set_distance(xs, ys, m.class_points)
-    assert m.space.set_distance([x], [cls([1, 1], 5)], m.class_points) == 2
+        distance(m, germ([1], 3), cls([1, 1], 4))
 
 
 def test_germ_mediation_no_shortcuts():
@@ -357,7 +337,7 @@ def test_germ_mediation_no_shortcuts():
     classes = sorted(m.class_points, key=str)
     for a in classes:
         full = m.space.bfs([a])
-        restricted = m.space.bfs([a], m.class_points)
+        restricted = m.space.bfs([a], m.class_mask)
         for b in classes:
             assert full.get(b, inf) == restricted.get(b, inf)
 

@@ -94,7 +94,7 @@ def check_class_graph(n, bound):
     comps, orc = components_and_orc(model)
     assert set(comps) == components_of(ref)
     assert len(comps) == len(set(comps))
-    assert model.space.diameter(model.class_points) == largest_diameter(ref)
+    assert model.space.diameter(model.class_mask) == largest_diameter(ref)
     assert orc == max(1, largest_diameter(ref))
     for x, lengths in nx.all_pairs_shortest_path_length(ref):
         for y in ref:
@@ -202,13 +202,14 @@ def test_exporter_edges_match_pairwise_scan(n, bound):
 
 @st.composite
 def random_graphs(draw):
-    """Up to 12 string-labelled vertices, random edges, random vertex
-    subsets for `within`, the sources and the targets, and a radius."""
+    """Up to 12 string-labelled vertices, random edges, a vertex mask (or
+    None) for `within`, vertex subsets for the sources and the targets, and
+    a radius."""
     labels = draw(st.lists(st.text(min_size=1, max_size=3), unique=True, max_size=12))
     pairs = [(i, j) for i in range(len(labels)) for j in range(i + 1, len(labels))]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     subsets = st.frozensets(st.sampled_from(labels)) if labels else st.just(frozenset())
-    within = draw(st.one_of(st.none(), subsets))
+    within = draw(st.one_of(st.none(), st.integers(0, (1 << len(labels)) - 1)))
     return labels, edges, within, draw(subsets), draw(subsets), draw(st.integers(-1, 4))
 
 
@@ -224,7 +225,7 @@ def test_graph_core_matches_networkx(case):
     ref = nx.Graph()
     ref.add_nodes_from(labels)
     ref.add_edges_from((labels[i], labels[j]) for i, j in edges)
-    sub = ref if within is None else ref.subgraph(within)
+    sub = ref if within is None else ref.subgraph(graph._set(within))
     order = {v: i for i, v in enumerate(labels)}.__getitem__
 
     assert graph.edges() == sorted(
@@ -236,8 +237,9 @@ def test_graph_core_matches_networkx(case):
     lengths = nx.multi_source_dijkstra_path_length(sub, xs & set(sub)) if xs & set(sub) else {}
     assert graph.bfs(xs, within) == lengths
     hits = [d for y, d in lengths.items() if y in ys]
-    assert graph.set_distance(xs, ys, within) == (min(hits) if hits else inf)
-    assert graph.ball(xs, radius, within) == {v for v, d in lengths.items() if d <= radius}
+    sources, inside = graph._mask(xs), graph._within(within)
+    assert graph._reach(sources, graph._mask(ys), inside) == (min(hits) if hits else inf)
+    assert graph._set(graph._ball(sources, inside, radius)) == {v for v, d in lengths.items() if d <= radius}
 
     comps = graph.components(within)
     assert set(comps) == {frozenset(c) for c in nx.connected_components(sub)}
@@ -247,7 +249,7 @@ def test_graph_core_matches_networkx(case):
 
     for x in labels:
         for y in labels:
-            if within is not None and not {x, y} <= within:
+            if not {x, y} <= set(sub):
                 with pytest.raises(PreconditionViolated):
                     graph.distance(x, y, within)
             else:
@@ -269,7 +271,7 @@ def test_layers_match_networkx_bfs_layers(case):
     ref = nx.Graph()
     ref.add_nodes_from(labels)
     ref.add_edges_from((labels[i], labels[j]) for i, j in edges)
-    sub = ref if within is None else ref.subgraph(within)
+    sub = ref if within is None else ref.subgraph(graph._set(within))
     starts = xs & set(sub)
     want = [graph._mask(layer) for layer in nx.bfs_layers(sub, starts)] if starts else []
     got = list(islice(graph._layers(graph._mask(xs), graph._within(within)), len(labels) + 1))

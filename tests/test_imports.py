@@ -2,6 +2,8 @@
 
 A name that a module imports and never reads is a leftover of deleted
 code.  `__init__.py` is exempt: its imports are the package's exports.
+Likewise every export, and every public method or property of a library
+class, has a caller in the library or the benchmark.
 """
 
 import ast
@@ -43,11 +45,12 @@ PERFBENCH = PACKAGE.parent.parent / "perfbench"
 UNCALLED_EXPORTS = {"contains_ideal"}
 
 
-def references(source: str) -> set[str]:
-    """Every name, attribute and string constant the source mentions."""
+def references(source: str, names: bool = True) -> set[str]:
+    """Every attribute and string constant the source mentions, and every
+    name unless `names` is false."""
     out = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and names:
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -78,3 +81,47 @@ def test_every_export_has_a_caller():
         if name not in bench and not any(name in refs for stem, refs in used.items() if stem != home)
     )
     assert uncalled == sorted(UNCALLED_EXPORTS)
+
+
+# Kept without a caller: `Parser.error` overrides argparse's hook, which
+# argparse itself calls.
+UNCALLED_MEMBERS = {"Parser.error"}
+
+
+def public_members(source: str) -> list[str]:
+    """Each public method and property of each class, as Class.name."""
+    return [
+        f"{node.name}.{item.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+    ]
+
+
+def uncalled_members(library: list[str], callers: list[str]) -> list[str]:
+    """The public members of the library classes that no library or caller
+    source reads as `x.name` or names in a string constant."""
+    used = set().union(*(references(source, names=False) for source in library + callers))
+    return sorted(m for source in library for m in public_members(source) if m.split(".")[1] not in used)
+
+
+def test_every_public_member_has_a_caller():
+    """A method or property of a library class is read by library or
+    benchmark code; one that only the tests call is not library API."""
+    library = [p.read_text() for p in MODULES]
+    bench = [p.read_text() for p in PERFBENCH.glob("*.py")]
+    assert uncalled_members(library, bench) == sorted(UNCALLED_MEMBERS)
+
+
+def test_guard_reports_an_uncalled_member():
+    source = (
+        "class A:\n"
+        "    def used(self): return self.kept\n"
+        "    @property\n"
+        "    def kept(self): return 1\n"
+        "    def stray(self): return used\n"
+        "    def named(self): pass\n"
+        "    def _private(self): pass\n"
+    )
+    assert uncalled_members([source], ["getattr(A(), 'named')\nA().used()\n"]) == ["A.stray"]

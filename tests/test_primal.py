@@ -16,7 +16,6 @@ from motiondual.primal import (
     claimed_steps,
     contains_ideal,
     expected_k_bound,
-    hull,
     implied_k_bound,
     merge_certificate,
     min_primal,
@@ -30,6 +29,7 @@ from motiondual.primal import (
     zero_tail_star_step,
 )
 from motiondual.signatures import Signature, Walk, common_restriction, enumerate_signatures, restricts_to, validate
+from test_primal_oracle import hull
 
 
 def germ(entries, n_child):

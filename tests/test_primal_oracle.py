@@ -2,8 +2,8 @@
 brute-force oracles.
 
 `contains_ideal` and `min_primal` are interval tests on the infinite hulls;
-the oracle is the enumerated `hull`, taken at a bound above every entry
-involved so that no hull is cut short.
+the oracle is the enumerated `hull` defined here, taken at a bound above
+every entry involved so that no hull is cut short.
 """
 
 import itertools
@@ -16,24 +16,32 @@ from motiondual.primal import (
     LINE_KERNEL,
     SubIdeal,
     contains_ideal,
-    hull,
     merge_certificate,
     min_primal,
     sub_ideals,
     validate_certificate,
 )
-from motiondual.signatures import common_extension, enumerate_signatures, inseparable, validate
+from motiondual.signatures import common_extension, enumerate_signatures, inseparable, restricts_to, validate
 
 
 def germ(entries, n_child):
     return SubIdeal(GERM_IDEAL, validate(entries, n_child))
 
 
-def _hulls(n, entry_max):
+def hull(ideal, bound):
+    """Classes containing the ideal, within the truncation.  A line kernel
+    has empty hull among the classes (its hull sits on the half-line)."""
+    if ideal.kind == LINE_KERNEL:
+        return frozenset()
+    parents = enumerate_signatures(ideal.sigma.ctx.n + 1, bound)
+    return frozenset(pi for pi in parents if restricts_to(pi, ideal.sigma))
+
+
+def _hulls(n, entry_max, hull_bound=None):
     """Germ ideals of SO(n) with entries up to `entry_max`, each with its
-    hull enumerated one bound higher."""
+    hull enumerated at `hull_bound`, by default one bound higher."""
     germs = [SubIdeal(GERM_IDEAL, s) for s in enumerate_signatures(n - 1, entry_max)]
-    return {g: hull(g, entry_max + 1) for g in germs}
+    return {g: hull(g, entry_max + 1 if hull_bound is None else hull_bound) for g in germs}
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -55,8 +63,11 @@ def test_containment_beyond_small_truncation():
     assert not contains_ideal(germ([5, 3], 5), germ([1, 0], 5))
 
 
-def _min_primal_oracle(n, bound):
-    hulls = _hulls(n, bound)
+def _min_primal_oracle(n, bound, competitors=None):
+    """The sub-ideals at `bound` whose hull no competitor's hull strictly
+    contains, the competitors having entries up to `competitors` (default
+    `bound`) and every hull being enumerated at bound + 1."""
+    hulls = _hulls(n, bound if competitors is None else competitors, bound + 1)
     return [
         i
         for i in sub_ideals(n, bound)
@@ -72,11 +83,22 @@ def test_min_primal_matches_hull_oracle(n, bound):
     assert min_primal(n, bound) == _min_primal_oracle(n, bound)
 
 
+# the sweep's default bounds and the raised bounds where the check is slowest
+SWEEP_GRID = [(n, verification.default_bound(n)) for n in range(3, 13)]
+SWEEP_GRID += [(11, 5), (9, 6), (7, 10), (5, 21), (6, 10), (8, 6)]
+
+
+@pytest.mark.parametrize("n, bound", SWEEP_GRID)
+def test_sweep_mask_oracle_matches_hull_oracle(n, bound):
+    # the sweep compares hulls as parent masks, with competitors one bound up
+    assert verification._min_primal_oracle(n, bound) == _min_primal_oracle(n, bound, competitors=bound + 1)
+
+
 def test_closed_forms_enumerate_no_hull_or_branch(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("closed form called an enumeration oracle")
 
-    monkeypatch.setattr(primal, "hull", forbidden)
+    # `hull` lives in these tests, out of the closed forms' reach
     monkeypatch.setattr(signatures, "branch", forbidden)
     calls = []
     enumerate_once = primal.enumerate_signatures

@@ -143,8 +143,8 @@ def test_oracle_pairs_counts_the_larger_group():
 
 def point_set_trials(n, bound, rng):
     """The random trials of `check_chain_lemma` drawn as it drew them on
-    point sets (sorted class points, `set_distance` over the class points),
-    leaving `rng` where that loop left it."""
+    point sets (sorted class points, distances from a class-restricted
+    `bfs`), leaving `rng` where that loop left it."""
     model = build_dual_model(n, bound)
     classes = sorted(model.class_points, key=model.space.points.index)
     trials = []
@@ -153,7 +153,8 @@ def point_set_trials(n, bound, rng):
         attempts += 1
         xs = frozenset(rng.sample(classes, rng.randint(1, min(3, len(classes)))))
         ys = frozenset(rng.sample(classes, rng.randint(1, min(3, len(classes)))))
-        d = model.space.set_distance(xs, ys, model.class_points)
+        dist = model.space.bfs(xs, model.class_mask)
+        d = min((dist[y] for y in ys if y in dist), default=inf)
         if d == inf or d < 2:
             continue
         trials.append((xs, ys, rng.randint(2, int(d))))
