@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .dualspace import Graph, require_size
+from .dualspace import Graph, overlap_masks, require_size
 from .errors import CertificationError, ContextMismatch, PreconditionViolated
 from .signatures import (
     EVEN,
@@ -116,17 +116,14 @@ def star_graph(n: int, bound: int) -> Graph:
     """The sub-ideal graph on `sub_ideals(n, bound)`, with the adjacency of
     `star_adjacent`: line kernels are isolated, and two germ ideals are
     joined when their hulls meet, i.e. when their hull intervals overlap in
-    every coordinate (the hull being the product of its intervals).  Its
-    `distance` is the sub-ideal distance d* on the truncated vertex set."""
+    every coordinate (the hull being the product of its intervals).  The
+    germ rows come from sorted interval ends (`dualspace.overlap_masks`),
+    not from a scan over germ pairs.  Its `distance` is the sub-ideal
+    distance d* on the truncated vertex set."""
     ideals = sub_ideals(n, bound)
-    hulls = [hull_intervals(i.sigma) for i in ideals if i.kind == GERM_IDEAL]  # germs come first
-    adj = [0] * len(ideals)
-    for a, ha in enumerate(hulls):
-        for b in range(a + 1, len(hulls)):
-            if all(lo_a <= hi_b and lo_b <= hi_a for (lo_a, hi_a), (lo_b, hi_b) in zip(ha, hulls[b])):
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-    return Graph(ideals, adj)
+    rows = overlap_masks([hull_intervals(i.sigma) for i in ideals if i.kind == GERM_IDEAL])  # germs come first
+    adj = [row & ~(1 << a) for a, row in enumerate(rows)]
+    return Graph(ideals, adj + [0] * (len(ideals) - len(adj)))
 
 
 def big_d(n: int, bound: int) -> int:

@@ -7,6 +7,8 @@ import sys
 from math import inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motiondual import dualspace, primal, signatures
 from motiondual.dualspace import (
@@ -14,7 +16,9 @@ from motiondual.dualspace import (
     GERM_KIND,
     DualModel,
     FiniteT0Space,
+    Graph,
     Point,
+    _members,
     _union,
     build_dual_model,
     components_and_orc,
@@ -383,6 +387,61 @@ def test_glimm_partition_n3_one_class():
 def test_glimm_partition_bound_zero():
     part = glimm_partition(build_dual_model(7, 0))
     assert part.single_class_block
+
+
+# --- diameter ----------------------------------------------------------------
+
+
+def per_source_diameter(graph, within=None) -> int:
+    """The oracle for `Graph.diameter`: the largest eccentricity, found by
+    one breadth-first search from every vertex."""
+    inside = graph._within(within)
+    return max((len(list(graph._layers(1 << i, inside))) - 1 for i in _members(inside)), default=0)
+
+
+def family_edges(kind, size):
+    if kind == "complete":
+        return [(i, j) for i in range(size) for j in range(i + 1, size)]
+    path = [(i, i + 1) for i in range(size - 1)]
+    return path + [(size - 1, 0)] if kind == "cycle" and size >= 3 else path
+
+
+@st.composite
+def family_graphs(draw):
+    """A disjoint union of paths, cycles, complete graphs and singletons,
+    with a few extra edges and the vertex numbers shuffled, and a `within`
+    mask: None, empty, or any subset, which may cut components apart."""
+    parts = draw(st.lists(st.tuples(st.sampled_from(["path", "cycle", "complete"]), st.integers(1, 9)), max_size=5))
+    edges, size = [], 0
+    for kind, part in parts:
+        edges += [(size + i, size + j) for i, j in family_edges(kind, part)]
+        size += part
+    if size:
+        edges += draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)), max_size=3))
+    order = draw(st.permutations(range(size)))
+    adjacency = [0] * size
+    for i, j in edges:
+        if i != j:
+            adjacency[order[i]] |= 1 << order[j]
+            adjacency[order[j]] |= 1 << order[i]
+    within = draw(st.none() | st.just(0) | st.integers(0, (1 << size) - 1))
+    return Graph(range(size), adjacency), within
+
+
+@given(family_graphs())
+@settings(max_examples=300, deadline=None)
+def test_diameter_matches_one_search_per_vertex(case):
+    graph, within = case
+    assert graph.diameter(within) == per_source_diameter(graph, within)
+
+
+@pytest.mark.parametrize("n,bound", [(8, 5), (5, 12), (6, 6), (24, 2), (3, 4)])
+def test_model_diameters_match_one_search_per_vertex(n, bound):
+    model = build_dual_model(n, bound)
+    assert model.space.diameter(model.class_mask) == per_source_diameter(model.space, model.class_mask)
+    assert model.space.diameter() == per_source_diameter(model.space)
+    star = primal.star_graph(n, bound)
+    assert star.diameter() == per_source_diameter(star)
 
 
 # --- export ------------------------------------------------------------------

@@ -5,6 +5,7 @@ from math import inf
 
 import pytest
 
+from motiondual.dualspace import Graph
 from motiondual.errors import ContextMismatch, PreconditionViolated
 from motiondual.primal import (
     GERM_IDEAL,
@@ -152,6 +153,22 @@ def test_big_d_values():
     for n in range(4, 13, 2):
         assert big_d(n, 1) == n // 2 - 1
     assert big_d(2, 1) == 0
+
+
+def test_big_d_runs_few_searches(monkeypatch):
+    # one search per vertex made 338 here; the eccentricity bounds settle
+    # after the first few
+    star_graph(5, 12)
+    runs = []
+    layers = Graph._layers
+
+    def counted(self, *args, **kwargs):
+        runs.append(args)
+        return layers(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "_layers", counted)
+    assert big_d(5, 12) == 2
+    assert 1 <= len(runs) <= 4
 
 
 def test_big_d_stable_bound_two():

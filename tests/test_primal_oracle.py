@@ -7,10 +7,14 @@ every entry involved so that no hull is cut short.
 """
 
 import itertools
+from math import inf
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from motiondual import primal, signatures, verification
+from motiondual.dualspace import overlap_masks
 from motiondual.primal import (
     GERM_IDEAL,
     LINE_KERNEL,
@@ -188,3 +192,44 @@ def test_star_graph_edges_match_pairwise_scans(n, bound):
         if a.kind == b.kind == GERM_IDEAL and common_extension([a.sigma, b.sigma]) is not None
     ]
     assert primal.star_graph(n, bound).edges() == scan == extension
+
+
+# --- hull overlap masks -----------------------------------------------------------
+
+
+def hull_pair_scan(boxes) -> list[int]:
+    """The oracle for `dualspace.overlap_masks`: the pair scan that
+    `star_graph` ran before it, with box a meeting box b when their
+    intervals overlap in every coordinate, and each box meeting itself."""
+    rows = [0] * len(boxes)
+    for a, ha in enumerate(boxes):
+        for b, hb in enumerate(boxes):
+            if all(lo_a <= hi_b and lo_b <= hi_a for (lo_a, hi_a), (lo_b, hi_b) in zip(ha, hb)):
+                rows[a] |= 1 << b
+    return rows
+
+
+# endpoints from a small range, so that ties and equal endpoints are common
+intervals = st.tuples(st.integers(0, 4), st.integers(0, 4) | st.just(inf)).map(lambda ends: tuple(sorted(ends)))
+box_lists = st.integers(1, 4).flatmap(lambda k: st.lists(st.tuples(*[intervals] * k), max_size=12))
+
+
+@given(box_lists)
+@example([])
+@example([((2, inf),)])
+@example([((1, 1), (0, inf)), ((1, 1), (0, 0)), ((0, 1), (1, inf)), ((1, inf), (0, 0))])
+@settings(max_examples=200, deadline=None)
+def test_overlap_masks_match_pair_scan(boxes):
+    assert overlap_masks(boxes) == hull_pair_scan(boxes)
+
+
+@pytest.mark.parametrize("n,bound", [(5, 12), (8, 5), (24, 2), (9, 8), (3, 10)])
+def test_star_graph_rows_match_hull_pair_scan(n, bound):
+    ideals = sub_ideals(n, bound)
+    germs = [i for i in ideals if i.kind == GERM_IDEAL]
+    assert ideals[: len(germs)] == germs
+    hulls = [signatures.hull_intervals(g.sigma) for g in germs]
+    rows = hull_pair_scan(hulls)
+    assert overlap_masks(hulls) == rows
+    germ_rows = [row & ~(1 << a) for a, row in enumerate(rows)]
+    assert primal.star_graph(n, bound)._adj == (*germ_rows, *[0] * len(germs))
