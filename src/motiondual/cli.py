@@ -39,8 +39,11 @@ def resolve_bound(n: int, bound: int | None) -> int:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise PreconditionViolated(f"cannot write {output}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -34,10 +34,10 @@ from functools import lru_cache
 from .dualspace import Graph, overlap_masks, require_size
 from .errors import CertificationError, ContextMismatch, PreconditionViolated
 from .signatures import (
-    EVEN,
     GroupContext,
     Signature,
     Walk,
+    _pad,
     common_extension,
     common_restriction,
     count_signatures,
@@ -164,7 +164,7 @@ def zero_tail_star_step(sigma: Signature, sigma_prime: Signature) -> bool:
     ctx = sigma.ctx
     if sigma_prime.ctx != ctx:
         raise ContextMismatch("germ signatures live in different groups")
-    if ctx.parity != EVEN:
+    if ctx.n % 2:
         raise PreconditionViolated("the tail step applies to germ signatures of an odd parent")
     if not star_adjacent(SubIdeal(GERM_IDEAL, sigma), SubIdeal(GERM_IDEAL, sigma_prime)):
         raise PreconditionViolated("the tail step needs adjacent germ ideals")
@@ -248,10 +248,6 @@ def implied_k_bound(n: int) -> Fraction:
 
 def expected_k_bound(n: int) -> Fraction:
     return Fraction((n + 1) // 2, 2)
-
-
-def _pad(entries: tuple[int, ...], length: int) -> tuple[int, ...]:
-    return entries + (0,) * (length - len(entries))
 
 
 def merge_certificate(n: int, s1: Signature, s2: Signature, s3: Signature) -> MergeCertificate:

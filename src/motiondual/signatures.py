@@ -6,13 +6,20 @@ m1 >= m2 >= ... >= m_{k-1} >= |m_k| (the last entry may be negative); for
 N = 2k+1 they satisfy m1 >= ... >= m_k >= 0.  SO(2) signatures are single
 unconstrained integers and SO(1) has only the empty signature.
 
-Restriction to SO(N-1) is multiplicity-free and cut out by interleaving
-inequalities, so every branching set is an integer box intersected with
-the child validity constraints.  That makes "do two restrictions share an
-irreducible" an O(k) interval-overlap test; the box enumeration in
-:func:`branch` is kept as the brute-force oracle that the closed forms are
-tested against.  Read the other way, interleaving makes the classes that
-restrict to an SO(N-1) signature a product of intervals too, its hull
+Restriction to SO(N-1) is multiplicity-free and cut out by the
+interleaving rule m[i+1] <= s[i] <= m[i], with absolute values on an even
+group's last entry (Gelfand-Tsetlin, Zhelobenko).  Every entry of a valid
+signature except an even group's last is at least |last| >= 0, so taking
+absolute values everywhere changes only that entry, and one rule serves
+both parities, *the abs rule*: coordinate i of a restriction lies in
+[|m[i+1]|, m[i]], and when the child has one coordinate more than there
+are consecutive pairs (odd N), the last lies in [-m[-1], m[-1]]
+(:func:`_interleave`).  Every branching set is therefore an integer box
+intersected with the child validity constraints, and "do two restrictions
+share an irreducible" is an O(k) interval-overlap test; the box
+enumeration in :func:`branch` is kept as the brute-force oracle that the
+closed forms are tested against.  Read the other way, the classes that
+restrict to an SO(N-1) signature form a product of intervals too, its hull
 (:func:`hull_intervals`).
 """
 
@@ -33,10 +40,6 @@ from .errors import (
     WrongLength,
 )
 
-EVEN = "even"
-ODD = "odd"
-
-
 @dataclass(frozen=True)
 class GroupContext:
     """The rotation group SO(n), n >= 1."""
@@ -51,10 +54,6 @@ class GroupContext:
     def k(self) -> int:
         """Signature length floor(n/2)."""
         return self.n // 2
-
-    @property
-    def parity(self) -> str:
-        return EVEN if self.n % 2 == 0 else ODD
 
     @property
     def child(self) -> "GroupContext":
@@ -73,7 +72,7 @@ def _check_entries(entries: tuple[int, ...], ctx: GroupContext) -> None:
         raise WrongLength(len(entries), k, ctx.n)
     if ctx.n <= 2:
         return  # SO(1): empty; SO(2): one unconstrained integer
-    if ctx.parity == ODD:
+    if ctx.n % 2:
         for i in range(k - 1):
             if entries[i] < entries[i + 1]:
                 raise MonotonicityViolated(
@@ -148,7 +147,7 @@ def _enumerate_cached(n: int, bound: int) -> tuple[Signature, ...]:
             out.append(Signature(prefix, ctx))
             return
         hi = prefix[-1] if prefix else bound
-        lo = -hi if (ctx.parity == EVEN and i == k - 1) else 0
+        lo = -hi if (n % 2 == 0 and i == k - 1) else 0
         for v in range(lo, hi + 1):
             rec(prefix + (v,))
 
@@ -177,34 +176,28 @@ def count_signatures(n: int, bound: int) -> int:
     return comb(bound + k, k) + comb(bound + k - 1, k)
 
 
+def _interleave(t: tuple, length: int) -> tuple[tuple, ...]:
+    """The abs rule on the entries `t`: the intervals [|t[i+1]|, t[i]]
+    between consecutive entries, then [-t[-1], t[-1]] when `length` asks
+    for one coordinate more."""
+    box = tuple(zip(map(abs, t[1:]), t))
+    return box + ((-t[-1], t[-1]),) if length > len(box) else box
+
+
 def branch_box(pi: Signature) -> tuple[tuple[int, int], ...]:
-    """Interval hull of the restriction of `pi` to SO(n-1): closed integer
-    intervals, one per child coordinate.  The branching set is exactly the
-    points of this box that are valid child signatures."""
-    ctx = pi.ctx
-    m = pi.entries
-    k = ctx.k
-    if ctx.n < 2:
-        raise PreconditionViolated("SO(1) has no child group")
-    if ctx.n == 2:
-        return ()
-    if ctx.parity == EVEN:
-        return tuple((abs(m[i + 1]), m[i]) for i in range(k - 1))
-    return tuple((m[i + 1], m[i]) for i in range(k - 1)) + ((-m[k - 1], m[k - 1]),)
+    """Interval hull of the restriction of `pi` to SO(n-1) by the abs rule:
+    closed integer intervals, one per child coordinate.  The branching set
+    is exactly the points of this box that are valid child signatures."""
+    return _interleave(pi.entries, pi.ctx.child.k)  # SO(1) has no child and raises
 
 
 def hull_intervals(sigma: Signature) -> tuple[tuple[int, float], ...]:
     """The parent classes whose restriction contains `sigma`, as a product
-    of intervals in the parent coordinates, by interleaving: [s1, inf) x
-    [s2, s1] x ..., ending in [|sk|, s(k-1)] for an odd parent (just
-    [|s1|, inf) for SO(3)) and in [-s(k-1), s(k-1)] for an even one.  Every
-    point of the product is a valid parent signature."""
-    s = sigma.entries
-    if sigma.ctx.parity == EVEN:  # odd parent
-        lows = s[:-1] + (abs(s[-1]),)
-    else:
-        lows = s + (-s[-1],)
-    return tuple(zip(lows, (float("inf"),) + s))
+    of intervals in the parent coordinates: the abs rule read the other
+    way, on the entries (inf,) + sigma, so [|s1|, inf) x [|s2|, s1] x ...,
+    ending in [-s(k-1), s(k-1)] for an even parent.  Every point of the
+    product is a valid parent signature."""
+    return _interleave((float("inf"),) + sigma.entries, (sigma.ctx.n + 1) // 2)  # the parent k
 
 
 def branch(pi: Signature) -> list[Signature]:
@@ -227,25 +220,20 @@ def branch(pi: Signature) -> list[Signature]:
 
 
 def restricts_to(pi: Signature, sigma: Signature) -> bool:
-    """True iff `sigma` occurs in the restriction of `pi`: the interleaving
-    inequalities of :func:`branch_box`, tested in place (O(k), no
-    enumeration and no allocation)."""
+    """True iff `sigma` occurs in the restriction of `pi`: the abs rule of
+    :func:`branch_box`, tested in place (O(k), no enumeration and no
+    allocation).  It is written out by hand on purpose, as the independent
+    check that ties :func:`branch_box` to the brute-force oracles."""
     n = pi.ctx.n
     if n < 2:
         raise PreconditionViolated("SO(1) has no child group")
     if sigma.ctx.n != n - 1:
         raise ContextMismatch(f"{sigma.ctx} is not the child group of {pi.ctx}")
     m, s = pi.entries, sigma.entries
-    last = len(m) - 1
-    if n % 2 == 0:
-        for i in range(last):
-            if not abs(m[i + 1]) <= s[i] <= m[i]:
-                return False
-        return True
-    for i in range(last):
-        if not m[i + 1] <= s[i] <= m[i]:
+    for i in range(len(m) - 1):
+        if not abs(m[i + 1]) <= s[i] <= m[i]:
             return False
-    return -m[last] <= s[last] <= m[last]
+    return n % 2 == 0 or -m[-1] <= s[-1] <= m[-1]
 
 
 def _require_same_ctx(sigs: Sequence[Signature], minimum_n: int, op: str) -> GroupContext:
@@ -260,51 +248,56 @@ def _require_same_ctx(sigs: Sequence[Signature], minimum_n: int, op: str) -> Gro
 def inseparable(pi1: Signature, pi2: Signature) -> bool:
     """True iff the restrictions of the two signatures share an irreducible.
 
-    Computed by the coordinate-wise interval-overlap closed form: the
-    intersected branching box is nonempty iff in every coordinate the upper
-    ends dominate the lower ends, and its lower corner is then always a
-    valid child signature.  Validated against the set-intersection oracle
-    over :func:`branch` in the test suite.
+    Two branching boxes (the abs rule) meet iff in every coordinate each
+    interval's lower end is at most the other's upper end: the intervals of
+    valid signatures are never empty, and the symmetric last intervals of
+    an odd group always share 0.  The lower corner of the intersection is
+    then a valid child signature.  Validated against the set-intersection
+    oracle over :func:`branch` in the test suite.
     """
     _require_same_ctx((pi1, pi2), 3, "inseparable")
     a, b = pi1.entries, pi2.entries
-    k = pi1.ctx.k
-    if pi1.ctx.parity == EVEN:
-        return all(max(abs(a[i + 1]), abs(b[i + 1])) <= min(a[i], b[i]) for i in range(k - 1))
-    return all(max(a[i + 1], b[i + 1]) <= min(a[i], b[i]) for i in range(k - 1))
+    return all(abs(a[i + 1]) <= b[i] and abs(b[i + 1]) <= a[i] for i in range(len(a) - 1))
+
+
+def _corner(rows: Sequence[tuple[int, ...]], skip: int, length: int) -> tuple[int, ...] | None:
+    """Lower corner of the intersected abs-rule boxes of the entry tuples
+    `rows`, or None when the boxes miss.  They meet iff max |x[i+1]| <=
+    min x[i] for every consecutive pair; the corner is max |x[i]| from
+    entry `skip` on, then -min x[-1] when `length` asks for one coordinate
+    more."""
+    cols = list(zip(*rows))
+    lows = [max(map(abs, cols[0]))]
+    for prev, col in zip(cols, cols[1:]):
+        lows.append(max(map(abs, col)))
+        if lows[-1] > min(prev):
+            return None
+    corner = lows[skip:]
+    if len(corner) < length:
+        corner.append(-min(cols[-1]))
+    return tuple(corner)
 
 
 def common_restriction(pis: Sequence[Signature]) -> Signature | None:
-    """A deterministic witness in the intersection of all branching sets.
-
-    Returns the lower corner of the intersected branching box (coordinate-wise
-    maximum of the lower interval ends), or None when the box is empty.
+    """A deterministic witness in the intersection of all branching sets:
+    the lower corner of the intersected branching boxes (:func:`_corner`),
+    which is the lexicographically least common child, or None when the
+    boxes miss.
     """
     if not pis:
         raise PreconditionViolated("common_restriction needs a nonempty list")
-    ctx = _require_same_ctx(tuple(pis), 3, "common_restriction")
-    k = ctx.k
-    child = ctx.child
-    if ctx.parity == EVEN:
-        lo = [max(abs(p.entries[i + 1]) for p in pis) for i in range(k - 1)]
-        hi = [min(p.entries[i] for p in pis) for i in range(k - 1)]
-        if any(l > h for l, h in zip(lo, hi)):
-            return None
-        return Signature(tuple(lo), child)
-    lo = [max(p.entries[i + 1] for p in pis) for i in range(k - 1)]
-    hi = [min(p.entries[i] for p in pis) for i in range(k - 1)]
-    if any(l > h for l, h in zip(lo, hi)):
-        return None
-    last = -min(p.entries[k - 1] for p in pis)
-    return Signature(tuple(lo) + (last,), child)
+    child = _require_same_ctx(tuple(pis), 3, "common_restriction").child
+    corner = _corner([p.entries for p in pis], 1, child.k)
+    return None if corner is None else Signature(corner, child)
 
 
 def common_extension(sigmas: Sequence[Signature]) -> Signature | None:
     """A parent signature restricting to every signature in the list, or None.
 
-    Feasibility is the interleaving overlap test on consecutive coordinates;
-    the witness is the lexicographically least parent (the lower corner of
-    the feasible region).  Validated against brute-force parent search in
+    The parents restricting to a child form its hull, a product of
+    intervals (:func:`hull_intervals`); the witness is the lower corner of
+    the intersected hulls (:func:`_corner`), which is the lexicographically
+    least common parent.  Validated against brute-force parent search in
     the test suite.
     """
     if not sigmas:
@@ -315,24 +308,8 @@ def common_extension(sigmas: Sequence[Signature]) -> Signature | None:
     parent = GroupContext(child.n + 1)
     if parent.n < 3:
         raise PreconditionViolated("common_extension needs a parent group SO(n), n >= 3")
-    k = parent.k
-    if parent.parity == ODD:
-        # children are SO(2k) signatures of length k, last entry may be negative
-        for i in range(k - 2):
-            if max(s.entries[i + 1] for s in sigmas) > min(s.entries[i] for s in sigmas):
-                return None
-        if k >= 2 and max(abs(s.entries[k - 1]) for s in sigmas) > min(s.entries[k - 2] for s in sigmas):
-            return None
-        ms = [max(s.entries[i] for s in sigmas) for i in range(k - 1)]
-        ms.append(max(abs(s.entries[k - 1]) for s in sigmas))
-        return Signature(tuple(ms), parent)
-    # children are SO(2k-1) signatures of length k-1, all entries >= 0
-    for i in range(k - 2):
-        if max(s.entries[i + 1] for s in sigmas) > min(s.entries[i] for s in sigmas):
-            return None
-    ms = [max(s.entries[i] for s in sigmas) for i in range(k - 1)]
-    ms.append(-min(s.entries[k - 2] for s in sigmas))
-    return Signature(tuple(ms), parent)
+    corner = _corner([s.entries for s in sigmas], 0, parent.k)
+    return None if corner is None else Signature(corner, parent)
 
 
 def tail_start(entries: tuple[int, ...]) -> int:
@@ -344,19 +321,16 @@ def tail_start(entries: tuple[int, ...]) -> int:
 
 
 def merge_max(sigs: Sequence[Signature]) -> list[int]:
-    """Coordinate-wise maximum of the entries; for an even group the last
-    coordinate takes the maximum of absolute values.  The result is a plain
-    integer list, not necessarily a valid signature."""
+    """Coordinate-wise maximum of the absolute values of the entries, which
+    by the abs rule differs from the plain maximum only in an even group's
+    last coordinate.  The result is a plain integer list, not necessarily a
+    valid signature."""
     if not sigs:
         raise PreconditionViolated("merge_max needs a nonempty list")
     ctx = sigs[0].ctx
     if any(s.ctx != ctx for s in sigs):
         raise ContextMismatch("merge_max needs signatures of one group")
-    k = ctx.k
-    out = [max(s.entries[i] for s in sigs) for i in range(k)]
-    if ctx.parity == EVEN and k >= 1:
-        out[-1] = max(abs(s.entries[-1]) for s in sigs)
-    return out
+    return [max(map(abs, col)) for col in zip(*(s.entries for s in sigs))]
 
 
 @dataclass(frozen=True)
@@ -405,20 +379,17 @@ def walk_violations(w: Walk) -> tuple[str, ...]:
     return tuple(bad)
 
 
-def _tower(entries: tuple[int, ...], s: list[int], r: int, parity: str, k: int):
-    """Successively overwrite prefixes with the merged maxima and zero the
-    tail, one coordinate per step; returns states and per-step witnesses."""
-    states = [entries]
-    wits = []
-    for j in range(1, r + 1):
-        prev = states[-1]
-        nxt = tuple(s[:j]) + entries[j : k - j] + (0,) * j
-        if parity == EVEN:
-            wit = prev[: k - j] + prev[k - j + 1 :]
-        else:
-            wit = prev[: k - j] + (0,) * j
-        states.append(nxt)
-        wits.append(wit)
+def _pad(entries: tuple[int, ...], length: int) -> tuple[int, ...]:
+    return entries + (0,) * (length - len(entries))
+
+
+def _tower(entries: tuple[int, ...], s: tuple[int, ...], k: int, c: int):
+    """Successively overwrite prefixes with the merged maxima `s` and zero
+    the tail, one coordinate per step, for k // 2 steps.  The witness of a
+    step is the previous state cut before the coordinate the step zeroes,
+    padded to the child length `c`.  Returns states and witnesses."""
+    states = [_pad(s[:j] + entries[j : k - j], k) for j in range(k // 2 + 1)]
+    wits = [_pad(states[j - 1][: k - j], c) for j in range(1, k // 2 + 1)]
     return states, wits
 
 
@@ -444,25 +415,18 @@ def walk(pi1: Signature, pi2: Signature) -> Walk:
     ctx = _require_same_ctx((pi1, pi2), 3, "walk")
     if pi1 == pi2:
         return Walk((pi1,), ())
-    k = ctx.k
     child = ctx.child
-    s = merge_max([pi1, pi2])
-    r = k // 2
-    st1, w1 = _tower(pi1.entries, s, r, ctx.parity, k)
-    st2, w2 = _tower(pi2.entries, s, r, ctx.parity, k)
-    steps_e: list[tuple[int, ...]] = list(st1)
-    wits_e: list[tuple[int, ...]] = list(w1)
-    if k % 2 == 0:
-        # both towers end at the same merged signature
-        steps_e.extend(reversed(st2[:-1]))
-        wits_e.extend(reversed(w2))
+    k, c = ctx.k, child.k
+    s = tuple(merge_max([pi1, pi2]))
+    st1, w1 = _tower(pi1.entries, s, k, c)
+    st2, w2 = _tower(pi2.entries, s, k, c)
+    if k % 2 == 0:  # both towers end at the same merged signature
+        steps_e = st1 + st2[-2::-1]
     else:
-        mid_pad = (k - 1 - r) if ctx.parity == EVEN else (k - r)
-        wits_e.append(tuple(s[:r]) + (0,) * mid_pad)
-        steps_e.extend(reversed(st2))
-        wits_e.extend(reversed(w2))
+        steps_e = st1 + st2[::-1]
+        w1.append(_pad(s[: k // 2], c))
     steps = [Signature(e, ctx) for e in steps_e]
-    wits = [Signature(e, child) for e in wits_e]
+    wits = [Signature(e, child) for e in w1 + w2[::-1]]
     return _compress(steps, wits)
 
 

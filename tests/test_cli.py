@@ -404,6 +404,26 @@ def test_main_maps_library_errors_to_exit_codes(capsys, monkeypatch, error, code
     assert err == f"error: {error}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--n", "5"],
+        ["graph", "--n", "4", "--bound", "1"],
+        ["walk", "--n", "5", "0,0", "1,1"],
+        ["certify", "--n", "5", "0,0", "1,0", "1,1"],
+        ["verify", "--n-min", "3", "--n-max", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("target", ["directory", "missing-directory"])
+def test_unwritable_output_is_usage_error(capsys, tmp_path, argv, target):
+    path = tmp_path if target == "directory" else tmp_path / "missing" / "out.json"
+    code, out, err = run([*argv, "--output", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert len(err.splitlines()) == 1
+
+
 # --- verify -------------------------------------------------------------------
 
 

@@ -138,6 +138,11 @@ def test_branch_box_zero():
     assert branch_box(sig([0, 0, 0], 7)) == ((0, 0), (0, 0), (0, 0))
 
 
+def test_branch_box_so1_has_no_child():
+    with pytest.raises(PreconditionViolated, match="SO\\(1\\) has no child group"):
+        branch_box(sig([], 1))
+
+
 def test_branch_examples():
     assert entries(branch(sig([1, 0], 4))) == [(0,), (1,)]
     assert entries(branch(sig([1], 3))) == [(-1,), (0,), (1,)]
