@@ -284,16 +284,16 @@ def find_admissible_chain(model, X: Iterable, Y: Iterable, k: int, restrict_to_c
 
 
 def chain_to_json(model: DualModel, chain: Chain, x=None, y=None, restrict_to_class: bool = True) -> dict:
+    space, ids = model.space, model.ids
     payload = {
         "n": model.n,
         "bound": model.bound,
         "restrict_to_class": restrict_to_class,
         "length": chain.length,
-        "sets": [sorted(p.point_id for p in s) for s in chain.sets],
+        "sets": [sorted(ids[i] for i in space._ids(s)) for s in chain.sets],
     }
     if x is not None and y is not None:
-        payload["x"] = x.point_id
-        payload["y"] = y.point_id
+        payload["x"], payload["y"] = (ids[i] for i in space._ids((x, y)))
     return payload
 
 

@@ -6,7 +6,9 @@ Exit codes: 0 success, 1 usage error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from . import chains as chains_mod
@@ -220,7 +222,23 @@ def cmd_certify(args) -> int:
     return 0
 
 
+def _require_writable(output: str | None) -> None:
+    """Refuse, before a long run, an `output` that `_emit` could not open
+    for the two reasons seen: it is a directory, or its parent directory is
+    missing.  Creates nothing; `_emit` maps every other failure."""
+    if not output:
+        return
+    if os.path.isdir(output):
+        reason = errno.EISDIR
+    elif not os.path.exists(os.path.dirname(os.path.abspath(output))):
+        reason = errno.ENOENT
+    else:
+        return
+    raise PreconditionViolated(f"cannot write {output}: {os.strerror(reason)}")
+
+
 def cmd_verify(args) -> int:
+    _require_writable(args.output)
     summary = verification.run_sweep(
         args.n_min, args.n_max, bound=args.bound, seed=args.seed, jobs=args.jobs
     )

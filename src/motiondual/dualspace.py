@@ -9,7 +9,9 @@ intervals (`signatures.hull_intervals`), so each closure is enumerated
 straight from the germ's intervals, cut at the truncation bound, with no
 search over the classes.  That encoding is an Alexandrov topology given by
 an explicit closure map, so inseparability, separation and distance become
-finite computations.
+finite computations.  Point ids (`Point.point_id`) are formatted once per
+model (`DualModel.ids`) and read back by table in `point_from_id`, so the
+exports and the chain files neither format nor parse a point per mention.
 
 All traversal lives in `Graph`: an undirected graph with a fixed vertex
 order, carrying breadth-first distances, connected components and the
@@ -209,10 +211,14 @@ class Graph:
         pts = self.points
         return tuple(pts[j] for j in _members(self._adj[self._ids((x,))[0]]))
 
+    def _pairs(self) -> list[tuple[int, int]]:
+        """Every edge once, as vertex numbers (i, j) with i < j, in vertex order."""
+        return [(i, j) for i, m in enumerate(self._adj) for j in _members(m) if i < j]
+
     def edges(self) -> list[tuple]:
         """Every edge once, as (x, y) with x before y, in vertex order."""
         pts = self.points
-        return [(pts[i], pts[j]) for i, m in enumerate(self._adj) for j in _members(m) if i < j]
+        return [(pts[i], pts[j]) for i, j in self._pairs()]
 
     def bfs(self, sources: Iterable, within: int | None = None) -> dict:
         """Graph distances from the source set, restricted to `within`."""
@@ -330,9 +336,6 @@ class FiniteT0Space(Graph):
         # x and y are inseparable iff some q has both in its closure
         super().__init__(points, (_union(cl, m) & ~(1 << x) for x, m in enumerate(mo)))
 
-    def closure(self, x) -> frozenset:
-        return self._set(self._closure[self._ids((x,))[0]])
-
     def inseparable(self, x, y) -> bool:
         """True iff the minimal open sets of x and y intersect."""
         i, j = self._ids((x, y))
@@ -354,6 +357,16 @@ class DualModel:
         """The class points as a mask over `space.points`: the classes come
         first in point order, so it is the mask of the first len(classes)."""
         return (1 << len(self.class_points)) - 1
+
+    @cached_property
+    def ids(self) -> tuple[str, ...]:
+        """The point ids in point order, each formatted once."""
+        return tuple(p.point_id for p in self.space.points)
+
+    @cached_property
+    def _by_id(self) -> dict[str, Point]:
+        """The model's own point of each id in `ids`."""
+        return dict(zip(self.ids, self.space.points))
 
 
 MAX_SIZE = 8192
@@ -448,8 +461,15 @@ def glimm_partition(model: DualModel) -> GlimmPartition:
 
 
 def point_from_id(model: DualModel, point_id: str) -> Point:
+    """The model point with this id.  A canonical id (`DualModel.ids`) is a
+    table lookup that returns the model's own point; any other string is
+    parsed, so a non-canonical spelling of a model point still resolves and
+    a malformed id or one outside the model raises."""
     if not isinstance(point_id, str):
         raise TypeError(f"point id {point_id!r} is not a string")
+    p = model._by_id.get(point_id)
+    if p is not None:
+        return p
     kind, _, rest = point_id.partition(":")
     if kind not in (CLASS_KIND, GERM_KIND):
         raise UnknownPoint(f"bad point id {point_id!r}")
@@ -460,28 +480,28 @@ def point_from_id(model: DualModel, point_id: str) -> Point:
 
 
 def dual_model_to_json(model: DualModel) -> dict:
-    space = model.space
+    space, ids = model.space, model.ids
     return {
         "n": model.n,
         "bound": model.bound,
-        "points": [{"id": p.point_id, "kind": p.kind, "entries": list(p.sig.entries)} for p in space.points],
-        "closures": {p.point_id: sorted(q.point_id for q in space.closure(p)) for p in space.points},
-        "edges": sorted([p.point_id, q.point_id] for p, q in space.edges()),
+        "points": [{"id": pid, "kind": p.kind, "entries": list(p.sig.entries)} for pid, p in zip(ids, space.points)],
+        "closures": {ids[i]: sorted(ids[j] for j in _members(m)) for i, m in enumerate(space._closure)},
+        "edges": sorted([ids[i], ids[j]] for i, j in space._pairs()),
     }
 
 
 def dual_model_to_dot(model: DualModel) -> str:
     """Graphviz export: classes as ellipses, germs as boxes, inseparability
     as undirected edges, closure containment as dashed arrows."""
-    space = model.space
+    space, ids = model.space, model.ids
     lines = [f'digraph "dual_so{model.n}_bound{model.bound}" {{']
-    for p in space.points:
+    for pid, p in zip(ids, space.points):
         shape = "ellipse" if p.kind == CLASS_KIND else "box"
-        lines.append(f'  "{p.point_id}" [shape={shape}];')
-    for p, q in space.edges():
-        lines.append(f'  "{p.point_id}" -> "{q.point_id}" [dir=none];')
-    for p in space.points:
-        for q in sorted(space.closure(p) - {p}, key=space._index.__getitem__):
-            lines.append(f'  "{p.point_id}" -> "{q.point_id}" [style=dashed];')
+        lines.append(f'  "{pid}" [shape={shape}];')
+    for i, j in space._pairs():
+        lines.append(f'  "{ids[i]}" -> "{ids[j]}" [dir=none];')
+    for i, m in enumerate(space._closure):
+        for j in _members(m & ~(1 << i)):
+            lines.append(f'  "{ids[i]}" -> "{ids[j]}" [style=dashed];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -356,8 +356,9 @@ class Walk:
 def walk_from_dict(payload: dict) -> Walk:
     ctx = GroupContext(int_field(payload, "n"))
     steps = tuple(Signature(tuple(e), ctx) for e in payload["steps"])
-    wits = tuple(Signature(tuple(e), ctx.child) for e in payload["witnesses"])
-    return Walk(steps, wits)
+    witnesses = payload["witnesses"]
+    child = ctx.child if witnesses else None  # read once; SO(1) has no child, nor a walk there a witness
+    return Walk(steps, tuple(Signature(tuple(e), child) for e in witnesses))
 
 
 def walk_violations(w: Walk) -> tuple[str, ...]:

@@ -1,3 +1,4 @@
+import json
 import random
 from math import inf
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motiondual import chains, verification
+from motiondual import chains, constants, verification
 from motiondual.chains import (
     Chain,
     chain_from_json,
@@ -27,6 +28,11 @@ def cls(entries, n):
 
 def all_points(model):
     return frozenset(model.space.points)
+
+
+def closure(space, x):
+    """The closure of the point x, from the space's closure masks."""
+    return space._set(space._closure[space._index[x]])
 
 
 # --- neighborhoods ------------------------------------------------------------
@@ -91,7 +97,7 @@ def test_chain_overlap_violation_named():
 def test_chain_closedness_violation():
     m = build_dual_model(4, 1)
     g = next(iter(m.germ_points))
-    open_set = all_points(m) - m.space.closure(g) | {g}
+    open_set = all_points(m) - closure(m.space, g) | {g}
     rep = validate_chain(m, Chain((open_set, all_points(m) - open_set)))
     assert not rep.valid
 
@@ -234,6 +240,19 @@ def test_chain_roundtrip_json():
     assert chain2 == chain and x2 == x and y2 == y and restrict
 
 
+@pytest.mark.parametrize("n, bound", [(8, 5), (5, 12), (6, 6), (24, 2)])
+def test_chain_json_reads_back_model_points(n, bound):
+    m = build_dual_model(n, bound)
+    payload = json.loads(json.dumps(constants.cross_check(n, bound).to_dict()))["certificates"]["chain"]
+    chain, x, y, restrict = chain_from_json(m, payload)
+    own = m.space.points
+    for p in (x, y, *(p for s in chain.sets for p in s)):
+        assert own[m.space._index[p]] is p
+    assert validate_chain(m, chain).valid
+    assert chain_lower_bound(m, chain, x, y, restrict_to_class=restrict) == chain.length
+    assert chain_to_json(m, chain, x, y, restrict) == payload
+
+
 # --- property (1) ----------------------------------------------------------------
 
 
@@ -267,7 +286,7 @@ class RefSpace:
         space = model.space if isinstance(model, DualModel) else model
         self.points = space.points
         self.order = {p: i for i, p in enumerate(self.points)}
-        self.cl = {p: space.closure(p) for p in self.points}
+        self.cl = {p: closure(space, p) for p in self.points}
         self.nb = {p: frozenset(space.neighbors(p)) for p in self.points}
         # minimal open set of x: all q whose closure contains x
         mo = {p: set() for p in self.points}
@@ -499,7 +518,7 @@ def tiny_model():
 
 def not_closed(m):
     g = next(iter(m.germ_points))
-    open_set = all_points(m) - m.space.closure(g) | {g}
+    open_set = all_points(m) - closure(m.space, g) | {g}
     return Chain((open_set, all_points(m) - open_set))
 
 

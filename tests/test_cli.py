@@ -424,6 +424,20 @@ def test_unwritable_output_is_usage_error(capsys, tmp_path, argv, target):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("target", ["directory", "missing-directory"])
+def test_verify_refuses_unwritable_output_before_the_sweep(capsys, monkeypatch, tmp_path, target):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before the output path was checked")
+
+    monkeypatch.setattr(cli.verification, "run_sweep", no_sweep)
+    path = tmp_path if target == "directory" else tmp_path / "missing" / "out.json"
+    code, out, err = run(["verify", "--n-min", "3", "--n-max", "3", "--output", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert len(err.splitlines()) == 1
+    assert os.listdir(tmp_path) == []
+
+
 # --- verify -------------------------------------------------------------------
 
 

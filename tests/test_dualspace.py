@@ -7,7 +7,7 @@ import sys
 from math import inf
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from motiondual import dualspace, primal, signatures
@@ -39,6 +39,11 @@ def cls(entries, n):
 
 def germ(entries, n):
     return Point(GERM_KIND, validate(entries, n))
+
+
+def closure(space, x):
+    """The closure of the point x, from the space's closure masks."""
+    return space._set(space._closure[space._index[x]])
 
 
 # --- space plumbing ----------------------------------------------------------
@@ -97,7 +102,7 @@ def test_germ_closure_is_hull():
     m = build_dual_model(4, 1)
     g = germ([1], 3)
     assert g in m.germ_points
-    cl = m.space.closure(g)
+    cl = closure(m.space, g)
     assert g in cl
     assert {p.sig.entries for p in cl if p.kind == CLASS_KIND} == {(1, -1), (1, 0), (1, 1)}
 
@@ -106,7 +111,7 @@ def test_class_points_closed_and_discrete():
     m = build_dual_model(6, 1)
     assert _union(m.space._closure, m.class_mask) == m.class_mask
     for p in m.class_points:
-        assert m.space.closure(p) == frozenset([p])
+        assert closure(m.space, p) == frozenset([p])
     # every subset of class points is closed
     some = m.space._mask(list(m.class_points)[:3])
     assert _union(m.space._closure, some) == some
@@ -134,7 +139,7 @@ def test_mask_methods_match_closure_map(n, bound):
     samples += [frozenset(rng.sample(pts, rng.randint(1, len(pts)))) for _ in range(20)]
     samples += list(cl.values()) + list(mo.values())
     for i, x in enumerate(pts):
-        assert space.closure(x) == cl[x]
+        assert closure(space, x) == cl[x]
         assert space._set(space._min_open[i]) == mo[x]
         assert set(space.neighbors(x)) == {y for y in pts if y != x and mo[x] & mo[y]}
         for y in pts:
@@ -160,10 +165,10 @@ def test_closures_match_restricts_to_scan(n, bound):
     space = build_dual_model(n, bound).space
     assert space.points == tuple(Point(CLASS_KIND, c) for c in classes) + tuple(Point(GERM_KIND, g) for g in germs)
     for c in classes:
-        assert space.closure(Point(CLASS_KIND, c)) == {Point(CLASS_KIND, c)}
+        assert closure(space, Point(CLASS_KIND, c)) == {Point(CLASS_KIND, c)}
     for g in germs:
         hull = {Point(CLASS_KIND, c) for c in classes if restricts_to(c, g)}
-        assert space.closure(Point(GERM_KIND, g)) == hull | {Point(GERM_KIND, g)}, g
+        assert closure(space, Point(GERM_KIND, g)) == hull | {Point(GERM_KIND, g)}, g
 
 
 def test_build_calls_no_restriction_oracle(monkeypatch):
@@ -174,7 +179,7 @@ def test_build_calls_no_restriction_oracle(monkeypatch):
     for name in ("restricts_to", "branch", "branch_box"):
         monkeypatch.setattr(signatures, name, forbidden)
     model = build_dual_model.__wrapped__(6, 3)
-    assert len(model.space.closure(germ([3, 3], 5))) == 1 + 7  # (3,3,m) for |m| <= 3
+    assert len(closure(model.space, germ([3, 3], 5))) == 1 + 7  # (3,3,m) for |m| <= 3
 
 
 def test_build_raises_on_a_product_point_outside_the_truncation(monkeypatch):
@@ -460,6 +465,119 @@ def test_point_from_id():
     assert point_from_id(m, "germ:0") == germ([0], 3)
     with pytest.raises(UnknownPoint):
         point_from_id(m, "class:9,9")
+
+
+def parse_point_id(model, point_id):
+    """The parse path `point_from_id` ran on every id before the id table:
+    the oracle of the table lookup."""
+    if not isinstance(point_id, str):
+        raise TypeError(f"point id {point_id!r} is not a string")
+    kind, _, rest = point_id.partition(":")
+    if kind not in (CLASS_KIND, GERM_KIND):
+        raise UnknownPoint(f"bad point id {point_id!r}")
+    ctx = signatures.GroupContext(model.n if kind == CLASS_KIND else model.n - 1)
+    p = Point(kind, signatures.Signature(signatures.parse_entries(rest), ctx))
+    model.space._ids((p,))
+    return p
+
+
+@pytest.mark.parametrize("n, bound", [(4, 1), (5, 12), (8, 5), (24, 2)])
+def test_point_from_id_returns_the_model_point(n, bound):
+    m = build_dual_model(n, bound)
+    assert m.ids == tuple(p.point_id for p in m.space.points)
+    for p in m.space.points:
+        assert point_from_id(m, p.point_id) is p
+        assert parse_point_id(m, p.point_id) == p
+
+
+def _entry_text(e: int) -> st.SearchStrategy:
+    """Spellings of the integer e that `int` accepts: padding, a sign,
+    leading zeros, an underscore."""
+    digits = str(abs(e))
+    sign = "-" if e < 0 else ""
+    return st.sampled_from([
+        f"{sign}{digits}",
+        f" {sign}{digits}",
+        f"{sign}{digits} ",
+        f"{sign or '+'}{digits}",
+        f"{sign}0{digits}",
+        f"{sign}{digits[0]}_{digits[1:]}" if len(digits) > 1 else f"{sign}{digits}",
+        f"{sign}{digits}_0",
+    ])
+
+
+@st.composite
+def point_ids(draw):
+    """A model and a string, or another value, to read as one of its ids."""
+    n, bound = draw(st.sampled_from([(3, 2), (4, 1), (5, 2), (6, 2)]))
+    m = build_dual_model(n, bound)
+    shape = draw(st.sampled_from(["canonical", "spelled", "junk", "non-string"]))
+    if shape == "canonical":
+        return m, draw(st.sampled_from(m.ids))
+    if shape == "non-string":
+        return m, draw(st.one_of(st.none(), st.integers(), st.binary(max_size=4), st.just(m.space.points[0])))
+    if shape == "junk":
+        return m, draw(st.text(alphabet="classgerm:,-+_0123456789 x", max_size=12))
+    kind = draw(st.sampled_from([CLASS_KIND, GERM_KIND, "Class", "germs", "", " class"]))
+    length = draw(st.integers(0, n // 2 + 1))
+    entries = draw(st.lists(st.integers(-bound - 2, bound + 2), min_size=length, max_size=length))
+    texts = [draw(_entry_text(e)) for e in entries]
+    sep = draw(st.sampled_from([":", ": ", "", "::"]))
+    return m, kind + sep + draw(st.sampled_from([",", ", ", " ,"])).join(texts)
+
+
+@given(point_ids())
+@example((build_dual_model(4, 1), "class: 1,0"))  # non-canonical spellings of model points
+@example((build_dual_model(4, 1), "class:+1,0"))
+@example((build_dual_model(4, 10), "class:1_0,0"))
+@example((build_dual_model(4, 1), "class:9,9"))  # outside the model
+@settings(max_examples=400, deadline=None)
+def test_point_from_id_matches_parse_oracle(case):
+    m, point_id = case
+    try:
+        want = parse_point_id(m, point_id)
+    except Exception as exc:  # the table must fail the same way
+        with pytest.raises(type(exc)) as got:
+            point_from_id(m, point_id)
+        assert str(got.value) == str(exc)
+    else:
+        assert point_from_id(m, point_id) == want
+
+
+def dual_model_to_json_oracle(model):
+    """The JSON export as written before the id table: every id formatted
+    per mention."""
+    space = model.space
+    return {
+        "n": model.n,
+        "bound": model.bound,
+        "points": [{"id": p.point_id, "kind": p.kind, "entries": list(p.sig.entries)} for p in space.points],
+        "closures": {p.point_id: sorted(q.point_id for q in closure(space, p)) for p in space.points},
+        "edges": sorted([p.point_id, q.point_id] for p, q in space.edges()),
+    }
+
+
+def dual_model_to_dot_oracle(model):
+    """The dot export as written before the id table."""
+    space = model.space
+    lines = [f'digraph "dual_so{model.n}_bound{model.bound}" {{']
+    for p in space.points:
+        shape = "ellipse" if p.kind == CLASS_KIND else "box"
+        lines.append(f'  "{p.point_id}" [shape={shape}];')
+    for p, q in space.edges():
+        lines.append(f'  "{p.point_id}" -> "{q.point_id}" [dir=none];')
+    for p in space.points:
+        for q in sorted(closure(space, p) - {p}, key=space._index.__getitem__):
+            lines.append(f'  "{p.point_id}" -> "{q.point_id}" [style=dashed];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n, bound", [(4, 1), (5, 2), (7, 3), (5, 12), (24, 2)])
+def test_exports_match_per_mention_oracle(n, bound):
+    m = build_dual_model(n, bound)
+    assert json.dumps(dual_model_to_json(m), indent=2) == json.dumps(dual_model_to_json_oracle(m), indent=2)
+    assert dual_model_to_dot(m) == dual_model_to_dot_oracle(m)
 
 
 def test_dot_export_shapes():
