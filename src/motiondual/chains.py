@@ -8,12 +8,14 @@ functions here validate chains, certify that bound against an independent
 BFS, decide separation by disjoint open sets, and construct admissible
 chains of prescribed length from a set pair at sufficient distance.
 
-Inside, every set is an int mask over `space.points` and every search is
-the space's layered search on masks (`Graph._layers`): the private helpers
-`_violations`, `_admissible`, `_separate` and the space's `_ball` do the
-set algebra.  Point sets are turned into masks once where they enter the
-public functions and back into frozensets once where they leave them, so
-a chain is built, validated and re-checked without hashing its points.
+A `Chain` holds one int mask per set over the points of the space it was
+built on, and every search is the space's layered search on masks
+(`Graph._layers`): the private helpers `_violations`, `_admissible`,
+`_separate` and the space's `_ball` do the set algebra.  The construction,
+the JSON reader and writer and every re-check use those masks as they
+are, so no step hashes the chain's points; a chain written by hand from
+point sets, or checked on another space object than its own (a model
+rebuilt after a cache eviction), is mapped there once by its points.
 
 Topological operations (closure, separation, neighborhoods used during
 construction) run on the full model relation; distance certificates are
@@ -33,7 +35,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Sequence
 
-from .dualspace import DualModel, FiniteT0Space, Point, _union
+from .dualspace import DualModel, FiniteT0Space, Point, _members, _union, point_from_id
 from .errors import CertificationError, PreconditionViolated
 
 __all__ = [
@@ -50,13 +52,42 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Chain:
-    sets: tuple[frozenset, ...]
+    """A chain of closed sets: one int mask per set (`masks`) over the points
+    of `space`, the space it was built on.  `Chain(sets)` takes point sets
+    instead and has no space; the functions below map it by its points onto
+    the space they check it on."""
+
+    __slots__ = ("space", "masks", "_sets")
+
+    def __init__(self, sets: Iterable[Iterable]):
+        self.space, self.masks, self._sets = None, None, tuple(map(frozenset, sets))
+
+    @classmethod
+    def _on(cls, space: FiniteT0Space, masks: Iterable[int]) -> Chain:
+        chain = cls.__new__(cls)
+        chain.space, chain.masks, chain._sets = space, tuple(masks), None
+        return chain
+
+    @property
+    def sets(self) -> tuple[frozenset, ...]:
+        """The point sets, derived from the masks on each call."""
+        if self.space is None:
+            return self._sets
+        return tuple(map(self.space._set, self.masks))
 
     @property
     def length(self) -> int:
-        return len(self.sets)
+        return len(self._sets if self.space is None else self.masks)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Chain) and self.sets == other.sets
+
+    def __hash__(self) -> int:
+        return hash(self.sets)
+
+    def __repr__(self) -> str:
+        return f"Chain({self.sets!r})"
 
 
 @dataclass(frozen=True)
@@ -79,14 +110,24 @@ def _inside(obj, restrict_to_class: bool) -> int:
     return obj.class_mask
 
 
+def _closed(space: FiniteT0Space, s: int) -> bool:
+    """Whether the set mask is closed: it holds the closure of each of its
+    points, or equally no point outside it has a minimal open set that meets
+    it.  The side with fewer points is unioned, so the large sets of a chain
+    cost as little as their small complements."""
+    rest = space._within(None) & ~s
+    if s.bit_count() <= rest.bit_count():
+        return _union(space._closure, s) == s
+    return not _union(space._min_open, rest) & s
+
+
 def _violations(space: FiniteT0Space, sets: Sequence[int]) -> tuple[str, ...]:
     """Why the chain of set masks is not valid, in the order of the checks:
     closedness, cover, non-consecutive disjointness, end sets."""
     n = len(sets)
     if n == 0:
         return ("chain has no sets",)
-    cl = space._closure
-    bad = [f"set {i} is not closed" for i, s in enumerate(sets, start=1) if _union(cl, s) != s]
+    bad = [f"set {i} is not closed" for i, s in enumerate(sets, start=1) if not _closed(space, s)]
     if reduce(or_, sets) != space._within(None):
         bad.append("union of the sets does not cover the space")
     for i in range(n):
@@ -101,10 +142,19 @@ def _violations(space: FiniteT0Space, sets: Sequence[int]) -> tuple[str, ...]:
     return tuple(bad)
 
 
-def _valid_masks(space: FiniteT0Space, chain: Chain) -> list[int]:
+def _masks(space: FiniteT0Space, chain: Chain) -> tuple[int, ...]:
+    """The chain's set masks over `space`: its own masks when it was built
+    on that space object, else its point sets mapped there once (a point
+    outside the space raises UnknownPoint)."""
+    if chain.space is space:
+        return chain.masks
+    return tuple(map(space._mask, chain.sets))
+
+
+def _valid_masks(space: FiniteT0Space, chain: Chain) -> tuple[int, ...]:
     """The set masks of a chain that must be valid; PreconditionViolated
     names the violations otherwise."""
-    sets = [space._mask(s) for s in chain.sets]
+    sets = _masks(space, chain)
     bad = _violations(space, sets)
     if bad:
         raise PreconditionViolated("chain is not valid: " + "; ".join(bad))
@@ -152,7 +202,7 @@ def _separate(space: FiniteT0Space, Y: int, Z: int) -> tuple[int, int] | None:
 def validate_chain(model, chain: Chain) -> ChainReport:
     """Check closedness, cover, non-consecutive disjointness and end sets."""
     space = _space_of(model)
-    bad = _violations(space, [space._mask(s) for s in chain.sets])
+    bad = _violations(space, _masks(space, chain))
     return ChainReport(not bad, bad)
 
 
@@ -170,11 +220,11 @@ def chain_lower_bound(model, chain: Chain, x, y, restrict_to_class: bool = True)
     BFS; a contradiction raises CertificationError (it would mean a bug,
     the bound being a theorem about valid chains)."""
     space = _space_of(model)
-    _valid_masks(space, chain)
-    bad = witness_violations(model, chain, x, y, restrict_to_class)
+    sets = _valid_masks(space, chain)
+    bad = _witness_violations(model, sets, x, y, restrict_to_class)
     if bad:
         raise PreconditionViolated(bad[0])
-    n = chain.length
+    n = len(sets)
     i, j = space._ids((x, y))
     d = space._reach(1 << i, 1 << j, _inside(model, restrict_to_class))
     if d < n:
@@ -186,20 +236,27 @@ def witness_violations(model, chain: Chain, x, y, restrict_to_class: bool = True
     """Why x and y are not end witnesses of the (valid) chain: they must be
     two distinct points of a one-set chain, or else x must lie in the first
     set only and y in the last set only; class points when class-restricted."""
+    return _witness_violations(model, _masks(_space_of(model), chain), x, y, restrict_to_class)
+
+
+def _witness_violations(model, sets: Sequence[int], x, y, restrict_to_class: bool) -> tuple[str, ...]:
+    """`witness_violations` on the set masks; a point outside the space
+    lies in no set and is no class."""
+    index = _space_of(model)._index
+    xb, yb = (1 << index[p] if p in index else 0 for p in (x, y))
     bad = []
-    sets = chain.sets
-    if chain.length == 1:
-        if x not in sets[0] or y not in sets[0]:
+    if len(sets) == 1:
+        if not xb & sets[0] or not yb & sets[0]:
             bad.append("end witnesses must lie in the chain")
         elif x == y:
             bad.append("a length-1 certificate needs distinct end points")
     else:
-        if x not in sets[0] or x in sets[1]:
+        if not xb & sets[0] or xb & sets[1]:
             bad.append("x must lie in the first set and not the second")
-        if y not in sets[-1] or y in sets[-2]:
+        if not yb & sets[-1] or yb & sets[-2]:
             bad.append("y must lie in the last set and not the second-to-last")
-    _inside(model, restrict_to_class)  # class restriction needs a dual model
-    if restrict_to_class and not {x, y} <= model.class_points:
+    inside = _inside(model, restrict_to_class)  # class restriction needs a dual model
+    if restrict_to_class and not (xb & inside and yb & inside):
         bad.append("end witnesses of a class-restricted chain must be classes")
     return tuple(bad)
 
@@ -211,7 +268,8 @@ def chain_for_distance(model, x, y, k: int, restrict_to_class: bool = True) -> t
     if k >= 2:
         chain = find_admissible_chain(model, [x], [y], k, restrict_to_class)
     else:
-        chain = Chain((frozenset(_space_of(model).points),))
+        space = _space_of(model)
+        chain = Chain._on(space, (space._within(None),))
     return chain, chain_lower_bound(model, chain, x, y, restrict_to_class)
 
 
@@ -280,7 +338,7 @@ def find_admissible_chain(model, X: Iterable, Y: Iterable, k: int, restrict_to_c
         raise CertificationError("constructed chain does not isolate Y in the last set")
     if _admissible(space, sets, inside) is None:
         raise CertificationError("constructed chain is not admissible")
-    return Chain(tuple(space._set(s) for s in sets))
+    return Chain._on(space, sets)
 
 
 def chain_to_json(model: DualModel, chain: Chain, x=None, y=None, restrict_to_class: bool = True) -> dict:
@@ -290,7 +348,7 @@ def chain_to_json(model: DualModel, chain: Chain, x=None, y=None, restrict_to_cl
         "bound": model.bound,
         "restrict_to_class": restrict_to_class,
         "length": chain.length,
-        "sets": [sorted(ids[i] for i in space._ids(s)) for s in chain.sets],
+        "sets": [sorted(ids[i] for i in _members(m)) for m in _masks(space, chain)],
     }
     if x is not None and y is not None:
         payload["x"], payload["y"] = (ids[i] for i in space._ids((x, y)))
@@ -298,10 +356,20 @@ def chain_to_json(model: DualModel, chain: Chain, x=None, y=None, restrict_to_cl
 
 
 def chain_from_json(model: DualModel, payload: dict) -> tuple[Chain, Point | None, Point | None, bool]:
-    from .dualspace import point_from_id
-
-    sets = tuple(frozenset(point_from_id(model, pid) for pid in ids) for ids in payload["sets"])
-    chain = Chain(sets)
+    """The chain of a `chain_to_json` payload as masks over the model's
+    space, its end witnesses and its restriction flag.  A canonical id
+    becomes a point number through `DualModel.ids`; a set with any other id
+    goes through `point_from_id`, which parses it or raises."""
+    space = model.space
+    number = dict(zip(model.ids, range(len(space.points))))
+    sets = []
+    for ids in payload["sets"]:
+        try:
+            members = list(map(number.__getitem__, ids))
+        except (KeyError, TypeError):
+            members = [space._index[point_from_id(model, pid)] for pid in ids]
+        sets.append(reduce(or_, (1 << i for i in members), 0))
+    chain = Chain._on(space, sets)
     x = point_from_id(model, payload["x"]) if "x" in payload else None
     y = point_from_id(model, payload["y"]) if "y" in payload else None
     restrict = payload.get("restrict_to_class", True)

@@ -128,9 +128,19 @@ def cmd_walk(args) -> int:
     return 0
 
 
+def _same_as_file(args, **fields) -> None:
+    """Refuse an --n or --bound given with --check that differs from the
+    value the checked file holds; n and the bound come from the file."""
+    for name, value in fields.items():
+        given = getattr(args, name)
+        if given is not None and given != value:
+            raise PreconditionViolated(f"--{name} {given} differs from {name} = {value} in {args.check}")
+
+
 def cmd_chain(args) -> int:
     if args.check:
         model, chain, x, y, restrict, length = _read_json_file(args.check, "chain", _chain_from_payload)
+        _same_as_file(args, n=model.n, bound=model.bound)
         rep = chains_mod.validate_chain(model, chain)
         bad = list(rep.violations)
         if length != chain.length:
@@ -146,6 +156,8 @@ def cmd_chain(args) -> int:
         else:
             print(f"chain of length {chain.length} is valid")
         return 0
+    if args.n is None:
+        raise PreconditionViolated("chain needs --n (or --check FILE)")
     if args.sig1 is None or args.sig2 is None:
         raise PreconditionViolated("chain needs two signatures (or --check FILE)")
     bound = resolve_bound(args.n, args.bound)
@@ -197,12 +209,15 @@ def _certificate_from_payload(payload: dict) -> primal_mod.MergeCertificate:
 def cmd_certify(args) -> int:
     if args.check:
         cert = _read_json_file(args.check, "certificate", _certificate_from_payload)
+        _same_as_file(args, n=cert.n)
         report = primal_mod.validate_certificate(cert)
         if not report.ok:
             print("certificate invalid: " + "; ".join(report.violations), file=sys.stderr)
             return 2
         print(f"certificate valid; implied bound {report.implied_bound}")
         return 0
+    if args.n is None:
+        raise PreconditionViolated("certify needs --n (or --check FILE)")
     if args.sig1 is None or args.sig2 is None or args.sig3 is None:
         raise PreconditionViolated("certify needs three signatures (or --check FILE)")
     child = args.n - 1
@@ -253,8 +268,9 @@ def build_parser() -> Parser:
     parser = Parser(prog="motiondual", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_bound=True):
-        p.add_argument("--n", type=int, required=True, help="dimension of the motion group")
+    def add_common(p, with_bound=True, checks_file=False):
+        # a command that re-checks a file reads n from it
+        p.add_argument("--n", type=int, required=not checks_file, help="dimension of the motion group")
         if with_bound:
             p.add_argument("--bound", type=int, default=None, help="truncation bound (default 3, 1 for n >= 10)")
         p.add_argument("--output", default=None, help="write to this file instead of stdout")
@@ -285,19 +301,19 @@ def build_parser() -> Parser:
     p.set_defaults(func=cmd_walk)
 
     p = sub.add_parser("chain", help="admissible chain certificate between two classes")
-    add_common(p)
+    add_common(p, checks_file=True)
     p.add_argument("sig1", nargs="?")
     p.add_argument("sig2", nargs="?")
     p.add_argument("--k", type=int, default=None, help="chain length (default: the distance)")
-    p.add_argument("--check", default=None, help="re-verify a chain certificate file")
+    p.add_argument("--check", default=None, help="re-verify a chain certificate file (n and bound from the file)")
     p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser("certify", help="merge certificate for three germ signatures")
-    add_common(p, with_bound=False)
+    add_common(p, with_bound=False, checks_file=True)
     p.add_argument("sig1", nargs="?")
     p.add_argument("sig2", nargs="?")
     p.add_argument("sig3", nargs="?")
-    p.add_argument("--check", default=None, help="re-verify a merge certificate file")
+    p.add_argument("--check", default=None, help="re-verify a merge certificate file (n from the file)")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("verify", help="full verification sweep")

@@ -275,7 +275,10 @@ def check_chain_lemma(n: int, bound: int, rng: random.Random) -> CheckResult:
     extremal pair plus seeded random class-set pairs.  Property 1, which the
     chain lemma rests on, is checked first and draws nothing from `rng`; its
     neighborhood half cross-checks the constructor's adjacency fold (see
-    `_property1_violation` and its tampered-adjacency test)."""
+    `_property1_violation` and its tampered-adjacency test).  The random
+    pairs are drawn only when the class graph has diameter 2 or more:
+    below that no two class sets are 2 apart, so no draw could give a trial
+    and `rng` is left as it was."""
     if n > 9:
         return CheckResult(n, "chain-lemma", True, "skipped above n = 9", skipped=True)
     model = build_dual_model(n, bound)
@@ -291,7 +294,8 @@ def check_chain_lemma(n: int, bound: int, rng: random.Random) -> CheckResult:
     # the classes are the first points, so class indices are point numbers
     space, classes = model.space, range(len(model.class_points))
     attempts = 0
-    while len(trials) < 51 and attempts < 5000:
+    futile = space.diameter(model.class_mask) < 2
+    while not futile and len(trials) < 51 and attempts < 5000:
         attempts += 1
         xs = sum(1 << i for i in rng.sample(classes, rng.randint(1, min(3, len(classes)))))
         ys = sum(1 << i for i in rng.sample(classes, rng.randint(1, min(3, len(classes)))))

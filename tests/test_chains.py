@@ -646,3 +646,83 @@ def test_class_mask_is_the_class_points():
     for n, bound in ORACLE_GRID:
         m = build_dual_model(n, bound)
         assert m.space._set(m.class_mask) == m.class_points
+
+
+# --- chains held as masks -------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, bound", [(4, 3), (7, 1), (7, 3), (9, 2)])
+def test_built_chain_holds_the_reference_sets_as_masks(n, bound):
+    m = build_dual_model(n, bound)
+    k = n // 2
+    xs, ys = [cls([0] * k, n)], [cls([1] * k, n)]
+    chain = find_admissible_chain(m, xs, ys, k)
+    ref = ref_find(m, xs, ys, k)
+    assert chain.space is m.space
+    assert chain.sets == ref.sets
+    assert chain.masks == tuple(m.space._mask(s) for s in ref.sets)
+
+
+@pytest.mark.parametrize("n, bound", [(6, 3), (7, 1), (8, 2)])
+def test_json_roundtrip_keeps_the_masks(n, bound):
+    m = build_dual_model(n, bound)
+    x, y = cls([0] * (n // 2), n), cls([1] * (n // 2), n)
+    chain = find_admissible_chain(m, [x], [y], n // 2)
+    back, x2, y2, _ = chain_from_json(m, json.loads(json.dumps(chain_to_json(m, chain, x, y))))
+    assert back.space is m.space and back.masks == chain.masks
+    assert (x2, y2) == (x, y)
+
+
+def test_json_reader_takes_non_canonical_ids():
+    m = build_dual_model(7, 1)
+    x, y = cls([0, 0, 0], 7), cls([1, 1, 1], 7)
+    chain = find_admissible_chain(m, [x], [y], 3)
+    payload = chain_to_json(m, chain, x, y)
+    payload["sets"][1] = [pid.replace(",", ", ") for pid in payload["sets"][1]]
+    assert chain_from_json(m, payload)[0].masks == chain.masks
+
+
+def rechecks(model, chain, x, y):
+    return (
+        validate_chain(model, chain),
+        is_admissible(model, chain),
+        chains.witness_violations(model, chain, x, y),
+        chain_lower_bound(model, chain, x, y),
+        chain_to_json(model, chain, x, y),
+    )
+
+
+def test_chain_rechecked_on_a_rebuilt_model_gives_the_same_reports():
+    m = build_dual_model(8, 2)
+    x, y = cls([0] * 4, 8), cls([1] * 4, 8)
+    chain = find_admissible_chain(m, [x], [y], 4)
+    before = rechecks(m, chain, x, y)
+    build_dual_model.cache_clear()
+    rebuilt = build_dual_model(8, 2)
+    assert rebuilt.space is not m.space
+    assert rechecks(rebuilt, chain, x, y) == before
+    assert chain == find_admissible_chain(rebuilt, [x], [y], 4)
+
+
+def test_set_outside_the_space_raises_unknown_point():
+    small, big = build_dual_model(7, 1), build_dual_model(7, 3)
+    x, y = cls([0, 0, 0], 7), cls([3, 3, 3], 7)
+    chain = find_admissible_chain(big, [x], [y], 3)
+    for fn in (validate_chain, is_admissible):
+        with pytest.raises(UnknownPoint):
+            fn(small, chain)
+    with pytest.raises(UnknownPoint):
+        chain_to_json(small, chain)
+    payload = chain_to_json(small, find_admissible_chain(small, [x], [cls([1, 1, 1], 7)], 3))
+    payload["sets"][0].append("class:3,3,3")
+    with pytest.raises(UnknownPoint):
+        chain_from_json(small, payload)
+
+
+def test_chains_equal_by_their_point_sets():
+    m = build_dual_model(7, 1)
+    chain = find_admissible_chain(m, [cls([0, 0, 0], 7)], [cls([1, 1, 1], 7)], 3)
+    by_hand = Chain(chain.sets)
+    assert by_hand.space is None and by_hand.length == chain.length == 3
+    assert by_hand == chain and hash(by_hand) == hash(chain)
+    assert Chain(chain.sets[:2]) != chain

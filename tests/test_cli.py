@@ -269,6 +269,50 @@ def test_chain_check_rejects_non_boolean_restrict_to_class(capsys, tmp_path, val
     assert "restrict_to_class must be true or false" in _check_chain_file(capsys, out_file)
 
 
+def _written_chain(capsys, tmp_path):
+    out_file = tmp_path / "chain.json"
+    run(["chain", "--n", "7", "0,0,0", "1,1,1", "--bound", "1", "--output", str(out_file)], capsys)
+    return out_file
+
+
+@pytest.mark.parametrize("flags", [[], ["--n", "7"], ["--bound", "1"], ["--n", "7", "--bound", "1"]])
+def test_chain_check_reads_n_and_bound_from_the_file(capsys, tmp_path, flags):
+    out_file = _written_chain(capsys, tmp_path)
+    code, out, err = run(["chain", *flags, "--check", str(out_file)], capsys)
+    assert (code, out, err) == (0, "chain of length 3 certifies distance >= 3\n", "")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--n", "6"], "--n 6 differs from n = 7 in "),
+        (["--bound", "2"], "--bound 2 differs from bound = 1 in "),
+        (["--n", "7", "--bound", "3"], "--bound 3 differs from bound = 1 in "),
+    ],
+)
+def test_chain_check_refuses_flags_that_differ_from_the_file(capsys, tmp_path, flags, message):
+    out_file = _written_chain(capsys, tmp_path)
+    code, out, err = run(["chain", *flags, "--check", str(out_file)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}{out_file}\n"
+
+
+def test_certify_check_reads_n_from_the_file(capsys, tmp_path):
+    out_file = _issue_certificate(capsys, tmp_path)
+    code, out, _ = run(["certify", "--check", str(out_file)], capsys)
+    assert (code, out) == (0, "certificate valid; implied bound 3/2\n")
+    code, out, err = run(["certify", "--n", "7", "--check", str(out_file)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: --n 7 differs from n = 6 in {out_file}\n"
+
+
+@pytest.mark.parametrize("argv", [["chain", "0,0,0", "1,1,1"], ["certify", "1,0", "2,0", "1,1"]])
+def test_making_a_certificate_needs_n(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {argv[0]} needs --n (or --check FILE)\n"
+
+
 def test_certify_example(capsys):
     code, out, _ = run(["certify", "--n", "6", "1,0", "2,0", "1,1"], capsys)
     assert code == 0

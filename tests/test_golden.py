@@ -1,0 +1,57 @@
+"""Golden outputs: the exact bytes of the outputs that must not drift.
+
+Refactors and speed-ups keep `verify --format json`, the chain and merge
+certificate files and the graph exports byte-identical.  Each command's
+stdout is pinned by its SHA-256 digest; a change that is meant to alter
+one of them must update its digest and say why.
+"""
+
+import hashlib
+
+import pytest
+
+from motiondual.cli import main
+
+GOLDEN = {
+    "verify": (
+        ["verify", "--n-min", "3", "--n-max", "12", "--seed", "1", "--format", "json"],
+        "dfcc90f673c6ee4aef0b803a35c15c39fb61fd6cd35405acfd12f2732c745905",
+    ),
+    "chain": (
+        ["chain", "--n", "7", "0,0,0", "1,1,1"],
+        "478f48bfd942bca32afd2b5bcc9c02408d2a2e279212199cee2d8259e41d0e35",
+    ),
+    "certify": (
+        ["certify", "--n", "6", "1,0", "2,0", "1,1"],
+        "c1cba51a840c982b7cb2c76084ac265da8cdea1385af6816d73c309e75ffda64",
+    ),
+    "graph": (
+        ["graph", "--n", "5", "--kind", "dual", "--format", "json"],
+        "0e05126e5be3dfa2c71239a0b0b3f83a7192d853668f35a5242be4bd8f8a5831",
+    ),
+}
+# `chain --n 7 --check` on the file that the "chain" command writes
+CHAIN_CHECK_DIGEST = "dda30a8948e13065d8f5d7095f9f1fa5cc7930ba2825008038738fc112fe48be"
+
+
+def stdout_of(argv, capsys) -> str:
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0, argv
+    return out
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_matches_its_golden_digest(capsys, name):
+    argv, want = GOLDEN[name]
+    assert digest(stdout_of(argv, capsys)) == want
+
+
+def test_chain_check_output_matches_its_golden_digest(capsys, tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_text(stdout_of(GOLDEN["chain"][0], capsys))
+    assert digest(stdout_of(["chain", "--n", "7", "--check", str(path)], capsys)) == CHAIN_CHECK_DIGEST

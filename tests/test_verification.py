@@ -165,7 +165,9 @@ def point_set_trials(n, bound, rng):
 @pytest.mark.parametrize("n", range(3, 10))
 def test_chain_lemma_draws_the_point_set_trials(monkeypatch, n, seed):
     """The same trials and the same rng state afterwards, so the
-    merge-certificates check, which shares the rng, sees the same triples."""
+    merge-certificates check, which shares the rng, sees the same triples.
+    Below class diameter 2 (n = 3) the point-set loop finds no trial, and
+    the check draws nothing and builds no chain."""
     bound = verification.default_bound(n)
     built = []
     real = chains.find_admissible_chain
@@ -177,11 +179,25 @@ def test_chain_lemma_draws_the_point_set_trials(monkeypatch, n, seed):
     monkeypatch.setattr(chains, "find_admissible_chain", recording)
     rng, expected = random.Random(f"{seed}:{n}"), random.Random(f"{seed}:{n}")
     result = verification.check_chain_lemma(n, bound, rng)
-    trials = point_set_trials(n, bound, expected)
     assert result.ok, result
+    model = build_dual_model(n, bound)
+    if model.space.diameter(model.class_mask) < 2:
+        assert rng.getstate() == expected.getstate()
+        assert built == [] and result.detail == "0 chains"
+        assert point_set_trials(n, bound, expected) == []
+        return
+    trials = point_set_trials(n, bound, expected)
     assert rng.getstate() == expected.getstate()
     assert built[n // 2 >= 2 :] == trials
     assert result.detail == f"{len(built)} chains"
+
+
+@pytest.mark.parametrize("bound", range(1, 9))
+def test_n3_class_diameter_is_one(bound):
+    """At n = 3 every two classes are joined, so no two class sets lie 2
+    apart and the chain-lemma check rightly draws no random trial."""
+    model = build_dual_model(3, bound)
+    assert model.space.diameter(model.class_mask) == 1
 
 
 def contradicted(*args, **kwargs):
