@@ -8,14 +8,14 @@ functions here validate chains, certify that bound against an independent
 BFS, decide separation by disjoint open sets, and construct admissible
 chains of prescribed length from a set pair at sufficient distance.
 
-A `Chain` holds one int mask per set over the points of the space it was
-built on, and every search is the space's layered search on masks
-(`Graph._layers`): the private helpers `_violations`, `_admissible`,
-`_separate` and the space's `_ball` do the set algebra.  The construction,
-the JSON reader and writer and every re-check use those masks as they
-are, so no step hashes the chain's points; a chain written by hand from
-point sets, or checked on another space object than its own (a model
-rebuilt after a cache eviction), is mapped there once by its points.
+Every function takes a `DualModel`.  A `Chain` holds one int mask per set
+over the points of the model space it was built on, and every search is the
+space's layered search on masks (`Graph._layers`): the private helpers
+`_violations`, `_admissible`, `_separate` and the space's `_ball` do the set
+algebra.  The construction, the JSON reader and writer and every re-check
+use those masks as they are, so no step hashes the chain's points.  A chain
+checked on another model than its own must be over the same points (the
+same model rebuilt after a cache eviction); any other raises UnknownPoint.
 
 Topological operations (closure, separation, neighborhoods used during
 construction) run on the full model relation; distance certificates are
@@ -36,7 +36,7 @@ from operator import or_
 from typing import Iterable, Sequence
 
 from .dualspace import DualModel, FiniteT0Space, Point, _members, _union, point_from_id
-from .errors import CertificationError, PreconditionViolated
+from .errors import CertificationError, PreconditionViolated, UnknownPoint
 
 __all__ = [
     "Chain",
@@ -52,42 +52,18 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True)
 class Chain:
     """A chain of closed sets: one int mask per set (`masks`) over the points
-    of `space`, the space it was built on.  `Chain(sets)` takes point sets
-    instead and has no space; the functions below map it by its points onto
-    the space they check it on."""
+    of `space`, the model space it was built on.  Two chains are equal when
+    they hold the same masks over the same space object."""
 
-    __slots__ = ("space", "masks", "_sets")
-
-    def __init__(self, sets: Iterable[Iterable]):
-        self.space, self.masks, self._sets = None, None, tuple(map(frozenset, sets))
-
-    @classmethod
-    def _on(cls, space: FiniteT0Space, masks: Iterable[int]) -> Chain:
-        chain = cls.__new__(cls)
-        chain.space, chain.masks, chain._sets = space, tuple(masks), None
-        return chain
-
-    @property
-    def sets(self) -> tuple[frozenset, ...]:
-        """The point sets, derived from the masks on each call."""
-        if self.space is None:
-            return self._sets
-        return tuple(map(self.space._set, self.masks))
+    space: FiniteT0Space
+    masks: tuple[int, ...]
 
     @property
     def length(self) -> int:
-        return len(self._sets if self.space is None else self.masks)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Chain) and self.sets == other.sets
-
-    def __hash__(self) -> int:
-        return hash(self.sets)
-
-    def __repr__(self) -> str:
-        return f"Chain({self.sets!r})"
+        return len(self.masks)
 
 
 @dataclass(frozen=True)
@@ -96,18 +72,10 @@ class ChainReport:
     violations: tuple[str, ...]
 
 
-def _space_of(obj) -> FiniteT0Space:
-    return obj.space if isinstance(obj, DualModel) else obj
-
-
-def _inside(obj, restrict_to_class: bool) -> int:
+def _inside(model: DualModel, restrict_to_class: bool) -> int:
     """The mask of the vertices a search may use: the classes when
-    class-restricted, which needs a dual model, else every point."""
-    if not restrict_to_class:
-        return _space_of(obj)._within(None)
-    if not isinstance(obj, DualModel):
-        raise PreconditionViolated("class restriction needs a dual model")
-    return obj.class_mask
+    class-restricted, else every point."""
+    return model.class_mask if restrict_to_class else model.space._within(None)
 
 
 def _closed(space: FiniteT0Space, s: int) -> bool:
@@ -142,20 +110,20 @@ def _violations(space: FiniteT0Space, sets: Sequence[int]) -> tuple[str, ...]:
     return tuple(bad)
 
 
-def _masks(space: FiniteT0Space, chain: Chain) -> tuple[int, ...]:
-    """The chain's set masks over `space`: its own masks when it was built
-    on that space object, else its point sets mapped there once (a point
-    outside the space raises UnknownPoint)."""
-    if chain.space is space:
-        return chain.masks
-    return tuple(map(space._mask, chain.sets))
+def _masks(model: DualModel, chain: Chain) -> tuple[int, ...]:
+    """The chain's set masks, which are masks over the model's points when
+    the chain's space has the model's point tuple: the model's own space,
+    or the same model rebuilt after a cache eviction.  UnknownPoint else."""
+    if chain.space is not model.space and chain.space.points != model.space.points:
+        raise UnknownPoint("the chain is over other points than this model's")
+    return chain.masks
 
 
-def _valid_masks(space: FiniteT0Space, chain: Chain) -> tuple[int, ...]:
+def _valid_masks(model: DualModel, chain: Chain) -> tuple[int, ...]:
     """The set masks of a chain that must be valid; PreconditionViolated
     names the violations otherwise."""
-    sets = _masks(space, chain)
-    bad = _violations(space, sets)
+    sets = _masks(model, chain)
+    bad = _violations(model.space, sets)
     if bad:
         raise PreconditionViolated("chain is not valid: " + "; ".join(bad))
     return sets
@@ -199,28 +167,27 @@ def _separate(space: FiniteT0Space, Y: int, Z: int) -> tuple[int, int] | None:
     return (U, V) if found else None
 
 
-def validate_chain(model, chain: Chain) -> ChainReport:
+def validate_chain(model: DualModel, chain: Chain) -> ChainReport:
     """Check closedness, cover, non-consecutive disjointness and end sets."""
-    space = _space_of(model)
-    bad = _violations(space, _masks(space, chain))
+    bad = _violations(model.space, _masks(model, chain))
     return ChainReport(not bad, bad)
 
 
-def is_admissible(model, chain: Chain, restrict_to_class: bool = True):
+def is_admissible(model: DualModel, chain: Chain, restrict_to_class: bool = True):
     """Search for end witnesses at finite distance; returns (found, x, y)."""
-    space = _space_of(model)
-    hit = _admissible(space, _valid_masks(space, chain), _inside(model, restrict_to_class))
+    space = model.space
+    hit = _admissible(space, _valid_masks(model, chain), _inside(model, restrict_to_class))
     if hit is None:
         return False, None, None
     return True, space.points[hit[0]], space.points[hit[1]]
 
 
-def chain_lower_bound(model, chain: Chain, x, y, restrict_to_class: bool = True) -> int:
+def chain_lower_bound(model: DualModel, chain: Chain, x, y, restrict_to_class: bool = True) -> int:
     """Certify d(x, y) >= chain length and re-check it with an independent
     BFS; a contradiction raises CertificationError (it would mean a bug,
     the bound being a theorem about valid chains)."""
-    space = _space_of(model)
-    sets = _valid_masks(space, chain)
+    space = model.space
+    sets = _valid_masks(model, chain)
     bad = _witness_violations(model, sets, x, y, restrict_to_class)
     if bad:
         raise PreconditionViolated(bad[0])
@@ -232,17 +199,17 @@ def chain_lower_bound(model, chain: Chain, x, y, restrict_to_class: bool = True)
     return n
 
 
-def witness_violations(model, chain: Chain, x, y, restrict_to_class: bool = True) -> tuple[str, ...]:
+def witness_violations(model: DualModel, chain: Chain, x, y, restrict_to_class: bool = True) -> tuple[str, ...]:
     """Why x and y are not end witnesses of the (valid) chain: they must be
     two distinct points of a one-set chain, or else x must lie in the first
     set only and y in the last set only; class points when class-restricted."""
-    return _witness_violations(model, _masks(_space_of(model), chain), x, y, restrict_to_class)
+    return _witness_violations(model, _masks(model, chain), x, y, restrict_to_class)
 
 
-def _witness_violations(model, sets: Sequence[int], x, y, restrict_to_class: bool) -> tuple[str, ...]:
+def _witness_violations(model: DualModel, sets: Sequence[int], x, y, restrict_to_class: bool) -> tuple[str, ...]:
     """`witness_violations` on the set masks; a point outside the space
     lies in no set and is no class."""
-    index = _space_of(model)._index
+    index = model.space._index
     xb, yb = (1 << index[p] if p in index else 0 for p in (x, y))
     bad = []
     if len(sets) == 1:
@@ -255,25 +222,24 @@ def _witness_violations(model, sets: Sequence[int], x, y, restrict_to_class: boo
             bad.append("x must lie in the first set and not the second")
         if not yb & sets[-1] or yb & sets[-2]:
             bad.append("y must lie in the last set and not the second-to-last")
-    inside = _inside(model, restrict_to_class)  # class restriction needs a dual model
+    inside = _inside(model, restrict_to_class)
     if restrict_to_class and not (xb & inside and yb & inside):
         bad.append("end witnesses of a class-restricted chain must be classes")
     return tuple(bad)
 
 
-def chain_for_distance(model, x, y, k: int, restrict_to_class: bool = True) -> tuple[Chain, int]:
+def chain_for_distance(model: DualModel, x, y, k: int, restrict_to_class: bool = True) -> tuple[Chain, int]:
     """A chain certifying d(x, y) >= k, and the bound it certifies: the
     admissible chain of length k for k >= 2, else the one-set chain on the
     whole space."""
     if k >= 2:
         chain = find_admissible_chain(model, [x], [y], k, restrict_to_class)
     else:
-        space = _space_of(model)
-        chain = Chain._on(space, (space._within(None),))
+        chain = Chain(model.space, (model.space._within(None),))
     return chain, chain_lower_bound(model, chain, x, y, restrict_to_class)
 
 
-def separate(model, Y: Iterable, Z: Iterable):
+def separate(model: DualModel, Y: Iterable, Z: Iterable):
     """Disjoint open sets around Y and Z, or None.
 
     Returns the unions of minimal open sets when they are disjoint.  Also
@@ -281,12 +247,12 @@ def separate(model, Y: Iterable, Z: Iterable):
     closure of Z^1 misses Y) and insists the two answers agree, which the
     separation lemma guarantees on these finite spaces.
     """
-    space = _space_of(model)
+    space = model.space
     sep = _separate(space, space._mask(Y), space._mask(Z))
     return None if sep is None else (space._set(sep[0]), space._set(sep[1]))
 
 
-def find_admissible_chain(model, X: Iterable, Y: Iterable, k: int, restrict_to_class: bool = True) -> Chain:
+def find_admissible_chain(model: DualModel, X: Iterable, Y: Iterable, k: int, restrict_to_class: bool = True) -> Chain:
     """Build an admissible chain of length k with X in the first set only
     and Y in the last set only, given d(X, Y) >= k >= 2 within one component.
 
@@ -294,7 +260,7 @@ def find_admissible_chain(model, X: Iterable, Y: Iterable, k: int, restrict_to_c
     complements, then repeatedly separate the accumulated front from the
     shrinking neighborhoods of Y.  The result is re-validated before return.
     """
-    space = _space_of(model)
+    space = model.space
     inside = _inside(model, restrict_to_class)
     X, Y = frozenset(X), frozenset(Y)
     if not X or not Y:
@@ -338,7 +304,7 @@ def find_admissible_chain(model, X: Iterable, Y: Iterable, k: int, restrict_to_c
         raise CertificationError("constructed chain does not isolate Y in the last set")
     if _admissible(space, sets, inside) is None:
         raise CertificationError("constructed chain is not admissible")
-    return Chain._on(space, sets)
+    return Chain(space, tuple(sets))
 
 
 def chain_to_json(model: DualModel, chain: Chain, x=None, y=None, restrict_to_class: bool = True) -> dict:
@@ -348,7 +314,7 @@ def chain_to_json(model: DualModel, chain: Chain, x=None, y=None, restrict_to_cl
         "bound": model.bound,
         "restrict_to_class": restrict_to_class,
         "length": chain.length,
-        "sets": [sorted(ids[i] for i in _members(m)) for m in _masks(space, chain)],
+        "sets": [sorted(ids[i] for i in _members(m)) for m in _masks(model, chain)],
     }
     if x is not None and y is not None:
         payload["x"], payload["y"] = (ids[i] for i in space._ids((x, y)))
@@ -358,10 +324,9 @@ def chain_to_json(model: DualModel, chain: Chain, x=None, y=None, restrict_to_cl
 def chain_from_json(model: DualModel, payload: dict) -> tuple[Chain, Point | None, Point | None, bool]:
     """The chain of a `chain_to_json` payload as masks over the model's
     space, its end witnesses and its restriction flag.  A canonical id
-    becomes a point number through `DualModel.ids`; a set with any other id
-    goes through `point_from_id`, which parses it or raises."""
-    space = model.space
-    number = dict(zip(model.ids, range(len(space.points))))
+    becomes a point number through the model's id table; a set with any
+    other id goes through `point_from_id`, which parses it or raises."""
+    space, number = model.space, model._number
     sets = []
     for ids in payload["sets"]:
         try:
@@ -369,7 +334,7 @@ def chain_from_json(model: DualModel, payload: dict) -> tuple[Chain, Point | Non
         except (KeyError, TypeError):
             members = [space._index[point_from_id(model, pid)] for pid in ids]
         sets.append(reduce(or_, (1 << i for i in members), 0))
-    chain = Chain._on(space, sets)
+    chain = Chain(space, tuple(sets))
     x = point_from_id(model, payload["x"]) if "x" in payload else None
     y = point_from_id(model, payload["y"]) if "y" in payload else None
     restrict = payload.get("restrict_to_class", True)

@@ -321,7 +321,7 @@ def build_parser() -> Parser:
     p.add_argument("--n-max", type=int, default=12)
     p.add_argument("--bound", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=None, help="workers (default: MOTIONDUAL_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=None, help="worker processes (default 1)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_verify)

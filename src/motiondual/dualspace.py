@@ -5,13 +5,13 @@ subset) together with, for each SO(n-1) signature, an open half-line of
 separated points.  Each half-line is collapsed to a single "germ" point
 whose closure is its limit set: the classes whose restriction contains the
 germ's signature.  By interleaving that set is a product of integer
-intervals (`signatures.hull_intervals`), so each closure is enumerated
+intervals (`signatures.hull_intervals`), so each closure is written
 straight from the germ's intervals, cut at the truncation bound, with no
 search over the classes.  That encoding is an Alexandrov topology given by
 an explicit closure map, so inseparability, separation and distance become
 finite computations.  Point ids (`Point.point_id`) are formatted once per
-model (`DualModel.ids`) and read back by table in `point_from_id`, so the
-exports and the chain files neither format nor parse a point per mention.
+model (`DualModel.ids`) and read back by one id table, so the exports and
+the chain files neither format nor parse a point per mention.
 
 All traversal lives in `Graph`: an undirected graph with a fixed vertex
 order, carrying breadth-first distances, connected components and the
@@ -43,7 +43,7 @@ from functools import cached_property, lru_cache, reduce
 from itertools import product
 from math import inf
 from operator import or_
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import PreconditionViolated, UnknownPoint
 from .signatures import (
@@ -299,26 +299,24 @@ class FiniteT0Space(Graph):
     """A finite T0 space given by explicit point closures, as the graph of
     its inseparability relation (intersecting minimal open sets).
 
-    The closure map must be reflexive, transitive under the induced set
-    operation, and injective (T0); the constructor verifies all three.
-    Point order is the insertion order of the mapping.  Closures and minimal
-    open sets are kept as bitmasks over the point numbers, so
-    inseparability is one `&` and the graph is built from the masks.
+    `closures[i]` is the closure of `points[i]` as a bitmask over the point
+    numbers: bit j is set when `points[j]` lies in it.  The closure map must
+    stay inside the points, be reflexive, transitive under the induced set
+    operation, and injective (T0); the constructor verifies all four.
+    Minimal open sets are kept as bitmasks too, so inseparability is one `&`
+    and the graph is built from the masks.
     """
 
-    def __init__(self, closures: Mapping[object, Iterable[object]]):
-        points = tuple(closures)
-        index = {p: i for i, p in enumerate(points)}
-        cl = []
-        for p, members in closures.items():
-            mask = 0
-            for q in members:
-                if q not in index:
-                    raise ValueError(f"closure of {p} leaves the point set")
-                mask |= 1 << index[q]
-            cl.append(mask)
+    def __init__(self, points: Iterable, closures: Iterable[int]):
+        points = tuple(points)
+        cl = tuple(closures)
+        if len(cl) != len(points):
+            raise ValueError("a space needs one closure mask per point")
+        outside = -1 << len(points)
         seen = {}
         for i, (p, mask) in enumerate(zip(points, cl)):
+            if mask & outside:
+                raise ValueError(f"closure of {p} leaves the point set")
             if not mask >> i & 1:
                 raise ValueError(f"closure of {p} is not reflexive")
             if _union(cl, mask) != mask:
@@ -331,7 +329,7 @@ class FiniteT0Space(Graph):
         for q, mask in enumerate(cl):
             for x in _members(mask):
                 mo[x] |= 1 << q
-        self._closure = tuple(cl)
+        self._closure = cl
         self._min_open = tuple(mo)
         # x and y are inseparable iff some q has both in its closure
         super().__init__(points, (_union(cl, m) & ~(1 << x) for x, m in enumerate(mo)))
@@ -364,9 +362,9 @@ class DualModel:
         return tuple(p.point_id for p in self.space.points)
 
     @cached_property
-    def _by_id(self) -> dict[str, Point]:
-        """The model's own point of each id in `ids`."""
-        return dict(zip(self.ids, self.space.points))
+    def _number(self) -> dict[str, int]:
+        """The point number of each id in `ids`, the model's one id table."""
+        return {pid: i for i, pid in enumerate(self.ids)}
 
 
 MAX_SIZE = 8192
@@ -377,23 +375,28 @@ entry.  The sub-ideal graph and the diameters are cheap at the cap, so the
 cost lies in the `FiniteT0Space` constructor, which checks every closure
 and folds the minimal open sets into neighbor masks, and in the class
 diameter where the classes are many.  Each of the largest admitted models
-runs `motiondual report` in under 0.9 s and 30 MB (Python 3.11, 2 vCPUs;
-`BENCH_overlap_diameter.json`): (5, 44), at 8100 sub-ideal entries,
-spends 0.57 s building the model, and (6, 18), at 7980 entries, 0.53 s in
-the class diameter (617 searches).  The cap admits every (n, bound) of the
+runs `motiondual report` in under 0.9 s and 31 MB (Python 3.11.7, 2
+vCPUs, best of 3 runs): (5, 44), at 8100 sub-ideal entries, spends 0.47 s
+building the model, and (6, 18), at 7980 entries, 0.53 s in the class
+diameter (617 searches).  The cap admits every (n, bound) of the
 benchmark and of `BENCH_bitmask_core.json`; the largest, (8, 10), has
 8008 entries."""
 
 
-def require_size(n: int, bound: int, points: Callable[[], int]) -> None:
-    """Refuse a model of `points()` points with more than MAX_SIZE signature
-    entries.  An n or a bound above MAX_SIZE is refused before the points
-    are counted: either gives at least MAX_SIZE entries, and counting a
-    huge truncation is slow in itself."""
-    if n > MAX_SIZE or bound > MAX_SIZE or points() * (n // 2) > MAX_SIZE:
+def require_size(n: int, bound: int, points: Callable[[int, int], int]) -> None:
+    """Refuse a model of `points(n, bound)` points with more than MAX_SIZE
+    signature entries.  An n or a bound above MAX_SIZE is refused before the
+    points are counted: either gives at least MAX_SIZE entries, and counting
+    a huge truncation is slow in itself."""
+    if n > MAX_SIZE or bound > MAX_SIZE or points(n, bound) * (n // 2) > MAX_SIZE:
         raise PreconditionViolated(
             f"n = {n}, bound = {bound} is beyond the model size cap of {MAX_SIZE} signature entries"
         )
+
+
+def model_points(n: int, bound: int) -> int:
+    """The points of `build_dual_model(n, bound)`: its classes and germs."""
+    return count_signatures(n, bound) + count_signatures(n - 1, bound)
 
 
 @lru_cache(maxsize=16)  # a sweep revisits at most 4 bounds per n
@@ -401,27 +404,32 @@ def build_dual_model(n: int, bound: int) -> DualModel:
     """Model of the dual of R^n x SO(n) truncated at the given leading entry.
 
     Class points are the SO(n) signatures, each closed; germ points are the
-    SO(n-1) signatures, each closing onto its hull of classes, enumerated as
-    the product of its hull intervals with the first one cut at `bound`.
-    Every point of that product is a class of the truncation, so a failed
-    lookup is a fault and raises.  The classes come first in point order,
-    which `DualModel.class_mask` relies on.  Accepts bound 0 (the degenerate
-    one-class model).
+    SO(n-1) signatures, each closing onto its hull of classes: the product
+    of its hull intervals with the first one cut at `bound`.  The classes
+    are numbered in lexicographic order, last entry fastest, so each prefix
+    of the intervals gives one run of consecutive numbers over the last
+    interval.  Both ends of a run are looked up, so a run end that is no
+    class of the truncation is a fault and raises.  The classes come first
+    in point order, which `DualModel.class_mask` relies on.  Accepts bound
+    0 (the degenerate one-class model).
     """
     if n < 3:
         raise PreconditionViolated("dual models need n >= 3; n = 2 is covered by closed formulas")
     if bound < 0:
         raise PreconditionViolated("bound must be >= 0")
-    require_size(n, bound, lambda: count_signatures(n, bound) + count_signatures(n - 1, bound))
+    require_size(n, bound, model_points)
     classes = [Point(CLASS_KIND, s) for s in enumerate_signatures(n, bound)]
     germs = [Point(GERM_KIND, s) for s in enumerate_signatures(n - 1, bound)]
-    closures: dict = {p: (p,) for p in classes}
-    by_entries = {p.sig.entries: p for p in classes}
-    for g in germs:
-        (lo, _), *rest = hull_intervals(g.sig)
-        ranges = (range(lo, hi + 1) for lo, hi in rest)
-        closures[g] = [g, *(by_entries[e] for e in product(range(lo, bound + 1), *ranges))]
-    space = FiniteT0Space(closures)
+    index = {p.sig.entries: i for i, p in enumerate(classes)}
+    closures = [1 << i for i in range(len(classes))]
+    for i, g in enumerate(germs, len(classes)):
+        (first, _), *rest = hull_intervals(g.sig)
+        *head, (lo, hi) = (first, bound), *rest
+        mask = 1 << i
+        for prefix in product(*(range(a, b + 1) for a, b in head)):
+            mask |= (2 << index[prefix + (hi,)]) - (1 << index[prefix + (lo,)])
+        closures.append(mask)
+    space = FiniteT0Space(classes + germs, closures)
     return DualModel(space, n, bound, frozenset(classes), frozenset(germs))
 
 
@@ -467,9 +475,9 @@ def point_from_id(model: DualModel, point_id: str) -> Point:
     a malformed id or one outside the model raises."""
     if not isinstance(point_id, str):
         raise TypeError(f"point id {point_id!r} is not a string")
-    p = model._by_id.get(point_id)
-    if p is not None:
-        return p
+    i = model._number.get(point_id)
+    if i is not None:
+        return model.space.points[i]
     kind, _, rest = point_id.partition(":")
     if kind not in (CLASS_KIND, GERM_KIND):
         raise UnknownPoint(f"bad point id {point_id!r}")

@@ -70,11 +70,16 @@ class SubIdeal:
         return self.ideal_id
 
 
+def ideal_points(n: int, bound: int) -> int:
+    """The vertices of `sub_ideals(n, bound)`."""
+    return 2 * count_signatures(n - 1, bound)
+
+
 def sub_ideals(n: int, bound: int) -> list[SubIdeal]:
     """One germ ideal and one line kernel per SO(n-1) signature."""
     if n < 3:
         raise PreconditionViolated("sub-ideal models need n >= 3")
-    require_size(n, bound, lambda: 2 * count_signatures(n - 1, bound))
+    require_size(n, bound, ideal_points)
     sigmas = enumerate_signatures(n - 1, bound)
     return [SubIdeal(GERM_IDEAL, s) for s in sigmas] + [SubIdeal(LINE_KERNEL, s) for s in sigmas]
 

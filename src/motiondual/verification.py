@@ -28,7 +28,7 @@ from . import chains as chains_mod
 from . import constants as constants_mod
 from . import primal as primal_mod
 from . import signatures as sig_mod
-from .dualspace import Point, _union, build_dual_model, components_and_orc, separated_points
+from .dualspace import Point, _union, build_dual_model, components_and_orc, model_points, require_size, separated_points
 from .errors import MotionDualError, PreconditionViolated
 from .signatures import (
     Signature,
@@ -447,18 +447,13 @@ def _worker(args) -> list[CheckResult]:
     return run_checks_for_n(*args)
 
 
-def worker_count(jobs: int | str | None, tasks: int) -> int:
-    """Worker processes for `tasks` tasks: the requested count (default
-    MOTIONDUAL_JOBS, else 1), at most one per task and per CPU."""
-    if jobs is None:
-        jobs = os.environ.get("MOTIONDUAL_JOBS") or "1"
-    try:
-        count = int(jobs)
-    except ValueError:
-        count = 0
-    if count <= 0:
+def worker_count(jobs: int | None, tasks: int) -> int:
+    """Worker processes for `tasks` tasks: the requested count (default 1),
+    at most one per task and per CPU."""
+    jobs = 1 if jobs is None else jobs
+    if jobs <= 0:
         raise PreconditionViolated(f"jobs must be a positive integer, got {jobs!r}")
-    return min(count, tasks, os.cpu_count() or 1)
+    return min(jobs, tasks, os.cpu_count() or 1)
 
 
 def oracle_pairs(n: int, bound: int) -> int:
@@ -470,9 +465,11 @@ def oracle_pairs(n: int, bound: int) -> int:
 
 
 def run_sweep(n_min: int, n_max: int, bound: int | None = None, seed: int = 0, jobs: int | None = None) -> SweepSummary:
-    """Run every check for n_min..n_max.  A bound below 1 (a degenerate
-    truncation, where the closed formulas do not hold) and an n whose
-    `oracle_pairs` exceed MAX_ORACLE_PAIRS are refused before any check runs."""
+    """Run every check for n_min..n_max.  Refused before any check runs: a
+    bound below 1 (a degenerate truncation, where the closed formulas do not
+    hold), an n whose `oracle_pairs` exceed MAX_ORACLE_PAIRS, and an n whose
+    largest models exceed the size cap: the dual model at the sweep bound
+    and the sub-ideals at bound 2 or more, which `big-d` reads."""
     if n_min < 3 or n_max < n_min:
         raise PreconditionViolated("sweep range must satisfy 3 <= n_min <= n_max")
     if bound is not None and bound < 1:
@@ -484,6 +481,11 @@ def run_sweep(n_min: int, n_max: int, bound: int | None = None, seed: int = 0, j
                 f"n = {n}, bound = {b}: the sweep would compare {pairs} signature pairs,"
                 f" beyond its cap of {MAX_ORACLE_PAIRS}"
             )
+        require_size(n, b, model_points)
+        try:
+            require_size(n, max(b, 2), primal_mod.ideal_points)
+        except PreconditionViolated as exc:
+            raise PreconditionViolated(f"{exc} (the sub-ideals of the big-d check)") from None
     ns = list(range(n_min, n_max + 1))
     jobs = worker_count(jobs, len(ns))
     tasks = [(n, bound, seed) for n in ns]

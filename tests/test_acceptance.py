@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 from math import inf
 
-from motiondual.chains import Chain, chain_lower_bound, find_admissible_chain, is_admissible
+from motiondual.chains import chain_lower_bound, find_admissible_chain, is_admissible
 from motiondual.constants import cross_check, predicted_d
 from motiondual.dualspace import CLASS_KIND, Point, build_dual_model, components_and_orc, distance
 from motiondual.primal import (
@@ -35,6 +35,7 @@ from motiondual.signatures import (
     walk,
 )
 from motiondual.verification import run_sweep
+from test_chains import chain_of
 
 
 def report(num, name, ok, detail=""):
@@ -75,7 +76,7 @@ def test_criterion_2_extremal_distance():
         if k >= 2:
             chain = find_admissible_chain(model, [x], [y], k, restrict_to_class=True)
         else:
-            chain = Chain((frozenset(model.space.points),))
+            chain = chain_of(model, [model.space.points])
         lb = chain_lower_bound(model, chain, x, y, restrict_to_class=True)
         ok = ok and d == k and w.length == k and lb == k
     assert report(2, "extremal distance floor(N/2) with walk and chain certificates", ok)

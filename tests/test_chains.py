@@ -17,9 +17,10 @@ from motiondual.chains import (
     separate,
     validate_chain,
 )
-from motiondual.dualspace import CLASS_KIND, DualModel, FiniteT0Space, Point, _union, build_dual_model
+from motiondual.dualspace import CLASS_KIND, DualModel, Point, _union, build_dual_model
 from motiondual.errors import CertificationError, PreconditionViolated, UnknownPoint
 from motiondual.signatures import validate
+from test_dualspace import toy_space
 
 
 def cls(entries, n):
@@ -28,6 +29,22 @@ def cls(entries, n):
 
 def all_points(model):
     return frozenset(model.space.points)
+
+
+def toy_model(closures):
+    """A model with no classes on the space of a closure map written out
+    point by point, for the unrestricted chain functions."""
+    return DualModel(toy_space(closures), 0, 0, frozenset(), frozenset())
+
+
+def chain_of(model, sets):
+    """The chain of the given point sets over the model's points."""
+    return Chain(model.space, tuple(map(model.space._mask, sets)))
+
+
+def point_sets(chain):
+    """The chain's sets as point sets."""
+    return tuple(map(chain.space._set, chain.masks))
 
 
 def closure(space, x):
@@ -82,14 +99,14 @@ def test_neighborhood_monotone_and_additive():
 
 def test_trivial_chain_valid():
     m = build_dual_model(4, 1)
-    rep = validate_chain(m, Chain((all_points(m),)))
+    rep = validate_chain(m, chain_of(m, [all_points(m)]))
     assert rep.valid
 
 
 def test_chain_overlap_violation_named():
     m = build_dual_model(4, 1)
     pts = all_points(m)
-    rep = validate_chain(m, Chain((pts, pts, pts)))
+    rep = validate_chain(m, chain_of(m, [pts, pts, pts]))
     assert not rep.valid
     assert any("1 and 3" in v for v in rep.violations)
 
@@ -98,7 +115,7 @@ def test_chain_closedness_violation():
     m = build_dual_model(4, 1)
     g = next(iter(m.germ_points))
     open_set = all_points(m) - closure(m.space, g) | {g}
-    rep = validate_chain(m, Chain((open_set, all_points(m) - open_set)))
+    rep = validate_chain(m, chain_of(m, [open_set, all_points(m) - open_set]))
     assert not rep.valid
 
 
@@ -107,15 +124,15 @@ def test_chain_closedness_violation():
 
 def test_single_component_chain_admissible():
     m = build_dual_model(5, 1)
-    ok, x, y = is_admissible(m, Chain((all_points(m),)), restrict_to_class=True)
+    ok, x, y = is_admissible(m, chain_of(m, [all_points(m)]), restrict_to_class=True)
     assert ok and x is not None and y is not None
 
 
 def test_two_component_chain_not_admissible():
-    sp = FiniteT0Space({"a": {"a"}, "b": {"b"}})
-    chain = Chain((frozenset(["a"]), frozenset(["b"])))
-    assert validate_chain(sp, chain).valid
-    ok, x, y = is_admissible(sp, chain, restrict_to_class=False)
+    m = toy_model({"a": {"a"}, "b": {"b"}})
+    chain = chain_of(m, [{"a"}, {"b"}])
+    assert validate_chain(m, chain).valid
+    ok, x, y = is_admissible(m, chain, restrict_to_class=False)
     assert not ok and x is None and y is None
 
 
@@ -132,9 +149,9 @@ def test_chain_lower_bound_extremal_n7():
 def test_chain_lower_bound_length_one():
     m = build_dual_model(3, 1)
     x, y = cls([0], 3), cls([1], 3)
-    assert chain_lower_bound(m, Chain((all_points(m),)), x, y) == 1
+    assert chain_lower_bound(m, chain_of(m, [all_points(m)]), x, y) == 1
     with pytest.raises(PreconditionViolated):
-        chain_lower_bound(m, Chain((all_points(m),)), x, x)
+        chain_lower_bound(m, chain_of(m, [all_points(m)]), x, x)
 
 
 def test_chain_lower_bound_checks_membership():
@@ -149,8 +166,7 @@ def test_chain_lower_bound_checks_membership():
 
 
 def test_separate_clopen_components():
-    sp = FiniteT0Space({"a": {"a"}, "b": {"b"}})
-    got = separate(sp, ["a"], ["b"])
+    got = separate(toy_model({"a": {"a"}, "b": {"b"}}), ["a"], ["b"])
     assert got == (frozenset(["a"]), frozenset(["b"]))
 
 
@@ -190,8 +206,9 @@ def test_find_admissible_chain_extremal(n):
     rep = validate_chain(m, chain)
     assert rep.valid
     assert chain.length == k
-    assert frozenset([x]) <= chain.sets[0] - chain.sets[1]
-    assert frozenset([y]) <= chain.sets[-1] - chain.sets[-2]
+    sets = point_sets(chain)
+    assert frozenset([x]) <= sets[0] - sets[1]
+    assert frozenset([y]) <= sets[-1] - sets[-2]
     ok, wx, wy = is_admissible(m, chain, restrict_to_class=True)
     assert ok
     assert chain_lower_bound(m, chain, wx, wy, restrict_to_class=True) == k
@@ -246,7 +263,7 @@ def test_chain_json_reads_back_model_points(n, bound):
     payload = json.loads(json.dumps(constants.cross_check(n, bound).to_dict()))["certificates"]["chain"]
     chain, x, y, restrict = chain_from_json(m, payload)
     own = m.space.points
-    for p in (x, y, *(p for s in chain.sets for p in s)):
+    for p in (x, y, *(p for s in point_sets(chain) for p in s)):
         assert own[m.space._index[p]] is p
     assert validate_chain(m, chain).valid
     assert chain_lower_bound(m, chain, x, y, restrict_to_class=restrict) == chain.length
@@ -283,7 +300,7 @@ class RefSpace:
     """The topology of a space (or of a dual model's space) as frozensets."""
 
     def __init__(self, model):
-        space = model.space if isinstance(model, DualModel) else model
+        space = model.space
         self.points = space.points
         self.order = {p: i for i, p in enumerate(self.points)}
         self.cl = {p: closure(space, p) for p in self.points}
@@ -335,32 +352,29 @@ def ref_space(model):
 
 
 def ref_vertices(model, restrict_to_class):
-    if not restrict_to_class:
-        return None
-    if not isinstance(model, DualModel):
-        raise PreconditionViolated("class restriction needs a dual model")
-    return model.class_points
+    return model.class_points if restrict_to_class else None
 
 
 def ref_violations(model, chain):
     space = ref_space(model)
+    sets = point_sets(chain)
     bad = []
-    n = chain.length
+    n = len(sets)
     if n == 0:
         return ("chain has no sets",)
-    for i, s in enumerate(map(space.known, chain.sets), start=1):
+    for i, s in enumerate(map(space.known, sets), start=1):
         if space.closure_of(s) != s:
             bad.append(f"set {i} is not closed")
-    if frozenset().union(*chain.sets) != frozenset(space.points):
+    if frozenset().union(*sets) != frozenset(space.points):
         bad.append("union of the sets does not cover the space")
     for i in range(n):
         for j in range(i + 2, n):
-            if chain.sets[i] & chain.sets[j]:
+            if sets[i] & sets[j]:
                 bad.append(f"sets {i + 1} and {j + 1} overlap")
     if n > 1:
-        if not chain.sets[0] - chain.sets[1]:
+        if not sets[0] - sets[1]:
             bad.append("first set minus second set is empty")
-        if not chain.sets[-1] - chain.sets[-2]:
+        if not sets[-1] - sets[-2]:
             bad.append("last set minus second-to-last set is empty")
     return tuple(bad)
 
@@ -371,10 +385,11 @@ def ref_is_admissible(model, chain, restrict_to_class=True):
         raise PreconditionViolated("chain is not valid: " + "; ".join(bad))
     space = ref_space(model)
     within = ref_vertices(model, restrict_to_class)
-    if chain.length == 1:
-        xs = ys = chain.sets[0] if within is None else chain.sets[0] & within
+    sets = point_sets(chain)
+    if len(sets) == 1:
+        xs = ys = sets[0] if within is None else sets[0] & within
     else:
-        xs, ys = chain.sets[0] - chain.sets[1], chain.sets[-1] - chain.sets[-2]
+        xs, ys = sets[0] - sets[1], sets[-1] - sets[-2]
         if within is not None:
             xs, ys = xs & within, ys & within
     xs, ys = sorted(xs, key=space.order.get), sorted(ys, key=space.order.get)
@@ -428,13 +443,13 @@ def ref_find(model, X, Y, k, restrict_to_class=True):
         sets.append((pts - V) & front_complement)
         front_complement = pts - U
     sets.append(front_complement)
-    chain = Chain(tuple(sets))
+    chain = chain_of(model, sets)
     bad = ref_violations(space, chain)
     if bad:
         raise CertificationError("constructed chain is invalid: " + "; ".join(bad))
-    if not X <= chain.sets[0] - chain.sets[1]:
+    if not X <= sets[0] - sets[1]:
         raise CertificationError("constructed chain does not isolate X in the first set")
-    if not Y <= chain.sets[-1] - chain.sets[-2]:
+    if not Y <= sets[-1] - sets[-2]:
         raise CertificationError("constructed chain does not isolate Y in the last set")
     if not ref_is_admissible(model, chain, restrict_to_class)[0]:
         raise CertificationError("constructed chain is not admissible")
@@ -489,7 +504,7 @@ def test_mask_chains_match_reference_oracle(n, bound):
         cases.append(([rng.choice(m.space.points)], [rng.choice(m.space.points)], False))
     for xs, ys, restrict in cases:
         assert_construction_agrees(m, xs, ys, restrict)
-    whole = Chain((all_points(m),))
+    whole = chain_of(m, [all_points(m)])
     assert_chain_agrees(m, whole, True)
     assert_chain_agrees(m, whole, False)
     for _ in range(20):
@@ -519,21 +534,16 @@ def tiny_model():
 def not_closed(m):
     g = next(iter(m.germ_points))
     open_set = all_points(m) - closure(m.space, g) | {g}
-    return Chain((open_set, all_points(m) - open_set))
-
-
-def foreign_point_chain(m):
-    foreign = Point(CLASS_KIND, validate([9, 9], 4))
-    return Chain((all_points(m) | {foreign},))
+    return chain_of(m, [open_set, all_points(m) - open_set])
 
 
 INVALID_CHAINS = {
-    "no sets": lambda m: Chain(()),
+    "no sets": lambda m: chain_of(m, []),
     "set not closed": not_closed,
-    "sets 1 and 3 overlap": lambda m: Chain((all_points(m),) * 3),
-    "cover missing": lambda m: Chain((m.class_points,)),
-    "empty end differences": lambda m: Chain((all_points(m), all_points(m))),
-    "one empty end difference": lambda m: Chain((m.class_points, all_points(m))),
+    "sets 1 and 3 overlap": lambda m: chain_of(m, [all_points(m)] * 3),
+    "cover missing": lambda m: chain_of(m, [m.class_points]),
+    "empty end differences": lambda m: chain_of(m, [all_points(m), all_points(m)]),
+    "one empty end difference": lambda m: chain_of(m, [m.class_points, all_points(m)]),
 }
 
 
@@ -553,11 +563,9 @@ def test_invalid_chains_match_reference_oracle(name):
 
 def test_foreign_point_raises_unknown_point():
     m = tiny_model()
-    chain = foreign_point_chain(m)
-    for fn in (validate_chain, ref_violations, is_admissible, ref_is_admissible):
-        with pytest.raises(UnknownPoint):
-            fn(m, chain)
-    foreign = next(iter(chain.sets[0] - all_points(m)))
+    foreign = Point(CLASS_KIND, validate([9, 9], 4))
+    with pytest.raises(UnknownPoint):
+        chain_of(m, [all_points(m) | {foreign}])
     for fn in (separate, ref_separate):
         with pytest.raises(UnknownPoint):
             fn(m, [foreign], [cls([0, 0], 4)])
@@ -582,10 +590,10 @@ TAMPERED = {
 
 
 def stale_adjacency(adjacency_closures, closures):
-    sp = FiniteT0Space({"a": "a", "b": "b", **adjacency_closures})
-    actual = FiniteT0Space({"a": "a", "b": "b", **closures})
-    sp._closure, sp._min_open = actual._closure, actual._min_open
-    return sp
+    m = toy_model({"a": "a", "b": "b", **adjacency_closures})
+    actual = toy_space({"a": "a", "b": "b", **closures})
+    m.space._closure, m.space._min_open = actual._closure, actual._min_open
+    return m
 
 
 @pytest.mark.parametrize("name", sorted(TAMPERED))
@@ -598,7 +606,7 @@ def test_separation_disagreement_raises_in_both(name):
 
 def test_end_sets_in_two_components_refused():
     # a - m - b through the closures of q1 and q2, and c on its own
-    sp = FiniteT0Space({"a": "a", "m": "m", "b": "b", "q1": ["q1", "a", "m"], "q2": ["q2", "m", "b"], "c": "c"})
+    sp = toy_model({"a": "a", "m": "m", "b": "b", "q1": ["q1", "a", "m"], "q2": ["q2", "m", "b"], "c": "c"})
     assert RefSpace(sp).set_distance(["a", "c"], ["b"]) == 2
     got = assert_agree(find_admissible_chain, ref_find, sp, ["a", "c"], ["b"], 2, False)
     assert got == ("raised", PreconditionViolated, "X and Y must lie in one component")
@@ -658,9 +666,9 @@ def test_built_chain_holds_the_reference_sets_as_masks(n, bound):
     xs, ys = [cls([0] * k, n)], [cls([1] * k, n)]
     chain = find_admissible_chain(m, xs, ys, k)
     ref = ref_find(m, xs, ys, k)
-    assert chain.space is m.space
-    assert chain.sets == ref.sets
-    assert chain.masks == tuple(m.space._mask(s) for s in ref.sets)
+    assert chain.space is ref.space is m.space
+    assert point_sets(chain) == point_sets(ref)
+    assert chain == ref
 
 
 @pytest.mark.parametrize("n, bound", [(6, 3), (7, 1), (8, 2)])
@@ -701,28 +709,31 @@ def test_chain_rechecked_on_a_rebuilt_model_gives_the_same_reports():
     rebuilt = build_dual_model(8, 2)
     assert rebuilt.space is not m.space
     assert rechecks(rebuilt, chain, x, y) == before
-    assert chain == find_admissible_chain(rebuilt, [x], [y], 4)
+    assert chain.masks == find_admissible_chain(rebuilt, [x], [y], 4).masks
 
 
 def test_set_outside_the_space_raises_unknown_point():
     small, big = build_dual_model(7, 1), build_dual_model(7, 3)
     x, y = cls([0, 0, 0], 7), cls([3, 3, 3], 7)
     chain = find_admissible_chain(big, [x], [y], 3)
-    for fn in (validate_chain, is_admissible):
+    for fn in (validate_chain, is_admissible, chain_to_json):
         with pytest.raises(UnknownPoint):
             fn(small, chain)
-    with pytest.raises(UnknownPoint):
-        chain_to_json(small, chain)
+    for fn in (chain_lower_bound, chains.witness_violations):
+        with pytest.raises(UnknownPoint):
+            fn(small, chain, x, y)
     payload = chain_to_json(small, find_admissible_chain(small, [x], [cls([1, 1, 1], 7)], 3))
     payload["sets"][0].append("class:3,3,3")
     with pytest.raises(UnknownPoint):
         chain_from_json(small, payload)
 
 
-def test_chains_equal_by_their_point_sets():
+def test_chains_equal_by_their_space_and_masks():
     m = build_dual_model(7, 1)
     chain = find_admissible_chain(m, [cls([0, 0, 0], 7)], [cls([1, 1, 1], 7)], 3)
-    by_hand = Chain(chain.sets)
-    assert by_hand.space is None and by_hand.length == chain.length == 3
+    by_hand = chain_of(m, point_sets(chain))
+    assert by_hand.length == chain.length == 3
     assert by_hand == chain and hash(by_hand) == hash(chain)
-    assert Chain(chain.sets[:2]) != chain
+    assert Chain(m.space, chain.masks[:2]) != chain
+    build_dual_model.cache_clear()
+    assert Chain(build_dual_model(7, 1).space, chain.masks) != chain

@@ -515,17 +515,11 @@ def test_verify_injected_bug_exits_2(capsys, monkeypatch):
     assert "FAIL n=3 orc" in out
 
 
-def test_verify_env_jobs(capsys, monkeypatch):
-    monkeypatch.setenv("MOTIONDUAL_JOBS", "2")
-    code, out, _ = run(["verify", "--n-min", "3", "--n-max", "4", "--bound", "1"], capsys)
+def test_verify_with_two_jobs(capsys):
+    argv = ["verify", "--n-min", "3", "--n-max", "4", "--bound", "1", "--format", "json"]
+    code, out, _ = run([*argv, "--jobs", "2"], capsys)
     assert code == 0
-
-
-def test_verify_rejects_bad_env_jobs(capsys, monkeypatch):
-    monkeypatch.setenv("MOTIONDUAL_JOBS", "abc")
-    code, _, err = run(["verify", "--n-min", "3", "--n-max", "3", "--bound", "1"], capsys)
-    assert code == 1
-    assert err == "error: jobs must be a positive integer, got 'abc'\n"
+    assert out == run(argv, capsys)[1]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])
@@ -535,15 +529,12 @@ def test_verify_rejects_non_positive_jobs(capsys, jobs):
     assert err.startswith("error: jobs must be a positive integer")
 
 
-def test_worker_count_clamps(monkeypatch):
+def test_worker_count_clamps():
     from motiondual.verification import worker_count
 
     cpus = os.cpu_count() or 1
     assert worker_count(10**9, 10) == min(10, cpus)
     assert worker_count(10**9, 1) == 1
-    monkeypatch.setenv("MOTIONDUAL_JOBS", str(10**9))
-    assert worker_count(None, 3) == min(3, cpus)
-    monkeypatch.setenv("MOTIONDUAL_JOBS", "")
     assert worker_count(None, 3) == 1
 
 

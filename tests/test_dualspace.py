@@ -4,6 +4,7 @@ import pickle
 import random
 import subprocess
 import sys
+from itertools import product
 from math import inf
 
 import pytest
@@ -30,7 +31,7 @@ from motiondual.dualspace import (
     separated_points,
 )
 from motiondual.errors import PreconditionViolated, UnknownPoint
-from motiondual.signatures import enumerate_signatures, inseparable, restricts_to, validate
+from motiondual.signatures import enumerate_signatures, hull_intervals, inseparable, restricts_to, validate
 
 
 def cls(entries, n):
@@ -46,28 +47,53 @@ def closure(space, x):
     return space._set(space._closure[space._index[x]])
 
 
+def closure_masks(closures):
+    """Each point's closure as a mask over the points, in the mapping's
+    order: the closure map written out point by point, as the space
+    constructor once took it."""
+    index = {p: i for i, p in enumerate(closures)}
+    return [sum(1 << index[q] for q in set(members)) for members in closures.values()]
+
+
+def toy_space(closures):
+    """The space of a closure map written out point by point, such as
+    {"a": "a", "q": "qa"}: the points in the mapping's order."""
+    return FiniteT0Space(closures, closure_masks(closures))
+
+
 # --- space plumbing ----------------------------------------------------------
 
 
 def test_space_rejects_non_t0():
     a, b = "a", "b"
-    with pytest.raises(ValueError):
-        FiniteT0Space({a: {a, b}, b: {a, b}})
+    with pytest.raises(ValueError, match="not T0"):
+        toy_space({a: {a, b}, b: {a, b}})
 
 
 def test_space_rejects_non_reflexive():
-    with pytest.raises(ValueError):
-        FiniteT0Space({"a": set()})
+    with pytest.raises(ValueError, match="not reflexive"):
+        toy_space({"a": set()})
 
 
 def test_space_rejects_non_transitive():
     # cl(c) = {c, b} but cl(b) = {b, a}: closing c again would pick up a
-    with pytest.raises(ValueError):
-        FiniteT0Space({"a": {"a"}, "b": {"a", "b"}, "c": {"b", "c"}})
+    with pytest.raises(ValueError, match="not transitive"):
+        toy_space({"a": {"a"}, "b": {"a", "b"}, "c": {"b", "c"}})
+
+
+@pytest.mark.parametrize("closures", [(0b101, 0b10), (0b1, 0b110), (0b1, -1)])
+def test_space_rejects_a_closure_beyond_the_points(closures):
+    with pytest.raises(ValueError, match="leaves the point set"):
+        FiniteT0Space("ab", closures)
+
+
+def test_space_needs_one_closure_per_point():
+    with pytest.raises(ValueError, match="one closure mask per point"):
+        FiniteT0Space("ab", (0b1,))
 
 
 def test_discrete_two_point_space():
-    sp = FiniteT0Space({"a": {"a"}, "b": {"b"}})
+    sp = toy_space({"a": {"a"}, "b": {"b"}})
     assert not sp.inseparable("a", "b")
     assert sp.distance("a", "b") == inf
     assert len(sp.components()) == 2
@@ -169,6 +195,35 @@ def test_closures_match_restricts_to_scan(n, bound):
     for g in germs:
         hull = {Point(CLASS_KIND, c) for c in classes if restricts_to(c, g)}
         assert closure(space, Point(GERM_KIND, g)) == hull | {Point(GERM_KIND, g)}, g
+
+
+def product_closures(n, bound):
+    """The closure map that `build_dual_model` wrote before the index runs:
+    each germ closes onto the product of its hull intervals, the first one
+    cut at `bound`, enumerated member by member.  The oracle of the runs."""
+    classes = [Point(CLASS_KIND, s) for s in enumerate_signatures(n, bound)]
+    germs = [Point(GERM_KIND, s) for s in enumerate_signatures(n - 1, bound)]
+    closures = {p: (p,) for p in classes}
+    by_entries = {p.sig.entries: p for p in classes}
+    for g in germs:
+        (lo, _), *rest = hull_intervals(g.sig)
+        ranges = (range(lo, hi + 1) for lo, hi in rest)
+        closures[g] = [g, *(by_entries[e] for e in product(range(lo, bound + 1), *ranges))]
+    return closures
+
+
+# every shape of hull at small and large bounds, up to the size cap, and
+# the degenerate bound 0
+RUN_GRID = [(3, 1), (3, 10), (4, 5), (5, 12), (5, 40), (6, 6), (6, 16), (7, 3), (8, 5), (8, 10), (9, 8)]
+RUN_GRID += [(10, 6), (24, 2), (4, 62), (3, 0), (4, 0), (5, 0), (6, 0)]
+
+
+@pytest.mark.parametrize("n,bound", RUN_GRID)
+def test_closure_runs_match_the_product_enumeration(n, bound):
+    space = build_dual_model(n, bound).space
+    closures = product_closures(n, bound)
+    assert space.points == tuple(closures)
+    assert list(space._closure) == closure_masks(closures)
 
 
 def test_build_calls_no_restriction_oracle(monkeypatch):

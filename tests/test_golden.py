@@ -1,9 +1,9 @@
 """Golden outputs: the exact bytes of the outputs that must not drift.
 
 Refactors and speed-ups keep `verify --format json`, the chain and merge
-certificate files and the graph exports byte-identical.  Each command's
-stdout is pinned by its SHA-256 digest; a change that is meant to alter
-one of them must update its digest and say why.
+certificate files, the reports and the graph exports byte-identical.  Each
+command's stdout is pinned by its SHA-256 digest; a change that is meant to
+alter one of them must update its digest and say why.
 """
 
 import hashlib
@@ -28,6 +28,18 @@ GOLDEN = {
     "graph": (
         ["graph", "--n", "5", "--kind", "dual", "--format", "json"],
         "0e05126e5be3dfa2c71239a0b0b3f83a7192d853668f35a5242be4bd8f8a5831",
+    ),
+    "graph-dot": (
+        ["graph", "--n", "5", "--kind", "dual", "--format", "dot"],
+        "9fc10ecfd8e59cf6100c7b510707c5fcdb4cedf73f9ba580efef29f768e13ae7",
+    ),
+    "graph-sub": (
+        ["graph", "--n", "5", "--kind", "sub", "--format", "json"],
+        "587056a3a4557f6c26a8f88579306a95288314bfd31e401a77c22c21a9c1757c",
+    ),
+    "report": (
+        ["report", "--n", "7", "--format", "json"],
+        "1644180db97fef7816349bba2de81b52c92e413355857dc1185e469d3e9cafa6",
     ),
 }
 # `chain --n 7 --check` on the file that the "chain" command writes

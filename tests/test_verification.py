@@ -12,10 +12,11 @@ import pytest
 
 from motiondual import chains, verification
 from motiondual.chains import ChainReport
-from motiondual.dualspace import CLASS_KIND, GERM_KIND, DualModel, FiniteT0Space, Point, build_dual_model
+from motiondual.dualspace import CLASS_KIND, GERM_KIND, DualModel, Point, build_dual_model
 from motiondual.errors import CertificationError
 from motiondual.cli import main
 from motiondual.signatures import Signature, count_signatures, enumerate_signatures, validate
+from test_dualspace import toy_space
 
 ORACLE_NS = range(3, verification.ORACLE_MAX_N + 1)
 REAL_COMMON_EXTENSION = verification.common_extension
@@ -111,9 +112,11 @@ def no_checks(monkeypatch):
         (["--bound", "-1"], "error: sweep bound must be >= 1, got -1\n"),
         (["--n-min", "5", "--n-max", "5", "--bound", "51"], "error: n = 5, bound = 51: the sweep would compare"),
         (["--n-min", "5", "--n-max", "5", "--bound", "60"], "error: n = 5, bound = 60: the sweep would compare"),
-        (["--n-min", "3", "--n-max", str(10**9)],"error: n = 1022, bound = 1:"),
+        (["--n-min", "3", "--n-max", "12", "--bound", "6"], "error: n = 12, bound = 6 is beyond the model size cap"),
+        (["--n-min", "20", "--n-max", "60"], "error: n = 39, bound = 2 is beyond the model size cap"),
+        (["--n-min", "3", "--n-max", str(10**9)], "error: n = 39, bound = 2 is beyond the model size cap"),
     ],
-    ids=["bound-0", "bound-negative", "n5-bound-51", "n5-bound-60", "huge-n-range"],
+    ids=["bound-0", "bound-negative", "n5-bound-51", "n5-bound-60", "dual-model-cap", "sub-ideal-cap", "huge-n-range"],
 )
 def test_verify_refuses_input_before_any_check(capsys, no_checks, argv, err):
     start = time.perf_counter()
@@ -246,7 +249,7 @@ BROKEN_PROPERTY1 = {
 @pytest.mark.parametrize("name", sorted(BROKEN_PROPERTY1))
 def test_chain_lemma_fails_on_a_model_that_breaks_property1(monkeypatch, name):
     closures, adjacency, detail = BROKEN_PROPERTY1[name]
-    space = FiniteT0Space(closures)
+    space = toy_space(closures)
     if adjacency is not None:
         monkeypatch.setattr(space, "_adj", adjacency)
     model = DualModel(space, 3, 1, frozenset([C0, C1]), frozenset([G0, G1]))
