@@ -308,7 +308,7 @@ def find_admissible_chain(model: DualModel, X: Iterable, Y: Iterable, k: int, re
 
 
 def chain_to_json(model: DualModel, chain: Chain, x=None, y=None, restrict_to_class: bool = True) -> dict:
-    space, ids = model.space, model.ids
+    space, ids = model.space, model.space.ids
     payload = {
         "n": model.n,
         "bound": model.bound,

@@ -23,7 +23,7 @@ from .dualspace import (
     dual_model_to_json,
 )
 from .errors import CertificationError, MotionDualError, PreconditionViolated, TheoremViolation
-from .signatures import GroupContext, Signature, int_field, parse_entries, walk, walk_violations
+from .signatures import int_field, parse_entries, validate, walk, walk_violations
 
 
 class _UsageError(Exception):
@@ -48,10 +48,6 @@ def _emit(text: str, output: str | None) -> None:
             raise PreconditionViolated(f"cannot write {output}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
-
-
-def _signature(text: str, n: int) -> Signature:
-    return Signature(parse_entries(text), GroupContext(n))
 
 
 def cmd_report(args) -> int:
@@ -94,8 +90,8 @@ def cmd_graph(args) -> int:
 
 def cmd_distance(args) -> int:
     bound = resolve_bound(args.n, args.bound)
-    a = _signature(args.sig1, args.n)
-    b = _signature(args.sig2, args.n)
+    a = validate(parse_entries(args.sig1), args.n)
+    b = validate(parse_entries(args.sig2), args.n)
     model = build_dual_model(args.n, max(bound, *(abs(e) for s in (a, b) for e in s.entries), 1))
     x, y = Point("class", a), Point("class", b)
     d = distance(model, x, y)
@@ -117,8 +113,8 @@ def cmd_distance(args) -> int:
 
 
 def cmd_walk(args) -> int:
-    a = _signature(args.sig1, args.n)
-    b = _signature(args.sig2, args.n)
+    a = validate(parse_entries(args.sig1), args.n)
+    b = validate(parse_entries(args.sig2), args.n)
     w = walk(a, b)
     payload = w.to_dict()
     payload["valid"] = not walk_violations(w)
@@ -160,10 +156,12 @@ def cmd_chain(args) -> int:
         raise PreconditionViolated("chain needs --n (or --check FILE)")
     if args.sig1 is None or args.sig2 is None:
         raise PreconditionViolated("chain needs two signatures (or --check FILE)")
+    if args.k is not None and args.k < 1:
+        raise PreconditionViolated(f"--k must be at least 1, got {args.k}")
     bound = resolve_bound(args.n, args.bound)
     model = build_dual_model(args.n, bound)
-    a = _signature(args.sig1, args.n)
-    b = _signature(args.sig2, args.n)
+    a = validate(parse_entries(args.sig1), args.n)
+    b = validate(parse_entries(args.sig2), args.n)
     x, y = Point("class", a), Point("class", b)
     k = args.k
     if k is None:
@@ -221,7 +219,7 @@ def cmd_certify(args) -> int:
     if args.sig1 is None or args.sig2 is None or args.sig3 is None:
         raise PreconditionViolated("certify needs three signatures (or --check FILE)")
     child = args.n - 1
-    triple = tuple(_signature(t, child) for t in (args.sig1, args.sig2, args.sig3))
+    triple = tuple(validate(parse_entries(t), child) for t in (args.sig1, args.sig2, args.sig3))
     cert = primal_mod.merge_certificate(args.n, *triple)
     report = primal_mod.validate_certificate(cert)
     payload = {"certificate": cert.to_dict(), "report": report.to_dict()}

@@ -9,9 +9,12 @@ intervals (`signatures.hull_intervals`), so each closure is written
 straight from the germ's intervals, cut at the truncation bound, with no
 search over the classes.  That encoding is an Alexandrov topology given by
 an explicit closure map, so inseparability, separation and distance become
-finite computations.  Point ids (`Point.point_id`) are formatted once per
-model (`DualModel.ids`) and read back by one id table, so the exports and
-the chain files neither format nor parse a point per mention.
+finite computations.  A `Point` is also a vertex of the sub-ideal graph
+of `primal`: a germ ideal has its germ's kind and signature, and a line
+kernel is a third kind.  Each graph formats its vertex ids once
+(`Graph.ids`), and the dual model reads them back by one id table, so the
+exports and the chain files neither format nor parse a point per mention;
+every export writes its vertices and edges by the same two writers.
 
 All traversal lives in `Graph`: an undirected graph with a fixed vertex
 order, carrying breadth-first distances, connected components and the
@@ -57,21 +60,25 @@ from .signatures import (
 
 CLASS_KIND = "class"
 GERM_KIND = "germ"
+LINE_KIND = "line"
+_KIND_CODES = {GERM_KIND: 0, CLASS_KIND: 1, LINE_KIND: 2}
 
 
 @dataclass(frozen=True, slots=True)
 class Point:
-    """A class or germ point of the dual model.  Its hash is computed once,
-    from ints only: a cached hash travels inside pickles, and a `str` hash
-    is salted per process, so a point pickled by one process would be missed
-    in the dicts of another.  Slots keep the point as small as before."""
+    """A class or germ point of the dual model, or a germ ideal or line
+    kernel of the sub-ideal graph: a germ ideal is the point of its germ.
+    Its hash is computed once, from ints only (the kind by its code): a
+    cached hash travels inside pickles, and a `str` hash is salted per
+    process, so a point pickled by one process would be missed in the dicts
+    of another.  Slots keep the point as small as before."""
 
     kind: str
     sig: Signature
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.kind == CLASS_KIND, self.sig.entries, self.sig.ctx.n)))
+        object.__setattr__(self, "_hash", hash((_KIND_CODES[self.kind], self.sig.entries, self.sig.ctx.n)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -156,6 +163,11 @@ class Graph:
         if len(self._adj) != len(self.points):
             raise ValueError("adjacency needs one neighbor mask per vertex")
 
+    @cached_property
+    def ids(self) -> tuple[str, ...]:
+        """The vertex ids in vertex order, each formatted once."""
+        return tuple(map(str, self.points))
+
     def _ids(self, pts: Iterable) -> list[int]:
         index = self._index
         ids = []
@@ -214,11 +226,6 @@ class Graph:
     def _pairs(self) -> list[tuple[int, int]]:
         """Every edge once, as vertex numbers (i, j) with i < j, in vertex order."""
         return [(i, j) for i, m in enumerate(self._adj) for j in _members(m) if i < j]
-
-    def edges(self) -> list[tuple]:
-        """Every edge once, as (x, y) with x before y, in vertex order."""
-        pts = self.points
-        return [(pts[i], pts[j]) for i, j in self._pairs()]
 
     def bfs(self, sources: Iterable, within: int | None = None) -> dict:
         """Graph distances from the source set, restricted to `within`."""
@@ -357,14 +364,9 @@ class DualModel:
         return (1 << len(self.class_points)) - 1
 
     @cached_property
-    def ids(self) -> tuple[str, ...]:
-        """The point ids in point order, each formatted once."""
-        return tuple(p.point_id for p in self.space.points)
-
-    @cached_property
     def _number(self) -> dict[str, int]:
-        """The point number of each id in `ids`, the model's one id table."""
-        return {pid: i for i, pid in enumerate(self.ids)}
+        """The point number of each id in `space.ids`, the model's one id table."""
+        return {pid: i for i, pid in enumerate(self.space.ids)}
 
 
 MAX_SIZE = 8192
@@ -469,7 +471,7 @@ def glimm_partition(model: DualModel) -> GlimmPartition:
 
 
 def point_from_id(model: DualModel, point_id: str) -> Point:
-    """The model point with this id.  A canonical id (`DualModel.ids`) is a
+    """The model point with this id.  A canonical id (`Graph.ids`) is a
     table lookup that returns the model's own point; any other string is
     parsed, so a non-canonical spelling of a model point still resolves and
     a malformed id or one outside the model raises."""
@@ -487,29 +489,40 @@ def point_from_id(model: DualModel, point_id: str) -> Point:
     return p
 
 
-def dual_model_to_json(model: DualModel) -> dict:
-    space, ids = model.space, model.ids
+def graph_to_json(graph: Graph, n: int, bound: int, vertices: str, **more) -> dict:
+    """The JSON export of a graph of `Point`s: n and bound, the vertices
+    under the key `vertices`, then the `more` entries, then the edges."""
+    ids = graph.ids
     return {
-        "n": model.n,
-        "bound": model.bound,
-        "points": [{"id": pid, "kind": p.kind, "entries": list(p.sig.entries)} for pid, p in zip(ids, space.points)],
-        "closures": {ids[i]: sorted(ids[j] for j in _members(m)) for i, m in enumerate(space._closure)},
-        "edges": sorted([ids[i], ids[j]] for i, j in space._pairs()),
+        "n": n,
+        "bound": bound,
+        vertices: [{"id": pid, "kind": p.kind, "entries": list(p.sig.entries)} for pid, p in zip(ids, graph.points)],
+        **more,
+        "edges": sorted([ids[i], ids[j]] for i, j in graph._pairs()),
     }
+
+
+def graph_to_dot(graph: Graph, name: str, ellipse: str, arcs: Iterable[tuple[int, int]] = ()) -> str:
+    """The Graphviz export of a graph of `Point`s: the vertices of kind
+    `ellipse` as ellipses and the rest as boxes, the edges undirected, and
+    `arcs` (pairs of vertex numbers) as dashed arrows."""
+    ids = graph.ids
+    lines = [f'digraph "{name}" {{']
+    lines += [f'  "{pid}" [shape={"ellipse" if p.kind == ellipse else "box"}];' for pid, p in zip(ids, graph.points)]
+    lines += [f'  "{ids[i]}" -> "{ids[j]}" [dir=none];' for i, j in graph._pairs()]
+    lines += [f'  "{ids[i]}" -> "{ids[j]}" [style=dashed];' for i, j in arcs]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def dual_model_to_json(model: DualModel) -> dict:
+    space, ids = model.space, model.space.ids
+    closures = {ids[i]: sorted(ids[j] for j in _members(m)) for i, m in enumerate(space._closure)}
+    return graph_to_json(space, model.n, model.bound, "points", closures=closures)
 
 
 def dual_model_to_dot(model: DualModel) -> str:
     """Graphviz export: classes as ellipses, germs as boxes, inseparability
     as undirected edges, closure containment as dashed arrows."""
-    space, ids = model.space, model.ids
-    lines = [f'digraph "dual_so{model.n}_bound{model.bound}" {{']
-    for pid, p in zip(ids, space.points):
-        shape = "ellipse" if p.kind == CLASS_KIND else "box"
-        lines.append(f'  "{pid}" [shape={shape}];')
-    for i, j in space._pairs():
-        lines.append(f'  "{ids[i]}" -> "{ids[j]}" [dir=none];')
-    for i, m in enumerate(space._closure):
-        for j in _members(m & ~(1 << i)):
-            lines.append(f'  "{ids[i]}" -> "{ids[j]}" [style=dashed];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    arcs = ((i, j) for i, m in enumerate(model.space._closure) for j in _members(m & ~(1 << i)))
+    return graph_to_dot(model.space, f"dual_so{model.n}_bound{model.bound}", CLASS_KIND, arcs)

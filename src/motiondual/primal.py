@@ -5,10 +5,12 @@ by SO(n-1) signatures: the germ ideal of each half-line (the intersection
 of the kernels of all classes whose restriction contains the signature)
 and the kernels along the half-line itself, collapsed here to one
 representative per signature since the parameter plays no role in the
-graph.  Two sub-ideals are adjacent when their sum is proper: a line
-kernel is maximal and therefore isolated, and two germ ideals are
-adjacent exactly when some class restricts to both signatures, which is
-the closed-form common-extension test.
+graph.  Both are `dualspace.Point`s: a germ ideal is the germ point of
+its signature, with the same id, and a line kernel has kind `LINE_KIND`.
+Two sub-ideals are adjacent when their sum is proper: a line kernel is
+maximal and therefore isolated, and two germ ideals are adjacent exactly
+when some class restricts to both signatures, which is the closed-form
+common-extension test.
 
 Germ ideals are ordered by reverse inclusion of their hulls.  By
 interleaving, a hull is a product of integer intervals, the first one
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .dualspace import Graph, overlap_masks, require_size
+from .dualspace import GERM_KIND, LINE_KIND, Graph, Point, graph_to_dot, graph_to_json, overlap_masks, require_size
 from .errors import CertificationError, ContextMismatch, PreconditionViolated
 from .signatures import (
     GroupContext,
@@ -51,84 +53,68 @@ from .signatures import (
     walk_violations,
 )
 
-GERM_IDEAL = "germ"
-LINE_KERNEL = "line"
-
-
-@dataclass(frozen=True)
-class SubIdeal:
-    """A vertex of the sub-ideal graph, keyed by an SO(n-1) signature."""
-
-    kind: str
-    sigma: Signature
-
-    @property
-    def ideal_id(self) -> str:
-        return f"{self.kind}:{self.sigma}"
-
-    def __str__(self) -> str:
-        return self.ideal_id
-
 
 def ideal_points(n: int, bound: int) -> int:
     """The vertices of `sub_ideals(n, bound)`."""
     return 2 * count_signatures(n - 1, bound)
 
 
-def sub_ideals(n: int, bound: int) -> list[SubIdeal]:
-    """One germ ideal and one line kernel per SO(n-1) signature."""
-    if n < 3:
-        raise PreconditionViolated("sub-ideal models need n >= 3")
-    require_size(n, bound, ideal_points)
-    sigmas = enumerate_signatures(n - 1, bound)
-    return [SubIdeal(GERM_IDEAL, s) for s in sigmas] + [SubIdeal(LINE_KERNEL, s) for s in sigmas]
+def sub_ideals(n: int, bound: int) -> list[Point]:
+    """The vertices of `star_graph(n, bound)`, whose one build every caller
+    shares: the germ ideals, then the line kernels."""
+    return list(star_graph(n, bound).points)
 
 
-def _require_germs(*ideals: SubIdeal) -> None:
+def _require_germs(*ideals: Point) -> None:
     for i in ideals:
-        if i.kind != GERM_IDEAL:
+        if i.kind != GERM_KIND:
             raise PreconditionViolated("ideal containment is defined for germ ideals")
-    if len({i.sigma.ctx for i in ideals}) > 1:
+    if len({i.sig.ctx for i in ideals}) > 1:
         raise ContextMismatch("germ ideals live in different groups")
 
 
-def contains_ideal(I: SubIdeal, J: SubIdeal) -> bool:
+def contains_ideal(I: Point, J: Point) -> bool:
     """True when I contains J as an ideal, i.e. hull(I) is inside hull(J):
     every interval of I's hull lies inside the matching interval of J's.
     Exact on the infinite hulls, so no truncation is involved."""
     _require_germs(I, J)
     return all(
         lo_j <= lo_i and hi_i <= hi_j
-        for (lo_i, hi_i), (lo_j, hi_j) in zip(hull_intervals(I.sigma), hull_intervals(J.sigma))
+        for (lo_i, hi_i), (lo_j, hi_j) in zip(hull_intervals(I.sig), hull_intervals(J.sig))
     )
 
 
-def star_adjacent(I: SubIdeal, J: SubIdeal) -> bool:
+def star_adjacent(I: Point, J: Point) -> bool:
     """True when the two sub-ideals sum to a proper ideal.  Reflexive; a
     line kernel is maximal, hence adjacent only to itself; two germ ideals
     are adjacent exactly when a common parent class exists."""
-    if I.sigma.ctx != J.sigma.ctx:
+    if I.sig.ctx != J.sig.ctx:
         raise ContextMismatch("sub-ideals live in different groups")
     if I == J:
         return True
-    if I.kind == LINE_KERNEL or J.kind == LINE_KERNEL:
+    if I.kind == LINE_KIND or J.kind == LINE_KIND:
         return False
-    return common_extension([I.sigma, J.sigma]) is not None
+    return common_extension([I.sig, J.sig]) is not None
 
 
-@lru_cache(maxsize=16)  # as `build_dual_model`; big_d and the graph exports share a build
+@lru_cache(maxsize=16)  # as `build_dual_model`; big_d, sub_ideals and the graph exports share a build
 def star_graph(n: int, bound: int) -> Graph:
-    """The sub-ideal graph on `sub_ideals(n, bound)`, with the adjacency of
-    `star_adjacent`: line kernels are isolated, and two germ ideals are
-    joined when their hulls meet, i.e. when their hull intervals overlap in
-    every coordinate (the hull being the product of its intervals).  The
-    germ rows come from sorted interval ends (`dualspace.overlap_masks`),
-    not from a scan over germ pairs.  Its `distance` is the sub-ideal
-    distance d* on the truncated vertex set."""
-    ideals = sub_ideals(n, bound)
-    rows = overlap_masks([hull_intervals(i.sigma) for i in ideals if i.kind == GERM_IDEAL])  # germs come first
+    """The sub-ideal graph: one germ ideal and one line kernel per SO(n-1)
+    signature, the `Point`s of kinds `GERM_KIND` and `LINE_KIND`, with the
+    adjacency of `star_adjacent`: line kernels are isolated, and two germ
+    ideals are joined when their hulls meet, i.e. when their hull intervals
+    overlap in every coordinate (the hull being the product of its
+    intervals).  The germ rows come from sorted interval ends
+    (`dualspace.overlap_masks`), not from a scan over germ pairs.  Its
+    `distance` is the sub-ideal distance d* on the truncated vertex set."""
+    if n < 3:
+        raise PreconditionViolated("sub-ideal models need n >= 3")
+    require_size(n, bound, ideal_points)
+    sigmas = enumerate_signatures(n - 1, bound)
+    rows = overlap_masks([hull_intervals(s) for s in sigmas])
     adj = [row & ~(1 << a) for a, row in enumerate(rows)]
-    return Graph(ideals, adj + [0] * (len(ideals) - len(adj)))
+    ideals = [Point(GERM_KIND, s) for s in sigmas] + [Point(LINE_KIND, s) for s in sigmas]
+    return Graph(ideals, adj + [0] * len(adj))
 
 
 def big_d(n: int, bound: int) -> int:
@@ -142,7 +128,7 @@ def big_d(n: int, bound: int) -> int:
     return star_graph(n, bound).diameter()
 
 
-def min_primal(n: int, bound: int) -> list[SubIdeal]:
+def min_primal(n: int, bound: int) -> list[Point]:
     """Sub-ideals minimal under containment: every line kernel, and the germ
     ideals that strictly contain no other germ ideal.
 
@@ -158,7 +144,7 @@ def min_primal(n: int, bound: int) -> list[SubIdeal]:
     ideals = sub_ideals(n, bound)
     if n % 2 == 0:
         return ideals
-    return [i for i in ideals if i.kind == LINE_KERNEL or i.sigma.entries[-1] == 0]
+    return [i for i in ideals if i.kind == LINE_KIND or i.sig.entries[-1] == 0]
 
 
 def zero_tail_star_step(sigma: Signature, sigma_prime: Signature) -> bool:
@@ -171,7 +157,7 @@ def zero_tail_star_step(sigma: Signature, sigma_prime: Signature) -> bool:
         raise ContextMismatch("germ signatures live in different groups")
     if ctx.n % 2:
         raise PreconditionViolated("the tail step applies to germ signatures of an odd parent")
-    if not star_adjacent(SubIdeal(GERM_IDEAL, sigma), SubIdeal(GERM_IDEAL, sigma_prime)):
+    if not star_adjacent(Point(GERM_KIND, sigma), Point(GERM_KIND, sigma_prime)):
         raise PreconditionViolated("the tail step needs adjacent germ ideals")
     k = ctx.k
     i = tail_start(sigma.entries)
@@ -402,22 +388,9 @@ def validate_certificate(cert: MergeCertificate, bound: int | None = None) -> Ce
 
 
 def star_graph_to_json(n: int, bound: int) -> dict:
-    graph = star_graph(n, bound)
-    return {
-        "n": n,
-        "bound": bound,
-        "ideals": [{"id": v.ideal_id, "kind": v.kind, "entries": list(v.sigma.entries)} for v in graph.points],
-        "edges": sorted([a.ideal_id, b.ideal_id] for a, b in graph.edges()),
-    }
+    return graph_to_json(star_graph(n, bound), n, bound, "ideals")
 
 
 def star_graph_to_dot(n: int, bound: int) -> str:
-    graph = star_graph(n, bound)
-    lines = [f'digraph "sub_so{n}_bound{bound}" {{']
-    for v in graph.points:
-        shape = "ellipse" if v.kind == GERM_IDEAL else "box"
-        lines.append(f'  "{v.ideal_id}" [shape={shape}];')
-    for a, b in graph.edges():
-        lines.append(f'  "{a.ideal_id}" -> "{b.ideal_id}" [dir=none];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """Graphviz export: germ ideals as ellipses, line kernels as boxes."""
+    return graph_to_dot(star_graph(n, bound), f"sub_so{n}_bound{bound}", GERM_KIND)

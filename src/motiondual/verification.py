@@ -28,7 +28,17 @@ from . import chains as chains_mod
 from . import constants as constants_mod
 from . import primal as primal_mod
 from . import signatures as sig_mod
-from .dualspace import Point, _union, build_dual_model, components_and_orc, model_points, require_size, separated_points
+from .dualspace import (
+    GERM_KIND,
+    LINE_KIND,
+    Point,
+    _union,
+    build_dual_model,
+    components_and_orc,
+    model_points,
+    require_size,
+    separated_points,
+)
 from .errors import MotionDualError, PreconditionViolated
 from .signatures import (
     Signature,
@@ -60,6 +70,9 @@ oracles are quadratic in the signatures at the bound: the slowest admitted
 single-n sweeps, (7, 10), (3, 255) and (5, 21), take 10 to 12 s each (wall
 clock, 2-vCPU guest), while the checks at (5, 30) compare 923,521 pairs and
 take over 30 s."""
+
+MERGE_TRIPLES = 100
+"""The seeded random triples `check_merge_certificates` draws per n."""
 
 
 def default_bound(n: int) -> int:
@@ -155,14 +168,13 @@ def check_zero_tail_star(n: int, bound: int, rng=None) -> CheckResult:
     """Tail propagation along sub-ideal adjacency, odd parent groups only."""
     if n % 2 == 0:
         return CheckResult(n, "zero-tail-star", True, "applies to odd n only", skipped=True)
-    sigmas = enumerate_signatures(n - 1, min(bound, 1))
-    germ = primal_mod.GERM_IDEAL
-    for a, b in product(sigmas, repeat=2):
-        if not primal_mod.star_adjacent(primal_mod.SubIdeal(germ, a), primal_mod.SubIdeal(germ, b)):
+    germs = [Point(GERM_KIND, s) for s in enumerate_signatures(n - 1, min(bound, 1))]
+    for a, b in product(germs, repeat=2):
+        if not primal_mod.star_adjacent(a, b):
             continue
-        if not primal_mod.zero_tail_star_step(a, b):
-            return CheckResult(n, "zero-tail-star", False, f"counterexample {a} vs {b}")
-    return CheckResult(n, "zero-tail-star", True, f"{len(sigmas)}^2 pairs at bound 1")
+        if not primal_mod.zero_tail_star_step(a.sig, b.sig):
+            return CheckResult(n, "zero-tail-star", False, f"counterexample {a.sig} vs {b.sig}")
+    return CheckResult(n, "zero-tail-star", True, f"{len(germs)}^2 pairs at bound 1")
 
 
 def check_orc(n: int, bound: int, rng=None) -> CheckResult:
@@ -192,8 +204,8 @@ def _min_primal_oracle(n: int, bound: int) -> list:
     hulls = dict(zip(children, _restriction_masks(enumerate_signatures(n, probe), children)))
     kept = []
     for i in primal_mod.sub_ideals(n, bound):
-        h = hulls[i.sigma]
-        if i.kind == primal_mod.LINE_KERNEL or not any(h | o == o != h for o in hulls.values()):
+        h = hulls[i.sig]
+        if i.kind == LINE_KIND or not any(h | o == o != h for o in hulls.values()):
             kept.append(i)
     return kept
 
@@ -318,11 +330,11 @@ def check_chain_lemma(n: int, bound: int, rng: random.Random) -> CheckResult:
     return CheckResult(n, "chain-lemma", True, f"{len(trials)} chains")
 
 
-def check_merge_certificates(n: int, bound: int, rng: random.Random, count: int = 100) -> CheckResult:
+def check_merge_certificates(n: int, bound: int, rng: random.Random) -> CheckResult:
     """Seeded random triples all validate with case-table walk lengths and
     the implied bound ceil(n/2)/2."""
     pool = enumerate_signatures(n - 1, bound)
-    for _ in range(count):
+    for _ in range(MERGE_TRIPLES):
         triple = (rng.choice(pool), rng.choice(pool), rng.choice(pool))
         try:
             cert = primal_mod.merge_certificate(n, *triple)
@@ -333,7 +345,7 @@ def check_merge_certificates(n: int, bound: int, rng: random.Random, count: int 
             return CheckResult(
                 n, "merge-certificates", False, f"{triple}: {'; '.join(rep.violations)}"
             )
-    return CheckResult(n, "merge-certificates", True, f"{count} triples")
+    return CheckResult(n, "merge-certificates", True, f"{MERGE_TRIPLES} triples")
 
 
 def check_mediation_and_separated(n: int, bound: int, rng=None) -> CheckResult:

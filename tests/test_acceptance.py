@@ -12,10 +12,8 @@ from math import inf
 
 from motiondual.chains import chain_lower_bound, find_admissible_chain, is_admissible
 from motiondual.constants import cross_check, predicted_d
-from motiondual.dualspace import CLASS_KIND, Point, build_dual_model, components_and_orc, distance
+from motiondual.dualspace import CLASS_KIND, GERM_KIND, Point, build_dual_model, components_and_orc, distance
 from motiondual.primal import (
-    GERM_IDEAL,
-    SubIdeal,
     big_d,
     claimed_steps,
     merge_certificate,
@@ -215,7 +213,7 @@ def test_criterion_9_zero_tail():
             sigmas = enumerate_signatures(n - 1, 1)
             for a in sigmas:
                 for b in sigmas:
-                    ga, gb = SubIdeal(GERM_IDEAL, a), SubIdeal(GERM_IDEAL, b)
+                    ga, gb = Point(GERM_KIND, a), Point(GERM_KIND, b)
                     if star_adjacent(ga, gb) and not zero_tail_star_step(a, b):
                         counterexamples += 1
     assert report(9, "zero-tail steps hold exhaustively at bound 1, N=4..11", counterexamples == 0)

@@ -170,6 +170,18 @@ def test_chain_emit_and_recheck(capsys, tmp_path):
     assert "certifies distance >= 3" in out
 
 
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_chain_refuses_k_below_one(capsys, k):
+    code, out, err = run(["chain", "--n", "5", "0,0", "1,1", "--k", k], capsys)
+    assert (code, out, err) == (1, "", f"error: --k must be at least 1, got {k}\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["--k", "1"]], ids=["distance", "k-1"])
+def test_chain_refuses_coinciding_classes(capsys, flags):
+    code, out, err = run(["chain", "--n", "5", "1,1", "1,1", *flags], capsys)
+    assert (code, out, err) == (1, "", "error: no chain certificate for coinciding classes\n")
+
+
 def test_chain_tampered_file_fails(capsys, tmp_path):
     out_file = tmp_path / "chain.json"
     run(["chain", "--n", "7", "0,0,0", "1,1,1", "--bound", "1", "--output", str(out_file)], capsys)

@@ -15,6 +15,7 @@ from motiondual import dualspace, primal, signatures
 from motiondual.dualspace import (
     CLASS_KIND,
     GERM_KIND,
+    LINE_KIND,
     DualModel,
     FiniteT0Space,
     Graph,
@@ -40,6 +41,13 @@ def cls(entries, n):
 
 def germ(entries, n):
     return Point(GERM_KIND, validate(entries, n))
+
+
+def graph_edges(graph):
+    """Every edge once, as (x, y) with x before y, in vertex order: the
+    vertex pairs of `Graph._pairs`, as the graph once listed them."""
+    pts = graph.points
+    return [(pts[i], pts[j]) for i, j in graph._pairs()]
 
 
 def closure(space, x):
@@ -285,7 +293,7 @@ def _guard_answer(monkeypatch, module, build, n, bound):
 @pytest.mark.parametrize("n,bound", ADMITTED)
 def test_size_cap_admits_recorded_points(monkeypatch, n, bound):
     assert _guard_answer(monkeypatch, dualspace, build_dual_model.__wrapped__, n, bound)
-    assert _guard_answer(monkeypatch, primal, primal.sub_ideals, n, bound)
+    assert _guard_answer(monkeypatch, primal, primal.star_graph.__wrapped__, n, bound)
 
 
 @pytest.mark.parametrize("n,bound", [(20, 50), (8, 11), (5, 52), (200, 1), (10**9, 0), (5, 10**100)])
@@ -297,7 +305,7 @@ def test_size_cap_refuses_large_models(monkeypatch, n, bound):
 
 @pytest.mark.parametrize("n,bound", [(20, 50), (5, 45), (200, 1), (10**9, 0), (5, 10**100)])
 def test_size_cap_refuses_large_sub_ideal_graphs(monkeypatch, n, bound):
-    assert not _guard_answer(monkeypatch, primal, primal.sub_ideals, n, bound)
+    assert not _guard_answer(monkeypatch, primal, primal.star_graph.__wrapped__, n, bound)
     with pytest.raises(PreconditionViolated, match="size cap"):
         primal.big_d(n, bound)
 
@@ -539,7 +547,7 @@ def parse_point_id(model, point_id):
 @pytest.mark.parametrize("n, bound", [(4, 1), (5, 12), (8, 5), (24, 2)])
 def test_point_from_id_returns_the_model_point(n, bound):
     m = build_dual_model(n, bound)
-    assert m.ids == tuple(p.point_id for p in m.space.points)
+    assert m.space.ids == tuple(p.point_id for p in m.space.points)
     for p in m.space.points:
         assert point_from_id(m, p.point_id) is p
         assert parse_point_id(m, p.point_id) == p
@@ -568,7 +576,7 @@ def point_ids(draw):
     m = build_dual_model(n, bound)
     shape = draw(st.sampled_from(["canonical", "spelled", "junk", "non-string"]))
     if shape == "canonical":
-        return m, draw(st.sampled_from(m.ids))
+        return m, draw(st.sampled_from(m.space.ids))
     if shape == "non-string":
         return m, draw(st.one_of(st.none(), st.integers(), st.binary(max_size=4), st.just(m.space.points[0])))
     if shape == "junk":
@@ -608,7 +616,7 @@ def dual_model_to_json_oracle(model):
         "bound": model.bound,
         "points": [{"id": p.point_id, "kind": p.kind, "entries": list(p.sig.entries)} for p in space.points],
         "closures": {p.point_id: sorted(q.point_id for q in closure(space, p)) for p in space.points},
-        "edges": sorted([p.point_id, q.point_id] for p, q in space.edges()),
+        "edges": sorted([p.point_id, q.point_id] for p, q in graph_edges(space)),
     }
 
 
@@ -619,7 +627,7 @@ def dual_model_to_dot_oracle(model):
     for p in space.points:
         shape = "ellipse" if p.kind == CLASS_KIND else "box"
         lines.append(f'  "{p.point_id}" [shape={shape}];')
-    for p, q in space.edges():
+    for p, q in graph_edges(space):
         lines.append(f'  "{p.point_id}" -> "{q.point_id}" [dir=none];')
     for p in space.points:
         for q in sorted(closure(space, p) - {p}, key=space._index.__getitem__):
@@ -668,6 +676,15 @@ def test_equal_points_hash_equal():
     assert a == b and a is not b and hash(a) == hash(b)
     assert germ([2, 1], 5) != cls([2, 1], 5)
     assert len({a, b, germ([2, 1], 5), cls([2, 1], 5)}) == 3
+
+
+def test_germ_and_line_points_of_one_signature_differ():
+    sig = validate([2, 1], 5)
+    points = [Point(kind, sig) for kind in (CLASS_KIND, GERM_KIND, LINE_KIND)]
+    g, line = points[1:]
+    assert g != line and hash(g) != hash(line) and g.point_id != line.point_id
+    assert len({hash(p) for p in points}) == len({p.point_id for p in points}) == 3
+    assert len({*points, Point(LINE_KIND, validate([2, 1], 5))}) == 3
 
 
 def test_point_hash_does_not_depend_on_the_hash_seed():

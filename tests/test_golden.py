@@ -33,6 +33,14 @@ GOLDEN = {
         ["graph", "--n", "5", "--kind", "dual", "--format", "dot"],
         "9fc10ecfd8e59cf6100c7b510707c5fcdb4cedf73f9ba580efef29f768e13ae7",
     ),
+    "graph-dot-negative": (
+        ["graph", "--n", "6", "--kind", "dual", "--bound", "2", "--format", "dot"],
+        "94a717f0e758eca1956929f583db02387b19335f7e1efb5e883b707a59bde2dc",
+    ),
+    "graph-sub-dot": (
+        ["graph", "--n", "5", "--kind", "sub", "--format", "dot"],
+        "ce13d066b51dfde244ddc5b097f8f200702b2fa3a7cb91161dc3134186eb63ba",
+    ),
     "graph-sub": (
         ["graph", "--n", "5", "--kind", "sub", "--format", "json"],
         "587056a3a4557f6c26a8f88579306a95288314bfd31e401a77c22c21a9c1757c",

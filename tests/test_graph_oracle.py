@@ -39,6 +39,7 @@ from motiondual.primal import (  # noqa: E402
 )
 from motiondual.errors import PreconditionViolated  # noqa: E402
 from motiondual.signatures import count_signatures, enumerate_signatures, inseparable, restricts_to  # noqa: E402
+from test_dualspace import graph_edges  # noqa: E402
 
 GRID = [(3, 1), (3, 3), (4, 1), (4, 2), (5, 1), (5, 2), (6, 1), (6, 2), (7, 1), (8, 1)]
 
@@ -197,7 +198,7 @@ def test_exporter_edges_match_pairwise_scan(n, bound):
     assert dot_edges(dual_model_to_dot(build_dual_model(n, bound))) == dual
     assert dual_model_to_json(build_dual_model(n, bound))["edges"] == sorted(map(list, dual))
 
-    sub = pairwise_scan(sub_ideals(n, bound), star_adjacent, lambda v: v.ideal_id)
+    sub = pairwise_scan(sub_ideals(n, bound), star_adjacent, lambda v: v.point_id)
     assert dot_edges(star_graph_to_dot(n, bound)) == sub
     assert star_graph_to_json(n, bound)["edges"] == sorted(map(list, sub))
 
@@ -233,7 +234,7 @@ def test_graph_core_matches_networkx(case):
     sub = ref if within is None else ref.subgraph(graph._set(within))
     order = {v: i for i, v in enumerate(labels)}.__getitem__
 
-    assert graph.edges() == sorted(
+    assert graph_edges(graph) == sorted(
         (tuple(sorted(e, key=order)) for e in ref.edges()), key=lambda e: (order(e[0]), order(e[1]))
     )
     for v in labels:

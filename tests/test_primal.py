@@ -5,13 +5,10 @@ from math import inf
 
 import pytest
 
-from motiondual.dualspace import Graph
+from motiondual.dualspace import GERM_KIND, LINE_KIND, Graph, Point, build_dual_model
 from motiondual.errors import ContextMismatch, PreconditionViolated
 from motiondual.primal import (
-    GERM_IDEAL,
-    LINE_KERNEL,
     MergeCertificate,
-    SubIdeal,
     big_d,
     certificate_from_dict,
     claimed_steps,
@@ -34,11 +31,11 @@ from test_primal_oracle import hull
 
 
 def germ(entries, n_child):
-    return SubIdeal(GERM_IDEAL, validate(entries, n_child))
+    return Point(GERM_KIND, validate(entries, n_child))
 
 
 def line(entries, n_child):
-    return SubIdeal(LINE_KERNEL, validate(entries, n_child))
+    return Point(LINE_KIND, validate(entries, n_child))
 
 
 # --- vertex sets and hulls -----------------------------------------------------
@@ -64,7 +61,7 @@ def test_hull_zero_signature():
     h5 = hull(germ([0, 0], 4), 2)
     assert {s.entries for s in h5} == {(0, 0), (1, 0), (2, 0)}
     for bound, g in [(2, germ([0, 0], 4))]:
-        oracle = {s for s in enumerate_signatures(5, bound) if restricts_to(s, g.sigma)}
+        oracle = {s for s in enumerate_signatures(5, bound) if restricts_to(s, g.sig)}
         assert hull(g, bound) == oracle
 
 
@@ -132,6 +129,15 @@ def test_d_star_examples():
     assert star_graph(7, 1).distance(germ([0, 0, 0], 6), germ([1, 1, 1], 6)) == 3
 
 
+@pytest.mark.parametrize("n,bound", [(3, 0), (4, 1), (5, 2), (8, 2)])
+def test_germ_ideals_are_the_germ_points_of_the_dual_model(n, bound):
+    # one vertex type: a germ ideal is its germ's point, with the same id
+    ideals = sub_ideals(n, bound)
+    germs = [p for p in build_dual_model(n, bound).space.points if p.kind == GERM_KIND]
+    assert ideals[: len(germs)] == germs
+    assert [str(i) for i in ideals[len(germs) :]] == [f"line:{g.sig}" for g in germs]
+
+
 def test_d_star_line_infinite():
     assert star_graph(5, 1).distance(line([0, 0], 4), germ([0, 0], 4)) == inf
 
@@ -139,7 +145,7 @@ def test_d_star_line_infinite():
 def test_d_star_calls_share_one_star_graph():
     star_graph.cache_clear()
     rng = random.Random(3)
-    germs = [SubIdeal(GERM_IDEAL, s) for s in enumerate_signatures(4, 12)]
+    germs = [Point(GERM_KIND, s) for s in enumerate_signatures(4, 12)]
     for _ in range(20):
         x, y = rng.sample(germs, 2)
         star_graph(5, 12).distance(x, y)
@@ -185,18 +191,18 @@ def test_min_primal_even_is_everything():
 
 
 def test_min_primal_n3_excludes_nonzero():
-    kept = {i.sigma.entries for i in min_primal(3, 1) if i.kind == GERM_IDEAL}
+    kept = {i.sig.entries for i in min_primal(3, 1) if i.kind == GERM_KIND}
     assert kept == {(0,)}
 
 
 def test_min_primal_n5_excludes_ones():
-    kept = {i.sigma.entries for i in min_primal(5, 1) if i.kind == GERM_IDEAL}
+    kept = {i.sig.entries for i in min_primal(5, 1) if i.kind == GERM_KIND}
     assert kept == {(0, 0), (1, 0)}
 
 
 def test_min_primal_keeps_all_lines():
     out = min_primal(5, 1)
-    assert sum(1 for i in out if i.kind == LINE_KERNEL) == len(enumerate_signatures(4, 1))
+    assert sum(1 for i in out if i.kind == LINE_KIND) == len(enumerate_signatures(4, 1))
 
 
 @pytest.mark.parametrize("n", range(3, 10))

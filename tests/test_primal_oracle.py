@@ -7,6 +7,7 @@ every entry involved so that no hull is cut short.
 """
 
 import itertools
+import json
 from math import inf
 
 import pytest
@@ -14,11 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from motiondual import primal, signatures, verification
-from motiondual.dualspace import overlap_masks
+from motiondual.dualspace import GERM_KIND, LINE_KIND, Point, overlap_masks
 from motiondual.primal import (
-    GERM_IDEAL,
-    LINE_KERNEL,
-    SubIdeal,
     contains_ideal,
     merge_certificate,
     min_primal,
@@ -26,25 +24,26 @@ from motiondual.primal import (
     validate_certificate,
 )
 from motiondual.signatures import common_extension, enumerate_signatures, inseparable, restricts_to, validate
+from test_dualspace import graph_edges
 
 
 def germ(entries, n_child):
-    return SubIdeal(GERM_IDEAL, validate(entries, n_child))
+    return Point(GERM_KIND, validate(entries, n_child))
 
 
 def hull(ideal, bound):
     """Classes containing the ideal, within the truncation.  A line kernel
     has empty hull among the classes (its hull sits on the half-line)."""
-    if ideal.kind == LINE_KERNEL:
+    if ideal.kind == LINE_KIND:
         return frozenset()
-    parents = enumerate_signatures(ideal.sigma.ctx.n + 1, bound)
-    return frozenset(pi for pi in parents if restricts_to(pi, ideal.sigma))
+    parents = enumerate_signatures(ideal.sig.ctx.n + 1, bound)
+    return frozenset(pi for pi in parents if restricts_to(pi, ideal.sig))
 
 
 def _hulls(n, entry_max, hull_bound=None):
     """Germ ideals of SO(n) with entries up to `entry_max`, each with its
     hull enumerated at `hull_bound`, by default one bound higher."""
-    germs = [SubIdeal(GERM_IDEAL, s) for s in enumerate_signatures(n - 1, entry_max)]
+    germs = [Point(GERM_KIND, s) for s in enumerate_signatures(n - 1, entry_max)]
     return {g: hull(g, entry_max + 1 if hull_bound is None else hull_bound) for g in germs}
 
 
@@ -75,7 +74,7 @@ def _min_primal_oracle(n, bound, competitors=None):
     return [
         i
         for i in sub_ideals(n, bound)
-        if i.kind == LINE_KERNEL or not any(hulls[i] < h for h in hulls.values())
+        if i.kind == LINE_KIND or not any(hulls[i] < h for h in hulls.values())
     ]
 
 
@@ -113,6 +112,7 @@ def test_closed_forms_enumerate_no_hull_or_branch(monkeypatch):
     assert primal.contains_ideal(germ([2, 1], 4), germ([2, 0], 4))
     assert not primal.contains_ideal(germ([2, 0], 4), germ([2, 1], 4))
     assert calls == []
+    primal.star_graph.cache_clear()  # min_primal reads the vertices of a cached graph
     kept = primal.min_primal(7, 2)
     assert calls == [(6, 2)]  # the vertex set itself; no competitor enumeration
     assert len(kept) < len(sub_ideals(7, 2))
@@ -134,7 +134,7 @@ def test_sweep_check_catches_wrong_min_primal(monkeypatch):
     monkeypatch.setattr(
         primal,
         "min_primal",
-        lambda n, b: [i for i in sub_ideals(n, b) if i.kind == LINE_KERNEL],
+        lambda n, b: [i for i in sub_ideals(n, b) if i.kind == LINE_KIND],
     )
     result = verification.check_min_primal_parity(5, 2)
     assert not result.ok
@@ -189,9 +189,41 @@ def test_star_graph_edges_match_pairwise_scans(n, bound):
         (a, b)
         for i, a in enumerate(ideals)
         for b in ideals[i + 1 :]
-        if a.kind == b.kind == GERM_IDEAL and common_extension([a.sigma, b.sigma]) is not None
+        if a.kind == b.kind == GERM_KIND and common_extension([a.sig, b.sig]) is not None
     ]
-    assert primal.star_graph(n, bound).edges() == scan == extension
+    assert graph_edges(primal.star_graph(n, bound)) == scan == extension
+
+
+def star_graph_to_json_oracle(n, bound):
+    """The sub-ideal JSON export as written before the shared writers: every
+    id formatted per mention."""
+    graph = primal.star_graph(n, bound)
+    return {
+        "n": n,
+        "bound": bound,
+        "ideals": [{"id": str(v), "kind": v.kind, "entries": list(v.sig.entries)} for v in graph.points],
+        "edges": sorted([str(a), str(b)] for a, b in graph_edges(graph)),
+    }
+
+
+def star_graph_to_dot_oracle(n, bound):
+    """The sub-ideal dot export as written before the shared writers."""
+    graph = primal.star_graph(n, bound)
+    lines = [f'digraph "sub_so{n}_bound{bound}" {{']
+    for v in graph.points:
+        shape = "ellipse" if v.kind == GERM_KIND else "box"
+        lines.append(f'  "{v}" [shape={shape}];')
+    for a, b in graph_edges(graph):
+        lines.append(f'  "{a}" -> "{b}" [dir=none];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n,bound", [(3, 0), (4, 1), (5, 2), (6, 2), (7, 3), (5, 12), (8, 5), (24, 2)])
+def test_star_graph_exports_match_per_mention_oracle(n, bound):
+    got = json.dumps(primal.star_graph_to_json(n, bound), indent=2)
+    assert got == json.dumps(star_graph_to_json_oracle(n, bound), indent=2)
+    assert primal.star_graph_to_dot(n, bound) == star_graph_to_dot_oracle(n, bound)
 
 
 # --- hull overlap masks -----------------------------------------------------------
@@ -226,9 +258,9 @@ def test_overlap_masks_match_pair_scan(boxes):
 @pytest.mark.parametrize("n,bound", [(5, 12), (8, 5), (24, 2), (9, 8), (3, 10)])
 def test_star_graph_rows_match_hull_pair_scan(n, bound):
     ideals = sub_ideals(n, bound)
-    germs = [i for i in ideals if i.kind == GERM_IDEAL]
+    germs = [i for i in ideals if i.kind == GERM_KIND]
     assert ideals[: len(germs)] == germs
-    hulls = [signatures.hull_intervals(g.sigma) for g in germs]
+    hulls = [signatures.hull_intervals(g.sig) for g in germs]
     rows = hull_pair_scan(hulls)
     assert overlap_masks(hulls) == rows
     germ_rows = [row & ~(1 << a) for a, row in enumerate(rows)]
