@@ -16,7 +16,6 @@ from .dualspace import (
     components_and_orc,
     distance,
     glimm_partition,
-    separated_points,
 )
 from .errors import (
     CertificationError,

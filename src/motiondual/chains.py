@@ -13,7 +13,10 @@ over the points of the model space it was built on, and every search is the
 space's layered search on masks (`Graph._layers`): the private helpers
 `_violations`, `_admissible`, `_separate` and the space's `_ball` do the set
 algebra.  The construction, the JSON reader and writer and every re-check
-use those masks as they are, so no step hashes the chain's points.  A chain
+use those masks as they are, so no step hashes the chain's points; the
+reader turns each canonical id into a point number by the model's one id
+table and refuses any other spelling.  A class-restricted chain needs class
+end sets, the first `DualModel.class_count` points.  A chain
 checked on another model than its own must be over the same points (the
 same model rebuilt after a cache eviction); any other raises UnknownPoint.
 
@@ -35,7 +38,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Sequence
 
-from .dualspace import DualModel, FiniteT0Space, Point, _members, _union, point_from_id
+from .dualspace import DualModel, FiniteT0Space, Point, _members, _point_number, _union, point_from_id
 from .errors import CertificationError, PreconditionViolated, UnknownPoint
 
 __all__ = [
@@ -265,7 +268,8 @@ def find_admissible_chain(model: DualModel, X: Iterable, Y: Iterable, k: int, re
     X, Y = frozenset(X), frozenset(Y)
     if not X or not Y:
         raise PreconditionViolated("X and Y must be nonempty")
-    if restrict_to_class and not (X | Y) <= model.class_points:
+    index, classes = space._index, model.class_count
+    if restrict_to_class and not all(index.get(p, classes) < classes for p in X | Y):
         raise PreconditionViolated("class-restricted chains need class end sets")
     if k < 2:
         raise PreconditionViolated("chain construction needs k >= 2")
@@ -323,21 +327,15 @@ def chain_to_json(model: DualModel, chain: Chain, x=None, y=None, restrict_to_cl
 
 def chain_from_json(model: DualModel, payload: dict) -> tuple[Chain, Point | None, Point | None, bool]:
     """The chain of a `chain_to_json` payload as masks over the model's
-    space, its end witnesses and its restriction flag.  A canonical id
-    becomes a point number through the model's id table; a set with any
-    other id goes through `point_from_id`, which parses it or raises."""
-    space, number = model.space, model._number
-    sets = []
-    for ids in payload["sets"]:
-        try:
-            members = list(map(number.__getitem__, ids))
-        except (KeyError, TypeError):
-            members = [space._index[point_from_id(model, pid)] for pid in ids]
-        sets.append(reduce(or_, (1 << i for i in members), 0))
-    chain = Chain(space, tuple(sets))
-    x = point_from_id(model, payload["x"]) if "x" in payload else None
-    y = point_from_id(model, payload["y"]) if "y" in payload else None
+    space, its end witnesses and its restriction flag.  Each id becomes a
+    point number through the model's id table, so only canonical ids are
+    read.  The witnesses x and y come together or not at all: a payload
+    with one of them raises KeyError naming the other."""
+    sets = tuple(reduce(or_, (1 << _point_number(model, pid) for pid in ids), 0) for ids in payload["sets"])
+    x = y = None
+    if "x" in payload or "y" in payload:
+        x, y = (point_from_id(model, payload[key]) for key in ("x", "y"))
     restrict = payload.get("restrict_to_class", True)
     if not isinstance(restrict, bool):
         raise TypeError(f"restrict_to_class must be true or false, got {restrict!r}")
-    return chain, x, y, restrict
+    return Chain(model.space, sets), x, y, restrict

@@ -16,6 +16,7 @@ from . import constants as constants_mod
 from . import primal as primal_mod
 from . import verification
 from .dualspace import (
+    CLASS_KIND,
     Point,
     build_dual_model,
     distance,
@@ -93,7 +94,7 @@ def cmd_distance(args) -> int:
     a = validate(parse_entries(args.sig1), args.n)
     b = validate(parse_entries(args.sig2), args.n)
     model = build_dual_model(args.n, max(bound, *(abs(e) for s in (a, b) for e in s.entries), 1))
-    x, y = Point("class", a), Point("class", b)
+    x, y = Point(CLASS_KIND, a), Point(CLASS_KIND, b)
     d = distance(model, x, y)
     lines = [f"distance: {d}"]
     payload = {"n": args.n, "from": str(a), "to": str(b), "distance": d}
@@ -162,7 +163,7 @@ def cmd_chain(args) -> int:
     model = build_dual_model(args.n, bound)
     a = validate(parse_entries(args.sig1), args.n)
     b = validate(parse_entries(args.sig2), args.n)
-    x, y = Point("class", a), Point("class", b)
+    x, y = Point(CLASS_KIND, a), Point(CLASS_KIND, b)
     k = args.k
     if k is None:
         k = int(distance(model, x, y))

@@ -21,9 +21,9 @@ from fractions import Fraction
 
 from . import chains as chains_mod
 from . import primal as primal_mod
-from .dualspace import Point, build_dual_model, components_and_orc, distance
+from .dualspace import CLASS_KIND, Point, build_dual_model, components_and_orc, distance
 from .errors import PreconditionViolated, TheoremViolation
-from .signatures import GroupContext, Signature, enumerate_signatures, walk
+from .signatures import Signature, enumerate_signatures, extremal_pair, walk
 
 N2_NOTE = (
     "the ceil(n/2)/2 formula does not apply at n = 2; K(M) = 1 there is an "
@@ -119,10 +119,8 @@ def cross_check(n: int, bound: int) -> ConstantsReport:
     ks_ma = Fraction(orc_ma, 2)
 
     k = n // 2
-    ctx = GroupContext(n)
-    zero = Signature((0,) * k, ctx)
-    ones = Signature((1,) * k, ctx)
-    x, y = Point("class", zero), Point("class", ones)
+    zero, ones = extremal_pair(n)
+    x, y = Point(CLASS_KIND, zero), Point(CLASS_KIND, ones)
     w = walk(zero, ones)
     bfs_d = distance(model, x, y)
     chain, chain_bound = chains_mod.chain_for_distance(model, x, y, k)

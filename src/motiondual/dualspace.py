@@ -11,10 +11,13 @@ search over the classes.  That encoding is an Alexandrov topology given by
 an explicit closure map, so inseparability, separation and distance become
 finite computations.  A `Point` is also a vertex of the sub-ideal graph
 of `primal`: a germ ideal has its germ's kind and signature, and a line
-kernel is a third kind.  Each graph formats its vertex ids once
-(`Graph.ids`), and the dual model reads them back by one id table, so the
-exports and the chain files neither format nor parse a point per mention;
-every export writes its vertices and edges by the same two writers.
+kernel is a third kind.  The classes come first in point order, so the
+class/germ split of a model is one number, `DualModel.class_count`.  Each
+graph formats its vertex ids once (`Graph.ids`), and the dual model reads
+them back by one id table (`point_from_id`), so the exports and the chain
+files neither format nor parse a point per mention; only the canonical id
+of a point names it.  Every export writes its vertices and edges by the
+same two writers.
 
 All traversal lives in `Graph`: an undirected graph with a fixed vertex
 order, carrying breadth-first distances, connected components and the
@@ -50,12 +53,10 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import PreconditionViolated, UnknownPoint
 from .signatures import (
-    GroupContext,
     Signature,
     count_signatures,
     enumerate_signatures,
     hull_intervals,
-    parse_entries,
 )
 
 CLASS_KIND = "class"
@@ -219,10 +220,6 @@ class Graph:
                 return d
         return inf
 
-    def neighbors(self, x) -> tuple:
-        pts = self.points
-        return tuple(pts[j] for j in _members(self._adj[self._ids((x,))[0]]))
-
     def _pairs(self) -> list[tuple[int, int]]:
         """Every edge once, as vertex numbers (i, j) with i < j, in vertex order."""
         return [(i, j) for i, m in enumerate(self._adj) for j in _members(m) if i < j]
@@ -341,27 +338,23 @@ class FiniteT0Space(Graph):
         # x and y are inseparable iff some q has both in its closure
         super().__init__(points, (_union(cl, m) & ~(1 << x) for x, m in enumerate(mo)))
 
-    def inseparable(self, x, y) -> bool:
-        """True iff the minimal open sets of x and y intersect."""
-        i, j = self._ids((x, y))
-        return bool(self._min_open[i] & self._min_open[j])
-
 
 @dataclass(frozen=True)
 class DualModel:
-    """Truncated dual-space model: classes plus one germ per half-line."""
+    """Truncated dual-space model: classes plus one germ per half-line.  The
+    classes are the first `class_count` points of `space`, the germs the
+    rest."""
 
     space: FiniteT0Space
     n: int
     bound: int
-    class_points: frozenset
-    germ_points: frozenset
+    class_count: int
 
     @cached_property
     def class_mask(self) -> int:
-        """The class points as a mask over `space.points`: the classes come
-        first in point order, so it is the mask of the first len(classes)."""
-        return (1 << len(self.class_points)) - 1
+        """The class points as a mask over `space.points`: its first
+        `class_count` bits."""
+        return (1 << self.class_count) - 1
 
     @cached_property
     def _number(self) -> dict[str, int]:
@@ -412,7 +405,7 @@ def build_dual_model(n: int, bound: int) -> DualModel:
     of the intervals gives one run of consecutive numbers over the last
     interval.  Both ends of a run are looked up, so a run end that is no
     class of the truncation is a fault and raises.  The classes come first
-    in point order, which `DualModel.class_mask` relies on.  Accepts bound
+    in point order, which `DualModel.class_count` records.  Accepts bound
     0 (the degenerate one-class model).
     """
     if n < 3:
@@ -432,12 +425,7 @@ def build_dual_model(n: int, bound: int) -> DualModel:
             mask |= (2 << index[prefix + (hi,)]) - (1 << index[prefix + (lo,)])
         closures.append(mask)
     space = FiniteT0Space(classes + germs, closures)
-    return DualModel(space, n, bound, frozenset(classes), frozenset(germs))
-
-
-def separated_points(model: DualModel) -> frozenset:
-    """Points inseparable only from themselves among all model points."""
-    return frozenset(p for p in model.space.points if not model.space.neighbors(p))
+    return DualModel(space, n, bound, len(classes))
 
 
 def distance(model: DualModel, x, y):
@@ -465,28 +453,26 @@ class GlimmPartition:
 
 def glimm_partition(model: DualModel) -> GlimmPartition:
     class_comps = model.space.components(model.class_mask)
-    germ_blocks = tuple(frozenset([g]) for g in model.space.points if g in model.germ_points)
+    germ_blocks = tuple(frozenset([g]) for g in model.space.points[model.class_count :])
     blocks = tuple(class_comps) + germ_blocks
     return GlimmPartition(blocks, len(class_comps), len(class_comps) == 1)
 
 
-def point_from_id(model: DualModel, point_id: str) -> Point:
-    """The model point with this id.  A canonical id (`Graph.ids`) is a
-    table lookup that returns the model's own point; any other string is
-    parsed, so a non-canonical spelling of a model point still resolves and
-    a malformed id or one outside the model raises."""
+def _point_number(model: DualModel, point_id: str) -> int:
+    """The point number of a canonical id (`Graph.ids`), by the model's one
+    id table.  Any other string raises UnknownPoint, so a point has one
+    spelling only."""
     if not isinstance(point_id, str):
         raise TypeError(f"point id {point_id!r} is not a string")
     i = model._number.get(point_id)
-    if i is not None:
-        return model.space.points[i]
-    kind, _, rest = point_id.partition(":")
-    if kind not in (CLASS_KIND, GERM_KIND):
-        raise UnknownPoint(f"bad point id {point_id!r}")
-    ctx = GroupContext(model.n if kind == CLASS_KIND else model.n - 1)
-    p = Point(kind, Signature(parse_entries(rest), ctx))
-    model.space._ids((p,))
-    return p
+    if i is None:
+        raise UnknownPoint(f"{point_id!r} is not the id of a point of this model")
+    return i
+
+
+def point_from_id(model: DualModel, point_id: str) -> Point:
+    """The model's own point with this canonical id (`_point_number`)."""
+    return model.space.points[_point_number(model, point_id)]
 
 
 def graph_to_json(graph: Graph, n: int, bound: int, vertices: str, **more) -> dict:

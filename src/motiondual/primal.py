@@ -320,7 +320,8 @@ def validate_certificate(cert: MergeCertificate, bound: int | None = None) -> Ce
 
     Checks that there are three inputs, containers and walks, input/container
     containment, step-by-step witnesses, walk lengths against the case table,
-    target primality through an independent feasibility run, optionally that
+    target primality through an independent feasibility run, a primal
+    witness for three targets and none for one, optionally that
     all entries stay within the truncation bound, and that the implied
     derivation-constant bound equals ceil(n/2)/2.  Missing walks, walk steps,
     containers or targets are reported as violations, not raised.
@@ -370,6 +371,8 @@ def validate_certificate(cert: MergeCertificate, bound: int | None = None) -> Ce
                     bad.append(f"primal witness is not in the branching set of target {j}")
         if common_restriction(cert.targets) is None:
             bad.append("targets have no common restriction (family not primal)")
+    if target_count(n) == 1 and cert.primal_witness is not None:
+        bad.append("single-target certificate carries a primal witness")
     if bound is not None:
         entries = [
             abs(e)

@@ -431,6 +431,13 @@ def walk(pi1: Signature, pi2: Signature) -> Walk:
     return _compress(steps, wits)
 
 
+def extremal_pair(n: int) -> tuple[Signature, Signature]:
+    """The SO(n) signatures (0, ..., 0) and (1, ..., 1): the class pair at
+    the largest distance, floor(n/2), which the extremal checks certify."""
+    ctx = GroupContext(n)
+    return Signature((0,) * ctx.k, ctx), Signature((1,) * ctx.k, ctx)
+
+
 def parse_entries(text: str) -> tuple[int, ...]:
     """Parse a comma-separated signature such as "2,1,0"; "" is empty."""
     text = text.strip()

@@ -21,27 +21,29 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import product
+from functools import reduce
+from itertools import product, zip_longest
 from math import inf
+from operator import or_
 
 from . import chains as chains_mod
 from . import constants as constants_mod
 from . import primal as primal_mod
 from . import signatures as sig_mod
 from .dualspace import (
+    CLASS_KIND,
     GERM_KIND,
     LINE_KIND,
     Point,
+    _members,
     _union,
     build_dual_model,
     components_and_orc,
     model_points,
     require_size,
-    separated_points,
 )
 from .errors import MotionDualError, PreconditionViolated
 from .signatures import (
-    Signature,
     branch,
     common_extension,
     count_signatures,
@@ -233,9 +235,7 @@ def check_walks(n: int, bound: int, rng: random.Random) -> CheckResult:
     """Walk construction: valid witnesses, length <= k, the extremal pair
     needing exactly k."""
     k = n // 2
-    ctx = sig_mod.GroupContext(n)
-    zero = Signature((0,) * k, ctx)
-    ones = Signature((1,) * k, ctx)
+    zero, ones = sig_mod.extremal_pair(n)
     sigs = enumerate_signatures(n, min(bound, 2))
     sample = [(zero, ones)] + [(rng.choice(sigs), rng.choice(sigs)) for _ in range(30)]
     for a, b in sample:
@@ -267,7 +267,7 @@ def _property1_violation(model) -> str:
     `tests/test_verification.py` shows what it catches."""
     space = model.space
     cl = space._closure
-    classes = len(model.class_points)
+    classes = model.class_count
     if any(cl[i] != 1 << i for i in range(classes)):
         return "Property 1 fails: the class set is not closed and relatively discrete"
     everything = space._within(None)
@@ -297,14 +297,12 @@ def check_chain_lemma(n: int, bound: int, rng: random.Random) -> CheckResult:
     if bad := _property1_violation(model):
         return CheckResult(n, "chain-lemma", False, bad)
     k = n // 2
-    ctx = sig_mod.GroupContext(n)
-    x = Point("class", Signature((0,) * k, ctx))
-    y = Point("class", Signature((1,) * k, ctx))
+    x, y = (Point(CLASS_KIND, s) for s in sig_mod.extremal_pair(n))
     trials = []
     if k >= 2:
         trials.append((frozenset([x]), frozenset([y]), k))
     # the classes are the first points, so class indices are point numbers
-    space, classes = model.space, range(len(model.class_points))
+    space, classes = model.space, range(model.class_count)
     attempts = 0
     futile = space.diameter(model.class_mask) < 2
     while not futile and len(trials) < 51 and attempts < 5000:
@@ -349,29 +347,29 @@ def check_merge_certificates(n: int, bound: int, rng: random.Random) -> CheckRes
 
 
 def check_mediation_and_separated(n: int, bound: int, rng=None) -> CheckResult:
-    """Germ points add no shortcuts (full distance == class distance on
-    classes, any class-germ-class path closes directly) and every separated
-    point is a singleton component."""
+    """Germ points add no shortcuts, on the model's masks: the classes
+    joined to a germ are pairwise joined (any class-germ-class path closes
+    directly), and the full-space distance layers from each class, cut to
+    the classes, are its class-restricted layers.  No model point is
+    separated (every germ's hull holds a class of the truncation, and every
+    class restricts to some germ of it), so none is checked as one."""
     if n > 9:
         return CheckResult(n, "germ-mediation", True, "skipped above n = 9", skipped=True)
     model = build_dual_model(n, min(bound, 2))
-    space = model.space
-    # the classes come first in point order, then the germs
-    classes = space.points[: len(model.class_points)]
-    for g in space.points[len(classes) :]:
-        hullpts = [p for p in space.neighbors(g) if p in model.class_points]
-        for a, b in product(hullpts, repeat=2):
-            if not space.inseparable(a, b):
-                return CheckResult(n, "germ-mediation", False, f"open triangle through {g}")
-    for a in classes:
-        full = space.bfs([a])
-        restricted = space.bfs([a], model.class_mask)
-        for b in classes:
-            if full.get(b, inf) != restricted.get(b, inf):
-                return CheckResult(n, "germ-mediation", False, f"shortcut between {a} and {b}")
-    for p in separated_points(model):
-        if len(space.bfs([p])) != 1:
-            return CheckResult(n, "germ-mediation", False, f"separated point {p} has neighbors")
+    space, classes, adj = model.space, model.class_mask, model.space._adj
+    for g in range(model.class_count, len(adj)):
+        hull = adj[g] & classes
+        if any(hull & ~adj[a] & ~(1 << a) for a in _members(hull)):
+            return CheckResult(n, "germ-mediation", False, f"open triangle through {space.points[g]}")
+    everything = space._within(None)
+    for a in range(model.class_count):
+        full = space._layers(1 << a, everything)
+        restricted = space._layers(1 << a, classes)
+        # the classes whose two distances from a differ
+        moved = reduce(or_, ((f & classes) ^ r for f, r in zip_longest(full, restricted, fillvalue=0)), 0)
+        if moved:
+            b = (moved & -moved).bit_length() - 1
+            return CheckResult(n, "germ-mediation", False, f"shortcut between {space.points[a]} and {space.points[b]}")
     return CheckResult(n, "germ-mediation", True)
 
 
@@ -384,11 +382,11 @@ def check_distance_stability(n: int, bound: int, rng=None) -> CheckResult:
     m3 = build_dual_model(n, 3)
     m4 = build_dual_model(n, 4)
     for a in small:
-        pa = Point("class", a)
+        pa = Point(CLASS_KIND, a)
         d3 = m3.space.bfs([pa], m3.class_mask)
         d4 = m4.space.bfs([pa], m4.class_mask)
         for b in small:
-            pb = Point("class", b)
+            pb = Point(CLASS_KIND, b)
             if d3.get(pb, inf) != d4.get(pb, inf):
                 return CheckResult(n, "distance-stability", False, f"{a} vs {b} moved")
     return CheckResult(n, "distance-stability", True, f"{len(small)}^2 pairs")

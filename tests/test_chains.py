@@ -17,10 +17,10 @@ from motiondual.chains import (
     separate,
     validate_chain,
 )
-from motiondual.dualspace import CLASS_KIND, DualModel, Point, _union, build_dual_model
+from motiondual.dualspace import CLASS_KIND, GERM_KIND, DualModel, Point, _union, build_dual_model, point_from_id
 from motiondual.errors import CertificationError, PreconditionViolated, UnknownPoint
-from motiondual.signatures import validate
-from test_dualspace import toy_space
+from motiondual.signatures import count_signatures, validate
+from test_dualspace import class_points, germ_points, inseparable_points, neighbors, toy_space
 
 
 def cls(entries, n):
@@ -34,7 +34,7 @@ def all_points(model):
 def toy_model(closures):
     """A model with no classes on the space of a closure map written out
     point by point, for the unrestricted chain functions."""
-    return DualModel(toy_space(closures), 0, 0, frozenset(), frozenset())
+    return DualModel(toy_space(closures), 0, 0, 0)
 
 
 def chain_of(model, sets):
@@ -71,14 +71,14 @@ def test_neighborhood_saturates_at_diameter():
     m = build_dual_model(5, 1)
     y = frozenset([cls([0, 0], 5)])
     big = ball(m.space, y, 10, m.class_mask)
-    assert big == m.class_points  # one component
+    assert big == class_points(m)  # one component
 
 
 def test_neighborhood_class_restricted_adjacency_scan():
     m = build_dual_model(4, 2)
     y = frozenset([cls([2, 2], 4)])
     got = ball(m.space, y, 1, m.class_mask)
-    expect = {p for p in m.class_points if m.space.inseparable(p, cls([2, 2], 4))}
+    expect = {p for p in class_points(m) if inseparable_points(m.space, p, cls([2, 2], 4))}
     assert got == frozenset(expect) | y
 
 
@@ -113,7 +113,7 @@ def test_chain_overlap_violation_named():
 
 def test_chain_closedness_violation():
     m = build_dual_model(4, 1)
-    g = next(iter(m.germ_points))
+    g = next(iter(germ_points(m)))
     open_set = all_points(m) - closure(m.space, g) | {g}
     rep = validate_chain(m, chain_of(m, [open_set, all_points(m) - open_set]))
     assert not rep.valid
@@ -232,12 +232,12 @@ def test_chain_lemma_random_pairs_never_violated():
     rng = random.Random(11)
     for n in (5, 6, 7):
         m = build_dual_model(n, 2)
-        classes = sorted(m.class_points, key=str)
+        classes = sorted(class_points(m), key=str)
         done = 0
         while done < 10:
             xs = frozenset(rng.sample(classes, rng.randint(1, 3)))
             ys = frozenset(rng.sample(classes, rng.randint(1, 3)))
-            d = RefSpace(m).set_distance(xs, ys, m.class_points)
+            d = RefSpace(m).set_distance(xs, ys, class_points(m))
             if d == inf or d < 2:
                 continue
             k = rng.randint(2, int(d))
@@ -304,7 +304,7 @@ class RefSpace:
         self.points = space.points
         self.order = {p: i for i, p in enumerate(self.points)}
         self.cl = {p: closure(space, p) for p in self.points}
-        self.nb = {p: frozenset(space.neighbors(p)) for p in self.points}
+        self.nb = {p: frozenset(neighbors(space, p)) for p in self.points}
         # minimal open set of x: all q whose closure contains x
         mo = {p: set() for p in self.points}
         for q, c in self.cl.items():
@@ -352,7 +352,7 @@ def ref_space(model):
 
 
 def ref_vertices(model, restrict_to_class):
-    return model.class_points if restrict_to_class else None
+    return class_points(model) if restrict_to_class else None
 
 
 def ref_violations(model, chain):
@@ -478,7 +478,7 @@ def assert_chain_agrees(model, chain, restrict_to_class=True):
 def assert_construction_agrees(model, xs, ys, restrict_to_class=True):
     """Every length from 2 to d(X, Y) + 1 builds the same chain (or raises
     the same error), and each built chain validates and re-checks alike."""
-    d = RefSpace(model).set_distance(xs, ys, model.class_points if restrict_to_class else None)
+    d = RefSpace(model).set_distance(xs, ys, class_points(model) if restrict_to_class else None)
     top = 3 if d == inf else int(d) + 1
     for k in range(2, top + 1):
         got = assert_agree(find_admissible_chain, ref_find, model, xs, ys, k, restrict_to_class)
@@ -492,7 +492,7 @@ ORACLE_GRID = [(n, b) for n in range(3, 10) for b in (1, 2, 3)]
 @pytest.mark.parametrize("n,bound", ORACLE_GRID)
 def test_mask_chains_match_reference_oracle(n, bound):
     m = build_dual_model(n, bound)
-    classes = sorted(m.class_points, key=m.space.points.index)
+    classes = list(m.space.points[: m.class_count])
     k = n // 2
     rng = random.Random(f"oracle:{n}:{bound}")
     cases = [([cls([0] * k, n)], [cls([1] * k, n)], True)]
@@ -521,7 +521,7 @@ def class_sets(max_classes):
 @settings(max_examples=100, deadline=None)
 def test_drawn_end_sets_match_reference_oracle(case, xs, ys):
     m = build_dual_model(*case)
-    classes = m.space.points[: len(m.class_points)]
+    classes = m.space.points[: m.class_count]
     xs = {classes[i % len(classes)] for i in xs}
     ys = {classes[i % len(classes)] for i in ys}
     assert_construction_agrees(m, xs, ys)
@@ -532,7 +532,7 @@ def tiny_model():
 
 
 def not_closed(m):
-    g = next(iter(m.germ_points))
+    g = next(iter(germ_points(m)))
     open_set = all_points(m) - closure(m.space, g) | {g}
     return chain_of(m, [open_set, all_points(m) - open_set])
 
@@ -541,9 +541,9 @@ INVALID_CHAINS = {
     "no sets": lambda m: chain_of(m, []),
     "set not closed": not_closed,
     "sets 1 and 3 overlap": lambda m: chain_of(m, [all_points(m)] * 3),
-    "cover missing": lambda m: chain_of(m, [m.class_points]),
+    "cover missing": lambda m: chain_of(m, [class_points(m)]),
     "empty end differences": lambda m: chain_of(m, [all_points(m), all_points(m)]),
-    "one empty end difference": lambda m: chain_of(m, [m.class_points, all_points(m)]),
+    "one empty end difference": lambda m: chain_of(m, [class_points(m), all_points(m)]),
 }
 
 
@@ -572,6 +572,9 @@ def test_foreign_point_raises_unknown_point():
     for xs, ys in (([foreign], [cls([0, 0], 4)]), ([cls([0, 0], 4)], [foreign])):
         with pytest.raises(UnknownPoint):
             find_admissible_chain(m, xs, ys, 2, restrict_to_class=False)
+        # class-restricted, a point outside the model is no class
+        got = assert_agree(find_admissible_chain, ref_find, m, xs, ys, 2, True)
+        assert got == ("raised", PreconditionViolated, "class-restricted chains need class end sets")
     with pytest.raises(UnknownPoint):
         m.space.bfs([foreign])
 
@@ -653,7 +656,10 @@ def test_construction_rechecks_run(monkeypatch, message, k):
 def test_class_mask_is_the_class_points():
     for n, bound in ORACLE_GRID:
         m = build_dual_model(n, bound)
-        assert m.space._set(m.class_mask) == m.class_points
+        kinds = [p.kind for p in m.space.points]
+        assert m.class_count == count_signatures(n, bound)
+        assert kinds == [CLASS_KIND] * m.class_count + [GERM_KIND] * (len(kinds) - m.class_count)
+        assert m.class_mask == (1 << m.class_count) - 1
 
 
 # --- chains held as masks -------------------------------------------------------
@@ -681,13 +687,26 @@ def test_json_roundtrip_keeps_the_masks(n, bound):
     assert (x2, y2) == (x, y)
 
 
-def test_json_reader_takes_non_canonical_ids():
-    m = build_dual_model(7, 1)
-    x, y = cls([0, 0, 0], 7), cls([1, 1, 1], 7)
-    chain = find_admissible_chain(m, [x], [y], 3)
-    payload = chain_to_json(m, chain, x, y)
-    payload["sets"][1] = [pid.replace(",", ", ") for pid in payload["sets"][1]]
-    assert chain_from_json(m, payload)[0].masks == chain.masks
+# spellings of model points that `int` reads but that are no canonical id:
+# (n, bound, the point's id, the spelling)
+NON_CANONICAL_IDS = [
+    (4, 1, "class:1,0", "class: 1,0"),
+    (4, 1, "class:1,0", "class:+1,0"),
+    (4, 10, "class:10,0", "class:1_0,0"),
+]
+
+
+def test_json_reader_refuses_non_canonical_ids():
+    for n, bound, pid, spelled in NON_CANONICAL_IDS:
+        m = build_dual_model(n, bound)
+        x, y = point_from_id(m, pid), cls([0, 0], n)
+        payload = chain_to_json(m, Chain(m.space, (m.space._within(None),)), x, y)
+        assert chain_from_json(m, payload)[1] is x
+        in_set = dict(payload, sets=[[spelled if i == pid else i for i in payload["sets"][0]]])
+        for bad in (in_set, dict(payload, x=spelled)):
+            with pytest.raises(UnknownPoint, match="is not the id of a point"):
+                chain_from_json(m, bad)
+
 
 
 def rechecks(model, chain, x, y):

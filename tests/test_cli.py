@@ -264,6 +264,36 @@ def test_chain_check_non_string_point_is_usage_error(capsys, tmp_path):
     assert "is not a string" in _check_chain_file(capsys, out_file)
 
 
+@pytest.mark.parametrize("key", ["x", "y"])
+def test_chain_check_refuses_one_end_witness(capsys, tmp_path, key):
+    # the other witness alone would leave the chain's bound unchecked
+    out_file = _written_chain(capsys, tmp_path)
+    payload = json.loads(out_file.read_text())
+    del payload[key]
+    out_file.write_text(json.dumps(payload))
+    assert f"KeyError: '{key}'" in _check_chain_file(capsys, out_file)
+
+
+@pytest.mark.parametrize(
+    "bound, pid, spelled",
+    [("1", "class:1,0", "class: 1,0"), ("1", "class:1,0", "class:+1,0"), ("10", "class:10,0", "class:1_0,0")],
+    ids=["space", "plus", "underscore"],
+)
+@pytest.mark.parametrize("where", ["sets", "x"])
+def test_chain_check_refuses_non_canonical_ids(capsys, tmp_path, bound, pid, spelled, where):
+    out_file = tmp_path / "chain.json"
+    run(["chain", "--n", "4", "--bound", bound, pid.partition(":")[2], "0,0", "--output", str(out_file)], capsys)
+    payload = json.loads(out_file.read_text())
+    assert payload["x"] == pid and pid in payload["sets"][0]
+    if where == "x":
+        payload["x"] = spelled
+    else:
+        payload["sets"][0] = [spelled if i == pid else i for i in payload["sets"][0]]
+    out_file.write_text(json.dumps(payload))
+    code, _, err = run(["chain", "--check", str(out_file)], capsys)
+    assert (code, err) == (1, f"error: {spelled!r} is not the id of a point of this model\n")
+
+
 def test_chain_check_top_level_list_is_usage_error(capsys, tmp_path):
     bad = tmp_path / "chain.json"
     bad.write_text("[1]")
@@ -397,6 +427,18 @@ def test_certify_dropped_walks_fail(capsys, tmp_path):
     code, _, err = run(["certify", "--n", "6", "--check", str(out_file)], capsys)
     assert code == 2
     assert err.startswith("certificate invalid: ")
+
+
+def test_certify_stray_primal_witness_fails(capsys, tmp_path):
+    # n = 7 is 3 mod 4: the walks merge into one target, which needs no witness
+    out_file = tmp_path / "m.json"
+    run(["certify", "--n", "7", "0,0,0", "1,0,0", "1,1,1", "--output", str(out_file)], capsys)
+    payload = json.loads(out_file.read_text())
+    assert payload["certificate"]["primal_witness"] is None
+    payload["certificate"]["primal_witness"] = [5, 5, 5]
+    out_file.write_text(json.dumps(payload))
+    code, _, err = run(["certify", "--check", str(out_file)], capsys)
+    assert (code, err) == (2, "certificate invalid: single-target certificate carries a primal witness\n")
 
 
 def test_certify_missing_key_is_usage_error(capsys, tmp_path):

@@ -39,7 +39,7 @@ from motiondual.primal import (  # noqa: E402
 )
 from motiondual.errors import PreconditionViolated  # noqa: E402
 from motiondual.signatures import count_signatures, enumerate_signatures, inseparable, restricts_to  # noqa: E402
-from test_dualspace import graph_edges  # noqa: E402
+from test_dualspace import graph_edges, inseparable_points, neighbors  # noqa: E402
 
 GRID = [(3, 1), (3, 3), (4, 1), (4, 2), (5, 1), (5, 2), (6, 1), (6, 2), (7, 1), (8, 1)]
 
@@ -194,7 +194,7 @@ def dot_edges(text: str) -> list:
 @pytest.mark.parametrize("n,bound", [(4, 1), (5, 2), (6, 2), (7, 1)])
 def test_exporter_edges_match_pairwise_scan(n, bound):
     space = build_dual_model(n, bound).space
-    dual = pairwise_scan(space.points, space.inseparable, lambda p: p.point_id)
+    dual = pairwise_scan(space.points, lambda x, y: inseparable_points(space, x, y), lambda p: p.point_id)
     assert dot_edges(dual_model_to_dot(build_dual_model(n, bound))) == dual
     assert dual_model_to_json(build_dual_model(n, bound))["edges"] == sorted(map(list, dual))
 
@@ -238,7 +238,7 @@ def test_graph_core_matches_networkx(case):
         (tuple(sorted(e, key=order)) for e in ref.edges()), key=lambda e: (order(e[0]), order(e[1]))
     )
     for v in labels:
-        assert list(graph.neighbors(v)) == sorted(ref[v], key=order)
+        assert list(neighbors(graph, v)) == sorted(ref[v], key=order)
 
     lengths = nx.multi_source_dijkstra_path_length(sub, xs & set(sub)) if xs & set(sub) else {}
     assert graph.bfs(xs, within) == lengths

@@ -149,7 +149,7 @@ def point_set_trials(n, bound, rng):
     point sets (sorted class points, distances from a class-restricted
     `bfs`), leaving `rng` where that loop left it."""
     model = build_dual_model(n, bound)
-    classes = sorted(model.class_points, key=model.space.points.index)
+    classes = list(model.space.points[: model.class_count])
     trials = []
     attempts = 0
     while len(trials) < 51 - (n // 2 >= 2) and attempts < 5000:
@@ -252,9 +252,52 @@ def test_chain_lemma_fails_on_a_model_that_breaks_property1(monkeypatch, name):
     space = toy_space(closures)
     if adjacency is not None:
         monkeypatch.setattr(space, "_adj", adjacency)
-    model = DualModel(space, 3, 1, frozenset([C0, C1]), frozenset([G0, G1]))
+    model = DualModel(space, 3, 1, 2)
     monkeypatch.setattr(verification, "build_dual_model", lambda n, bound: model)
     rng = random.Random(0)
     result = verification.check_chain_lemma(3, 1, rng)
     assert (result.ok, result.detail) == (False, detail)
     assert rng.getstate() == random.Random(0).getstate()
+
+
+# --- the germ-mediation check ---------------------------------------------------
+
+
+# Hand-built n = 3 models in which germs join classes that the classes alone
+# do not: the point closures, classes first.  The neighbor masks are the ones
+# the closures induce.
+CS = [Point(CLASS_KIND, validate([e], 3)) for e in range(5)]
+GS = [Point(GERM_KIND, validate([e], 2)) for e in range(-4, 5)]
+GERM_SHORTCUTS = {
+    # GS[0] shares the closure of GS[1] with CS[0] and that of GS[2] with
+    # CS[1], but no closure holds both classes
+    "open triangle": (
+        {CS[0]: [CS[0]], CS[1]: [CS[1]], GS[0]: [GS[0]], GS[1]: [GS[1], CS[0], GS[0]], GS[2]: [GS[2], CS[1], GS[0]]},
+        "open triangle through germ:-4",
+    ),
+    # the classes form the path CS[0] - ... - CS[4] through GS[0] to GS[3],
+    # and CS[0] - GS[4] - GS[5] - CS[4] is shorter; the classes joined to
+    # any one germ are joined to each other, so no triangle is open
+    "shortcut": (
+        {
+            **{c: [c] for c in CS},
+            **{GS[i]: [GS[i], CS[i], CS[i + 1]] for i in range(4)},
+            GS[4]: [GS[4]],
+            GS[5]: [GS[5]],
+            GS[6]: [GS[6], GS[4], GS[5]],
+            GS[7]: [GS[7], CS[0], GS[4]],
+            GS[8]: [GS[8], CS[4], GS[5]],
+        },
+        "shortcut between class:0 and class:4",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GERM_SHORTCUTS))
+def test_germ_mediation_fails_on_a_model_with_germ_shortcuts(monkeypatch, name):
+    closures, detail = GERM_SHORTCUTS[name]
+    classes = sum(p.kind == CLASS_KIND for p in closures)
+    model = DualModel(toy_space(closures), 3, 1, classes)
+    monkeypatch.setattr(verification, "build_dual_model", lambda n, bound: model)
+    result = verification.check_mediation_and_separated(3, 1)
+    assert (result.ok, result.detail) == (False, detail)
