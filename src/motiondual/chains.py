@@ -330,8 +330,12 @@ def chain_from_json(model: DualModel, payload: dict) -> tuple[Chain, Point | Non
     space, its end witnesses and its restriction flag.  Each id becomes a
     point number through the model's id table, so only canonical ids are
     read.  The witnesses x and y come together or not at all: a payload
-    with one of them raises KeyError naming the other."""
-    sets = tuple(reduce(or_, (1 << _point_number(model, pid) for pid in ids), 0) for ids in payload["sets"])
+    with one of them raises KeyError naming the other.  Sets that are not
+    a list of lists raise TypeError."""
+    lists = payload["sets"]
+    if not isinstance(lists, list) or not all(isinstance(ids, list) for ids in lists):
+        raise TypeError("sets must be a list of lists of point ids")
+    sets = tuple(reduce(or_, (1 << _point_number(model, pid) for pid in ids), 0) for ids in lists)
     x = y = None
     if "x" in payload or "y" in payload:
         x, y = (point_from_id(model, payload[key]) for key in ("x", "y"))

@@ -37,6 +37,8 @@ class Parser(argparse.ArgumentParser):
 
 
 def resolve_bound(n: int, bound: int | None) -> int:
+    if bound is not None and bound < 0:
+        raise PreconditionViolated("bound must be >= 0")
     return verification.default_bound(n) if bound is None else bound
 
 

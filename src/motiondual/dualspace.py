@@ -9,24 +9,26 @@ intervals (`signatures.hull_intervals`), so each closure is written
 straight from the germ's intervals, cut at the truncation bound, with no
 search over the classes.  That encoding is an Alexandrov topology given by
 an explicit closure map, so inseparability, separation and distance become
-finite computations.  A `Point` is also a vertex of the sub-ideal graph
-of `primal`: a germ ideal has its germ's kind and signature, and a line
+finite computations.  A `Point` is a plain (kind, signature) value with
+the id `kind:entries`, and also a vertex of the sub-ideal graph of
+`primal`: a germ ideal has its germ's kind and signature, and a line
 kernel is a third kind.  The classes come first in point order, so the
 class/germ split of a model is one number, `DualModel.class_count`.  Each
-graph formats its vertex ids once (`Graph.ids`), and the dual model reads
-them back by one id table (`point_from_id`), so the exports and the chain
-files neither format nor parse a point per mention; only the canonical id
-of a point names it.  Every export writes its vertices and edges by the
-same two writers.
+graph formats its vertex ids once (`Graph.ids`) and reads them back by one
+id table (`point_from_id`), so the exports and the chain files neither
+format nor parse a point per mention; only the canonical id of a point
+names it.  Every export writes its vertices and edges by the same two
+writers.
 
 All traversal lives in `Graph`: an undirected graph with a fixed vertex
 order, carrying breadth-first distances, connected components and the
 largest component diameter, each optionally restricted to a vertex subset
-given as a mask.  Vertices are numbered once and the adjacency is one int
-bitmask of neighbors per vertex, so every traversal is one layered
-breadth-first search over masks (layers, the visited set and the vertex
-subset alike); point objects are hashed only where they enter or leave the
-API.  The diameter takes a few searches, not one per vertex: eccentricity
+given as a mask.  The adjacency is one int bitmask of neighbors per vertex
+number, so every traversal is one layered breadth-first search over masks
+(layers, the visited set and the vertex subset alike).  A graph owns both
+vertex tables, point to number and id to number, and builds each on first
+use, so a path that never looks up a vertex never hashes one.  The
+diameter takes a few searches, not one per vertex: eccentricity
 bounds (Takes and Kosters) settle most vertices without a search of their
 own.
 `FiniteT0Space` is the `Graph` of its inseparability relation and adds
@@ -44,7 +46,7 @@ full-space relation is kept for the topological machinery.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import product
 from math import inf
@@ -62,34 +64,19 @@ from .signatures import (
 CLASS_KIND = "class"
 GERM_KIND = "germ"
 LINE_KIND = "line"
-_KIND_CODES = {GERM_KIND: 0, CLASS_KIND: 1, LINE_KIND: 2}
 
 
 @dataclass(frozen=True, slots=True)
 class Point:
     """A class or germ point of the dual model, or a germ ideal or line
     kernel of the sub-ideal graph: a germ ideal is the point of its germ.
-    Its hash is computed once, from ints only (the kind by its code): a
-    cached hash travels inside pickles, and a `str` hash is salted per
-    process, so a point pickled by one process would be missed in the dicts
-    of another.  Slots keep the point as small as before."""
+    Its id, `str(point)`, is `kind:entries`."""
 
     kind: str
     sig: Signature
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((_KIND_CODES[self.kind], self.sig.entries, self.sig.ctx.n)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @property
-    def point_id(self) -> str:
-        return f"{self.kind}:{self.sig}"
 
     def __str__(self) -> str:
-        return self.point_id
+        return f"{self.kind}:{self.sig}"
 
 
 def _members(mask: int) -> list[int]:
@@ -149,25 +136,34 @@ def overlap_masks(boxes: Sequence[Sequence[tuple[int, float]]]) -> list[int]:
 class Graph:
     """An undirected graph with a fixed vertex order.
 
-    Vertices are numbered once, in the order given, and the adjacency is
-    one int mask per vertex: bit j of `adjacency[i]` is set when vertices
-    i and j are joined.  Every traversal runs the one layered search
-    `_layers`, optionally restricted to a vertex subset `within`: a mask
-    over the vertex numbers, or None for every vertex.  Vertex objects are
-    looked up only at the API edge.
+    Vertices are numbered in the order given, and the adjacency is one int
+    mask per vertex: bit j of `adjacency[i]` is set when vertices i and j
+    are joined.  Every traversal runs the one layered search `_layers`,
+    optionally restricted to a vertex subset `within`: a mask over the
+    vertex numbers, or None for every vertex.  Vertex objects are looked up
+    only at the API edge, by a table built on the first lookup.
     """
 
     def __init__(self, points: Iterable, adjacency: Iterable[int]):
         self.points: tuple = tuple(points)
-        self._index = {p: i for i, p in enumerate(self.points)}
         self._adj = tuple(adjacency)
         if len(self._adj) != len(self.points):
             raise ValueError("adjacency needs one neighbor mask per vertex")
 
     @cached_property
+    def _index(self) -> dict:
+        """The number of each vertex, built on the first vertex lookup."""
+        return {p: i for i, p in enumerate(self.points)}
+
+    @cached_property
     def ids(self) -> tuple[str, ...]:
         """The vertex ids in vertex order, each formatted once."""
         return tuple(map(str, self.points))
+
+    @cached_property
+    def _number(self) -> dict[str, int]:
+        """The number of each id in `ids`: the graph's one id table."""
+        return {pid: i for i, pid in enumerate(self.ids)}
 
     def _ids(self, pts: Iterable) -> list[int]:
         index = self._index
@@ -356,11 +352,6 @@ class DualModel:
         `class_count` bits."""
         return (1 << self.class_count) - 1
 
-    @cached_property
-    def _number(self) -> dict[str, int]:
-        """The point number of each id in `space.ids`, the model's one id table."""
-        return {pid: i for i, pid in enumerate(self.space.ids)}
-
 
 MAX_SIZE = 8192
 """The largest model `build_dual_model` and `primal.sub_ideals` will build,
@@ -459,12 +450,12 @@ def glimm_partition(model: DualModel) -> GlimmPartition:
 
 
 def _point_number(model: DualModel, point_id: str) -> int:
-    """The point number of a canonical id (`Graph.ids`), by the model's one
+    """The point number of a canonical id (`Graph.ids`), by the space's one
     id table.  Any other string raises UnknownPoint, so a point has one
     spelling only."""
     if not isinstance(point_id, str):
         raise TypeError(f"point id {point_id!r} is not a string")
-    i = model._number.get(point_id)
+    i = model.space._number.get(point_id)
     if i is None:
         raise UnknownPoint(f"{point_id!r} is not the id of a point of this model")
     return i

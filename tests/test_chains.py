@@ -17,7 +17,16 @@ from motiondual.chains import (
     separate,
     validate_chain,
 )
-from motiondual.dualspace import CLASS_KIND, GERM_KIND, DualModel, Point, _union, build_dual_model, point_from_id
+from motiondual.dualspace import (
+    CLASS_KIND,
+    GERM_KIND,
+    DualModel,
+    Point,
+    _union,
+    build_dual_model,
+    distance,
+    point_from_id,
+)
 from motiondual.errors import CertificationError, PreconditionViolated, UnknownPoint
 from motiondual.signatures import count_signatures, validate
 from test_dualspace import class_points, germ_points, inseparable_points, neighbors, toy_space
@@ -577,6 +586,20 @@ def test_foreign_point_raises_unknown_point():
         assert got == ("raised", PreconditionViolated, "class-restricted chains need class end sets")
     with pytest.raises(UnknownPoint):
         m.space.bfs([foreign])
+
+
+def test_class_of_another_group_with_the_same_id_is_foreign():
+    m = build_dual_model(5, 2)
+    x, y, same_id = cls([1, 0], 5), cls([2, 2], 5), cls([1, 0], 4)
+    assert str(same_id) == str(x) and same_id != x
+    with pytest.raises(UnknownPoint):
+        distance(m, same_id, y)
+    chain, _ = chains.chain_for_distance(m, x, y, int(distance(m, x, y)))
+    assert chains.witness_violations(m, chain, x, y) == ()
+    assert chains.witness_violations(m, chain, same_id, y) == (
+        "x must lie in the first set and not the second",
+        "end witnesses of a class-restricted chain must be classes",
+    )
 
 
 # Three points a, b, q whose neighbor masks are stale: they come from the

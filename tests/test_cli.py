@@ -124,6 +124,21 @@ def test_distance_example(capsys):
     assert out.strip() == "distance: 4"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distance", "--n", "4", "0,0", "1,1"],
+        ["graph", "--n", "4"],
+        ["chain", "--n", "4", "0,0", "1,1"],
+        ["report", "--n", "4"],
+    ],
+    ids=["distance", "graph", "chain", "report"],
+)
+def test_negative_bound_is_refused(capsys, argv):
+    code, out, err = run(argv + ["--bound", "-1"], capsys)
+    assert (code, out, err) == (1, "", "error: bound must be >= 0\n")
+
+
 def test_distance_with_certificates(capsys):
     code, out, _ = run(
         ["distance", "--n", "7", "0,0,0", "1,1,1", "--bound", "1", "--certificates"], capsys
@@ -292,6 +307,24 @@ def test_chain_check_refuses_non_canonical_ids(capsys, tmp_path, bound, pid, spe
     out_file.write_text(json.dumps(payload))
     code, _, err = run(["chain", "--check", str(out_file)], capsys)
     assert (code, err) == (1, f"error: {spelled!r} is not the id of a point of this model\n")
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        lambda sets: [dict.fromkeys(ids, 1) for ids in sets],
+        lambda sets: [""] + sets[1:],
+        lambda sets: {str(i): ids for i, ids in enumerate(sets)},
+    ],
+    ids=["set-as-object", "set-as-string", "sets-as-object"],
+)
+def test_chain_check_refuses_sets_that_are_not_lists(capsys, tmp_path, shape):
+    # read as they come, an object is its keys and a string its characters
+    out_file = _written_chain(capsys, tmp_path)
+    payload = json.loads(out_file.read_text())
+    payload["sets"] = shape(payload["sets"])
+    out_file.write_text(json.dumps(payload))
+    assert "TypeError: sets must be a list of lists of point ids" in _check_chain_file(capsys, out_file)
 
 
 def test_chain_check_top_level_list_is_usage_error(capsys, tmp_path):

@@ -573,10 +573,10 @@ def parse_point_id(model, point_id):
 @pytest.mark.parametrize("n, bound", [(4, 1), (5, 12), (8, 5), (24, 2)])
 def test_point_from_id_returns_the_model_point(n, bound):
     m = build_dual_model(n, bound)
-    assert m.space.ids == tuple(p.point_id for p in m.space.points)
+    assert m.space.ids == tuple(str(p) for p in m.space.points)
     for p in m.space.points:
-        assert point_from_id(m, p.point_id) is p
-        assert parse_point_id(m, p.point_id) == p
+        assert point_from_id(m, str(p)) is p
+        assert parse_point_id(m, str(p)) == p
 
 
 def _entry_text(e: int) -> st.SearchStrategy:
@@ -639,9 +639,9 @@ def dual_model_to_json_oracle(model):
     return {
         "n": model.n,
         "bound": model.bound,
-        "points": [{"id": p.point_id, "kind": p.kind, "entries": list(p.sig.entries)} for p in space.points],
-        "closures": {p.point_id: sorted(q.point_id for q in closure(space, p)) for p in space.points},
-        "edges": sorted([p.point_id, q.point_id] for p, q in graph_edges(space)),
+        "points": [{"id": str(p), "kind": p.kind, "entries": list(p.sig.entries)} for p in space.points],
+        "closures": {str(p): sorted(str(q) for q in closure(space, p)) for p in space.points},
+        "edges": sorted([str(p), str(q)] for p, q in graph_edges(space)),
     }
 
 
@@ -651,12 +651,12 @@ def dual_model_to_dot_oracle(model):
     lines = [f'digraph "dual_so{model.n}_bound{model.bound}" {{']
     for p in space.points:
         shape = "ellipse" if p.kind == CLASS_KIND else "box"
-        lines.append(f'  "{p.point_id}" [shape={shape}];')
+        lines.append(f'  "{p}" [shape={shape}];')
     for p, q in graph_edges(space):
-        lines.append(f'  "{p.point_id}" -> "{q.point_id}" [dir=none];')
+        lines.append(f'  "{p}" -> "{q}" [dir=none];')
     for p in space.points:
         for q in sorted(closure(space, p) - {p}, key=space._index.__getitem__):
-            lines.append(f'  "{p.point_id}" -> "{q.point_id}" [style=dashed];')
+            lines.append(f'  "{p}" -> "{q}" [style=dashed];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -679,21 +679,20 @@ def test_dot_export_shapes():
 
 # --- point hashing ---------------------------------------------------------------
 
-_HASH_SCRIPT = """
+_PICKLE_SCRIPT = """
 import pickle, sys
 from motiondual.dualspace import CLASS_KIND, Point
 from motiondual.signatures import validate
 p = Point(CLASS_KIND, validate((2, -1), 4))
-print(hash(p))
 print(pickle.dumps(p).hex())
 """
 
 
-def _in_subprocess(hashseed):
+def _pickled_in_subprocess(hashseed):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(hashseed))
-    proc = subprocess.run([sys.executable, "-c", _HASH_SCRIPT], capture_output=True, text=True, env=env, check=True)
-    return proc.stdout.split()
+    proc = subprocess.run([sys.executable, "-c", _PICKLE_SCRIPT], capture_output=True, text=True, env=env, check=True)
+    return bytes.fromhex(proc.stdout.strip())
 
 
 def test_equal_points_hash_equal():
@@ -707,18 +706,14 @@ def test_germ_and_line_points_of_one_signature_differ():
     sig = validate([2, 1], 5)
     points = [Point(kind, sig) for kind in (CLASS_KIND, GERM_KIND, LINE_KIND)]
     g, line = points[1:]
-    assert g != line and hash(g) != hash(line) and g.point_id != line.point_id
-    assert len({hash(p) for p in points}) == len({p.point_id for p in points}) == 3
+    assert g != line and hash(g) != hash(line) and str(g) != str(line)
+    assert len({hash(p) for p in points}) == len({str(p) for p in points}) == 3
     assert len({*points, Point(LINE_KIND, validate([2, 1], 5))}) == 3
-
-
-def test_point_hash_does_not_depend_on_the_hash_seed():
-    assert _in_subprocess(1)[0] == _in_subprocess(2)[0] == str(hash(cls([2, -1], 4)))
 
 
 def test_pickled_point_is_found_as_a_dict_key():
     p = cls([2, -1], 4)
     table = {p: "here", germ([2, 1], 5): "germ"}
     assert table[pickle.loads(pickle.dumps(p))] == "here"
-    # a point pickled by a process with another string-hash salt, as a --jobs worker sends it
-    assert table[pickle.loads(bytes.fromhex(_in_subprocess(3)[1]))] == "here"
+    # a point pickled by a process with another string-hash salt: its hash is computed again here
+    assert table[pickle.loads(_pickled_in_subprocess(3))] == "here"

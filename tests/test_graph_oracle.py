@@ -194,11 +194,11 @@ def dot_edges(text: str) -> list:
 @pytest.mark.parametrize("n,bound", [(4, 1), (5, 2), (6, 2), (7, 1)])
 def test_exporter_edges_match_pairwise_scan(n, bound):
     space = build_dual_model(n, bound).space
-    dual = pairwise_scan(space.points, lambda x, y: inseparable_points(space, x, y), lambda p: p.point_id)
+    dual = pairwise_scan(space.points, lambda x, y: inseparable_points(space, x, y), str)
     assert dot_edges(dual_model_to_dot(build_dual_model(n, bound))) == dual
     assert dual_model_to_json(build_dual_model(n, bound))["edges"] == sorted(map(list, dual))
 
-    sub = pairwise_scan(sub_ideals(n, bound), star_adjacent, lambda v: v.point_id)
+    sub = pairwise_scan(sub_ideals(n, bound), star_adjacent, str)
     assert dot_edges(star_graph_to_dot(n, bound)) == sub
     assert star_graph_to_json(n, bound)["edges"] == sorted(map(list, sub))
 

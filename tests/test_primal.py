@@ -142,6 +142,16 @@ def test_d_star_line_infinite():
     assert star_graph(5, 1).distance(line([0, 0], 4), germ([0, 0], 4)) == inf
 
 
+def test_library_paths_never_number_the_sub_ideal_vertices():
+    star_graph.cache_clear()
+    n, bound = 6, 2
+    for path in (big_d, min_primal, sub_ideals, star_graph_to_json, star_graph_to_dot):
+        path(n, bound)
+    assert "_index" not in star_graph(n, bound).__dict__
+    star_graph(n, bound).distance(germ([0, 0], 5), germ([1, 1], 5))
+    assert "_index" in star_graph(n, bound).__dict__
+
+
 def test_d_star_calls_share_one_star_graph():
     star_graph.cache_clear()
     rng = random.Random(3)

@@ -4,6 +4,7 @@ Each oracle check is run against a deliberately broken closed form and must
 fail; with the real closed forms every n of the oracle range must pass.
 """
 
+import copy
 import random
 import time
 from math import inf
@@ -299,5 +300,51 @@ def test_germ_mediation_fails_on_a_model_with_germ_shortcuts(monkeypatch, name):
     classes = sum(p.kind == CLASS_KIND for p in closures)
     model = DualModel(toy_space(closures), 3, 1, classes)
     monkeypatch.setattr(verification, "build_dual_model", lambda n, bound: model)
-    result = verification.check_mediation_and_separated(3, 1)
+    result = verification.check_germ_mediation(3, 1)
     assert (result.ok, result.detail) == (False, detail)
+
+
+# --- the distance-stability check -----------------------------------------------
+
+
+def _flip(adj, i, j):
+    adj[i] ^= 1 << j
+    adj[j] ^= 1 << i
+
+
+def _isolate(adj, i):
+    adj[:] = [m & ~(1 << i) for m in adj]
+    adj[i] = 0
+
+
+# Bound-4 models whose neighbor masks are edited, by the point numbers of
+# the small classes (`count` of them, leading entry at most 2), and the
+# (ok, detail) the check gives on them: the first pair of small classes,
+# in enumeration order, whose class distance moved from bound 3.
+TAMPERED_BOUND_4 = {
+    (4, "last small class isolated"): (lambda adj, count: _isolate(adj, count - 1), False, "0,0 vs 2,2 moved"),
+    (5, "edge 1-2 flipped"): (lambda adj, count: _flip(adj, 1, 2), False, "1,0 vs 1,1 moved"),
+    (6, "edge 1-2 flipped"): (lambda adj, count: _flip(adj, 1, 2), False, "0,0,0 vs 1,1,-1 moved"),
+    (6, "first class joined to the last small one"): (
+        lambda adj, count: _flip(adj, 0, count - 1),
+        False,
+        "0,0,0 vs 2,2,-2 moved",
+    ),
+    (4, "edge to a large class flipped"): (lambda adj, count: _flip(adj, 2, count + 3), True, "9^2 pairs"),
+}
+
+
+@pytest.mark.parametrize("n,name", sorted(TAMPERED_BOUND_4))
+def test_distance_stability_names_the_first_moved_pair(monkeypatch, n, name):
+    edit, ok, detail = TAMPERED_BOUND_4[n, name]
+    real = build_dual_model(n, 4)
+    space = copy.copy(real.space)
+    adj = list(space._adj)
+    edit(adj, count_signatures(n, 2))
+    space._adj = tuple(adj)
+    tampered = DualModel(space, n, 4, real.class_count)
+    monkeypatch.setattr(
+        verification, "build_dual_model", lambda n, bound: tampered if bound == 4 else build_dual_model(n, bound)
+    )
+    result = verification.check_distance_stability(n, 3)
+    assert (result.ok, result.detail) == (ok, detail)
