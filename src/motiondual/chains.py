@@ -94,17 +94,22 @@ def _closed(space: FiniteT0Space, s: int) -> bool:
 
 def _violations(space: FiniteT0Space, sets: Sequence[int]) -> tuple[str, ...]:
     """Why the chain of set masks is not valid, in the order of the checks:
-    closedness, cover, non-consecutive disjointness, end sets."""
+    closedness, cover, non-consecutive disjointness (one message), end
+    sets.  A chain with more sets than points fails at once: a model space
+    is connected, so by the chain lemma a valid chain has fewer sets."""
     n = len(sets)
     if n == 0:
         return ("chain has no sets",)
+    if n > len(space.points):
+        return (f"chain has {n} sets, more than the {len(space.points)} points of the space",)
     bad = [f"set {i} is not closed" for i, s in enumerate(sets, start=1) if not _closed(space, s)]
     if reduce(or_, sets) != space._within(None):
         bad.append("union of the sets does not cover the space")
-    for i in range(n):
-        for j in range(i + 2, n):
-            if sets[i] & sets[j]:
-                bad.append(f"sets {i + 1} and {j + 1} overlap")
+    overlaps = ((i, j) for i in range(n) for j in range(i + 2, n) if sets[i] & sets[j])
+    if first := next(overlaps, None):
+        more = sum(1 for _ in overlaps)
+        tail = f", and {more} more non-consecutive pairs" if more else ""
+        bad.append(f"sets {first[0] + 1} and {first[1] + 1} overlap{tail}")
     if n > 1:
         if not sets[0] & ~sets[1]:
             bad.append("first set minus second set is empty")
@@ -189,14 +194,12 @@ def chain_lower_bound(model: DualModel, chain: Chain, x, y, restrict_to_class: b
     """Certify d(x, y) >= chain length and re-check it with an independent
     BFS; a contradiction raises CertificationError (it would mean a bug,
     the bound being a theorem about valid chains)."""
-    space = model.space
     sets = _valid_masks(model, chain)
-    bad = _witness_violations(model, sets, x, y, restrict_to_class)
+    bad = witness_violations(model, chain, x, y, restrict_to_class)
     if bad:
         raise PreconditionViolated(bad[0])
     n = len(sets)
-    i, j = space._ids((x, y))
-    d = space._reach(1 << i, 1 << j, _inside(model, restrict_to_class))
+    d = model.space._reach(*map(model.space._bit, (x, y)), _inside(model, restrict_to_class))
     if d < n:
         raise CertificationError(f"chain of length {n} contradicted by graph distance {d}")
     return n
@@ -206,19 +209,13 @@ def witness_violations(model: DualModel, chain: Chain, x, y, restrict_to_class: 
     """Why x and y are not end witnesses of the (valid) chain: they must be
     two distinct points of a one-set chain, or else x must lie in the first
     set only and y in the last set only; class points when class-restricted."""
-    return _witness_violations(model, _masks(model, chain), x, y, restrict_to_class)
-
-
-def _witness_violations(model: DualModel, sets: Sequence[int], x, y, restrict_to_class: bool) -> tuple[str, ...]:
-    """`witness_violations` on the set masks; a point outside the space
-    lies in no set and is no class."""
-    index = model.space._index
-    xb, yb = (1 << index[p] if p in index else 0 for p in (x, y))
+    sets = _masks(model, chain)
+    xb, yb = map(model.space._bit, (x, y))
     bad = []
     if len(sets) == 1:
         if not xb & sets[0] or not yb & sets[0]:
             bad.append("end witnesses must lie in the chain")
-        elif x == y:
+        elif xb == yb:
             bad.append("a length-1 certificate needs distinct end points")
     else:
         if not xb & sets[0] or xb & sets[1]:
@@ -268,8 +265,7 @@ def find_admissible_chain(model: DualModel, X: Iterable, Y: Iterable, k: int, re
     X, Y = frozenset(X), frozenset(Y)
     if not X or not Y:
         raise PreconditionViolated("X and Y must be nonempty")
-    index, classes = space._index, model.class_count
-    if restrict_to_class and not all(index.get(p, classes) < classes for p in X | Y):
+    if restrict_to_class and not all(space._bit(p) & inside for p in X | Y):
         raise PreconditionViolated("class-restricted chains need class end sets")
     if k < 2:
         raise PreconditionViolated("chain construction needs k >= 2")
@@ -312,7 +308,7 @@ def find_admissible_chain(model: DualModel, X: Iterable, Y: Iterable, k: int, re
 
 
 def chain_to_json(model: DualModel, chain: Chain, x=None, y=None, restrict_to_class: bool = True) -> dict:
-    space, ids = model.space, model.space.ids
+    ids = model.space.ids
     payload = {
         "n": model.n,
         "bound": model.bound,
@@ -321,7 +317,8 @@ def chain_to_json(model: DualModel, chain: Chain, x=None, y=None, restrict_to_cl
         "sets": [sorted(ids[i] for i in _members(m)) for m in _masks(model, chain)],
     }
     if x is not None and y is not None:
-        payload["x"], payload["y"] = (ids[i] for i in space._ids((x, y)))
+        model.space._mask((x, y))  # UnknownPoint for a point outside the space
+        payload["x"], payload["y"] = str(x), str(y)
     return payload
 
 

@@ -161,10 +161,12 @@ def cmd_chain(args) -> int:
         raise PreconditionViolated("chain needs two signatures (or --check FILE)")
     if args.k is not None and args.k < 1:
         raise PreconditionViolated(f"--k must be at least 1, got {args.k}")
-    bound = resolve_bound(args.n, args.bound)
-    model = build_dual_model(args.n, bound)
     a = validate(parse_entries(args.sig1), args.n)
     b = validate(parse_entries(args.sig2), args.n)
+    bound = resolve_bound(args.n, args.bound)
+    if above := [s for s in (a, b) if max(map(abs, s.entries), default=0) > bound]:
+        raise PreconditionViolated(f"signature {above[0]} has an entry above --bound {bound}")
+    model = build_dual_model(args.n, bound)
     x, y = Point(CLASS_KIND, a), Point(CLASS_KIND, b)
     k = args.k
     if k is None:

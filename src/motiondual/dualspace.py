@@ -21,16 +21,15 @@ names it.  Every export writes its vertices and edges by the same two
 writers.
 
 All traversal lives in `Graph`: an undirected graph with a fixed vertex
-order, carrying breadth-first distances, connected components and the
-largest component diameter, each optionally restricted to a vertex subset
-given as a mask.  The adjacency is one int bitmask of neighbors per vertex
-number, so every traversal is one layered breadth-first search over masks
-(layers, the visited set and the vertex subset alike).  A graph owns both
-vertex tables, point to number and id to number, and builds each on first
-use, so a path that never looks up a vertex never hashes one.  The
-diameter takes a few searches, not one per vertex: eccentricity
-bounds (Takes and Kosters) settle most vertices without a search of their
-own.
+order, carrying breadth-first distances, connected components (as masks)
+and the largest component diameter, each optionally restricted to a vertex
+subset given as a mask.  The adjacency is one int bitmask of neighbors per
+vertex number, so every traversal is one layered breadth-first search over
+masks (layers, the visited set and the vertex subset alike).  A graph keeps
+one vertex table, id to number, built on first use: a point is found by its
+id and confirmed equal to the vertex of that number.  The diameter takes a
+few searches, not one per vertex: eccentricity bounds (Takes and Kosters)
+settle most vertices without a search of their own.
 `FiniteT0Space` is the `Graph` of its inseparability relation and adds
 only the topology, keeping closures and minimal open sets as bitmasks
 too; the sub-ideal graph of `primal` is a plain `Graph`, whose neighbor
@@ -140,8 +139,8 @@ class Graph:
     mask per vertex: bit j of `adjacency[i]` is set when vertices i and j
     are joined.  Every traversal runs the one layered search `_layers`,
     optionally restricted to a vertex subset `within`: a mask over the
-    vertex numbers, or None for every vertex.  Vertex objects are looked up
-    only at the API edge, by a table built on the first lookup.
+    vertex numbers, or None for every vertex.  Vertices are looked up only
+    at the API edge, by `_bit` on the table `_number` of their unique ids.
     """
 
     def __init__(self, points: Iterable, adjacency: Iterable[int]):
@@ -151,34 +150,30 @@ class Graph:
             raise ValueError("adjacency needs one neighbor mask per vertex")
 
     @cached_property
-    def _index(self) -> dict:
-        """The number of each vertex, built on the first vertex lookup."""
-        return {p: i for i, p in enumerate(self.points)}
-
-    @cached_property
     def ids(self) -> tuple[str, ...]:
         """The vertex ids in vertex order, each formatted once."""
         return tuple(map(str, self.points))
 
     @cached_property
     def _number(self) -> dict[str, int]:
-        """The number of each id in `ids`: the graph's one id table."""
-        return {pid: i for i, pid in enumerate(self.ids)}
+        """The number of each id in `ids`: the graph's one vertex table."""
+        number = {pid: i for i, pid in enumerate(self.ids)}
+        if len(number) != len(self.ids):
+            raise ValueError("vertex ids must be unique")
+        return number
 
-    def _ids(self, pts: Iterable) -> list[int]:
-        index = self._index
-        ids = []
-        for p in pts:
-            i = index.get(p)
-            if i is None:
-                raise UnknownPoint(f"{p} is not a point of this space")
-            ids.append(i)
-        return ids
+    def _bit(self, p) -> int:
+        """The bit of the vertex p, found by its id and confirmed equal to
+        the vertex of that number; 0 for a non-vertex with a vertex's id."""
+        i = self._number.get(str(p))
+        return 1 << i if i is not None and self.points[i] == p else 0
 
     def _mask(self, s: Iterable) -> int:
         mask = 0
-        for i in self._ids(s):
-            mask |= 1 << i
+        for p in s:
+            if not (bit := self._bit(p)):
+                raise UnknownPoint(f"{p} is not a point of this space")
+            mask |= bit
         return mask
 
     def _set(self, mask: int) -> frozenset:
@@ -227,18 +222,19 @@ class Graph:
         return {pts[i]: d for d, layer in enumerate(layers) for i in _members(layer)}
 
     def distance(self, x, y, within: int | None = None):
-        i, j = self._ids((x, y))
+        xb, yb = self._mask((x,)), self._mask((y,))
         inside = self._within(within)
-        if not (inside >> i & 1 and inside >> j & 1):
+        if not (xb & inside and yb & inside):
             raise PreconditionViolated("distance endpoints must lie in the restricted vertex set")
-        return self._reach(1 << i, 1 << j, inside)
+        return self._reach(xb, yb, inside)
 
-    def components(self, within: int | None = None) -> tuple[frozenset, ...]:
+    def components(self, within: int | None = None) -> tuple[int, ...]:
+        """The vertex masks of the components, by lowest vertex."""
         left = self._within(within)
         comps = []
         while left:
             comp = self._ball(left & -left, left)  # from the lowest vertex left
-            comps.append(self._set(comp))
+            comps.append(comp)
             left &= ~comp
         return tuple(comps)
 
@@ -425,11 +421,11 @@ def distance(model: DualModel, x, y):
     return model.space.distance(x, y, model.class_mask)
 
 
-def components_and_orc(model: DualModel) -> tuple[tuple[frozenset, ...], int]:
-    """Components of the class-restricted graph and the connecting order:
-    the largest component diameter, a singleton component counting 1."""
+def components_and_orc(model: DualModel) -> tuple[int, int]:
+    """The component count of the class-restricted graph and the connecting
+    order: the largest component diameter, a singleton component counting 1."""
     comps = model.space.components(model.class_mask)
-    return comps, max(1, model.space.diameter(model.class_mask))
+    return len(comps), max(1, model.space.diameter(model.class_mask))
 
 
 @dataclass(frozen=True)
@@ -443,10 +439,9 @@ class GlimmPartition:
 
 
 def glimm_partition(model: DualModel) -> GlimmPartition:
-    class_comps = model.space.components(model.class_mask)
+    class_comps = tuple(map(model.space._set, model.space.components(model.class_mask)))
     germ_blocks = tuple(frozenset([g]) for g in model.space.points[model.class_count :])
-    blocks = tuple(class_comps) + germ_blocks
-    return GlimmPartition(blocks, len(class_comps), len(class_comps) == 1)
+    return GlimmPartition(class_comps + germ_blocks, len(class_comps), len(class_comps) == 1)
 
 
 def _point_number(model: DualModel, point_id: str) -> int:

@@ -183,9 +183,9 @@ def check_zero_tail_star(n: int, bound: int, rng=None) -> CheckResult:
 def check_orc(n: int, bound: int, rng=None) -> CheckResult:
     """Connecting order floor(n/2) with one class component."""
     model = build_dual_model(n, bound)
-    comps, orc = components_and_orc(model)
-    ok = orc == n // 2 and len(comps) == 1
-    return CheckResult(n, "orc", ok, f"orc={orc}, components={len(comps)}")
+    count, orc = components_and_orc(model)
+    ok = orc == n // 2 and count == 1
+    return CheckResult(n, "orc", ok, f"orc={orc}, components={count}")
 
 
 def check_big_d(n: int, bound: int, rng=None) -> CheckResult:

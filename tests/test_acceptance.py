@@ -55,8 +55,8 @@ def test_criterion_1_connecting_order():
     start = time.perf_counter()
     ok = True
     for n in range(3, 13):
-        comps, orc = components_and_orc(build_dual_model(n, sweep_bound(n)))
-        ok = ok and orc == n // 2 and len(comps) == 1
+        count, orc = components_and_orc(build_dual_model(n, sweep_bound(n)))
+        ok = ok and orc == n // 2 and count == 1
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 10.0
     assert report(1, "connecting order equals floor(N/2), N=3..12", ok, f"{elapsed:.2f}s")

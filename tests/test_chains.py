@@ -21,6 +21,7 @@ from motiondual.dualspace import (
     CLASS_KIND,
     GERM_KIND,
     DualModel,
+    Graph,
     Point,
     _union,
     build_dual_model,
@@ -29,7 +30,7 @@ from motiondual.dualspace import (
 )
 from motiondual.errors import CertificationError, PreconditionViolated, UnknownPoint
 from motiondual.signatures import count_signatures, validate
-from test_dualspace import class_points, germ_points, inseparable_points, neighbors, toy_space
+from test_dualspace import class_points, closure, germ_points, inseparable_points, neighbors, number, toy_space
 
 
 def cls(entries, n):
@@ -54,11 +55,6 @@ def chain_of(model, sets):
 def point_sets(chain):
     """The chain's sets as point sets."""
     return tuple(map(chain.space._set, chain.masks))
-
-
-def closure(space, x):
-    """The closure of the point x, from the space's closure masks."""
-    return space._set(space._closure[space._index[x]])
 
 
 # --- neighborhoods ------------------------------------------------------------
@@ -273,7 +269,7 @@ def test_chain_json_reads_back_model_points(n, bound):
     chain, x, y, restrict = chain_from_json(m, payload)
     own = m.space.points
     for p in (x, y, *(p for s in point_sets(chain) for p in s)):
-        assert own[m.space._index[p]] is p
+        assert own[number(m.space, p)] is p
     assert validate_chain(m, chain).valid
     assert chain_lower_bound(m, chain, x, y, restrict_to_class=restrict) == chain.length
     assert chain_to_json(m, chain, x, y, restrict) == payload
@@ -371,15 +367,21 @@ def ref_violations(model, chain):
     n = len(sets)
     if n == 0:
         return ("chain has no sets",)
+    if n > len(space.points):
+        return (f"chain has {n} sets, more than the {len(space.points)} points of the space",)
     for i, s in enumerate(map(space.known, sets), start=1):
         if space.closure_of(s) != s:
             bad.append(f"set {i} is not closed")
     if frozenset().union(*sets) != frozenset(space.points):
         bad.append("union of the sets does not cover the space")
+    overlaps = []
     for i in range(n):
         for j in range(i + 2, n):
             if sets[i] & sets[j]:
-                bad.append(f"sets {i + 1} and {j + 1} overlap")
+                overlaps.append(f"sets {i + 1} and {j + 1} overlap")
+    if len(overlaps) > 1:  # the first pair and a count of the rest
+        overlaps = [f"{overlaps[0]}, and {len(overlaps) - 1} more non-consecutive pairs"]
+    bad += overlaps
     if n > 1:
         if not sets[0] - sets[1]:
             bad.append("first set minus second set is empty")
@@ -550,6 +552,8 @@ INVALID_CHAINS = {
     "no sets": lambda m: chain_of(m, []),
     "set not closed": not_closed,
     "sets 1 and 3 overlap": lambda m: chain_of(m, [all_points(m)] * 3),
+    "three overlapping pairs": lambda m: chain_of(m, [all_points(m)] * 4),
+    "more sets than points": lambda m: chain_of(m, [all_points(m)] + [frozenset()] * len(m.space.points)),
     "cover missing": lambda m: chain_of(m, [class_points(m)]),
     "empty end differences": lambda m: chain_of(m, [all_points(m), all_points(m)]),
     "one empty end difference": lambda m: chain_of(m, [class_points(m), all_points(m)]),
@@ -568,6 +572,29 @@ def test_invalid_chains_match_reference_oracle(name):
     x, y = cls([0, 0], 4), cls([1, 1], 4)
     with pytest.raises(PreconditionViolated, match="chain is not valid"):
         chain_lower_bound(m, chain, x, y)
+
+
+def test_long_chains_give_one_message():
+    # a chain with more sets than points is refused before any pair of
+    # sets is compared, and many overlapping pairs are one message
+    m = tiny_model()
+    assert validate_chain(m, INVALID_CHAINS["more sets than points"](m)).violations == (
+        "chain has 7 sets, more than the 6 points of the space",
+    )
+    assert validate_chain(m, INVALID_CHAINS["three overlapping pairs"](m)).violations == (
+        "sets 1 and 3 overlap, and 2 more non-consecutive pairs",
+        "first set minus second set is empty",
+        "last set minus second-to-last set is empty",
+    )
+
+
+@given(st.lists(st.integers(0, (1 << 6) - 1), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_drawn_set_lists_match_reference_violations(masks):
+    # any sets at all, up to more than the 6 points of the model
+    m = tiny_model()
+    chain = Chain(m.space, tuple(masks))
+    assert validate_chain(m, chain).violations == ref_violations(m, chain)
 
 
 def test_foreign_point_raises_unknown_point():
@@ -600,6 +627,23 @@ def test_class_of_another_group_with_the_same_id_is_foreign():
         "x must lie in the first set and not the second",
         "end witnesses of a class-restricted chain must be classes",
     )
+    with pytest.raises(PreconditionViolated, match="x must lie in the first set"):
+        chain_lower_bound(m, chain, same_id, y)
+    with pytest.raises(UnknownPoint):
+        chain_to_json(m, chain, same_id, y)
+    with pytest.raises(UnknownPoint):
+        m.space.bfs([same_id])
+    with pytest.raises(PreconditionViolated, match="class-restricted chains need class end sets"):
+        find_admissible_chain(m, [same_id], [y], 2, restrict_to_class=True)
+    with pytest.raises(UnknownPoint):
+        find_admissible_chain(m, [same_id], [y], 2, restrict_to_class=False)
+
+
+def test_graph_refuses_vertices_that_share_an_id():
+    x = cls([1, 0], 5)
+    graph = Graph([x, cls([1, 0], 4)], [0, 0])
+    with pytest.raises(ValueError, match="vertex ids must be unique"):
+        graph.bfs([x])
 
 
 # Three points a, b, q whose neighbor masks are stale: they come from the

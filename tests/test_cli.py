@@ -197,6 +197,58 @@ def test_chain_refuses_coinciding_classes(capsys, flags):
     assert (code, out, err) == (1, "", "error: no chain certificate for coinciding classes\n")
 
 
+def test_chain_refuses_a_signature_above_the_bound(capsys):
+    # the chain file records the model it certifies, so the bound is not raised
+    code, out, err = run(["chain", "--n", "5", "2,1", "0,0", "--bound", "1"], capsys)
+    assert (code, out, err) == (1, "", "error: signature 2,1 has an entry above --bound 1\n")
+
+
+@pytest.mark.parametrize(
+    "sig, message",
+    [
+        ("0,x", "cannot parse signature '0,x'"),
+        ("1,1,1", "SO(5) signatures have 2 entries, got 3"),
+        ("2,1", "signature 2,1 has an entry above --bound 1"),
+    ],
+)
+def test_chain_reads_its_signatures_before_building_the_model(capsys, monkeypatch, sig, message):
+    def unbuilt(n, bound):
+        raise AssertionError("model built before the signatures were read")
+
+    monkeypatch.setattr(cli, "build_dual_model", unbuilt)
+    code, out, err = run(["chain", "--n", "5", sig, "0,0", "--bound", "1"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+
+
+def _long_chain(capsys, tmp_path, n, bound, sets):
+    """Re-check a chain file of the given sets; expect exit 2 and one short
+    failure line, and return it."""
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"n": n, "bound": bound, "length": len(sets), "sets": sets}))
+    code, out, err = run(["chain", "--check", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid chain: ") and len(err.splitlines()) == 1
+    assert len(err.encode()) < 1024
+    return err
+
+
+@pytest.mark.parametrize(
+    "sets", [[[]] * 8000, [["class:0", "class:1"]] * 3000], ids=["empty-sets", "one-set-repeated"]
+)
+def test_chain_check_refuses_more_sets_than_points(capsys, tmp_path, sets):
+    err = _long_chain(capsys, tmp_path, 3, 1, sets)
+    assert err == f"invalid chain: chain has {len(sets)} sets, more than the 5 points of the space\n"
+
+
+def test_chain_check_counts_overlapping_pairs_in_one_message(capsys, tmp_path):
+    everything = list(build_dual_model(5, 12).space.ids)
+    assert len(everything) == 260
+    err = _long_chain(capsys, tmp_path, 5, 12, [everything] * 260)
+    # every pair of the 260 sets but the 259 consecutive ones overlaps
+    assert "sets 1 and 3 overlap, and 33410 more non-consecutive pairs" in err
+
+
 def test_chain_tampered_file_fails(capsys, tmp_path):
     out_file = tmp_path / "chain.json"
     run(["chain", "--n", "7", "0,0,0", "1,1,1", "--bound", "1", "--output", str(out_file)], capsys)

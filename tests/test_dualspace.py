@@ -49,16 +49,20 @@ def graph_edges(graph):
     return [(pts[i], pts[j]) for i, j in graph._pairs()]
 
 
+def number(graph, x):
+    """The vertex number of x, by the graph's one lookup route."""
+    return graph._mask((x,)).bit_length() - 1
+
+
 def neighbors(space, x):
     """The neighbors of x in vertex order, from the graph's neighbor masks."""
     pts = space.points
-    return tuple(pts[j] for j in _members(space._adj[space._ids((x,))[0]]))
+    return tuple(pts[j] for j in _members(space._adj[number(space, x)]))
 
 
 def inseparable_points(space, x, y):
     """Whether the minimal open sets of the points x and y meet."""
-    i, j = space._ids((x, y))
-    return bool(space._min_open[i] & space._min_open[j])
+    return bool(space._min_open[number(space, x)] & space._min_open[number(space, y)])
 
 
 def class_points(model):
@@ -78,7 +82,7 @@ def separated_points(model):
 
 def closure(space, x):
     """The closure of the point x, from the space's closure masks."""
-    return space._set(space._closure[space._index[x]])
+    return space._set(space._closure[number(space, x)])
 
 
 def closure_masks(closures):
@@ -130,7 +134,7 @@ def test_discrete_two_point_space():
     sp = toy_space({"a": {"a"}, "b": {"b"}})
     assert not inseparable_points(sp, "a", "b")
     assert sp.distance("a", "b") == inf
-    assert len(sp.components()) == 2
+    assert sp.components() == (0b01, 0b10)
 
 
 # --- model construction ------------------------------------------------------
@@ -444,10 +448,8 @@ def test_germ_mediation_no_shortcuts():
 
 
 def test_orc_values():
-    comps, orc = components_and_orc(build_dual_model(5, 3))
-    assert len(comps) == 1 and orc == 2
-    comps, orc = components_and_orc(build_dual_model(3, 3))
-    assert len(comps) == 1 and orc == 1
+    assert components_and_orc(build_dual_model(5, 3)) == (1, 2)
+    assert components_and_orc(build_dual_model(3, 3)) == (1, 1)
 
 
 def test_orc_bound_zero_singleton():
@@ -457,8 +459,8 @@ def test_orc_bound_zero_singleton():
 
 @pytest.mark.parametrize("n", range(3, 10))
 def test_class_points_connected(n):
-    comps, _ = components_and_orc(build_dual_model(n, 1))
-    assert len(comps) == 1
+    count, _ = components_and_orc(build_dual_model(n, 1))
+    assert count == 1
 
 
 def test_glimm_partition_shape():
@@ -566,7 +568,7 @@ def parse_point_id(model, point_id):
         raise UnknownPoint(f"bad point id {point_id!r}")
     ctx = signatures.GroupContext(model.n if kind == CLASS_KIND else model.n - 1)
     p = Point(kind, signatures.Signature(signatures.parse_entries(rest), ctx))
-    model.space._ids((p,))
+    model.space._mask((p,))
     return p
 
 
@@ -655,7 +657,7 @@ def dual_model_to_dot_oracle(model):
     for p, q in graph_edges(space):
         lines.append(f'  "{p}" -> "{q}" [dir=none];')
     for p in space.points:
-        for q in sorted(closure(space, p) - {p}, key=space._index.__getitem__):
+        for q in sorted(closure(space, p) - {p}, key=lambda q: number(space, q)):
             lines.append(f'  "{p}" -> "{q}" [style=dashed];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -39,7 +39,7 @@ from motiondual.primal import (  # noqa: E402
 )
 from motiondual.errors import PreconditionViolated  # noqa: E402
 from motiondual.signatures import count_signatures, enumerate_signatures, inseparable, restricts_to  # noqa: E402
-from test_dualspace import graph_edges, inseparable_points, neighbors  # noqa: E402
+from test_dualspace import closure, graph_edges, inseparable_points, neighbors  # noqa: E402
 
 GRID = [(3, 1), (3, 3), (4, 1), (4, 2), (5, 1), (5, 2), (6, 1), (6, 2), (7, 1), (8, 1)]
 
@@ -81,11 +81,6 @@ def components_of(g) -> set:
     return {frozenset(c) for c in nx.connected_components(g)}
 
 
-def closure(space, x):
-    """The closure of the point x, from the space's closure masks."""
-    return space._set(space._closure[space._index[x]])
-
-
 def check_closures(n, bound):
     classes = enumerate_signatures(n, bound)
     space = build_dual_model(n, bound).space
@@ -97,9 +92,9 @@ def check_closures(n, bound):
 def check_class_graph(n, bound):
     model = build_dual_model(n, bound)
     ref = class_reference(n, bound)
-    comps, orc = components_and_orc(model)
-    assert set(comps) == components_of(ref)
-    assert len(comps) == len(set(comps))
+    count, orc = components_and_orc(model)
+    assert count == len(components_of(ref))
+    assert set(map(model.space._set, model.space.components(model.class_mask))) == components_of(ref)
     assert model.space.diameter(model.class_mask) == largest_diameter(ref)
     assert orc == max(1, largest_diameter(ref))
     for x, lengths in nx.all_pairs_shortest_path_length(ref):
@@ -110,7 +105,7 @@ def check_class_graph(n, bound):
 def check_sub_ideal_graph(n, bound):
     ref = reference(sub_ideals(n, bound), star_adjacent)
     graph = star_graph(n, bound)
-    assert set(graph.components()) == components_of(ref)
+    assert set(map(graph._set, graph.components())) == components_of(ref)
     assert graph.diameter() == big_d(n, bound) == largest_diameter(ref)
 
 
@@ -155,12 +150,13 @@ LARGE_TRUNCATIONS = [(8, 10), (6, 16), (5, 40), (9, 8), (10, 6)]
 @pytest.mark.parametrize("n,bound", LARGE_TRUNCATIONS)
 def test_orc_and_d_at_large_truncations_match_networkx(n, bound):
     ref = class_reference(n, bound)
-    comps, orc = components_and_orc(build_dual_model(n, bound))
-    assert set(comps) == components_of(ref)
-    assert orc == max(1, bounded_largest_diameter(ref)) == n // 2
+    model = build_dual_model(n, bound)
+    count, orc = components_and_orc(model)
+    assert set(map(model.space._set, model.space.components(model.class_mask))) == components_of(ref)
+    assert count == 1 and orc == max(1, bounded_largest_diameter(ref)) == n // 2
     del ref
     sub = reference(sub_ideals(n, bound), star_adjacent)
-    assert set(star_graph(n, bound).components()) == components_of(sub)
+    assert set(map(star_graph(n, bound)._set, star_graph(n, bound).components())) == components_of(sub)
     assert big_d(n, bound) == bounded_largest_diameter(sub)
 
 
@@ -247,7 +243,7 @@ def test_graph_core_matches_networkx(case):
     assert graph._reach(sources, graph._mask(ys), inside) == (min(hits) if hits else inf)
     assert graph._set(graph._ball(sources, inside, radius)) == {v for v, d in lengths.items() if d <= radius}
 
-    comps = graph.components(within)
+    comps = tuple(map(graph._set, graph.components(within)))
     assert set(comps) == {frozenset(c) for c in nx.connected_components(sub)}
     assert [min(map(order, c)) for c in comps] == sorted(min(map(order, c)) for c in comps)
     want = max((nx.diameter(sub.subgraph(c)) for c in nx.connected_components(sub)), default=0)

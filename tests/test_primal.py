@@ -147,9 +147,9 @@ def test_library_paths_never_number_the_sub_ideal_vertices():
     n, bound = 6, 2
     for path in (big_d, min_primal, sub_ideals, star_graph_to_json, star_graph_to_dot):
         path(n, bound)
-    assert "_index" not in star_graph(n, bound).__dict__
+    assert "_number" not in star_graph(n, bound).__dict__
     star_graph(n, bound).distance(germ([0, 0], 5), germ([1, 1], 5))
-    assert "_index" in star_graph(n, bound).__dict__
+    assert "_number" in star_graph(n, bound).__dict__
 
 
 def test_d_star_calls_share_one_star_graph():
