@@ -38,7 +38,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Sequence
 
-from .dualspace import DualModel, FiniteT0Space, Point, _members, _point_number, _union, point_from_id
+from .dualspace import DualModel, FiniteT0Space, Point, _point_number, _union, point_from_id
 from .errors import CertificationError, PreconditionViolated, UnknownPoint
 
 __all__ = [
@@ -308,13 +308,12 @@ def find_admissible_chain(model: DualModel, X: Iterable, Y: Iterable, k: int, re
 
 
 def chain_to_json(model: DualModel, chain: Chain, x=None, y=None, restrict_to_class: bool = True) -> dict:
-    ids = model.space.ids
     payload = {
         "n": model.n,
         "bound": model.bound,
         "restrict_to_class": restrict_to_class,
         "length": chain.length,
-        "sets": [sorted(ids[i] for i in _members(m)) for m in _masks(model, chain)],
+        "sets": [model.space._sorted_ids(m) for m in _masks(model, chain)],
     }
     if x is not None and y is not None:
         model.space._mask((x, y))  # UnknownPoint for a point outside the space

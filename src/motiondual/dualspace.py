@@ -47,7 +47,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import product
+from itertools import compress, product
 from math import inf
 from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
@@ -132,6 +132,9 @@ def overlap_masks(boxes: Sequence[Sequence[tuple[int, float]]]) -> list[int]:
     return rows
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 class Graph:
     """An undirected graph with a fixed vertex order.
 
@@ -161,6 +164,21 @@ class Graph:
         if len(number) != len(self.ids):
             raise ValueError("vertex ids must be unique")
         return number
+
+    @cached_property
+    def _id_order(self) -> tuple[tuple[int, ...], tuple[str, ...]]:
+        """The vertex numbers sorted by id, and the ids in that order."""
+        order = tuple(sorted(range(len(self.ids)), key=self.ids.__getitem__))
+        return order, tuple(map(self.ids.__getitem__, order))
+
+    def _sorted_ids(self, mask: int) -> list[str]:
+        """The ids of the vertices in `mask`, sorted as strings: the ids of
+        `_id_order` whose bits are set, picked in one pass with no sort."""
+        order, ids = self._id_order
+        if mask >> len(order):
+            raise UnknownPoint("the mask holds bits beyond the vertices")
+        bits = bin(mask)[:1:-1].ljust(len(order), "0").encode().translate(_BIT_BYTES)  # byte i: bit i
+        return list(compress(ids, map(bits.__getitem__, order)))
 
     def _bit(self, p) -> int:
         """The bit of the vertex p, found by its id and confirmed equal to
@@ -356,13 +374,18 @@ length because each signature is built, hashed and enumerated entry by
 entry.  The sub-ideal graph and the diameters are cheap at the cap, so the
 cost lies in the `FiniteT0Space` constructor, which checks every closure
 and folds the minimal open sets into neighbor masks, and in the class
-diameter where the classes are many.  Each of the largest admitted models
-runs `motiondual report` in under 0.9 s and 31 MB (Python 3.11.7, 2
+diameter where the classes are many.  For n >= 4 the largest admitted
+models run `motiondual report` in under 0.9 s and 31 MB (Python 3.11.7, 2
 vCPUs, best of 3 runs): (5, 44), at 8100 sub-ideal entries, spends 0.47 s
 building the model, and (6, 18), at 7980 entries, 0.53 s in the class
-diameter (617 searches).  The cap admits every (n, bound) of the
-benchmark and of `BENCH_bitmask_core.json`; the largest, (8, 10), has
-8008 entries."""
+diameter (617 searches); (4, 62) took 0.33 s in one run.  At n = 3 a
+point has one entry, so the cap admits bounds up to 2730 and germ
+closures of up to 2731 classes, which the constructor walks member by
+member: `build_dual_model(3, 2730)` (8192 points) took 11.4 s and 39 MB,
+and `motiondual report --n 3 --bound 2047`, the largest bound whose
+sub-ideal graph the cap admits, 12.6 s (one run each, same machine).  The
+cap admits every (n, bound) of the benchmark and of
+`BENCH_bitmask_core.json`; the largest, (8, 10), has 8008 entries."""
 
 
 def require_size(n: int, bound: int, points: Callable[[int, int], int]) -> None:

@@ -374,13 +374,12 @@ def validate_certificate(cert: MergeCertificate, bound: int | None = None) -> Ce
     if target_count(n) == 1 and cert.primal_witness is not None:
         bad.append("single-target certificate carries a primal witness")
     if bound is not None:
-        entries = [
-            abs(e)
+        # no entry of a valid signature exceeds its first in absolute value
+        if any(
+            s.entries and abs(s.entries[0]) > bound
             for w in cert.walks
             for s in (*w.steps, *w.witnesses)
-            for e in s.entries
-        ]
-        if entries and max(entries) > bound:
+        ):
             bad.append(f"certificate leaves the truncation bound {bound}")
 
     implied = implied_k_bound(n)

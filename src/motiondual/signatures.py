@@ -101,15 +101,36 @@ class Signature:
     ctx: GroupContext
 
     def __post_init__(self):
-        if type(self.entries) is not tuple:
-            object.__setattr__(self, "entries", tuple(self.entries))
-        for e in self.entries:
-            if type(e) is not int:  # no floats, strings or bools
+        entries = self.entries
+        if type(entries) is not tuple:
+            entries = tuple(entries)
+            object.__setattr__(self, "entries", entries)
+        # One pass accepts every valid signature: integer entries that never
+        # increase (an even group's last entry m_k satisfies m_{k-1} >= |m_k|
+        # >= m_k), the right length, and the rule on the last entry.
+        n = self.ctx.n
+        if len(entries) == n // 2:
+            if not entries:
+                return  # SO(1)
+            prev = entries[0]
+            for e in entries:
+                if type(e) is not int or e > prev:  # no floats, strings or bools
+                    break
+                prev = e
+            else:
+                if n % 2:
+                    if prev >= 0:
+                        return
+                elif n == 2 or entries[-2] >= -prev:
+                    return
+        # Invalid: the checks below name the first fault, scanning left to right.
+        for e in entries:
+            if type(e) is not int:
                 raise SignatureError(f"signature entries must be integers, got {e!r}")
-        _check_entries(self.entries, self.ctx)
+        _check_entries(entries, self.ctx)
 
     def __str__(self) -> str:
-        return ",".join(str(e) for e in self.entries)
+        return ",".join(map(str, self.entries))
 
 
 def int_field(payload: dict, key: str) -> int:
@@ -394,16 +415,6 @@ def _tower(entries: tuple[int, ...], s: tuple[int, ...], k: int, c: int):
     return states, wits
 
 
-def _compress(steps: list[Signature], wits: list[Signature]) -> Walk:
-    out_s = [steps[0]]
-    out_w = []
-    for s, w in zip(steps[1:], wits):
-        if s != out_s[-1]:
-            out_s.append(s)
-            out_w.append(w)
-    return Walk(tuple(out_s), tuple(out_w))
-
-
 def walk(pi1: Signature, pi2: Signature) -> Walk:
     """An explicit walk of length at most k between the two signatures.
 
@@ -426,9 +437,13 @@ def walk(pi1: Signature, pi2: Signature) -> Walk:
     else:
         steps_e = st1 + st2[::-1]
         w1.append(_pad(s[: k // 2], c))
-    steps = [Signature(e, ctx) for e in steps_e]
-    wits = [Signature(e, child) for e in w1 + w2[::-1]]
-    return _compress(steps, wits)
+    # a step that repeats the state before it is dropped with its witness
+    kept = [0] + [i for i in range(1, len(steps_e)) if steps_e[i] != steps_e[i - 1]]
+    wits_e = w1 + w2[::-1]
+    return Walk(
+        tuple(Signature(steps_e[i], ctx) for i in kept),
+        tuple(Signature(wits_e[i - 1], child) for i in kept[1:]),
+    )
 
 
 def extremal_pair(n: int) -> tuple[Signature, Signature]:

@@ -679,6 +679,19 @@ def test_dot_export_shapes():
     assert dot.startswith("digraph") and dot.rstrip().endswith("}")
 
 
+@pytest.mark.parametrize("n, bound", [(3, 12), (6, 2), (7, 3), (12, 1)])
+def test_sorted_ids_match_sorting_the_member_ids(n, bound):
+    space = build_dual_model(n, bound).space
+    rng = random.Random(n)
+    full = space._within(None)
+    masks = [0, full, 1, 1 << len(space.points) - 1] + [rng.getrandbits(len(space.points)) for _ in range(20)]
+    for mask in masks:
+        assert space._sorted_ids(mask) == sorted(space.ids[i] for i in _members(mask))
+    for beyond in (full + 1, -1):
+        with pytest.raises(UnknownPoint):
+            space._sorted_ids(beyond)
+
+
 # --- point hashing ---------------------------------------------------------------
 
 _PICKLE_SCRIPT = """

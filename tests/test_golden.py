@@ -7,10 +7,23 @@ alter one of them must update its digest and say why.
 """
 
 import hashlib
+import itertools
 
 import pytest
 
 from motiondual.cli import main
+from motiondual.signatures import Signature, Walk, _pad, _tower, enumerate_signatures, merge_max, walk
+
+
+def padded(*head, k):
+    """A comma-separated signature: `head`, then zeros up to length k."""
+    return ",".join(map(str, head + (0,) * (k - len(head))))
+
+
+def runs_of(*runs):
+    """A comma-separated signature made of (value, count) runs."""
+    return ",".join(str(v) for v, count in runs for _ in range(count))
+
 
 GOLDEN = {
     "verify": (
@@ -24,6 +37,28 @@ GOLDEN = {
     "certify": (
         ["certify", "--n", "6", "1,0", "2,0", "1,1"],
         "c1cba51a840c982b7cb2c76084ac265da8cdea1385af6816d73c309e75ffda64",
+    ),
+    # large n at bound 2: one per residue of n mod 4, so both the triple
+    # (37, 38) and the single-target (39, 40) constructions are pinned
+    "certify-37": (
+        ["certify", "--n", "37", padded(2, 2, 1, 1, k=18), padded(2, 1, 1, 1, 1, k=18), runs_of((2, 17), (-2, 1))],
+        "237e7690830a5d53757fd5270cac37ab5e0f3de551c50b0ff71a00ddf77ebb56",
+    ),
+    "certify-38": (
+        ["certify", "--n", "38", padded(2, 1, k=18), runs_of((1, 18)), padded(2, 2, 2, 1, 1, 1, k=18)],
+        "aa114f6e3ee2f6d7c0caa6a1c41077adff015de8e3e70b9b7617e3b9d4b8af05",
+    ),
+    "certify-39": (
+        ["certify", "--n", "39", padded(1, 1, 1, k=19), padded(2, 2, k=19), runs_of((2, 10), (1, 9))],
+        "d9ef0b4ead18d87a00f51bcfc6515711aad01f87c401c69491aa589d8c3b7dc1",
+    ),
+    "certify-40": (
+        ["certify", "--n", "40", padded(2, 2, 2, 2, 1, k=19), padded(2, k=19), runs_of((1, 19))],
+        "d93b998814d29ee4eb75e7bf9db522be6d50461185ce398c72f11177f9dc109f",
+    ),
+    "walk-40": (
+        ["walk", "--n", "40", padded(2, 2, 2, 1, 1, k=20), runs_of((1, 19), (-1, 1))],
+        "2c0a43f9a5f720a438a9e69691d2f44bc081bd8c92f899f5623fd83bad73cc96",
     ),
     "graph": (
         ["graph", "--n", "5", "--kind", "dual", "--format", "json"],
@@ -75,3 +110,37 @@ def test_chain_check_output_matches_its_golden_digest(capsys, tmp_path):
     path = tmp_path / "chain.json"
     path.write_text(stdout_of(GOLDEN["chain"][0], capsys))
     assert digest(stdout_of(["chain", "--n", "7", "--check", str(path)], capsys)) == CHAIN_CHECK_DIGEST
+
+
+def walk_built_then_compressed(pi1: Signature, pi2: Signature) -> Walk:
+    """The walk as `walk` once made it: every state and witness of both
+    towers built as a Signature, then each step that repeats the one before
+    it dropped with its witness."""
+    ctx = pi1.ctx
+    if pi1 == pi2:
+        return Walk((pi1,), ())
+    child = ctx.child
+    k, c = ctx.k, child.k
+    s = tuple(merge_max([pi1, pi2]))
+    st1, w1 = _tower(pi1.entries, s, k, c)
+    st2, w2 = _tower(pi2.entries, s, k, c)
+    if k % 2 == 0:
+        states = st1 + st2[-2::-1]
+    else:
+        states = st1 + st2[::-1]
+        w1.append(_pad(s[: k // 2], c))
+    steps = [Signature(e, ctx) for e in states]
+    wits = [Signature(e, child) for e in w1 + w2[::-1]]
+    kept_steps, kept_wits = [steps[0]], []
+    for step, wit in zip(steps[1:], wits):
+        if step != kept_steps[-1]:
+            kept_steps.append(step)
+            kept_wits.append(wit)
+    return Walk(tuple(kept_steps), tuple(kept_wits))
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_walk_equals_the_built_then_compressed_walk(n):
+    sigs = enumerate_signatures(n, 2)
+    for a, b in itertools.product(sigs, repeat=2):
+        assert walk(a, b) == walk_built_then_compressed(a, b), (a, b)

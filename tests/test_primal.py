@@ -400,6 +400,46 @@ def test_certificate_stays_in_truncation():
     assert not validate_certificate(cert, 1).ok  # entries reach 2
 
 
+LEAVES = "certificate leaves the truncation bound 1"
+
+
+def test_bound_check_flags_an_excess_in_a_witness_only():
+    cert = merge_certificate(7, validate([1, 1, 0], 6), validate([1, 0, 0], 6), validate([1, 1, 1], 6))
+    assert validate_certificate(cert, 1).ok
+    w = cert.walks[0]
+    assert all(abs(e) <= 1 for s in w.steps for e in s.entries)
+    far = Walk(w.steps, (validate([2, 1, 0], 6),) + w.witnesses[1:])
+    bad = MergeCertificate(
+        cert.n, cert.case, cert.inputs, cert.containers, (far,) + cert.walks[1:], cert.targets,
+        cert.primal_witness, cert.claimed_n,
+    )
+    assert LEAVES in validate_certificate(bad, 1).violations
+    assert LEAVES not in validate_certificate(bad, 2).violations
+
+
+def test_bound_check_flags_an_even_groups_negative_last_entry():
+    cert = merge_certificate(4, validate([1], 3), validate([0], 3), validate([1], 3))
+    assert validate_certificate(cert, 1).ok
+    low = Walk((validate([2, -2], 4),), ())
+    bad = MergeCertificate(
+        cert.n, cert.case, cert.inputs, cert.containers, (low,) + cert.walks[1:], cert.targets,
+        cert.primal_witness, cert.claimed_n,
+    )
+    assert LEAVES in validate_certificate(bad, 1).violations
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_bound_check_agrees_with_the_largest_entry(n):
+    rng = random.Random(n)
+    pool = enumerate_signatures(n - 1, 2)
+    for _ in range(10):
+        cert = merge_certificate(n, *(rng.choice(pool) for _ in range(3)))
+        largest = max(abs(e) for w in cert.walks for s in (*w.steps, *w.witnesses) for e in s.entries)
+        for bound in range(4):
+            flagged = f"certificate leaves the truncation bound {bound}" in validate_certificate(cert, bound).violations
+            assert flagged == (largest > bound)
+
+
 def test_certificate_json_roundtrip():
     cert = merge_certificate(10, validate([2, 1, 1, 0], 9), validate([1, 1, 0, 0], 9), validate([2, 2, 2, 1], 9))
     payload = json.loads(json.dumps(cert.to_dict()))

@@ -75,6 +75,81 @@ def test_degenerate_groups():
     assert validate([-5], 2).entries == (-5,)
 
 
+def reference_outcome(entries, n):
+    """What the reference checks make of `entries`: the type loop, then
+    `_check_entries`.  None when they accept, else the exception's class,
+    index and message."""
+    entries = tuple(entries)
+    try:
+        for e in entries:
+            if type(e) is not int:
+                raise SignatureError(f"signature entries must be integers, got {e!r}")
+        signatures._check_entries(entries, GroupContext(n))
+    except SignatureError as exc:
+        return type(exc), getattr(exc, "index", None), str(exc)
+    return None
+
+
+def constructor_outcome(entries, n):
+    try:
+        Signature(entries, GroupContext(n))
+    except SignatureError as exc:
+        return type(exc), getattr(exc, "index", None), str(exc)
+    return None
+
+
+ENTRY = st.one_of(
+    st.integers(-4, 4), st.integers(), st.booleans(), st.floats(), st.text(max_size=2)
+)
+
+
+@st.composite
+def entry_tuples(draw):
+    """Tuples of any length and entry type, with many near-valid ones:
+    weakly decreasing integers of about the right length, the last one
+    sometimes negated, the odd one swapped for another entry."""
+    n = draw(st.integers(1, 14))
+    if draw(st.booleans()):
+        return n, tuple(draw(st.lists(ENTRY, max_size=9)))
+    length = n // 2 + draw(st.sampled_from((0, 0, 0, -1, 1)))
+    ints = sorted(draw(st.lists(st.integers(0, 3), min_size=max(length, 0), max_size=max(length, 0))), reverse=True)
+    if ints and draw(st.booleans()):
+        ints[-1] = -ints[-1] - draw(st.integers(0, 1))
+    if ints and draw(st.booleans()):
+        ints[draw(st.integers(0, len(ints) - 1))] = draw(ENTRY)
+    return n, tuple(ints)
+
+
+@given(entry_tuples())
+@settings(max_examples=600, deadline=None)
+def test_one_pass_check_matches_the_reference_checks(case):
+    n, entries = case
+    assert constructor_outcome(entries, n) == reference_outcome(entries, n)
+
+
+@pytest.mark.parametrize(
+    "entries, n, want",
+    [
+        ((2, 1, -1), 6, None),
+        ((1, -1), 4, None),
+        ((1, -2), 4, (MonotonicityViolated, 1)),
+        ((2, 1, -2), 6, (MonotonicityViolated, 2)),
+        ((0, 0, -1), 6, (MonotonicityViolated, 2)),
+        ((-5,), 2, None),
+        ((-1,), 3, (NegativeEntry, 1)),
+        ((1.0, 2), 4, (SignatureError, None)),  # the type fault comes before the order fault
+        ((1, 0.5, 0), 4, (SignatureError, None)),  # and before the length fault
+        ((2, 1, 0, 1.5), 6, (SignatureError, None)),
+        ((2, 1), 7, (WrongLength, None)),
+        ((True,), 2, (SignatureError, None)),
+    ],
+)
+def test_one_pass_check_fixed_cases(entries, n, want):
+    got = constructor_outcome(entries, n)
+    assert got == reference_outcome(entries, n)
+    assert (got and got[:2]) == want
+
+
 # --- enumeration ------------------------------------------------------------
 
 
