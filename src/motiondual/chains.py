@@ -265,11 +265,14 @@ def find_admissible_chain(model: DualModel, X: Iterable, Y: Iterable, k: int, re
     X, Y = frozenset(X), frozenset(Y)
     if not X or not Y:
         raise PreconditionViolated("X and Y must be nonempty")
-    if restrict_to_class and not all(space._bit(p) & inside for p in X | Y):
+    bits = [space._bit(p) for p in (*X, *Y)]  # each end point looked up once
+    if restrict_to_class and not all(b & inside for b in bits):
         raise PreconditionViolated("class-restricted chains need class end sets")
     if k < 2:
         raise PreconditionViolated("chain construction needs k >= 2")
-    xm, ym = space._mask(X), space._mask(Y)
+    if 0 in bits:
+        space._mask((*X, *Y))  # UnknownPoint for the first point outside the space
+    xm, ym = sum(bits[: len(X)]), sum(bits[len(X) :])
     d = space._reach(xm, ym, inside)
     if d < k:
         raise PreconditionViolated(f"need d(X, Y) >= {k}, got {d}")

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import chains as chains_mod
 from . import primal as primal_mod
-from .dualspace import CLASS_KIND, Point, build_dual_model, components_and_orc, distance
+from .dualspace import CLASS_KIND, Point, build_dual_model, components_and_orc, distance, require_size
 from .errors import PreconditionViolated, TheoremViolation
 from .signatures import Signature, enumerate_signatures, extremal_pair, walk
 
@@ -112,6 +112,7 @@ def cross_check(n: int, bound: int) -> ConstantsReport:
     if bound < 1:
         raise PreconditionViolated("cross_check needs bound >= 1")
     predicted = predict(n)
+    require_size(n, bound, primal_mod.ideal_points)  # refused before the dual model is built
     model = build_dual_model(n, bound)
     _, orc_a = components_and_orc(model)
     d_a = primal_mod.big_d(n, bound)

@@ -130,7 +130,7 @@ class Signature:
         _check_entries(entries, self.ctx)
 
     def __str__(self) -> str:
-        return ",".join(map(str, self.entries))
+        return ",".join([str(e) for e in self.entries])
 
 
 def int_field(payload: dict, key: str) -> int:
@@ -258,6 +258,10 @@ def restricts_to(pi: Signature, sigma: Signature) -> bool:
 
 
 def _require_same_ctx(sigs: Sequence[Signature], minimum_n: int, op: str) -> GroupContext:
+    """The one group of the nonempty list `sigs`, which must be SO(n) with
+    n >= `minimum_n`."""
+    if not sigs:
+        raise PreconditionViolated(f"{op} needs a nonempty list")
     ctx = sigs[0].ctx
     if any(s.ctx != ctx for s in sigs):
         raise ContextMismatch(f"{op} needs signatures of one group")
@@ -305,8 +309,6 @@ def common_restriction(pis: Sequence[Signature]) -> Signature | None:
     which is the lexicographically least common child, or None when the
     boxes miss.
     """
-    if not pis:
-        raise PreconditionViolated("common_restriction needs a nonempty list")
     child = _require_same_ctx(tuple(pis), 3, "common_restriction").child
     corner = _corner([p.entries for p in pis], 1, child.k)
     return None if corner is None else Signature(corner, child)
@@ -321,12 +323,7 @@ def common_extension(sigmas: Sequence[Signature]) -> Signature | None:
     least common parent.  Validated against brute-force parent search in
     the test suite.
     """
-    if not sigmas:
-        raise PreconditionViolated("common_extension needs a nonempty list")
-    child = sigmas[0].ctx
-    if any(s.ctx != child for s in sigmas):
-        raise ContextMismatch("common_extension needs signatures of one group")
-    parent = GroupContext(child.n + 1)
+    parent = GroupContext(_require_same_ctx(sigmas, 1, "common_extension").n + 1)
     if parent.n < 3:
         raise PreconditionViolated("common_extension needs a parent group SO(n), n >= 3")
     corner = _corner([s.entries for s in sigmas], 0, parent.k)
@@ -346,11 +343,7 @@ def merge_max(sigs: Sequence[Signature]) -> list[int]:
     by the abs rule differs from the plain maximum only in an even group's
     last coordinate.  The result is a plain integer list, not necessarily a
     valid signature."""
-    if not sigs:
-        raise PreconditionViolated("merge_max needs a nonempty list")
-    ctx = sigs[0].ctx
-    if any(s.ctx != ctx for s in sigs):
-        raise ContextMismatch("merge_max needs signatures of one group")
+    _require_same_ctx(sigs, 1, "merge_max")
     return [max(map(abs, col)) for col in zip(*(s.entries for s in sigs))]
 
 

@@ -7,12 +7,12 @@ certificates on systematic and seeded random inputs, and truncation
 stability of distances.  Checks are pure functions of (n, bound, seed), so
 the sweep can fan out across processes and aggregate order-independently.
 
-The pair oracles compare bitmasks built once per check: a `branch` set is
-a mask over the child enumeration, and the parents that restrict to a child
-are a mask over the parent enumeration, of which every smaller bound is a
-prefix.  They stay quadratic in the signatures, so `run_sweep` refuses a
-bound below 1 and any n whose pairs exceed `MAX_ORACLE_PAIRS` before any
-check runs.
+The pair oracles build each relation once per check, as bitmasks, and
+test every pair against them: a `branch` set is a mask over the child
+enumeration, and the parents that restrict to a child are a mask over the
+parent enumeration, of which every smaller bound is a prefix.  They stay
+quadratic in the signatures, so `run_sweep` refuses a bound below 1 and any
+n whose pairs exceed `MAX_ORACLE_PAIRS` before any check runs.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import reduce
 from itertools import product, zip_longest
 from math import inf
 from operator import or_
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import chains as chains_mod
 from . import constants as constants_mod
@@ -70,9 +70,9 @@ ORACLE_MAX_N = 9
 MAX_ORACLE_PAIRS = 2**18
 """The most signature pairs one check of the sweep may compare.  The pair
 oracles are quadratic in the signatures at the bound: the slowest admitted
-single-n sweeps, (7, 10), (3, 255) and (5, 21), take 10 to 12 s each (wall
-clock, 2-vCPU guest), while the checks at (5, 30) compare 923,521 pairs and
-take over 30 s."""
+single-n sweeps, (7, 10), (3, 255) and (5, 21), take 3.3 to 4.4 s each (wall
+clock, one run each, 2-vCPU guest), while the checks at (5, 30) compare
+923,521 pairs and take 14 s."""
 
 MERGE_TRIPLES = 100
 """The seeded random triples `check_merge_certificates` draws per n."""
@@ -83,21 +83,11 @@ def default_bound(n: int) -> int:
     return 3 if n <= 9 else 1
 
 
-def check_oracle_inseparable(n: int, bound: int, rng=None) -> CheckResult:
-    """Closed-form inseparability == branching-set intersection, all ordered
-    pairs (order independence comes for free).  Each `branch` set is a mask
-    over the child enumeration, so a pair costs one `&` of two ints."""
-    if n > ORACLE_MAX_N:
-        return CheckResult(n, "oracle-inseparable", True, f"skipped above n = {ORACLE_MAX_N}", skipped=True)
-    sigs = enumerate_signatures(n, bound)
-    index = {c: i for i, c in enumerate(enumerate_signatures(n - 1, bound))}
-    masks = [sum(1 << index[c] for c in branch(s)) for s in sigs]
-    checked = 0
-    for (a, ma), (b, mb) in product(zip(sigs, masks), repeat=2):
-        if inseparable(a, b) != bool(ma & mb):
-            return CheckResult(n, "oracle-inseparable", False, f"mismatch at {a} vs {b}")
-        checked += 1
-    return CheckResult(n, "oracle-inseparable", True, f"{checked} pairs")
+def _branch_masks(branches: Iterable[list], children: list) -> list[int]:
+    """Each `branch` set as a mask over `children`; a member missing from
+    `children` sets no bit."""
+    index = {c: i for i, c in enumerate(children)}
+    return [sum(1 << i for c in members if (i := index.get(c)) is not None) for members in branches]
 
 
 def _restriction_masks(parents: list, children: list) -> list[int]:
@@ -105,51 +95,60 @@ def _restriction_masks(parents: list, children: list) -> list[int]:
     return [sum(1 << i for i, pi in enumerate(parents) if restricts_to(pi, c)) for c in children]
 
 
+def check_oracle_inseparable(n: int, bound: int, rng=None) -> CheckResult:
+    """Closed-form inseparability == branching-set intersection, all ordered
+    pairs (order independence comes for free).  Each `branch` set is a mask
+    over the child enumeration, so a pair costs one `&` of two ints."""
+    if n > ORACLE_MAX_N:
+        return CheckResult(n, "oracle-inseparable", True, f"skipped above n = {ORACLE_MAX_N}", skipped=True)
+    sigs = enumerate_signatures(n, bound)
+    masks = _branch_masks(map(branch, sigs), enumerate_signatures(n - 1, bound))
+    for (a, ma), (b, mb) in product(zip(sigs, masks), repeat=2):
+        if inseparable(a, b) != bool(ma & mb):
+            return CheckResult(n, "oracle-inseparable", False, f"mismatch at {a} vs {b}")
+    return CheckResult(n, "oracle-inseparable", True, f"{len(sigs) ** 2} pairs")
+
+
 def check_oracle_common_extension(n: int, bound: int, rng=None) -> CheckResult:
     """Closed-form parent feasibility == brute-force parent search with the
     enumeration bound raised one past the largest entry.  Each child has the
     mask of the parents at bound + 1 that restrict to it, and the parents at
-    probe p are the first `count_signatures(n, p)` (leading entry first)."""
+    probe p are the first `count_signatures(n, p)` (leading entry first); a
+    child's probe is one past its leading entry, its largest in absolute
+    value.  The witness must be a parent whose bit both masks hold."""
     if n > ORACLE_MAX_N:
         return CheckResult(n, "oracle-common-extension", True, f"skipped above n = {ORACLE_MAX_N}", skipped=True)
     children = enumerate_signatures(n - 1, bound)
     parents = enumerate_signatures(n, bound + 1)
-    below = _restriction_masks(parents, children)
-    prefix = [(1 << count_signatures(n, p)) - 1 for p in range(bound + 2)]
-    checked = 0
-    for (a, ma), (b, mb) in product(zip(children, below), repeat=2):
-        probe = max((abs(e) for s in (a, b) for e in s.entries), default=0) + 1
-        oracle = bool(ma & mb & prefix[probe])
+    probes = [(1 << count_signatures(n, abs(c.entries[0]) + 1)) - 1 for c in children]
+    position = {pi: i for i, pi in enumerate(parents)}  # a witness that is no parent has no bit
+    rows = zip(children, probes, _restriction_masks(parents, children))
+    for (a, pa, ma), (b, pb, mb) in product(rows, repeat=2):
+        both = ma & mb
         got = common_extension([a, b])
-        if (got is not None) != oracle:
+        if (got is not None) != bool(both & max(pa, pb)):
             return CheckResult(n, "oracle-common-extension", False, f"mismatch at {a} vs {b}")
-        if got is not None and not (restricts_to(got, a) and restricts_to(got, b)):
+        if got is not None and not both >> position.get(got, len(parents)) & 1:
             return CheckResult(n, "oracle-common-extension", False, f"bad witness at {a} vs {b}")
-        checked += 1
-    return CheckResult(n, "oracle-common-extension", True, f"{checked} pairs")
+    return CheckResult(n, "oracle-common-extension", True, f"{len(children) ** 2} pairs")
 
 
 def check_oracle_restriction(n: int, bound: int, rng=None) -> CheckResult:
-    """restricts_to == membership in the enumerated branching set, and the
-    branching set size matches an independent count over the enumeration."""
+    """restricts_to == membership in the enumerated branching set, one mask
+    per parent, and the branching set size matches an independent count."""
     if n > ORACLE_MAX_N:
         return CheckResult(n, "oracle-restriction", True, f"skipped above n = {ORACLE_MAX_N}", skipped=True)
     parents = enumerate_signatures(n, bound)
     children = enumerate_signatures(n - 1, bound)
-    checked = 0
-    for pi in parents:
-        bset = set(branch(pi))
-        hits = 0
-        for sigma in children:
-            got = restricts_to(pi, sigma)
-            if got != (sigma in bset):
-                return CheckResult(n, "oracle-restriction", False, f"mismatch at {pi} | {sigma}")
-            hits += got
-            checked += 1
-        within = sum(1 for s in bset if max((abs(e) for e in s.entries), default=0) <= bound)
-        if hits != within:
+    branches = [branch(pi) for pi in parents]
+    for pi, members, row in zip(parents, branches, _branch_masks(branches, children)):
+        if moved := row ^ sum(1 << i for i, sigma in enumerate(children) if restricts_to(pi, sigma)):
+            sigma = children[(moved & -moved).bit_length() - 1]
+            return CheckResult(n, "oracle-restriction", False, f"mismatch at {pi} | {sigma}")
+        within = sum(1 for s in members if max((abs(e) for e in s.entries), default=0) <= bound)
+        if row.bit_count() != within:
             return CheckResult(n, "oracle-restriction", False, f"count mismatch at {pi}")
-    return CheckResult(n, "oracle-restriction", True, f"{checked} pairs")
+    return CheckResult(n, "oracle-restriction", True, f"{len(parents) * len(children)} pairs")
 
 
 def check_zero_tail_dual(n: int, bound: int, rng=None) -> CheckResult:

@@ -63,6 +63,19 @@ def test_report_injected_bug_exits_2(capsys, monkeypatch):
     assert "cross-check failed" in err
 
 
+def test_report_refuses_an_oversized_sub_ideal_graph_before_building_the_model(capsys, monkeypatch):
+    """(5, 51) fits the dual model's size cap but not the sub-ideal graph's."""
+    from motiondual import constants
+
+    def unbuilt(n, bound):
+        raise AssertionError("dual model built before the size cap was checked")
+
+    monkeypatch.setattr(constants, "build_dual_model", unbuilt)
+    code, out, err = run(["report", "--n", "5", "--bound", "51"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: n = 5, bound = 51 is beyond the model size cap of 8192 signature entries\n"
+
+
 # --- graph ---------------------------------------------------------------------
 
 

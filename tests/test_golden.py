@@ -30,6 +30,11 @@ GOLDEN = {
         ["verify", "--n-min", "3", "--n-max", "12", "--seed", "1", "--format", "json"],
         "dfcc90f673c6ee4aef0b803a35c15c39fb61fd6cd35405acfd12f2732c745905",
     ),
+    # the pair oracles at a raised bound, where every table is larger
+    "verify-bound-8": (
+        ["verify", "--n-min", "5", "--n-max", "6", "--bound", "8", "--seed", "1", "--format", "json"],
+        "963c72b8b1b005f2a5616fa70128020dc11ce1428dcb2ba4d284d4e5f5698575",
+    ),
     "chain": (
         ["chain", "--n", "7", "0,0,0", "1,1,1"],
         "478f48bfd942bca32afd2b5bcc9c02408d2a2e279212199cee2d8259e41d0e35",

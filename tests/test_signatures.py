@@ -244,6 +244,40 @@ def test_restricts_to_so1_parent():
         restricts_to(sig([], 1), sig([], 1))
 
 
+@pytest.mark.parametrize(
+    "op, args, error, message",
+    [
+        (merge_max, [], PreconditionViolated, "merge_max needs a nonempty list"),
+        (merge_max, [sig([1], 3), sig([1, 0], 4)], ContextMismatch, "merge_max needs signatures of one group"),
+        (common_extension, [], PreconditionViolated, "common_extension needs a nonempty list"),
+        (
+            common_extension,
+            [sig([1], 3), sig([1, 0], 4)],
+            ContextMismatch,
+            "common_extension needs signatures of one group",
+        ),
+        (
+            common_extension,
+            [sig([], 1)],
+            PreconditionViolated,
+            "common_extension needs a parent group SO(n), n >= 3",
+        ),
+        (common_restriction, [], PreconditionViolated, "common_restriction needs a nonempty list"),
+        (
+            common_restriction,
+            [sig([1], 3), sig([1, 0], 4)],
+            ContextMismatch,
+            "common_restriction needs signatures of one group",
+        ),
+        (common_restriction, [sig([1], 2)], PreconditionViolated, "common_restriction needs n >= 3, got so2"),
+    ],
+)
+def test_list_preconditions_raise_their_exact_errors(op, args, error, message):
+    with pytest.raises(error) as info:
+        op(args)
+    assert type(info.value) is error and str(info.value) == message
+
+
 @pytest.mark.parametrize("n", range(2, 11))
 def test_restricts_to_matches_branch_box(n):
     # the in-place interleaving test against membership in the branching

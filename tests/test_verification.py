@@ -7,6 +7,7 @@ fail; with the real closed forms every n of the oracle range must pass.
 import copy
 import random
 import time
+from itertools import product
 from math import inf
 
 import pytest
@@ -16,12 +17,13 @@ from motiondual.chains import ChainReport
 from motiondual.dualspace import CLASS_KIND, GERM_KIND, DualModel, Point, build_dual_model
 from motiondual.errors import CertificationError
 from motiondual.cli import main
-from motiondual.signatures import Signature, count_signatures, enumerate_signatures, validate
+from motiondual.signatures import Signature, branch, count_signatures, enumerate_signatures, validate
 from test_dualspace import toy_space
 
 ORACLE_NS = range(3, verification.ORACLE_MAX_N + 1)
 REAL_COMMON_EXTENSION = verification.common_extension
 REAL_INSEPARABLE = verification.inseparable
+REAL_RESTRICTS_TO = verification.restricts_to
 
 
 def _bound(n):
@@ -81,6 +83,59 @@ def test_inseparable_oracle_catches_one_negated_pair(monkeypatch, n):
     monkeypatch.setattr(verification, "inseparable", negated_once)
     result = verification.check_oracle_inseparable(n, _bound(n))
     assert not result.ok and result.detail == f"mismatch at {target[0]} vs {target[1]}"
+
+
+@pytest.mark.parametrize("n", ORACLE_NS)
+@pytest.mark.parametrize("member", [True, False], ids=["member", "non-member"])
+def test_restriction_oracle_names_the_one_negated_pair(monkeypatch, n, member):
+    """`restricts_to` negated on one pair, a branch member or not, fails
+    the restriction oracle at exactly that pair."""
+    parents, children = enumerate_signatures(n, _bound(n)), enumerate_signatures(n - 1, _bound(n))
+    pi = parents[len(parents) // 2]
+    sigma = next(c for c in reversed(children) if REAL_RESTRICTS_TO(pi, c) == member)
+
+    def negated_once(p, s):
+        return REAL_RESTRICTS_TO(p, s) != ((p, s) == (pi, sigma))
+
+    monkeypatch.setattr(verification, "restricts_to", negated_once)
+    result = verification.check_oracle_restriction(n, _bound(n))
+    assert not result.ok and result.detail == f"mismatch at {pi} | {sigma}"
+
+
+@pytest.mark.parametrize("n", ORACLE_NS)
+def test_restriction_oracle_counts_a_child_missing_from_the_enumeration(monkeypatch, n):
+    """With one child dropped from the SO(n-1) enumeration, the first parent
+    whose branching set holds it fails the count."""
+    children = enumerate_signatures(n - 1, _bound(n))
+    dropped = children[len(children) // 2]
+
+    def without_dropped(m, bound):
+        return [s for s in enumerate_signatures(m, bound) if s != dropped]
+
+    monkeypatch.setattr(verification, "enumerate_signatures", without_dropped)
+    first = next(pi for pi in enumerate_signatures(n, _bound(n)) if dropped in branch(pi))
+    result = verification.check_oracle_restriction(n, _bound(n))
+    assert not result.ok and result.detail == f"count mismatch at {first}"
+
+
+@pytest.mark.parametrize("n", ORACLE_NS)
+def test_common_extension_oracle_names_the_first_bad_witness(monkeypatch, n):
+    """A `common_extension` that answers when it should but always with the
+    zero parent fails at the first pair, in `product` order, whose children
+    the zero parent does not restrict to."""
+    zero = enumerate_signatures(n, 0)[0]
+
+    def zero_witness(sigmas):
+        return None if REAL_COMMON_EXTENSION(sigmas) is None else zero
+
+    monkeypatch.setattr(verification, "common_extension", zero_witness)
+    a, b = next(
+        (a, b)
+        for a, b in product(enumerate_signatures(n - 1, _bound(n)), repeat=2)
+        if zero_witness([a, b]) is not None and not (REAL_RESTRICTS_TO(zero, a) and REAL_RESTRICTS_TO(zero, b))
+    )
+    result = verification.check_oracle_common_extension(n, _bound(n))
+    assert not result.ok and result.detail == f"bad witness at {a} vs {b}"
 
 
 # SO(2) enumerates -bound..bound and is no prefix; the common-extension
