@@ -263,8 +263,9 @@ def _require_same_ctx(sigs: Sequence[Signature], minimum_n: int, op: str) -> Gro
     if not sigs:
         raise PreconditionViolated(f"{op} needs a nonempty list")
     ctx = sigs[0].ctx
-    if any(s.ctx != ctx for s in sigs):
-        raise ContextMismatch(f"{op} needs signatures of one group")
+    for s in sigs:
+        if s.ctx is not ctx and s.ctx != ctx:
+            raise ContextMismatch(f"{op} needs signatures of one group")
     if ctx.n < minimum_n:
         raise PreconditionViolated(f"{op} needs n >= {minimum_n}, got {ctx}")
     return ctx

@@ -13,6 +13,11 @@ enumeration, and the parents that restrict to a child are a mask over the
 parent enumeration, of which every smaller bound is a prefix.  They stay
 quadratic in the signatures, so `run_sweep` refuses a bound below 1 and any
 n whose pairs exceed `MAX_ORACLE_PAIRS` before any check runs.
+
+Every row runs at every admitted n, except where the one large-n rule,
+`default_bound(n) == 1`, skips `chain-lemma` and `distance-stability`, and
+where a zero-tail claim is vacuous (`zero-tail-dual` at n = 3 and
+`zero-tail-star` at even n).
 """
 
 from __future__ import annotations
@@ -64,22 +69,23 @@ class CheckResult:
     skipped: bool = False
 
 
-ORACLE_MAX_N = 9
-"""The brute-force pair oracles run for n up to this and are skipped above."""
-
 MAX_ORACLE_PAIRS = 2**18
 """The most signature pairs one check of the sweep may compare.  The pair
 oracles are quadratic in the signatures at the bound: the slowest admitted
 single-n sweeps, (7, 10), (3, 255) and (5, 21), take 3.3 to 4.4 s each (wall
 clock, one run each, 2-vCPU guest), while the checks at (5, 30) compare
-923,521 pairs and take 14 s."""
+923,521 pairs and take 14 s.  Above n = 9 the largest admitted single-n
+sweeps, (10, 5), (11, 5), (14, 4), (15, 4), (20, 3) and (22, 3), take 0.4 to
+4.0 s each (three or four runs each, the same guest under load)."""
 
 MERGE_TRIPLES = 100
 """The seeded random triples `check_merge_certificates` draws per n."""
 
 
 def default_bound(n: int) -> int:
-    """Sweep default: 3 while the lattice is small, 1 from n = 10 on."""
+    """Sweep default: 3 while the lattice is small, 1 from n = 10 on.  This
+    is the sweep's one large-n rule: where it is 1, `chain-lemma` and
+    `distance-stability` are skipped."""
     return 3 if n <= 9 else 1
 
 
@@ -99,8 +105,6 @@ def check_oracle_inseparable(n: int, bound: int, rng=None) -> CheckResult:
     """Closed-form inseparability == branching-set intersection, all ordered
     pairs (order independence comes for free).  Each `branch` set is a mask
     over the child enumeration, so a pair costs one `&` of two ints."""
-    if n > ORACLE_MAX_N:
-        return CheckResult(n, "oracle-inseparable", True, f"skipped above n = {ORACLE_MAX_N}", skipped=True)
     sigs = enumerate_signatures(n, bound)
     masks = _branch_masks(map(branch, sigs), enumerate_signatures(n - 1, bound))
     for (a, ma), (b, mb) in product(zip(sigs, masks), repeat=2):
@@ -116,8 +120,6 @@ def check_oracle_common_extension(n: int, bound: int, rng=None) -> CheckResult:
     probe p are the first `count_signatures(n, p)` (leading entry first); a
     child's probe is one past its leading entry, its largest in absolute
     value.  The witness must be a parent whose bit both masks hold."""
-    if n > ORACLE_MAX_N:
-        return CheckResult(n, "oracle-common-extension", True, f"skipped above n = {ORACLE_MAX_N}", skipped=True)
     children = enumerate_signatures(n - 1, bound)
     parents = enumerate_signatures(n, bound + 1)
     probes = [(1 << count_signatures(n, abs(c.entries[0]) + 1)) - 1 for c in children]
@@ -136,8 +138,6 @@ def check_oracle_common_extension(n: int, bound: int, rng=None) -> CheckResult:
 def check_oracle_restriction(n: int, bound: int, rng=None) -> CheckResult:
     """restricts_to == membership in the enumerated branching set, one mask
     per parent, and the branching set size matches an independent count."""
-    if n > ORACLE_MAX_N:
-        return CheckResult(n, "oracle-restriction", True, f"skipped above n = {ORACLE_MAX_N}", skipped=True)
     parents = enumerate_signatures(n, bound)
     children = enumerate_signatures(n - 1, bound)
     branches = [branch(pi) for pi in parents]
@@ -291,8 +291,8 @@ def check_chain_lemma(n: int, bound: int, rng: random.Random) -> CheckResult:
     pairs are drawn only when the class graph has diameter 2 or more:
     below that no two class sets are 2 apart, so no draw could give a trial
     and `rng` is left as it was."""
-    if n > 9:
-        return CheckResult(n, "chain-lemma", True, "skipped above n = 9", skipped=True)
+    if default_bound(n) == 1:
+        return CheckResult(n, "chain-lemma", True, "skipped where default_bound(n) == 1", skipped=True)
     model = build_dual_model(n, bound)
     if bad := _property1_violation(model):
         return CheckResult(n, "chain-lemma", False, bad)
@@ -360,8 +360,6 @@ def check_germ_mediation(n: int, bound: int, rng=None) -> CheckResult:
     the classes, are its class-restricted layers.  No model point is
     separated (every germ's hull holds a class of the truncation, and every
     class restricts to some germ of it), so none is checked as one."""
-    if n > 9:
-        return CheckResult(n, "germ-mediation", True, "skipped above n = 9", skipped=True)
     model = build_dual_model(n, min(bound, 2))
     space, classes, adj = model.space, model.class_mask, model.space._adj
     for g in range(model.class_count, len(adj)):
@@ -381,8 +379,8 @@ def check_distance_stability(n: int, bound: int, rng=None) -> CheckResult:
     do not move when the truncation grows from bound 3 to bound 4.  The
     small classes are the first `count_signatures(n, 2)` points of both
     models, in the same order, so the layers are compared on that prefix."""
-    if n > 8:
-        return CheckResult(n, "distance-stability", True, "checked for n <= 8", skipped=True)
+    if default_bound(n) == 1:
+        return CheckResult(n, "distance-stability", True, "skipped where default_bound(n) == 1", skipped=True)
     count = count_signatures(n, 2)
     models = build_dual_model(n, 3), build_dual_model(n, 4)
     pts = models[0].space.points
@@ -469,10 +467,9 @@ def worker_count(jobs: int | None, tasks: int) -> int:
 
 def oracle_pairs(n: int, bound: int) -> int:
     """The most signature pairs one check compares at (n, bound): the pair
-    oracles take all pairs of SO(n) or SO(n-1) signatures at the bound, and
-    the zero-tail checks, which run for every n, those at bound 1."""
-    b = bound if n <= ORACLE_MAX_N else min(bound, 1)
-    return max(count_signatures(n, b), count_signatures(n - 1, b)) ** 2
+    oracles take all pairs of SO(n) or SO(n-1) signatures at the bound, at
+    every n (the zero-tail checks take those at bound 1, never more)."""
+    return max(count_signatures(n, bound), count_signatures(n - 1, bound)) ** 2
 
 
 def run_sweep(n_min: int, n_max: int, bound: int | None = None, seed: int = 0, jobs: int | None = None) -> SweepSummary:

@@ -28,7 +28,12 @@ def runs_of(*runs):
 GOLDEN = {
     "verify": (
         ["verify", "--n-min", "3", "--n-max", "12", "--seed", "1", "--format", "json"],
-        "dfcc90f673c6ee4aef0b803a35c15c39fb61fd6cd35405acfd12f2732c745905",
+        "8f8e138aa91e34fe3713dcc89d80c6d5520dc39d8029ce54a5001103b5ab6810",
+    ),
+    # the pair oracles and germ-mediation above n = 9, at a raised bound
+    "verify-n10-12-bound-2": (
+        ["verify", "--n-min", "10", "--n-max", "12", "--bound", "2", "--seed", "1", "--format", "json"],
+        "ce5966042d5aa6ff43c7255be30f9ee2c203c795827d7454a2a90a63e674970e",
     ),
     # the pair oracles at a raised bound, where every table is larger
     "verify-bound-8": (

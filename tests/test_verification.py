@@ -1,7 +1,7 @@
 """The brute-force oracles of the sweep catch a wrong closed form.
 
 Each oracle check is run against a deliberately broken closed form and must
-fail; with the real closed forms every n of the oracle range must pass.
+fail; with the real closed forms every n of the default sweep must pass.
 """
 
 import copy
@@ -20,7 +20,7 @@ from motiondual.cli import main
 from motiondual.signatures import Signature, branch, count_signatures, enumerate_signatures, validate
 from test_dualspace import toy_space
 
-ORACLE_NS = range(3, verification.ORACLE_MAX_N + 1)
+ORACLE_NS = range(3, 13)  # the default range of `motiondual verify`
 REAL_COMMON_EXTENSION = verification.common_extension
 REAL_INSEPARABLE = verification.inseparable
 REAL_RESTRICTS_TO = verification.restricts_to
@@ -54,7 +54,7 @@ def _without_first_interleaving_test(sigmas):
 
 # SO(3) and SO(4) parents have no interleaving test between two child
 # coordinates (every pair of children has a common extension there).
-@pytest.mark.parametrize("n", range(5, verification.ORACLE_MAX_N + 1))
+@pytest.mark.parametrize("n", range(5, 13))
 def test_common_extension_oracle_catches_a_dropped_interleaving_test(monkeypatch, n):
     monkeypatch.setattr(verification, "common_extension", _without_first_interleaving_test)
     result = verification.check_oracle_common_extension(n, _bound(n))
@@ -168,11 +168,21 @@ def no_checks(monkeypatch):
         (["--bound", "-1"], "error: sweep bound must be >= 1, got -1\n"),
         (["--n-min", "5", "--n-max", "5", "--bound", "51"], "error: n = 5, bound = 51: the sweep would compare"),
         (["--n-min", "5", "--n-max", "5", "--bound", "60"], "error: n = 5, bound = 60: the sweep would compare"),
-        (["--n-min", "3", "--n-max", "12", "--bound", "6"], "error: n = 12, bound = 6 is beyond the model size cap"),
+        (["--n-min", "39", "--n-max", "39", "--bound", "2"], "error: n = 39, bound = 2 is beyond the model size cap"),
+        (["--n-min", "12", "--n-max", "12", "--bound", "5"], "error: n = 12, bound = 5: the sweep would compare"),
         (["--n-min", "20", "--n-max", "60"], "error: n = 39, bound = 2 is beyond the model size cap"),
         (["--n-min", "3", "--n-max", str(10**9)], "error: n = 39, bound = 2 is beyond the model size cap"),
     ],
-    ids=["bound-0", "bound-negative", "n5-bound-51", "n5-bound-60", "dual-model-cap", "sub-ideal-cap", "huge-n-range"],
+    ids=[
+        "bound-0",
+        "bound-negative",
+        "n5-bound-51",
+        "n5-bound-60",
+        "dual-model-cap",
+        "n12-bound-5",
+        "sub-ideal-cap",
+        "huge-n-range",
+    ],
 )
 def test_verify_refuses_input_before_any_check(capsys, no_checks, argv, err):
     start = time.perf_counter()
@@ -193,8 +203,28 @@ def test_size_cap_admits_the_default_sweep_and_bound_3():
 
 def test_oracle_pairs_counts_the_larger_group():
     assert verification.oracle_pairs(5, 30) == count_signatures(4, 30) ** 2 == 961**2
-    # above the oracle range only the zero-tail checks compare pairs, at bound 1
-    assert verification.oracle_pairs(12, 30) == count_signatures(12, 1) ** 2
+    assert verification.oracle_pairs(12, 30) == count_signatures(12, 30) ** 2
+
+
+def test_default_sweep_skips_only_the_vacuous_and_large_n_rows():
+    """In `run_sweep(3, 12)` a row is skipped only where its claim is
+    vacuous (zero-tail-dual at n = 3, zero-tail-star at even n) or where
+    `default_bound(n) == 1` (chain-lemma and distance-stability); every
+    row that runs passes."""
+    summary = verification.run_sweep(3, 12)
+    large_n = {"chain-lemma", "distance-stability"}
+    skipped = {(r.n, r.name) for r in summary.results if r.skipped}
+    assert skipped == (
+        {(3, "zero-tail-dual")}
+        | {(n, "zero-tail-star") for n in range(4, 13, 2)}
+        | {(n, name) for n in range(3, 13) if verification.default_bound(n) == 1 for name in large_n}
+    )
+    assert {r.detail for r in summary.results if r.skipped and r.name in large_n} == {
+        "skipped where default_bound(n) == 1"
+    }
+    assert summary.ok
+    nine = next(r for r in summary.results if (r.n, r.name) == (9, "distance-stability"))
+    assert nine.ok and not nine.skipped
 
 
 # --- the chain-lemma check ------------------------------------------------------
