@@ -12,8 +12,10 @@ Every function takes a `DualModel`.  A `Chain` holds one int mask per set
 over the points of the model space it was built on, and every search is the
 space's layered search on masks (`Graph._layers`): the private helpers
 `_violations`, `_admissible`, `_separate` and the space's `_ball` do the set
-algebra.  The construction, the JSON reader and writer and every re-check
-use those masks as they are, so no step hashes the chain's points; the
+algebra, and `_build_chain` is the construction on end masks, which the
+sweep's `chain-lemma` check calls with the class masks it draws.  The
+construction, the JSON reader and writer and every re-check use those
+masks as they are, so no step hashes the chain's points; the
 reader turns each canonical id into a point number by the model's one id
 table and refuses any other spelling.  A class-restricted chain needs class
 end sets, the first `DualModel.class_count` points.  A chain
@@ -273,6 +275,14 @@ def find_admissible_chain(model: DualModel, X: Iterable, Y: Iterable, k: int, re
     if 0 in bits:
         space._mask((*X, *Y))  # UnknownPoint for the first point outside the space
     xm, ym = sum(bits[: len(X)]), sum(bits[len(X) :])
+    return _build_chain(space, xm, ym, k, inside)
+
+
+def _build_chain(space: FiniteT0Space, xm: int, ym: int, k: int, inside: int) -> Chain:
+    """`find_admissible_chain` on masks: the chain for the end masks xm and
+    ym, nonempty masks of points inside the `inside` mask, and k >= 2.
+    PreconditionViolated unless d(xm, ym) >= k inside `inside` within one
+    component; CertificationError if the construction fails its re-checks."""
     d = space._reach(xm, ym, inside)
     if d < k:
         raise PreconditionViolated(f"need d(X, Y) >= {k}, got {d}")

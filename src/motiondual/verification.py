@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product, zip_longest
@@ -296,13 +295,14 @@ def check_chain_lemma(n: int, bound: int, rng: random.Random) -> CheckResult:
     model = build_dual_model(n, bound)
     if bad := _property1_violation(model):
         return CheckResult(n, "chain-lemma", False, bad)
+    # the trials are pairs of class masks; the classes are the first points,
+    # so class indices are point numbers
+    space, classes = model.space, range(model.class_count)
     k = n // 2
-    x, y = (Point(CLASS_KIND, s) for s in sig_mod.extremal_pair(n))
     trials = []
     if k >= 2:
-        trials.append((frozenset([x]), frozenset([y]), k))
-    # the classes are the first points, so class indices are point numbers
-    space, classes = model.space, range(model.class_count)
+        x, y = (space._mask([Point(CLASS_KIND, s)]) for s in sig_mod.extremal_pair(n))
+        trials.append((x, y, k))
     attempts = 0
     futile = space.diameter(model.class_mask) < 2
     while not futile and len(trials) < 51 and attempts < 5000:
@@ -312,10 +312,10 @@ def check_chain_lemma(n: int, bound: int, rng: random.Random) -> CheckResult:
         d = space._reach(xs, ys, model.class_mask)
         if d == inf or d < 2:
             continue
-        trials.append((space._set(xs), space._set(ys), rng.randint(2, int(d))))
+        trials.append((xs, ys, rng.randint(2, int(d))))
     for xs, ys, kk in trials:
         try:
-            chain = chains_mod.find_admissible_chain(model, xs, ys, kk, restrict_to_class=True)
+            chain = chains_mod._build_chain(space, xs, ys, kk, model.class_mask)
             rep = chains_mod.validate_chain(model, chain)
             if not rep.valid or chain.length != kk:
                 return CheckResult(n, "chain-lemma", False, "constructed chain invalid")
@@ -498,6 +498,8 @@ def run_sweep(n_min: int, n_max: int, bound: int | None = None, seed: int = 0, j
     jobs = worker_count(jobs, len(ns))
     tasks = [(n, bound, seed) for n in ns]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool run pays for its import
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_worker, tasks))
     else:

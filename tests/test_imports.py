@@ -1,4 +1,5 @@
-"""Every module of the package uses every name it imports.
+"""Every module of the package uses every name it imports, and importing
+the package loads no process pool.
 
 A name that a module imports and never reads is a leftover of deleted
 code.  `__init__.py` is exempt: its imports are the package's exports.
@@ -7,6 +8,9 @@ class, has a caller in the library or the benchmark.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -127,3 +131,20 @@ def test_guard_reports_an_uncalled_member():
         "    def _private(self): pass\n"
     )
     assert uncalled_members([source], ["getattr(A(), 'named')\nA().used()\n"]) == ["A.stray"]
+
+
+def test_importing_the_package_loads_no_process_pool():
+    """The package, its command line and every library module import
+    neither `concurrent.futures` nor `multiprocessing`: only a sweep with
+    more than one job (`run_sweep`'s pool branch) imports them.  Checked in
+    a fresh interpreter, since this one may have loaded them already."""
+    modules = ["motiondual", "motiondual.cli", *(f"motiondual.{p.stem}" for p in MODULES)]
+    script = (
+        "import importlib, sys\n"
+        f"for name in {modules!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "[]\n"

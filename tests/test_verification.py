@@ -259,13 +259,13 @@ def test_chain_lemma_draws_the_point_set_trials(monkeypatch, n, seed):
     the check draws nothing and builds no chain."""
     bound = verification.default_bound(n)
     built = []
-    real = chains.find_admissible_chain
+    real = chains._build_chain
 
-    def recording(model, X, Y, k, restrict_to_class=True):
-        built.append((frozenset(X), frozenset(Y), k))
-        return real(model, X, Y, k, restrict_to_class)
+    def recording(space, xm, ym, k, inside):
+        built.append((space._set(xm), space._set(ym), k))
+        return real(space, xm, ym, k, inside)
 
-    monkeypatch.setattr(chains, "find_admissible_chain", recording)
+    monkeypatch.setattr(chains, "_build_chain", recording)
     rng, expected = random.Random(f"{seed}:{n}"), random.Random(f"{seed}:{n}")
     result = verification.check_chain_lemma(n, bound, rng)
     assert result.ok, result
@@ -279,6 +279,31 @@ def test_chain_lemma_draws_the_point_set_trials(monkeypatch, n, seed):
     assert rng.getstate() == expected.getstate()
     assert built[n // 2 >= 2 :] == trials
     assert result.detail == f"{len(built)} chains"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("n", range(4, 10))
+def test_chain_lemma_mask_chains_match_find_admissible_chain(monkeypatch, n, seed):
+    """Each chain that the sweep's chain-lemma row builds from its class
+    masks is, mask for mask, the chain `find_admissible_chain` builds from
+    the same points."""
+    built = []
+    real = chains._build_chain
+
+    def recording(space, xm, ym, k, inside):
+        chain = real(space, xm, ym, k, inside)
+        built.append((xm, ym, k, chain))
+        return chain
+
+    monkeypatch.setattr(chains, "_build_chain", recording)
+    results = verification.run_checks_for_n(n, None, seed)
+    monkeypatch.undo()
+    assert all(r.ok for r in results if r.name == "chain-lemma")
+    assert built
+    model = build_dual_model(n, verification.default_bound(n))
+    for xm, ym, k, chain in built:
+        xs, ys = model.space._set(xm), model.space._set(ym)
+        assert chain.masks == chains.find_admissible_chain(model, xs, ys, k).masks
 
 
 @pytest.mark.parametrize("bound", range(1, 9))
