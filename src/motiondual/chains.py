@@ -197,22 +197,24 @@ def chain_lower_bound(model: DualModel, chain: Chain, x, y, restrict_to_class: b
     BFS; a contradiction raises CertificationError (it would mean a bug,
     the bound being a theorem about valid chains)."""
     sets = _valid_masks(model, chain)
-    bad = witness_violations(model, chain, x, y, restrict_to_class)
-    if bad:
+    xb, yb = map(model.space._bit, (x, y))
+    if bad := _witness_faults(model, sets, xb, yb, restrict_to_class):
         raise PreconditionViolated(bad[0])
-    n = len(sets)
-    d = model.space._reach(*map(model.space._bit, (x, y)), _inside(model, restrict_to_class))
-    if d < n:
-        raise CertificationError(f"chain of length {n} contradicted by graph distance {d}")
-    return n
+    d = model.space._reach(xb, yb, _inside(model, restrict_to_class))
+    if d < len(sets):
+        raise CertificationError(f"chain of length {len(sets)} contradicted by graph distance {d}")
+    return len(sets)
 
 
 def witness_violations(model: DualModel, chain: Chain, x, y, restrict_to_class: bool = True) -> tuple[str, ...]:
     """Why x and y are not end witnesses of the (valid) chain: they must be
     two distinct points of a one-set chain, or else x must lie in the first
     set only and y in the last set only; class points when class-restricted."""
-    sets = _masks(model, chain)
-    xb, yb = map(model.space._bit, (x, y))
+    return _witness_faults(model, _masks(model, chain), *map(model.space._bit, (x, y)), restrict_to_class)
+
+
+def _witness_faults(model: DualModel, sets: Sequence[int], xb: int, yb: int, restrict_to_class: bool) -> tuple[str, ...]:
+    """`witness_violations` on the chain's set masks and the witnesses' bits."""
     bad = []
     if len(sets) == 1:
         if not xb & sets[0] or not yb & sets[0]:

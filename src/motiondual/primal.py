@@ -215,15 +215,9 @@ def certificate_from_dict(payload: dict) -> MergeCertificate:
 
 
 def claimed_steps(n: int) -> int:
-    """Walk length of the merge construction, by the residue of n mod 4."""
-    case = n % 4
-    if case == 0:
-        return n // 4 - 1
-    if case == 2:
-        return (n - 2) // 4 - 1
-    if case == 3:
-        return (n - 3) // 4
-    return (n - 1) // 4 - 1
+    """Walk length of the merge construction: floor(n/4), less one unless
+    n = 3 mod 4."""
+    return n // 4 - (n % 4 != 3)
 
 
 def target_count(n: int) -> int:

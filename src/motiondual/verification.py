@@ -7,12 +7,12 @@ certificates on systematic and seeded random inputs, and truncation
 stability of distances.  Checks are pure functions of (n, bound, seed), so
 the sweep can fan out across processes and aggregate order-independently.
 
-The pair oracles build each relation once per check, as bitmasks, and
-test every pair against them: a `branch` set is a mask over the child
-enumeration, and the parents that restrict to a child are a mask over the
-parent enumeration, of which every smaller bound is a prefix.  They stay
-quadratic in the signatures, so `run_sweep` refuses a bound below 1 and any
-n whose pairs exceed `MAX_ORACLE_PAIRS` before any check runs.
+The brute-force oracles read one relation, parent p `branch`es to child c,
+enumerated once per parent at each (n, probe) into a cached table of masks,
+a row per parent and a column per child.  Only `oracle-restriction` reads
+`restricts_to`, the closed form it tests.  The pair oracles stay quadratic
+in the signatures, so `run_sweep` refuses a bound below 1 and any n whose
+pairs exceed `MAX_ORACLE_PAIRS` before any check runs.
 
 Every row runs at every admitted n, except where the one large-n rule,
 `default_bound(n) == 1`, skips `chain-lemma` and `distance-stability`, and
@@ -25,11 +25,11 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product, zip_longest
 from math import inf
-from operator import or_
-from typing import Iterable, Iterator
+from operator import and_, or_
+from typing import Iterator
 
 from . import chains as chains_mod
 from . import constants as constants_mod
@@ -71,11 +71,11 @@ class CheckResult:
 MAX_ORACLE_PAIRS = 2**18
 """The most signature pairs one check of the sweep may compare.  The pair
 oracles are quadratic in the signatures at the bound: the slowest admitted
-single-n sweeps, (7, 10), (3, 255) and (5, 21), take 3.3 to 4.4 s each (wall
-clock, one run each, 2-vCPU guest), while the checks at (5, 30) compare
-923,521 pairs and take 14 s.  Above n = 9 the largest admitted single-n
-sweeps, (10, 5), (11, 5), (14, 4), (15, 4), (20, 3) and (22, 3), take 0.4 to
-4.0 s each (three or four runs each, the same guest under load)."""
+single-n sweeps, (7, 10), (3, 255) and (5, 21), take 1.7 to 2.2 s each (wall
+clock, median of five runs, 2-vCPU guest, Python 3.11), while the checks at
+(5, 30) compare 923,521 pairs and take 5.4 s.  Above n = 9 the largest
+admitted single-n sweeps, (10, 5), (11, 5), (14, 4), (15, 4), (20, 3) and
+(22, 3), take 0.5 to 1.9 s each (median of three runs, the same guest)."""
 
 MERGE_TRIPLES = 100
 """The seeded random triples `check_merge_certificates` draws per n."""
@@ -88,24 +88,30 @@ def default_bound(n: int) -> int:
     return 3 if n <= 9 else 1
 
 
-def _branch_masks(branches: Iterable[list], children: list) -> list[int]:
-    """Each `branch` set as a mask over `children`; a member missing from
-    `children` sets no bit."""
+@lru_cache(maxsize=2)  # a sweep reads each n at its bound b and at b + 1
+def _branch_table(n: int, probe: int) -> tuple:
+    """`branch` of each SO(n) parent at `probe`, run once, as masks: the
+    parents and the SO(n-1) children at `probe`, each parent's row over the
+    children (a member missing from them sets no bit), each child's column
+    over the parents, and the mask of the parents with a member missing."""
+    parents, children = enumerate_signatures(n, probe), enumerate_signatures(n - 1, probe)
     index = {c: i for i, c in enumerate(children)}
-    return [sum(1 << i for c in members if (i := index.get(c)) is not None) for members in branches]
-
-
-def _restriction_masks(parents: list, children: list) -> list[int]:
-    """For each child, the mask over `parents` of those that restrict to it."""
-    return [sum(1 << i for i, pi in enumerate(parents) if restricts_to(pi, c)) for c in children]
+    rows, cols, missing = [0] * len(parents), [0] * len(children), 0
+    for p, pi in enumerate(parents):
+        for c in branch(pi):
+            if (i := index.get(c)) is None:
+                missing |= 1 << p
+            else:
+                rows[p] |= 1 << i
+                cols[i] |= 1 << p
+    return parents, children, rows, cols, missing
 
 
 def check_oracle_inseparable(n: int, bound: int, rng=None) -> CheckResult:
     """Closed-form inseparability == branching-set intersection, all ordered
     pairs (order independence comes for free).  Each `branch` set is a mask
     over the child enumeration, so a pair costs one `&` of two ints."""
-    sigs = enumerate_signatures(n, bound)
-    masks = _branch_masks(map(branch, sigs), enumerate_signatures(n - 1, bound))
+    sigs, _, masks, _, _ = _branch_table(n, bound)
     for (a, ma), (b, mb) in product(zip(sigs, masks), repeat=2):
         if inseparable(a, b) != bool(ma & mb):
             return CheckResult(n, "oracle-inseparable", False, f"mismatch at {a} vs {b}")
@@ -114,38 +120,33 @@ def check_oracle_inseparable(n: int, bound: int, rng=None) -> CheckResult:
 
 def check_oracle_common_extension(n: int, bound: int, rng=None) -> CheckResult:
     """Closed-form parent feasibility == brute-force parent search with the
-    enumeration bound raised one past the largest entry.  Each child has the
-    mask of the parents at bound + 1 that restrict to it, and the parents at
-    probe p are the first `count_signatures(n, p)` (leading entry first); a
-    child's probe is one past its leading entry, its largest in absolute
-    value.  The witness must be a parent whose bit both masks hold."""
+    enumeration bound raised one past the largest entry.  A pair's common
+    parents are the AND of its children's columns at bound + 1, cut to the
+    first `count_signatures(n, p)` at the pair's probe p, one past its largest
+    entry.  The witness must be the least of them in lexicographic order."""
+    parents, wider, _, cols, _ = _branch_table(n, bound + 1)
+    hulls = dict(zip(wider, cols))  # SO(2) at bound is no prefix of SO(2) at bound + 1
     children = enumerate_signatures(n - 1, bound)
-    parents = enumerate_signatures(n, bound + 1)
-    probes = [(1 << count_signatures(n, abs(c.entries[0]) + 1)) - 1 for c in children]
-    position = {pi: i for i, pi in enumerate(parents)}  # a witness that is no parent has no bit
-    rows = zip(children, probes, _restriction_masks(parents, children))
+    rows = [(c, (1 << count_signatures(n, abs(c.entries[0]) + 1)) - 1, hulls[c]) for c in children]
     for (a, pa, ma), (b, pb, mb) in product(rows, repeat=2):
-        both = ma & mb
+        both = ma & mb & max(pa, pb)
         got = common_extension([a, b])
-        if (got is not None) != bool(both & max(pa, pb)):
+        if (got is not None) != bool(both):
             return CheckResult(n, "oracle-common-extension", False, f"mismatch at {a} vs {b}")
-        if got is not None and not both >> position.get(got, len(parents)) & 1:
+        if got is not None and got != parents[(both & -both).bit_length() - 1]:
             return CheckResult(n, "oracle-common-extension", False, f"bad witness at {a} vs {b}")
     return CheckResult(n, "oracle-common-extension", True, f"{len(children) ** 2} pairs")
 
 
 def check_oracle_restriction(n: int, bound: int, rng=None) -> CheckResult:
     """restricts_to == membership in the enumerated branching set, one mask
-    per parent, and the branching set size matches an independent count."""
-    parents = enumerate_signatures(n, bound)
-    children = enumerate_signatures(n - 1, bound)
-    branches = [branch(pi) for pi in parents]
-    for pi, members, row in zip(parents, branches, _branch_masks(branches, children)):
+    per parent, with no member missing from the child enumeration."""
+    parents, children, rows, _, missing = _branch_table(n, bound)
+    for p, (pi, row) in enumerate(zip(parents, rows)):
         if moved := row ^ sum(1 << i for i, sigma in enumerate(children) if restricts_to(pi, sigma)):
             sigma = children[(moved & -moved).bit_length() - 1]
             return CheckResult(n, "oracle-restriction", False, f"mismatch at {pi} | {sigma}")
-        within = sum(1 for s in members if max((abs(e) for e in s.entries), default=0) <= bound)
-        if row.bit_count() != within:
+        if missing >> p & 1:
             return CheckResult(n, "oracle-restriction", False, f"count mismatch at {pi}")
     return CheckResult(n, "oracle-restriction", True, f"{len(parents) * len(children)} pairs")
 
@@ -198,17 +199,18 @@ def check_big_d(n: int, bound: int, rng=None) -> CheckResult:
 def _min_primal_oracle(n: int, bound: int) -> list:
     """`min_primal` by hull enumeration: a germ ideal is minimal unless the
     hull of some other germ ideal strictly contains its hull, with hulls
-    and competitors enumerated one bound above every kept entry.  Each hull
-    is the mask of the parents that restrict to the germ's signature."""
-    probe = bound + 1
-    children = enumerate_signatures(n - 1, probe)
-    hulls = dict(zip(children, _restriction_masks(enumerate_signatures(n, probe), children)))
-    kept = []
-    for i in primal_mod.sub_ideals(n, bound):
-        h = hulls[i.sig]
-        if i.kind == LINE_KIND or not any(h | o == o != h for o in hulls.values()):
-            kept.append(i)
-    return kept
+    and competitors enumerated one bound above every kept entry.  A hull is
+    a child's column, and the hulls that contain it are those of the
+    children in every row of its parents."""
+    _, children, rows, cols, _ = _branch_table(n, bound + 1)
+    everything = (1 << len(cols)) - 1
+
+    def minimal(h: int) -> bool:
+        over = reduce(and_, (rows[p] for p in _members(h)), everything)
+        return all(cols[o] == h for o in _members(over))
+
+    hulls = dict(zip(children, cols))
+    return [i for i in primal_mod.sub_ideals(n, bound) if i.kind == LINE_KIND or minimal(hulls[i.sig])]
 
 
 def check_min_primal_parity(n: int, bound: int, rng=None) -> CheckResult:

@@ -275,8 +275,22 @@ def test_zero_tail_star_exhaustive(n):
 # --- merge certificates ----------------------------------------------------------------
 
 
+def case_table_steps(n):
+    """The merge walk length case by case on n mod 4, as the construction
+    states it: the oracle for the one-line `claimed_steps`."""
+    case = n % 4
+    if case == 0:
+        return n // 4 - 1
+    if case == 2:
+        return (n - 2) // 4 - 1
+    if case == 3:
+        return (n - 3) // 4
+    return (n - 1) // 4 - 1
+
+
 def test_case_table():
     assert [claimed_steps(n) for n in range(3, 13)] == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]
+    assert [claimed_steps(n) for n in range(3, 401)] == [case_table_steps(n) for n in range(3, 401)]
     assert [target_count(n) for n in range(3, 13)] == [1, 1, 3, 3, 1, 1, 3, 3, 1, 1]
     for n in range(3, 13):
         assert implied_k_bound(n) == expected_k_bound(n) == Fraction((n + 1) // 2, 2)

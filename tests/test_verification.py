@@ -7,6 +7,7 @@ fail; with the real closed forms every n of the default sweep must pass.
 import copy
 import random
 import time
+from collections import Counter
 from itertools import product
 from math import inf
 
@@ -14,7 +15,7 @@ import pytest
 
 from motiondual import chains, verification
 from motiondual.chains import ChainReport
-from motiondual.dualspace import CLASS_KIND, GERM_KIND, DualModel, Point, build_dual_model
+from motiondual.dualspace import CLASS_KIND, GERM_KIND, DualModel, Graph, Point, build_dual_model
 from motiondual.errors import CertificationError
 from motiondual.cli import main
 from motiondual.signatures import Signature, branch, count_signatures, enumerate_signatures, validate
@@ -28,6 +29,38 @@ REAL_RESTRICTS_TO = verification.restricts_to
 
 def _bound(n):
     return verification.default_bound(n)
+
+
+@pytest.fixture(autouse=True)
+def fresh_branch_table():
+    """The oracles share a cached `branch` table; a test that patches
+    `enumerate_signatures` or `branch` must not see, or leave, a stale one."""
+    verification._branch_table.cache_clear()
+    yield
+    verification._branch_table.cache_clear()
+
+
+def test_one_sweep_runs_branch_once_per_parent_and_restricts_to_only_in_its_oracle(monkeypatch):
+    """Over one default sweep `branch` runs once per parent at (n, b) and at
+    (n, b + 1), and `restricts_to` once per pair of `oracle-restriction`."""
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(verification, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    for name in ("branch", "restricts_to"):
+        monkeypatch.setattr(verification, name, counting(name))
+    summary = verification.run_sweep(3, 12)
+    assert summary.ok
+    assert calls["branch"] == sum(count_signatures(n, _bound(n)) + count_signatures(n, _bound(n) + 1) for n in ORACLE_NS)
+    restriction = [r for r in summary.results if r.name == "oracle-restriction"]
+    assert calls["restricts_to"] == sum(int(r.detail.split()[0]) for r in restriction)
 
 
 @pytest.mark.parametrize("n", ORACLE_NS)
@@ -134,6 +167,22 @@ def test_common_extension_oracle_names_the_first_bad_witness(monkeypatch, n):
         for a, b in product(enumerate_signatures(n - 1, _bound(n)), repeat=2)
         if zero_witness([a, b]) is not None and not (REAL_RESTRICTS_TO(zero, a) and REAL_RESTRICTS_TO(zero, b))
     )
+    result = verification.check_oracle_common_extension(n, _bound(n))
+    assert not result.ok and result.detail == f"bad witness at {a} vs {b}"
+
+
+@pytest.mark.parametrize("n", ORACLE_NS)
+def test_common_extension_oracle_wants_the_least_common_parent(monkeypatch, n):
+    """A `common_extension` that answers with a larger common parent, its
+    leading entry raised by one, fails at the first pair that has one."""
+
+    def raised(sigmas):
+        got = REAL_COMMON_EXTENSION(sigmas)
+        return None if got is None else Signature((got.entries[0] + 1,) + got.entries[1:], got.ctx)
+
+    monkeypatch.setattr(verification, "common_extension", raised)
+    a, b = next(p for p in product(enumerate_signatures(n - 1, _bound(n)), repeat=2) if raised(list(p)) is not None)
+    assert all(REAL_RESTRICTS_TO(raised([a, b]), c) for c in (a, b))  # still a common parent
     result = verification.check_oracle_common_extension(n, _bound(n))
     assert not result.ok and result.detail == f"bad witness at {a} vs {b}"
 
@@ -304,6 +353,19 @@ def test_chain_lemma_mask_chains_match_find_admissible_chain(monkeypatch, n, see
     for xm, ym, k, chain in built:
         xs, ys = model.space._set(xm), model.space._set(ym)
         assert chain.masks == chains.find_admissible_chain(model, xs, ys, k).masks
+
+
+def test_chain_lemma_looks_up_each_end_witness_once(monkeypatch):
+    """Over the default sweep's chain-lemma rows, `Graph._bit` runs twice for
+    each extremal pair and twice for each chain, in `chain_lower_bound`."""
+    calls = []
+    real = Graph._bit
+    monkeypatch.setattr(Graph, "_bit", lambda self, p: calls.append(p) or real(self, p))
+    details = [verification.check_chain_lemma(n, _bound(n), random.Random(f"0:{n}")).detail for n in ORACLE_NS]
+    chain_count = sum(int(d.split()[0]) for d in details if d.endswith(" chains"))
+    extremal = sum(1 for n in ORACLE_NS if n // 2 >= 2 and _bound(n) > 1)
+    assert (chain_count, extremal) == (306, 6)
+    assert len(calls) == 2 * extremal + 2 * chain_count == 624
 
 
 @pytest.mark.parametrize("bound", range(1, 9))
