@@ -38,7 +38,6 @@ from .primal import (
     star_adjacent,
     sub_ideals,
     validate_certificate,
-    zero_tail_star_step,
 )
 from .signatures import (
     GroupContext,

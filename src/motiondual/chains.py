@@ -43,19 +43,6 @@ from typing import Iterable, Sequence
 from .dualspace import DualModel, FiniteT0Space, Point, _point_number, _union, point_from_id
 from .errors import CertificationError, PreconditionViolated, UnknownPoint
 
-__all__ = [
-    "Chain",
-    "ChainReport",
-    "chain_for_distance",
-    "chain_lower_bound",
-    "chain_to_json",
-    "find_admissible_chain",
-    "is_admissible",
-    "separate",
-    "validate_chain",
-    "witness_violations",
-]
-
 
 @dataclass(frozen=True, slots=True)
 class Chain:

@@ -184,8 +184,9 @@ def cmd_chain(args) -> int:
 def _read_json_file(path: str, kind: str, parse):
     """Load a JSON object from `path` and return `parse(payload)`.
 
-    A file that cannot be read or parsed is a usage error (exit 1), not a
-    verification failure.
+    A file that cannot be read or parsed, JSON nested past the decoder's
+    recursion limit too, is a usage error (exit 1), not a verification
+    failure.
     """
     try:
         with open(path) as fh:
@@ -193,7 +194,7 @@ def _read_json_file(path: str, kind: str, parse):
         if not isinstance(payload, dict):
             raise TypeError("top level is not a JSON object")
         return parse(payload)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise PreconditionViolated(
             f"cannot parse {kind} file {path}: {type(exc).__name__}: {exc}"
         ) from exc

@@ -404,7 +404,7 @@ def model_points(n: int, bound: int) -> int:
     return count_signatures(n, bound) + count_signatures(n - 1, bound)
 
 
-@lru_cache(maxsize=16)  # a sweep revisits at most 4 bounds per n
+@lru_cache(maxsize=16)  # a sweep revisits at most 5 bounds per n
 def build_dual_model(n: int, bound: int) -> DualModel:
     """Model of the dual of R^n x SO(n) truncated at the given leading entry.
 

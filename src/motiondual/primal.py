@@ -48,7 +48,6 @@ from .signatures import (
     int_field,
     merge_max,
     restricts_to,
-    tail_start,
     walk_from_dict,
     walk_violations,
 )
@@ -145,25 +144,6 @@ def min_primal(n: int, bound: int) -> list[Point]:
     if n % 2 == 0:
         return ideals
     return [i for i in ideals if i.kind == LINE_KIND or i.sig.entries[-1] == 0]
-
-
-def zero_tail_star_step(sigma: Signature, sigma_prime: Signature) -> bool:
-    """Tail-propagation along sub-ideal adjacency, for germ signatures of an
-    odd parent group: if sigma vanishes beyond position i <= k-2 then any
-    adjacent sigma' vanishes beyond position i+1.  This is the potential
-    function behind the lower bound for the sub-ideal graph diameter."""
-    ctx = sigma.ctx
-    if sigma_prime.ctx != ctx:
-        raise ContextMismatch("germ signatures live in different groups")
-    if ctx.n % 2:
-        raise PreconditionViolated("the tail step applies to germ signatures of an odd parent")
-    if not star_adjacent(Point(GERM_KIND, sigma), Point(GERM_KIND, sigma_prime)):
-        raise PreconditionViolated("the tail step needs adjacent germ ideals")
-    k = ctx.k
-    i = tail_start(sigma.entries)
-    if i > k - 2:
-        return True
-    return all(sigma_prime.entries[j] == 0 for j in range(i + 1, k))
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,20 @@
 """The full verification sweep behind `motiondual verify`.
 
 Every check re-derives one family of claims on truncated models: the
-closed forms against their brute-force oracles, the tail-step invariants,
-the computed graph invariants against the closed formulas, chain and walk
-certificates on systematic and seeded random inputs, and truncation
-stability of distances.  Checks are pure functions of (n, bound, seed), so
-the sweep can fan out across processes and aggregate order-independently.
+closed forms against their brute-force oracles, the zero-tail step on the
+edges of the bound-1 graphs that Orc and D are computed on, the computed
+graph invariants against the closed formulas, chain and walk certificates
+on systematic and seeded random inputs, and truncation stability of
+distances.  Checks are pure functions of (n, bound, seed), so the sweep can
+fan out across processes and aggregate order-independently.
 
 The brute-force oracles read one relation, parent p `branch`es to child c,
 enumerated once per parent at each (n, probe) into a cached table of masks,
 a row per parent and a column per child.  Only `oracle-restriction` reads
-`restricts_to`, the closed form it tests.  The pair oracles stay quadratic
-in the signatures, so `run_sweep` refuses a bound below 1 and any n whose
-pairs exceed `MAX_ORACLE_PAIRS` before any check runs.
+`restricts_to`, the closed form it tests, and only the other two pair
+oracles call `inseparable` and `common_extension`.  The pair oracles stay
+quadratic in the signatures, so `run_sweep` refuses a bound below 1 and any
+n whose pairs exceed `MAX_ORACLE_PAIRS` before any check runs.
 
 Every row runs at every admitted n, except where the one large-n rule,
 `default_bound(n) == 1`, skips `chain-lemma` and `distance-stability`, and
@@ -26,7 +28,7 @@ import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import product, zip_longest
+from itertools import product, repeat, zip_longest
 from math import inf
 from operator import and_, or_
 from typing import Iterator
@@ -151,32 +153,48 @@ def check_oracle_restriction(n: int, bound: int, rng=None) -> CheckResult:
     return CheckResult(n, "oracle-restriction", True, f"{len(parents) * len(children)} pairs")
 
 
+def _tail_step_violation(sigs, masks, k: int):
+    """The zero-tail step on a graph, the potential argument behind the
+    lower bounds Orc >= floor(n/2) and D: along an edge the zero tail moves
+    by at most one position.  `sigs` are signatures of length k in point
+    order, and `masks[i]` is the neighbor mask of `sigs[i]`; bits past the
+    signatures are ignored.  Returns the first joined pair (a, b), in point
+    order of a and then b, where b has a nonzero entry more than one
+    position past a's last nonzero entry, or None when every edge keeps the
+    step."""
+    tails = [tail_start(s.entries) for s in sigs]
+    past = [0] * (k + 2)  # past[t]: the signatures with a nonzero entry past position t
+    for i, t in enumerate(tails):
+        for u in range(t):
+            past[u] |= 1 << i
+    for a, (t, row) in enumerate(zip(tails, masks)):
+        if bad := row & past[t + 1]:
+            return sigs[a], sigs[(bad & -bad).bit_length() - 1]
+    return None
+
+
 def check_zero_tail_dual(n: int, bound: int, rng=None) -> CheckResult:
-    """Inseparable classes propagate zero tails one position at a time."""
-    k = n // 2
-    if k < 2:
+    """The tail step on the class edges of the bound-1 dual model, the
+    graph Orc is computed on (the classes come first in point order)."""
+    if n // 2 < 2:
         return CheckResult(n, "zero-tail-dual", True, "vacuous below k = 2", skipped=True)
-    sigs = enumerate_signatures(n, min(bound, 1))
-    for a, b in product(sigs, repeat=2):
-        if not inseparable(a, b):
-            continue
-        i = tail_start(a.entries)
-        if i <= k - 2 and any(b.entries[j] != 0 for j in range(i + 1, k)):
-            return CheckResult(n, "zero-tail-dual", False, f"counterexample {a} vs {b}")
+    model = build_dual_model(n, 1)
+    sigs = [p.sig for p in model.space.points[: model.class_count]]
+    if bad := _tail_step_violation(sigs, model.space._adj, n // 2):
+        return CheckResult(n, "zero-tail-dual", False, "counterexample {} vs {}".format(*bad))
     return CheckResult(n, "zero-tail-dual", True, f"{len(sigs)}^2 pairs at bound 1")
 
 
 def check_zero_tail_star(n: int, bound: int, rng=None) -> CheckResult:
-    """Tail propagation along sub-ideal adjacency, odd parent groups only."""
+    """The tail step on the germ edges of the bound-1 sub-ideal graph, the
+    graph D is computed on (the germ ideals come first), odd n only."""
     if n % 2 == 0:
         return CheckResult(n, "zero-tail-star", True, "applies to odd n only", skipped=True)
-    germs = [Point(GERM_KIND, s) for s in enumerate_signatures(n - 1, min(bound, 1))]
-    for a, b in product(germs, repeat=2):
-        if not primal_mod.star_adjacent(a, b):
-            continue
-        if not primal_mod.zero_tail_star_step(a.sig, b.sig):
-            return CheckResult(n, "zero-tail-star", False, f"counterexample {a.sig} vs {b.sig}")
-    return CheckResult(n, "zero-tail-star", True, f"{len(germs)}^2 pairs at bound 1")
+    graph = primal_mod.star_graph(n, 1)
+    sigs = [p.sig for p in graph.points if p.kind == GERM_KIND]
+    if bad := _tail_step_violation(sigs, graph._adj, n // 2):
+        return CheckResult(n, "zero-tail-star", False, "counterexample {} vs {}".format(*bad))
+    return CheckResult(n, "zero-tail-star", True, f"{len(sigs)}^2 pairs at bound 1")
 
 
 def check_orc(n: int, bound: int, rng=None) -> CheckResult:
@@ -454,10 +472,6 @@ class SweepSummary:
         }
 
 
-def _worker(args) -> list[CheckResult]:
-    return run_checks_for_n(*args)
-
-
 def worker_count(jobs: int | None, tasks: int) -> int:
     """Worker processes for `tasks` tasks: the requested count (default 1),
     at most one per task and per CPU."""
@@ -470,7 +484,7 @@ def worker_count(jobs: int | None, tasks: int) -> int:
 def oracle_pairs(n: int, bound: int) -> int:
     """The most signature pairs one check compares at (n, bound): the pair
     oracles take all pairs of SO(n) or SO(n-1) signatures at the bound, at
-    every n (the zero-tail checks take those at bound 1, never more)."""
+    every n."""
     return max(count_signatures(n, bound), count_signatures(n - 1, bound)) ** 2
 
 
@@ -498,14 +512,13 @@ def run_sweep(n_min: int, n_max: int, bound: int | None = None, seed: int = 0, j
             raise PreconditionViolated(f"{exc} (the sub-ideals of the big-d check)") from None
     ns = list(range(n_min, n_max + 1))
     jobs = worker_count(jobs, len(ns))
-    tasks = [(n, bound, seed) for n in ns]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool run pays for its import
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_worker, tasks))
+            chunks = list(pool.map(run_checks_for_n, ns, repeat(bound), repeat(seed)))
     else:
-        chunks = [run_checks_for_n(*t) for t in tasks]
+        chunks = [run_checks_for_n(n, bound, seed) for n in ns]
     results = tuple(r for chunk in chunks for r in chunk)
     results = tuple(sorted(results, key=lambda r: (r.n, r.name)))
     return SweepSummary(results, tuple(r.name for r in chunks[0]), all(r.ok for r in results))

@@ -21,7 +21,6 @@ from motiondual.primal import (
     star_adjacent,
     sub_ideals,
     validate_certificate,
-    zero_tail_star_step,
 )
 from motiondual.signatures import (
     branch,
@@ -32,8 +31,9 @@ from motiondual.signatures import (
     validate,
     walk,
 )
-from motiondual.verification import run_sweep
+from motiondual.verification import check_zero_tail_dual, check_zero_tail_star, run_sweep
 from test_chains import chain_of
+from test_signatures import zero_tail_step_holds
 
 
 def report(num, name, ok, detail=""):
@@ -198,25 +198,21 @@ def test_criterion_8_chain_lemma():
 
 
 def test_criterion_9_zero_tail():
+    """The pairwise reference, on the closed-form relations, and the sweep's
+    rows, on the edges of the bound-1 graphs Orc and D are computed on."""
     counterexamples = 0
     for n in range(4, 12):
-        k = n // 2
-        sigs = enumerate_signatures(n, 1)
-        for a in sigs:
-            tail = next((i for i in range(k, 0, -1) if a.entries[i - 1] != 0), 0)
-            if tail > k - 2:
-                continue
-            for b in sigs:
-                if inseparable(a, b) and any(b.entries[j] != 0 for j in range(tail + 1, k)):
-                    counterexamples += 1
+        relations = [(enumerate_signatures(n, 1), inseparable)]
         if n % 2 == 1:
-            sigmas = enumerate_signatures(n - 1, 1)
-            for a in sigmas:
-                for b in sigmas:
-                    ga, gb = Point(GERM_KIND, a), Point(GERM_KIND, b)
-                    if star_adjacent(ga, gb) and not zero_tail_star_step(a, b):
+            star = lambda a, b: star_adjacent(Point(GERM_KIND, a), Point(GERM_KIND, b))  # noqa: E731
+            relations.append((enumerate_signatures(n - 1, 1), star))
+        for sigs, joined in relations:
+            for a in sigs:
+                for b in sigs:
+                    if joined(a, b) and not zero_tail_step_holds(a, b):
                         counterexamples += 1
-    assert report(9, "zero-tail steps hold exhaustively at bound 1, N=4..11", counterexamples == 0)
+    rows_ok = all(check(n, 1).ok for n in range(4, 12) for check in (check_zero_tail_dual, check_zero_tail_star))
+    assert report(9, "zero-tail steps hold exhaustively at bound 1, N=4..11", counterexamples == 0 and rows_ok)
 
 
 def test_criterion_10_truncation_stability_and_sweep():

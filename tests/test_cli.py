@@ -560,6 +560,18 @@ def test_certify_non_json_is_usage_error(capsys, tmp_path):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command, kind", [("chain", "chain"), ("certify", "certificate")])
+def test_check_of_deeply_nested_json_is_usage_error(capsys, tmp_path, command, kind):
+    # nested past the JSON decoder's recursion limit: one line and exit 1,
+    # not a RecursionError traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    code, _, err = run([command, "--check", str(deep)], capsys)
+    assert code == 1
+    assert err.startswith(f"error: cannot parse {kind} file {deep}: RecursionError")
+    assert len(err.splitlines()) == 1
+
+
 def test_certify_needs_three_signatures(capsys):
     code, _, err = run(["certify", "--n", "6", "1,0", "2,0"], capsys)
     assert code == 1

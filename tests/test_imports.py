@@ -4,7 +4,8 @@ the package loads no process pool.
 A name that a module imports and never reads is a leftover of deleted
 code.  `__init__.py` is exempt: its imports are the package's exports.
 Likewise every export, and every public method or property of a library
-class, has a caller in the library or the benchmark.
+class, has a caller in the library or the benchmark, and the ones whose
+only caller is the benchmark are pinned by name.
 """
 
 import ast
@@ -131,6 +132,47 @@ def test_guard_reports_an_uncalled_member():
         "    def _private(self): pass\n"
     )
     assert uncalled_members([source], ["getattr(A(), 'named')\nA().used()\n"]) == ["A.stray"]
+
+
+# Kept only because `perfbench/` binds them: ROADMAP direction 1 deletes them
+# with the next benchmark change.
+BENCHMARK_ONLY = {"Graph.bfs", "glimm_partition", "separate", "star_adjacent"}
+
+
+def benchmark_only(library: list[str], bench: list[str], exported) -> list[str]:
+    """The exports and the public members of the library classes that the
+    benchmark reads, by attribute or string, and no library source does: an
+    export read by name counts too, wherever it is read."""
+    bench_refs = set().union(*(references(source, names=False) for source in bench))
+    names = set().union(*(references(source) for source in library))
+    attrs = set().union(*(references(source, names=False) for source in library))
+    found = {name for name in exported if name in bench_refs and name not in names}
+    found |= {
+        m for source in library for m in public_members(source) if m.split(".")[1] in bench_refs - attrs
+    }
+    return sorted(found)
+
+
+def test_benchmark_only_api_is_pinned():
+    """The API that only the benchmark calls is exactly `BENCHMARK_ONLY`: a
+    new benchmark-only name, or a library caller for one of them, fails."""
+    library = [p.read_text() for p in MODULES]
+    bench = [p.read_text() for p in PERFBENCH.glob("*.py")]
+    assert benchmark_only(library, bench, exports()) == sorted(BENCHMARK_ONLY)
+
+
+def test_guard_reports_benchmark_only_api():
+    library = (
+        "def helper(): pass\n"
+        "def bench_only(): pass\n"
+        "def user(): return helper()\n"
+        "class G:\n"
+        "    def bfs(self): pass\n"
+        "    def size(self): pass\n"
+        "    def depth(self): return self.size()\n"
+    )
+    bench = "m.helper()\nm.bench_only()\ng.bfs()\ng.size()\n"
+    assert benchmark_only([library], [bench], ["helper", "bench_only", "user"]) == ["G.bfs", "bench_only"]
 
 
 def test_importing_the_package_loads_no_process_pool():

@@ -24,10 +24,10 @@ from motiondual.primal import (
     sub_ideals,
     target_count,
     validate_certificate,
-    zero_tail_star_step,
 )
 from motiondual.signatures import Signature, Walk, common_restriction, enumerate_signatures, restricts_to, validate
 from test_primal_oracle import hull
+from test_signatures import zero_tail_step_holds
 
 
 def germ(entries, n_child):
@@ -249,18 +249,8 @@ def test_zero_tail_star_zero_signature():
     z = validate([0, 0], 4)
     for other in enumerate_signatures(4, 1):
         if star_adjacent(germ(z.entries, 4), germ(other.entries, 4)):
-            assert zero_tail_star_step(z, other)
+            assert zero_tail_step_holds(z, other)
             assert all(e == 0 for e in other.entries[1:])
-
-
-def test_zero_tail_star_requires_adjacency():
-    with pytest.raises(PreconditionViolated):
-        zero_tail_star_step(validate([1, 1], 4), validate([0, 0], 4))
-
-
-def test_zero_tail_star_requires_odd_parent():
-    with pytest.raises(PreconditionViolated):
-        zero_tail_star_step(validate([0], 3), validate([0], 3))
 
 
 @pytest.mark.parametrize("n", [5, 7, 9])
@@ -269,7 +259,7 @@ def test_zero_tail_star_exhaustive(n):
     for a in sigmas:
         for b in sigmas:
             if star_adjacent(germ(a.entries, n - 1), germ(b.entries, n - 1)):
-                assert zero_tail_star_step(a, b), (a, b)
+                assert zero_tail_step_holds(a, b), (a, b)
 
 
 # --- merge certificates ----------------------------------------------------------------

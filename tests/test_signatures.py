@@ -461,24 +461,29 @@ def test_walk_violations_detects_tampering():
 # --- zero tail --------------------------------------------------------------
 
 
-def _tail_start(t):
-    for i in range(len(t), 0, -1):
-        if t[i - 1] != 0:
-            return i
-    return 0
+def zero_tail_step_holds(a, b):
+    """The zero-tail step for an edge a - b, as the paper states it: if a
+    vanishes beyond position i <= k - 2, then b vanishes beyond position
+    i + 1.  The reference the sweep's zero-tail rows are checked against."""
+    k = len(a.entries)
+    i = next((j for j in range(k, 0, -1) if a.entries[j - 1] != 0), 0)
+    return i > k - 2 or all(b.entries[j] == 0 for j in range(i + 1, k))
 
 
 @pytest.mark.parametrize("n", range(4, 10))
 def test_zero_tail_dual(n):
-    k = n // 2
     sigs = enumerate_signatures(n, 1)
     for a in sigs:
         for b in sigs:
-            if not inseparable(a, b):
-                continue
-            i = _tail_start(a.entries)
-            if i <= k - 2:
-                assert all(b.entries[j] == 0 for j in range(i + 1, k)), (a, b)
+            if inseparable(a, b):
+                assert zero_tail_step_holds(a, b), (a, b)
+
+
+def test_zero_tail_step_reference_rejects_a_long_tail():
+    zero, ones = validate([0, 0], 5), validate([1, 1], 5)
+    assert not zero_tail_step_holds(zero, ones)
+    assert zero_tail_step_holds(ones, zero)
+    assert zero_tail_step_holds(validate([1, 0], 5), ones)
 
 
 # --- serialization ----------------------------------------------------------

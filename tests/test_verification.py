@@ -8,18 +8,21 @@ import copy
 import random
 import time
 from collections import Counter
+from functools import reduce
 from itertools import product
 from math import inf
+from operator import and_
 
 import pytest
 
-from motiondual import chains, verification
+from motiondual import chains, primal, signatures, verification
 from motiondual.chains import ChainReport
 from motiondual.dualspace import CLASS_KIND, GERM_KIND, DualModel, Graph, Point, build_dual_model
 from motiondual.errors import CertificationError
 from motiondual.cli import main
 from motiondual.signatures import Signature, branch, count_signatures, enumerate_signatures, validate
 from test_dualspace import toy_space
+from test_signatures import zero_tail_step_holds
 
 ORACLE_NS = range(3, 13)  # the default range of `motiondual verify`
 REAL_COMMON_EXTENSION = verification.common_extension
@@ -195,6 +198,78 @@ def test_enumeration_at_p_is_a_prefix_of_p_plus_one(n):
         smaller, larger = enumerate_signatures(n, p), enumerate_signatures(n, p + 1)
         assert larger[: len(smaller)] == smaller
         assert len(smaller) == count_signatures(n, p)
+
+
+# --- the zero-tail checks -------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_tail_step_names_the_first_pair_of_the_pairwise_loop(n):
+    """On random graphs over the signatures, of random density and with
+    stray bits past them, the tail step finds the first failing pair of the
+    ordered pair loop, or none where the loop finds none."""
+    sigs = enumerate_signatures(n, 3)
+    rng = random.Random(n)
+    for _ in range(20):
+        sparsity = rng.randint(2, 6)  # each bit is set with probability 2^-sparsity
+        masks = [reduce(and_, (rng.getrandbits(len(sigs) + 4) for _ in range(sparsity))) for _ in sigs]
+        want = next(
+            ((a, b) for (a, m), (j, b) in product(zip(sigs, masks), enumerate(sigs)) if m >> j & 1 and not zero_tail_step_holds(a, b)),
+            None,
+        )
+        assert verification._tail_step_violation(sigs, masks, n // 2) == want
+
+
+def _with_edge(adj, i, j):
+    """The neighbor masks `adj` with the edge i - j planted."""
+    adj = list(adj)
+    adj[i] |= 1 << j
+    adj[j] |= 1 << i
+    return tuple(adj)
+
+
+def test_zero_tail_dual_fails_on_a_planted_class_edge(monkeypatch):
+    """The row reads the class edges of the bound-1 model: an edge from the
+    zero class to 1,1, whose tail is one position too long, fails it."""
+    model = build_dual_model(5, 1)
+    space = copy.copy(model.space)
+    space._adj = _with_edge(space._adj, space._number["class:0,0"], space._number["class:1,1"])
+    monkeypatch.setattr(verification, "build_dual_model", lambda n, bound: DualModel(space, n, bound, model.class_count))
+    result = verification.check_zero_tail_dual(5, 3)
+    assert (result.ok, result.detail) == (False, "counterexample 0,0 vs 1,1")
+
+
+def test_zero_tail_star_fails_on_a_planted_germ_edge(monkeypatch):
+    """The row reads the germ edges of the bound-1 sub-ideal graph: an edge
+    from the zero germ to 1,1 fails it."""
+    graph = primal.star_graph(5, 1)
+    planted = Graph(graph.points, _with_edge(graph._adj, graph._number["germ:0,0"], graph._number["germ:1,1"]))
+    monkeypatch.setattr(primal, "star_graph", lambda n, bound: planted)
+    result = verification.check_zero_tail_star(5, 3)
+    assert (result.ok, result.detail) == (False, "counterexample 0,0 vs 1,1")
+
+
+def test_zero_tail_rows_call_no_pairwise_closed_form(monkeypatch):
+    """Both rows, model builds included, read graph edges only: neither
+    calls `inseparable`, `star_adjacent` or `common_extension`."""
+
+    def forbidden(*args):
+        raise AssertionError("a zero-tail row called a pairwise closed form")
+
+    for module, name in [
+        (verification, "inseparable"),
+        (verification, "common_extension"),
+        (signatures, "inseparable"),
+        (signatures, "common_extension"),
+        (primal, "common_extension"),
+        (primal, "star_adjacent"),
+    ]:
+        monkeypatch.setattr(module, name, forbidden)
+    build_dual_model.cache_clear()
+    primal.star_graph.cache_clear()
+    for n in ORACLE_NS:
+        for check in (verification.check_zero_tail_dual, verification.check_zero_tail_star):
+            assert check(n, _bound(n)).ok
 
 
 # --- input refusals ------------------------------------------------------------
