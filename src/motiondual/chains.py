@@ -13,7 +13,9 @@ over the points of the model space it was built on, and every search is the
 space's layered search on masks (`Graph._layers`): the private helpers
 `_violations`, `_admissible`, `_separate` and the space's `_ball` do the set
 algebra, and `_build_chain` is the construction on end masks, which the
-sweep's `chain-lemma` check calls with the class masks it draws.  The
+sweep's `chain-lemma` check calls with the class masks it draws; the check
+re-checks each chain once with `validate_chain`, then on its masks with
+`_admissible` and `_lower_bound`.  The
 construction, the JSON reader and writer and every re-check use those
 masks as they are, so no step hashes the chain's points; the
 reader turns each canonical id into a point number by the model's one id
@@ -183,8 +185,12 @@ def chain_lower_bound(model: DualModel, chain: Chain, x, y, restrict_to_class: b
     """Certify d(x, y) >= chain length and re-check it with an independent
     BFS; a contradiction raises CertificationError (it would mean a bug,
     the bound being a theorem about valid chains)."""
-    sets = _valid_masks(model, chain)
-    xb, yb = map(model.space._bit, (x, y))
+    return _lower_bound(model, _valid_masks(model, chain), *map(model.space._bit, (x, y)), restrict_to_class)
+
+
+def _lower_bound(model: DualModel, sets: Sequence[int], xb: int, yb: int, restrict_to_class: bool) -> int:
+    """`chain_lower_bound` on the valid chain's set masks and the witnesses'
+    bits."""
     if bad := _witness_faults(model, sets, xb, yb, restrict_to_class):
         raise PreconditionViolated(bad[0])
     d = model.space._reach(xb, yb, _inside(model, restrict_to_class))

@@ -68,7 +68,7 @@ def _require_germs(*ideals: Point) -> None:
     for i in ideals:
         if i.kind != GERM_KIND:
             raise PreconditionViolated("ideal containment is defined for germ ideals")
-    if len({i.sig.ctx for i in ideals}) > 1:
+    if any(i.sig.ctx is not ideals[0].sig.ctx for i in ideals):
         raise ContextMismatch("germ ideals live in different groups")
 
 
@@ -87,7 +87,7 @@ def star_adjacent(I: Point, J: Point) -> bool:
     """True when the two sub-ideals sum to a proper ideal.  Reflexive; a
     line kernel is maximal, hence adjacent only to itself; two germ ideals
     are adjacent exactly when a common parent class exists."""
-    if I.sig.ctx != J.sig.ctx:
+    if I.sig.ctx is not J.sig.ctx:
         raise ContextMismatch("sub-ideals live in different groups")
     if I == J:
         return True
@@ -150,7 +150,7 @@ def min_primal(n: int, bound: int) -> list[Point]:
 # merge certificates
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MergeCertificate:
     """Containers, walks and targets certifying the derivation-constant
     bound for one triple of germ signatures."""
@@ -206,11 +206,13 @@ def target_count(n: int) -> int:
     return 1 if n % 4 in (0, 3) else 3
 
 
+@lru_cache(maxsize=64)  # a Fraction is immutable; `validate_certificate` asks once per certificate
 def implied_k_bound(n: int) -> Fraction:
     steps = Fraction(claimed_steps(n))
     return steps + 1 if target_count(n) == 1 else steps + Fraction(3, 2)
 
 
+@lru_cache(maxsize=64)
 def expected_k_bound(n: int) -> Fraction:
     return Fraction((n + 1) // 2, 2)
 
@@ -231,7 +233,7 @@ def merge_certificate(n: int, s1: Signature, s2: Signature, s3: Signature) -> Me
         raise PreconditionViolated("merge certificates need n >= 3")
     child = GroupContext(n - 1)
     sigmas = (s1, s2, s3)
-    if any(s.ctx != child for s in sigmas):
+    if any(s.ctx is not child for s in sigmas):
         raise ContextMismatch(f"inputs must be {child} signatures")
     parent = GroupContext(n)
     k, c = parent.k, child.k
@@ -273,7 +275,7 @@ def merge_certificate(n: int, s1: Signature, s2: Signature, s3: Signature) -> Me
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertificateReport:
     ok: bool
     violations: tuple[str, ...]
@@ -316,9 +318,9 @@ def validate_certificate(cert: MergeCertificate, bound: int | None = None) -> Ce
     ends_known = shape == (3, 3, 3) and len(cert.targets) == target_count(n)
 
     for i, (sigma, container) in enumerate(zip(cert.inputs, cert.containers), start=1):
-        if sigma.ctx != child:
+        if sigma.ctx is not child:
             bad.append(f"input {i} is not an {child} signature")
-        elif container.ctx != parent or not restricts_to(container, sigma):
+        elif container.ctx is not parent or not restricts_to(container, sigma):
             bad.append(f"container {i} does not restrict to input {i}")
 
     for i, w in enumerate(cert.walks, start=1):

@@ -40,15 +40,38 @@ from .errors import (
     WrongLength,
 )
 
-@dataclass(frozen=True)
+_CONTEXTS: dict[int, "GroupContext"] = {}  # one GroupContext per n; a run sees a few dozen
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class GroupContext:
-    """The rotation group SO(n), n >= 1."""
+    """The rotation group SO(n), n >= 1.
+
+    There is one instance per n (hash-consing): the constructor, `child`,
+    pickle and copy all return it, so equal contexts are the same object and
+    compare by identity.  The hash is that of the tuple (n,), the same in
+    every process."""
 
     n: int
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise PreconditionViolated(f"SO({self.n}) is not a group context; need n >= 1")
+    def __new__(cls, n: int) -> "GroupContext":
+        # keyed by true ints only: 5.0 and True hash and compare as 5 and 1
+        if type(n) is not int:
+            raise PreconditionViolated(f"SO({n!r}) is not a group context; n must be an integer")
+        ctx = _CONTEXTS.get(n)
+        if ctx is None:
+            if n < 1:
+                raise PreconditionViolated(f"SO({n}) is not a group context; need n >= 1")
+            ctx = object.__new__(cls)
+            object.__setattr__(ctx, "n", n)
+            ctx = _CONTEXTS.setdefault(n, ctx)
+        return ctx
+
+    def __reduce__(self):
+        return GroupContext, (self.n,)
+
+    def __hash__(self) -> int:
+        return hash((self.n,))
 
     @property
     def k(self) -> int:
@@ -93,7 +116,7 @@ def _check_entries(entries: tuple[int, ...], ctx: GroupContext) -> None:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
     """A validated signature; constructing an invalid one raises."""
 
@@ -264,7 +287,7 @@ def _require_same_ctx(sigs: Sequence[Signature], minimum_n: int, op: str) -> Gro
         raise PreconditionViolated(f"{op} needs a nonempty list")
     ctx = sigs[0].ctx
     for s in sigs:
-        if s.ctx is not ctx and s.ctx != ctx:
+        if s.ctx is not ctx:
             raise ContextMismatch(f"{op} needs signatures of one group")
     if ctx.n < minimum_n:
         raise PreconditionViolated(f"{op} needs n >= {minimum_n}, got {ctx}")
@@ -348,7 +371,7 @@ def merge_max(sigs: Sequence[Signature]) -> list[int]:
     return [max(map(abs, col)) for col in zip(*(s.entries for s in sigs))]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Walk:
     """A sequence of signatures with, for every consecutive pair, a child
     signature witnessing that both restrictions contain it."""
@@ -382,7 +405,7 @@ def walk_violations(w: Walk) -> tuple[str, ...]:
     if not w.steps:
         return ("walk has no steps",)
     ctx = w.steps[0].ctx
-    if any(s.ctx != ctx for s in w.steps):
+    if any(s.ctx is not ctx for s in w.steps):
         bad.append("steps mix group contexts")
     if len(w.witnesses) != len(w.steps) - 1:
         bad.append("witness count does not match step count")

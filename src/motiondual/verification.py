@@ -339,10 +339,11 @@ def check_chain_lemma(n: int, bound: int, rng: random.Random) -> CheckResult:
             rep = chains_mod.validate_chain(model, chain)
             if not rep.valid or chain.length != kk:
                 return CheckResult(n, "chain-lemma", False, "constructed chain invalid")
-            ok, wx, wy = chains_mod.is_admissible(model, chain, restrict_to_class=True)
-            if not ok:
+            # the chain is valid, so re-check it on its masks: no point ids
+            hit = chains_mod._admissible(space, chain.masks, model.class_mask)
+            if hit is None:
                 return CheckResult(n, "chain-lemma", False, "constructed chain inadmissible")
-            chains_mod.chain_lower_bound(model, chain, wx, wy, restrict_to_class=True)
+            chains_mod._lower_bound(model, chain.masks, 1 << hit[0], 1 << hit[1], True)
         except MotionDualError as exc:
             return CheckResult(n, "chain-lemma", False, str(exc))
     return CheckResult(n, "chain-lemma", True, f"{len(trials)} chains")

@@ -734,6 +734,24 @@ def test_package_invocation_subprocess(argv, code, err):
     assert proc.stderr.startswith(err) and len(proc.stderr.splitlines()) == (1 if err else 0)
 
 
+def test_verify_json_is_the_same_under_every_hash_seed():
+    """The default sweep's JSON does not depend on the string-hash salt: no
+    set or dict of signatures, points or ids orders an output."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "motiondual", "verify", "--format", "json"],
+            stdout=subprocess.PIPE,
+            env=dict(env, PYTHONHASHSEED=seed),
+            cwd=REPO,
+        )
+        for seed in ("0", "1")
+    ]
+    outputs = [proc.communicate(timeout=120)[0] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert outputs[0] == outputs[1] and outputs[0].startswith(b"{")
+
+
 # --- non-integer fields in --check files ---------------------------------------
 
 

@@ -136,7 +136,7 @@ def test_guard_reports_an_uncalled_member():
 
 # Kept only because `perfbench/` binds them: ROADMAP direction 1 deletes them
 # with the next benchmark change.
-BENCHMARK_ONLY = {"Graph.bfs", "glimm_partition", "separate", "star_adjacent"}
+BENCHMARK_ONLY = {"Graph.bfs", "glimm_partition", "is_admissible", "separate", "star_adjacent"}
 
 
 def benchmark_only(library: list[str], bench: list[str], exported) -> list[str]:

@@ -1,3 +1,10 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +18,7 @@ from motiondual.errors import (
     SignatureError,
     WrongLength,
 )
+from motiondual.primal import merge_certificate, validate_certificate
 from motiondual.signatures import (
     GroupContext,
     Signature,
@@ -507,3 +515,84 @@ def test_walk_json_roundtrip():
 def test_walk_violations_empty_for_valid():
     w = walk(sig([0, 0], 4), sig([2, 1], 4))
     assert walk_violations(w) == ()
+
+
+# --- value semantics -----------------------------------------------------------
+
+
+def test_group_context_is_one_instance_per_n():
+    for n in range(1, 14):
+        ctx = GroupContext(n)
+        assert ctx is GroupContext(n) and validate((0,) * ctx.k, n).ctx is ctx
+        assert hash(ctx) == hash((n,)) and repr(ctx) == f"GroupContext(n={n})" and str(ctx) == f"so{n}"
+        if n >= 2:
+            assert ctx.child is GroupContext(n - 1)
+    assert GroupContext(5) == GroupContext(5) != GroupContext(6)
+    # the operations that make signatures hand out the cached contexts
+    pi = sig([2, 1, 0], 7)
+    assert branch(pi)[0].ctx is common_restriction([pi, pi]).ctx is GroupContext(6)
+    assert common_extension([pi, pi]).ctx is GroupContext(8)
+    w = walk_from_dict(walk(pi, sig([1, 1, 1], 7)).to_dict())
+    assert {s.ctx for s in w.steps} == {GroupContext(7)} and w.witnesses[0].ctx is GroupContext(6)
+
+
+def test_group_context_round_trips_to_the_same_object():
+    ctx = GroupContext(7)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(ctx, protocol)) is ctx
+    assert copy.copy(ctx) is ctx and copy.deepcopy(ctx) is ctx
+    s = sig([2, 1, 0], 7)
+    for clone in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+        assert clone == s and clone.ctx is ctx
+
+
+@pytest.mark.parametrize("n", [0, -1, "5", 5.0, True], ids=repr)
+def test_group_context_refuses_what_is_not_a_positive_int(n):
+    GroupContext(5), GroupContext(1)  # 5.0 and True equal these cached keys
+    before = dict(signatures._CONTEXTS)
+    with pytest.raises(PreconditionViolated, match="is not a group context"):
+        GroupContext(n)
+    assert signatures._CONTEXTS == before
+    assert all(type(key) is int and key >= 1 for key in signatures._CONTEXTS)
+
+
+def test_group_context_is_frozen():
+    ctx = GroupContext(4)
+    with pytest.raises(FrozenInstanceError):
+        ctx.n = 5
+    with pytest.raises(FrozenInstanceError):
+        del ctx.n
+    assert ctx.n == 4 and ctx.k == 2
+
+
+def test_signature_records_are_slotted_and_frozen():
+    cert = merge_certificate(7, sig([1, 0, 0], 6), sig([2, 1, -1], 6), sig([1, 1, 1], 6))
+    records = {
+        "entries": sig([2, 1], 5),
+        "steps": walk(sig([0, 0], 5), sig([1, 1], 5)),
+        "inputs": cert,
+        "ok": validate_certificate(cert),
+    }
+    for field, record in records.items():
+        assert not hasattr(record, "__dict__"), type(record)
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, field, None)
+
+
+_PICKLE_SCRIPT = """
+import pickle
+from motiondual.signatures import validate
+print(pickle.dumps(validate((2, -1), 4)).hex())
+"""
+
+
+def test_pickled_signature_is_found_as_a_dict_key():
+    """A signature pickled by a process with another string-hash salt is
+    found here: its hash is computed again, from its entries and n."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(signatures.__file__)), PYTHONHASHSEED="3")
+    proc = subprocess.run(
+        [sys.executable, "-c", _PICKLE_SCRIPT], capture_output=True, text=True, env=env, check=True, timeout=60
+    )
+    s = pickle.loads(bytes.fromhex(proc.stdout.strip()))
+    table = {sig([2, -1], 4): "here", sig([2, 1], 4): "other"}
+    assert table[s] == "here" and s.ctx is GroupContext(4)

@@ -432,7 +432,8 @@ def test_chain_lemma_mask_chains_match_find_admissible_chain(monkeypatch, n, see
 
 def test_chain_lemma_looks_up_each_end_witness_once(monkeypatch):
     """Over the default sweep's chain-lemma rows, `Graph._bit` runs twice for
-    each extremal pair and twice for each chain, in `chain_lower_bound`."""
+    each extremal pair and never for a trial chain, which is re-checked on
+    its masks."""
     calls = []
     real = Graph._bit
     monkeypatch.setattr(Graph, "_bit", lambda self, p: calls.append(p) or real(self, p))
@@ -440,7 +441,17 @@ def test_chain_lemma_looks_up_each_end_witness_once(monkeypatch):
     chain_count = sum(int(d.split()[0]) for d in details if d.endswith(" chains"))
     extremal = sum(1 for n in ORACLE_NS if n // 2 >= 2 and _bound(n) > 1)
     assert (chain_count, extremal) == (306, 6)
-    assert len(calls) == 2 * extremal + 2 * chain_count == 624
+    assert len(calls) == 2 * extremal == 12
+
+
+def test_chain_lemma_validates_each_trial_chain_once(monkeypatch):
+    """Over the default sweep's chain-lemma rows, `chains._violations` runs
+    twice per chain: once in the construction and once in `validate_chain`."""
+    calls = []
+    real = chains._violations
+    monkeypatch.setattr(chains, "_violations", lambda space, sets: calls.append(sets) or real(space, sets))
+    details = [verification.check_chain_lemma(n, _bound(n), random.Random(f"0:{n}")).detail for n in ORACLE_NS]
+    assert len(calls) == 2 * sum(int(d.split()[0]) for d in details if d.endswith(" chains")) == 612
 
 
 @pytest.mark.parametrize("bound", range(1, 9))
@@ -455,19 +466,32 @@ def contradicted(*args, **kwargs):
     raise CertificationError("stand-in")
 
 
-# Each public re-check that the chain-lemma check makes after a construction
-# must run: a failing stand-in for it fails the check.
+def admissible_then_none(real):
+    """A stand-in for `_admissible`: the real answer for the construction's
+    own call, None for the re-check that the check makes after it."""
+    calls = []
+
+    def fake(space, sets, within):
+        calls.append(sets)
+        return real(space, sets, within) if len(calls) % 2 else None
+
+    return fake
+
+
+# Each re-check that the chain-lemma check makes after a construction must
+# run: a failing stand-in for it fails the check.  Each entry makes the
+# stand-in from the real function.
 FAILING_RECHECKS = {
-    "validate_chain": (lambda model, chain: ChainReport(False, ("stand-in",)), "constructed chain invalid"),
-    "is_admissible": (lambda model, chain, restrict_to_class=True: (False, None, None), "constructed chain inadmissible"),
-    "chain_lower_bound": (contradicted, "stand-in"),
+    "validate_chain": (lambda real: lambda model, chain: ChainReport(False, ("stand-in",)), "constructed chain invalid"),
+    "_admissible": (admissible_then_none, "constructed chain inadmissible"),
+    "_lower_bound": (lambda real: contradicted, "stand-in"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(FAILING_RECHECKS))
 def test_chain_lemma_runs_every_recheck(monkeypatch, name):
-    fake, detail = FAILING_RECHECKS[name]
-    monkeypatch.setattr(chains, name, fake)
+    make, detail = FAILING_RECHECKS[name]
+    monkeypatch.setattr(chains, name, make(getattr(chains, name)))
     result = verification.check_chain_lemma(6, 3, random.Random(0))
     assert not result.ok and result.detail == detail
 
