@@ -19,14 +19,16 @@ re-checks each chain once with `validate_chain`, then on its masks with
 construction, the JSON reader and writer and every re-check use those
 masks as they are, so no step hashes the chain's points; the
 reader turns each canonical id into a point number by the model's one id
-table and refuses any other spelling.  A class-restricted chain needs class
-end sets, the first `DualModel.class_count` points.  A chain
+table and refuses any other spelling.  A chain
 checked on another model than its own must be over the same points (the
 same model rebuilt after a cache eviction); any other raises UnknownPoint.
 
 Topological operations (closure, separation, neighborhoods used during
 construction) run on the full model relation; distance certificates are
-class-restricted by default, matching the faithful metric on the classes.
+class-restricted, matching the faithful metric on the classes: end sets
+and witnesses are classes, the first `DualModel.class_count` points, and
+distances are searched inside `DualModel.class_mask` (the sweep's
+`germ-mediation` check tests that germs add no shortcut between classes).
 
 The chain lemma rests on the paper's Property 1: the classes form a closed,
 relatively discrete set, and one-step neighborhoods of closed sets are
@@ -64,12 +66,6 @@ class Chain:
 class ChainReport:
     valid: bool
     violations: tuple[str, ...]
-
-
-def _inside(model: DualModel, restrict_to_class: bool) -> int:
-    """The mask of the vertices a search may use: the classes when
-    class-restricted, else every point."""
-    return model.class_mask if restrict_to_class else model.space._within(None)
 
 
 def _closed(space: FiniteT0Space, s: int) -> bool:
@@ -172,10 +168,10 @@ def validate_chain(model: DualModel, chain: Chain) -> ChainReport:
     return ChainReport(not bad, bad)
 
 
-def is_admissible(model: DualModel, chain: Chain, restrict_to_class: bool = True):
+def is_admissible(model: DualModel, chain: Chain):
     """Search for end witnesses at finite distance; returns (found, x, y)."""
     space = model.space
-    hit = _admissible(space, _valid_masks(model, chain), _inside(model, restrict_to_class))
+    hit = _admissible(space, _valid_masks(model, chain), model.class_mask)
     if hit is None:
         return False, None, None
     return True, space.points[hit[0]], space.points[hit[1]]
@@ -184,29 +180,32 @@ def is_admissible(model: DualModel, chain: Chain, restrict_to_class: bool = True
 def chain_lower_bound(model: DualModel, chain: Chain, x, y, restrict_to_class: bool = True) -> int:
     """Certify d(x, y) >= chain length and re-check it with an independent
     BFS; a contradiction raises CertificationError (it would mean a bug,
-    the bound being a theorem about valid chains)."""
-    return _lower_bound(model, _valid_masks(model, chain), *map(model.space._bit, (x, y)), restrict_to_class)
+    the bound being a theorem about valid chains).  The flag is the one
+    `chain_from_json` returns, and any value but True is refused."""
+    if restrict_to_class is not True:
+        raise PreconditionViolated(f"chains are class-restricted, got restrict_to_class={restrict_to_class!r}")
+    return _lower_bound(model, _valid_masks(model, chain), *map(model.space._bit, (x, y)))
 
 
-def _lower_bound(model: DualModel, sets: Sequence[int], xb: int, yb: int, restrict_to_class: bool) -> int:
+def _lower_bound(model: DualModel, sets: Sequence[int], xb: int, yb: int) -> int:
     """`chain_lower_bound` on the valid chain's set masks and the witnesses'
     bits."""
-    if bad := _witness_faults(model, sets, xb, yb, restrict_to_class):
+    if bad := _witness_faults(model, sets, xb, yb):
         raise PreconditionViolated(bad[0])
-    d = model.space._reach(xb, yb, _inside(model, restrict_to_class))
+    d = model.space._reach(xb, yb, model.class_mask)
     if d < len(sets):
         raise CertificationError(f"chain of length {len(sets)} contradicted by graph distance {d}")
     return len(sets)
 
 
-def witness_violations(model: DualModel, chain: Chain, x, y, restrict_to_class: bool = True) -> tuple[str, ...]:
+def witness_violations(model: DualModel, chain: Chain, x, y) -> tuple[str, ...]:
     """Why x and y are not end witnesses of the (valid) chain: they must be
     two distinct points of a one-set chain, or else x must lie in the first
-    set only and y in the last set only; class points when class-restricted."""
-    return _witness_faults(model, _masks(model, chain), *map(model.space._bit, (x, y)), restrict_to_class)
+    set only and y in the last set only; both must be classes."""
+    return _witness_faults(model, _masks(model, chain), *map(model.space._bit, (x, y)))
 
 
-def _witness_faults(model: DualModel, sets: Sequence[int], xb: int, yb: int, restrict_to_class: bool) -> tuple[str, ...]:
+def _witness_faults(model: DualModel, sets: Sequence[int], xb: int, yb: int) -> tuple[str, ...]:
     """`witness_violations` on the chain's set masks and the witnesses' bits."""
     bad = []
     if len(sets) == 1:
@@ -219,21 +218,20 @@ def _witness_faults(model: DualModel, sets: Sequence[int], xb: int, yb: int, res
             bad.append("x must lie in the first set and not the second")
         if not yb & sets[-1] or yb & sets[-2]:
             bad.append("y must lie in the last set and not the second-to-last")
-    inside = _inside(model, restrict_to_class)
-    if restrict_to_class and not (xb & inside and yb & inside):
+    if not (xb & model.class_mask and yb & model.class_mask):
         bad.append("end witnesses of a class-restricted chain must be classes")
     return tuple(bad)
 
 
-def chain_for_distance(model: DualModel, x, y, k: int, restrict_to_class: bool = True) -> tuple[Chain, int]:
+def chain_for_distance(model: DualModel, x, y, k: int) -> tuple[Chain, int]:
     """A chain certifying d(x, y) >= k, and the bound it certifies: the
     admissible chain of length k for k >= 2, else the one-set chain on the
     whole space."""
     if k >= 2:
-        chain = find_admissible_chain(model, [x], [y], k, restrict_to_class)
+        chain = find_admissible_chain(model, [x], [y], k)
     else:
         chain = Chain(model.space, (model.space._within(None),))
-    return chain, chain_lower_bound(model, chain, x, y, restrict_to_class)
+    return chain, chain_lower_bound(model, chain, x, y)
 
 
 def separate(model: DualModel, Y: Iterable, Z: Iterable):
@@ -249,28 +247,26 @@ def separate(model: DualModel, Y: Iterable, Z: Iterable):
     return None if sep is None else (space._set(sep[0]), space._set(sep[1]))
 
 
-def find_admissible_chain(model: DualModel, X: Iterable, Y: Iterable, k: int, restrict_to_class: bool = True) -> Chain:
+def find_admissible_chain(model: DualModel, X: Iterable, Y: Iterable, k: int) -> Chain:
     """Build an admissible chain of length k with X in the first set only
-    and Y in the last set only, given d(X, Y) >= k >= 2 within one component.
+    and Y in the last set only, given class end sets at distance
+    d(X, Y) >= k >= 2 within one component.
 
     Construction: separate X from the (k-2)-neighborhood of Y, take closed
     complements, then repeatedly separate the accumulated front from the
     shrinking neighborhoods of Y.  The result is re-validated before return.
     """
     space = model.space
-    inside = _inside(model, restrict_to_class)
     X, Y = frozenset(X), frozenset(Y)
     if not X or not Y:
         raise PreconditionViolated("X and Y must be nonempty")
-    bits = [space._bit(p) for p in (*X, *Y)]  # each end point looked up once
-    if restrict_to_class and not all(b & inside for b in bits):
+    bits = [space._bit(p) for p in (*X, *Y)]  # each end point looked up once; 0 off the space
+    if not all(b & model.class_mask for b in bits):
         raise PreconditionViolated("class-restricted chains need class end sets")
     if k < 2:
         raise PreconditionViolated("chain construction needs k >= 2")
-    if 0 in bits:
-        space._mask((*X, *Y))  # UnknownPoint for the first point outside the space
     xm, ym = sum(bits[: len(X)]), sum(bits[len(X) :])
-    return _build_chain(space, xm, ym, k, inside)
+    return _build_chain(space, xm, ym, k, model.class_mask)
 
 
 def _build_chain(space: FiniteT0Space, xm: int, ym: int, k: int, inside: int) -> Chain:
@@ -315,35 +311,36 @@ def _build_chain(space: FiniteT0Space, xm: int, ym: int, k: int, inside: int) ->
     return Chain(space, tuple(sets))
 
 
-def chain_to_json(model: DualModel, chain: Chain, x=None, y=None, restrict_to_class: bool = True) -> dict:
-    payload = {
+def chain_to_json(model: DualModel, chain: Chain, x, y) -> dict:
+    """The certificate file of the chain and its end witnesses x and y."""
+    sets = [model.space._sorted_ids(m) for m in _masks(model, chain)]
+    model.space._mask((x, y))  # UnknownPoint for a point outside the space
+    return {
         "n": model.n,
         "bound": model.bound,
-        "restrict_to_class": restrict_to_class,
+        "restrict_to_class": True,
         "length": chain.length,
-        "sets": [model.space._sorted_ids(m) for m in _masks(model, chain)],
+        "sets": sets,
+        "x": str(x),
+        "y": str(y),
     }
-    if x is not None and y is not None:
-        model.space._mask((x, y))  # UnknownPoint for a point outside the space
-        payload["x"], payload["y"] = str(x), str(y)
-    return payload
 
 
-def chain_from_json(model: DualModel, payload: dict) -> tuple[Chain, Point | None, Point | None, bool]:
+def chain_from_json(model: DualModel, payload: dict) -> tuple[Chain, Point, Point, bool]:
     """The chain of a `chain_to_json` payload as masks over the model's
-    space, its end witnesses and its restriction flag.  Each id becomes a
-    point number through the model's id table, so only canonical ids are
-    read.  The witnesses x and y come together or not at all: a payload
-    with one of them raises KeyError naming the other.  Sets that are not
-    a list of lists raise TypeError."""
+    space, its end witnesses and its restriction flag, which is always
+    True.  Each id becomes a point number through the model's id table, so
+    only canonical ids are read.  Every key the writer writes must be
+    there: KeyError names the first one missing.  A flag other than true
+    and sets that are not a list of lists raise TypeError."""
+    keys = ("n", "bound", "restrict_to_class", "length", "sets", "x", "y")
+    if missing := [key for key in keys if key not in payload]:
+        raise KeyError(missing[0])
+    if (flag := payload["restrict_to_class"]) is not True:
+        raise TypeError(f"restrict_to_class must be true, got {flag!r}")
     lists = payload["sets"]
     if not isinstance(lists, list) or not all(isinstance(ids, list) for ids in lists):
         raise TypeError("sets must be a list of lists of point ids")
     sets = tuple(reduce(or_, (1 << _point_number(model, pid) for pid in ids), 0) for ids in lists)
-    x = y = None
-    if "x" in payload or "y" in payload:
-        x, y = (point_from_id(model, payload[key]) for key in ("x", "y"))
-    restrict = payload.get("restrict_to_class", True)
-    if not isinstance(restrict, bool):
-        raise TypeError(f"restrict_to_class must be true or false, got {restrict!r}")
-    return Chain(model.space, sets), x, y, restrict
+    x, y = (point_from_id(model, payload[key]) for key in ("x", "y"))
+    return Chain(model.space, sets), x, y, True

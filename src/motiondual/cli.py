@@ -138,22 +138,19 @@ def _same_as_file(args, **fields) -> None:
 
 def cmd_chain(args) -> int:
     if args.check:
-        model, chain, x, y, restrict, length = _read_json_file(args.check, "chain", _chain_from_payload)
+        model, chain, x, y, length = _read_json_file(args.check, "chain", _chain_from_payload)
         _same_as_file(args, n=model.n, bound=model.bound)
         rep = chains_mod.validate_chain(model, chain)
         bad = list(rep.violations)
         if length != chain.length:
             bad.append(f"length {length} differs from the {chain.length} sets")
-        if rep.valid and x is not None and y is not None:
-            bad += chains_mod.witness_violations(model, chain, x, y, restrict)
+        if rep.valid:
+            bad += chains_mod.witness_violations(model, chain, x, y)
         if bad:
             print("invalid chain: " + "; ".join(bad), file=sys.stderr)
             return 2
-        if x is not None and y is not None:
-            lb = chains_mod.chain_lower_bound(model, chain, x, y, restrict_to_class=restrict)
-            print(f"chain of length {chain.length} certifies distance >= {lb}")
-        else:
-            print(f"chain of length {chain.length} is valid")
+        lb = chains_mod.chain_lower_bound(model, chain, x, y)
+        print(f"chain of length {chain.length} certifies distance >= {lb}")
         return 0
     if args.n is None:
         raise PreconditionViolated("chain needs --n (or --check FILE)")
@@ -202,7 +199,8 @@ def _read_json_file(path: str, kind: str, parse):
 
 def _chain_from_payload(payload: dict):
     model = build_dual_model(int_field(payload, "n"), int_field(payload, "bound"))
-    return (model, *chains_mod.chain_from_json(model, payload), int_field(payload, "length"))
+    chain, x, y, _ = chains_mod.chain_from_json(model, payload)
+    return model, chain, x, y, int_field(payload, "length")
 
 
 def _certificate_from_payload(payload: dict) -> primal_mod.MergeCertificate:
@@ -309,7 +307,7 @@ def build_parser() -> Parser:
     p.add_argument("sig1", nargs="?")
     p.add_argument("sig2", nargs="?")
     p.add_argument("--k", type=int, default=None, help="chain length (default: the distance)")
-    p.add_argument("--check", default=None, help="re-verify a chain certificate file (n and bound from the file)")
+    p.add_argument("--check", default=None, help="re-check a chain file and its end witnesses (n and bound from the file)")
     p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser("certify", help="merge certificate for three germ signatures")

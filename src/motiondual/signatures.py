@@ -177,26 +177,16 @@ def validate(entries: Sequence[int], n: int) -> Signature:
 
 @lru_cache(maxsize=64)  # a sweep revisits about a dozen (n, bound) keys at a time
 def _enumerate_cached(n: int, bound: int) -> tuple[Signature, ...]:
+    """Built one entry at a time: each prefix, kept in lexicographic order,
+    grows by every entry from 0 (from -hi for an even n's last entry) up to
+    hi, the prefix's last entry or else `bound`.  No closure refers to
+    itself, so a cold enumeration leaves no cycle for the collector."""
     ctx = GroupContext(n)
-    k = ctx.k
-    if k == 0:
-        return (Signature((), ctx),)
-    if n == 2:
-        return tuple(Signature((m,), ctx) for m in range(-bound, bound + 1))
-    out: list[Signature] = []
-
-    def rec(prefix: tuple[int, ...]) -> None:
-        i = len(prefix)
-        if i == k:
-            out.append(Signature(prefix, ctx))
-            return
-        hi = prefix[-1] if prefix else bound
-        lo = -hi if (n % 2 == 0 and i == k - 1) else 0
-        for v in range(lo, hi + 1):
-            rec(prefix + (v,))
-
-    rec(())
-    return tuple(out)
+    rows: list[tuple[int, ...]] = [()]
+    for i in range(ctx.k):
+        mirror = n % 2 == 0 and i == ctx.k - 1
+        rows = [r + (v,) for r in rows for hi in (r[-1] if r else bound,) for v in range(-hi if mirror else 0, hi + 1)]
+    return tuple(Signature(r, ctx) for r in rows)
 
 
 def enumerate_signatures(n: int, bound: int) -> list[Signature]:

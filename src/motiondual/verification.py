@@ -343,7 +343,7 @@ def check_chain_lemma(n: int, bound: int, rng: random.Random) -> CheckResult:
             hit = chains_mod._admissible(space, chain.masks, model.class_mask)
             if hit is None:
                 return CheckResult(n, "chain-lemma", False, "constructed chain inadmissible")
-            chains_mod._lower_bound(model, chain.masks, 1 << hit[0], 1 << hit[1], True)
+            chains_mod._lower_bound(model, chain.masks, 1 << hit[0], 1 << hit[1])
         except MotionDualError as exc:
             return CheckResult(n, "chain-lemma", False, str(exc))
     return CheckResult(n, "chain-lemma", True, f"{len(trials)} chains")

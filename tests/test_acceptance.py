@@ -72,10 +72,10 @@ def test_criterion_2_extremal_distance():
         d = distance(model, x, y)
         w = walk(x.sig, y.sig)
         if k >= 2:
-            chain = find_admissible_chain(model, [x], [y], k, restrict_to_class=True)
+            chain = find_admissible_chain(model, [x], [y], k)
         else:
             chain = chain_of(model, [model.space.points])
-        lb = chain_lower_bound(model, chain, x, y, restrict_to_class=True)
+        lb = chain_lower_bound(model, chain, x, y)
         ok = ok and d == k and w.length == k and lb == k
     assert report(2, "extremal distance floor(N/2) with walk and chain certificates", ok)
 
@@ -185,8 +185,8 @@ def test_criterion_8_chain_lemma():
                 continue
             trials.append((xs, ys, rng.randint(2, int(d))))
         for xs, ys, kk in trials:
-            chain = find_admissible_chain(model, xs, ys, kk, restrict_to_class=True)
-            ok, wx, wy = is_admissible(model, chain, restrict_to_class=True)
+            chain = find_admissible_chain(model, xs, ys, kk)
+            ok, wx, wy = is_admissible(model, chain)
             if not ok:
                 violations += 1
                 continue

@@ -42,9 +42,10 @@ def all_points(model):
 
 
 def toy_model(closures):
-    """A model with no classes on the space of a closure map written out
-    point by point, for the unrestricted chain functions."""
-    return DualModel(toy_space(closures), 0, 0, 0)
+    """A model on the space of a closure map written out point by point, in
+    which every point is a class."""
+    space = toy_space(closures)
+    return DualModel(space, 0, 0, len(space.points))
 
 
 def chain_of(model, sets):
@@ -129,7 +130,7 @@ def test_chain_closedness_violation():
 
 def test_single_component_chain_admissible():
     m = build_dual_model(5, 1)
-    ok, x, y = is_admissible(m, chain_of(m, [all_points(m)]), restrict_to_class=True)
+    ok, x, y = is_admissible(m, chain_of(m, [all_points(m)]))
     assert ok and x is not None and y is not None
 
 
@@ -137,16 +138,16 @@ def test_two_component_chain_not_admissible():
     m = toy_model({"a": {"a"}, "b": {"b"}})
     chain = chain_of(m, [{"a"}, {"b"}])
     assert validate_chain(m, chain).valid
-    ok, x, y = is_admissible(m, chain, restrict_to_class=False)
+    ok, x, y = is_admissible(m, chain)
     assert not ok and x is None and y is None
 
 
 def test_chain_lower_bound_extremal_n7():
     m = build_dual_model(7, 1)
     x, y = cls([0, 0, 0], 7), cls([1, 1, 1], 7)
-    chain = find_admissible_chain(m, [x], [y], 3, restrict_to_class=True)
+    chain = find_admissible_chain(m, [x], [y], 3)
     assert chain.length == 3
-    assert chain_lower_bound(m, chain, x, y, restrict_to_class=True) == 3
+    assert chain_lower_bound(m, chain, x, y) == 3
     # the bound is tight here
     assert m.space.distance(x, y, m.class_mask) == 3
 
@@ -159,12 +160,23 @@ def test_chain_lower_bound_length_one():
         chain_lower_bound(m, chain_of(m, [all_points(m)]), x, x)
 
 
+@pytest.mark.parametrize("flag", [False, None, 1])
+def test_chain_lower_bound_refuses_an_unrestricted_chain(flag):
+    # the keyword is kept for the flag `chain_from_json` returns, always True
+    m = build_dual_model(7, 1)
+    x, y = cls([0, 0, 0], 7), cls([1, 1, 1], 7)
+    chain = find_admissible_chain(m, [x], [y], 3)
+    assert chain_lower_bound(m, chain, x, y, restrict_to_class=True) == 3
+    with pytest.raises(PreconditionViolated, match="chains are class-restricted"):
+        chain_lower_bound(m, chain, x, y, restrict_to_class=flag)
+
+
 def test_chain_lower_bound_checks_membership():
     m = build_dual_model(7, 1)
     x, y = cls([0, 0, 0], 7), cls([1, 1, 1], 7)
-    chain = find_admissible_chain(m, [x], [y], 3, restrict_to_class=True)
+    chain = find_admissible_chain(m, [x], [y], 3)
     with pytest.raises(PreconditionViolated):
-        chain_lower_bound(m, chain, y, x, restrict_to_class=True)
+        chain_lower_bound(m, chain, y, x)
 
 
 # --- separation ----------------------------------------------------------------
@@ -207,22 +219,22 @@ def test_find_admissible_chain_extremal(n):
     m = build_dual_model(n, 1)
     k = n // 2
     x, y = cls([0] * k, n), cls([1] * k, n)
-    chain = find_admissible_chain(m, [x], [y], k, restrict_to_class=True)
+    chain = find_admissible_chain(m, [x], [y], k)
     rep = validate_chain(m, chain)
     assert rep.valid
     assert chain.length == k
     sets = point_sets(chain)
     assert frozenset([x]) <= sets[0] - sets[1]
     assert frozenset([y]) <= sets[-1] - sets[-2]
-    ok, wx, wy = is_admissible(m, chain, restrict_to_class=True)
+    ok, wx, wy = is_admissible(m, chain)
     assert ok
-    assert chain_lower_bound(m, chain, wx, wy, restrict_to_class=True) == k
+    assert chain_lower_bound(m, chain, wx, wy) == k
 
 
 def test_find_admissible_chain_k2():
     m = build_dual_model(5, 2)
     x, y = cls([0, 0], 5), cls([2, 2], 5)
-    chain = find_admissible_chain(m, [x], [y], 2, restrict_to_class=True)
+    chain = find_admissible_chain(m, [x], [y], 2)
     assert chain.length == 2 and validate_chain(m, chain).valid
 
 
@@ -230,7 +242,7 @@ def test_find_admissible_chain_distance_too_small():
     m = build_dual_model(5, 1)
     x, y = cls([0, 0], 5), cls([1, 0], 5)
     with pytest.raises(PreconditionViolated):
-        find_admissible_chain(m, [x], [y], 2, restrict_to_class=True)
+        find_admissible_chain(m, [x], [y], 2)
 
 
 def test_chain_lemma_random_pairs_never_violated():
@@ -246,17 +258,17 @@ def test_chain_lemma_random_pairs_never_violated():
             if d == inf or d < 2:
                 continue
             k = rng.randint(2, int(d))
-            chain = find_admissible_chain(m, xs, ys, k, restrict_to_class=True)
-            ok, wx, wy = is_admissible(m, chain, restrict_to_class=True)
+            chain = find_admissible_chain(m, xs, ys, k)
+            ok, wx, wy = is_admissible(m, chain)
             assert ok
-            assert chain_lower_bound(m, chain, wx, wy, restrict_to_class=True) == k
+            assert chain_lower_bound(m, chain, wx, wy) == k
             done += 1
 
 
 def test_chain_roundtrip_json():
     m = build_dual_model(7, 1)
     x, y = cls([0, 0, 0], 7), cls([1, 1, 1], 7)
-    chain = find_admissible_chain(m, [x], [y], 3, restrict_to_class=True)
+    chain = find_admissible_chain(m, [x], [y], 3)
     payload = chain_to_json(m, chain, x, y)
     chain2, x2, y2, restrict = chain_from_json(m, payload)
     assert chain2 == chain and x2 == x and y2 == y and restrict
@@ -272,7 +284,7 @@ def test_chain_json_reads_back_model_points(n, bound):
         assert own[number(m.space, p)] is p
     assert validate_chain(m, chain).valid
     assert chain_lower_bound(m, chain, x, y, restrict_to_class=restrict) == chain.length
-    assert chain_to_json(m, chain, x, y, restrict) == payload
+    assert chain_to_json(m, chain, x, y) == payload
 
 
 # --- property (1) ----------------------------------------------------------------
@@ -356,10 +368,6 @@ def ref_space(model):
     return model if isinstance(model, RefSpace) else RefSpace(model)
 
 
-def ref_vertices(model, restrict_to_class):
-    return class_points(model) if restrict_to_class else None
-
-
 def ref_violations(model, chain):
     space = ref_space(model)
     sets = point_sets(chain)
@@ -390,19 +398,17 @@ def ref_violations(model, chain):
     return tuple(bad)
 
 
-def ref_is_admissible(model, chain, restrict_to_class=True):
+def ref_is_admissible(model, chain):
     bad = ref_violations(model, chain)
     if bad:
         raise PreconditionViolated("chain is not valid: " + "; ".join(bad))
     space = ref_space(model)
-    within = ref_vertices(model, restrict_to_class)
+    within = class_points(model)
     sets = point_sets(chain)
     if len(sets) == 1:
-        xs = ys = sets[0] if within is None else sets[0] & within
+        xs = ys = sets[0] & within
     else:
-        xs, ys = sets[0] - sets[1], sets[-1] - sets[-2]
-        if within is not None:
-            xs, ys = xs & within, ys & within
+        xs, ys = (sets[0] - sets[1]) & within, (sets[-1] - sets[-2]) & within
     xs, ys = sorted(xs, key=space.order.get), sorted(ys, key=space.order.get)
     for x in xs:
         dist = space.distances([x], within)
@@ -423,13 +429,13 @@ def ref_separate(model, Y, Z):
     return (U, V) if found else None
 
 
-def ref_find(model, X, Y, k, restrict_to_class=True):
+def ref_find(model, X, Y, k):
     space = ref_space(model)
-    within = ref_vertices(model, restrict_to_class)
+    within = class_points(model)
     X, Y = frozenset(X), frozenset(Y)
     if not X or not Y:
         raise PreconditionViolated("X and Y must be nonempty")
-    if within is not None and not (X | Y) <= within:
+    if not (X | Y) <= within:
         raise PreconditionViolated("class-restricted chains need class end sets")
     if k < 2:
         raise PreconditionViolated("chain construction needs k >= 2")
@@ -462,7 +468,7 @@ def ref_find(model, X, Y, k, restrict_to_class=True):
         raise CertificationError("constructed chain does not isolate X in the first set")
     if not Y <= sets[-1] - sets[-2]:
         raise CertificationError("constructed chain does not isolate Y in the last set")
-    if not ref_is_admissible(model, chain, restrict_to_class)[0]:
+    if not ref_is_admissible(model, chain)[0]:
         raise CertificationError("constructed chain is not admissible")
     return chain
 
@@ -481,20 +487,20 @@ def assert_agree(mask_fn, ref_fn, *args):
     return got
 
 
-def assert_chain_agrees(model, chain, restrict_to_class=True):
+def assert_chain_agrees(model, chain):
     assert validate_chain(model, chain).violations == ref_violations(model, chain)
-    assert_agree(is_admissible, ref_is_admissible, model, chain, restrict_to_class)
+    assert_agree(is_admissible, ref_is_admissible, model, chain)
 
 
-def assert_construction_agrees(model, xs, ys, restrict_to_class=True):
+def assert_construction_agrees(model, xs, ys):
     """Every length from 2 to d(X, Y) + 1 builds the same chain (or raises
     the same error), and each built chain validates and re-checks alike."""
-    d = RefSpace(model).set_distance(xs, ys, class_points(model) if restrict_to_class else None)
+    d = RefSpace(model).set_distance(xs, ys, class_points(model))
     top = 3 if d == inf else int(d) + 1
     for k in range(2, top + 1):
-        got = assert_agree(find_admissible_chain, ref_find, model, xs, ys, k, restrict_to_class)
+        got = assert_agree(find_admissible_chain, ref_find, model, xs, ys, k)
         if got[0] == "returned":
-            assert_chain_agrees(model, got[1], restrict_to_class)
+            assert_chain_agrees(model, got[1])
 
 
 ORACLE_GRID = [(n, b) for n in range(3, 10) for b in (1, 2, 3)]
@@ -506,18 +512,13 @@ def test_mask_chains_match_reference_oracle(n, bound):
     classes = list(m.space.points[: m.class_count])
     k = n // 2
     rng = random.Random(f"oracle:{n}:{bound}")
-    cases = [([cls([0] * k, n)], [cls([1] * k, n)], True)]
+    cases = [([cls([0] * k, n)], [cls([1] * k, n)])]
     most = min(3, len(classes))
     for _ in range(20):
-        cases.append((rng.sample(classes, rng.randint(1, most)), rng.sample(classes, rng.randint(1, most)), True))
-    for _ in range(5):
-        # unrestricted chains may end on germs
-        cases.append(([rng.choice(m.space.points)], [rng.choice(m.space.points)], False))
-    for xs, ys, restrict in cases:
-        assert_construction_agrees(m, xs, ys, restrict)
-    whole = chain_of(m, [all_points(m)])
-    assert_chain_agrees(m, whole, True)
-    assert_chain_agrees(m, whole, False)
+        cases.append((rng.sample(classes, rng.randint(1, most)), rng.sample(classes, rng.randint(1, most))))
+    for xs, ys in cases:
+        assert_construction_agrees(m, xs, ys)
+    assert_chain_agrees(m, chain_of(m, [all_points(m)]))
     for _ in range(20):
         ys = rng.sample(m.space.points, rng.randint(1, 3))
         zs = rng.sample(m.space.points, rng.randint(1, 3))
@@ -567,7 +568,7 @@ def test_invalid_chains_match_reference_oracle(name):
     rep = validate_chain(m, chain)
     assert not rep.valid
     assert rep.violations == ref_violations(m, chain)
-    got = assert_agree(is_admissible, ref_is_admissible, m, chain, True)
+    got = assert_agree(is_admissible, ref_is_admissible, m, chain)
     assert got[:2] == ("raised", PreconditionViolated)
     x, y = cls([0, 0], 4), cls([1, 1], 4)
     with pytest.raises(PreconditionViolated, match="chain is not valid"):
@@ -606,10 +607,8 @@ def test_foreign_point_raises_unknown_point():
         with pytest.raises(UnknownPoint):
             fn(m, [foreign], [cls([0, 0], 4)])
     for xs, ys in (([foreign], [cls([0, 0], 4)]), ([cls([0, 0], 4)], [foreign])):
-        with pytest.raises(UnknownPoint):
-            find_admissible_chain(m, xs, ys, 2, restrict_to_class=False)
-        # class-restricted, a point outside the model is no class
-        got = assert_agree(find_admissible_chain, ref_find, m, xs, ys, 2, True)
+        # a point outside the model is no class
+        got = assert_agree(find_admissible_chain, ref_find, m, xs, ys, 2)
         assert got == ("raised", PreconditionViolated, "class-restricted chains need class end sets")
     with pytest.raises(UnknownPoint):
         m.space.bfs([foreign])
@@ -634,9 +633,7 @@ def test_class_of_another_group_with_the_same_id_is_foreign():
     with pytest.raises(UnknownPoint):
         m.space.bfs([same_id])
     with pytest.raises(PreconditionViolated, match="class-restricted chains need class end sets"):
-        find_admissible_chain(m, [same_id], [y], 2, restrict_to_class=True)
-    with pytest.raises(UnknownPoint):
-        find_admissible_chain(m, [same_id], [y], 2, restrict_to_class=False)
+        find_admissible_chain(m, [same_id], [y], 2)
 
 
 def test_graph_refuses_vertices_that_share_an_id():
@@ -678,11 +675,11 @@ def test_end_sets_in_two_components_refused():
     # a - m - b through the closures of q1 and q2, and c on its own
     sp = toy_model({"a": "a", "m": "m", "b": "b", "q1": ["q1", "a", "m"], "q2": ["q2", "m", "b"], "c": "c"})
     assert RefSpace(sp).set_distance(["a", "c"], ["b"]) == 2
-    got = assert_agree(find_admissible_chain, ref_find, sp, ["a", "c"], ["b"], 2, False)
+    got = assert_agree(find_admissible_chain, ref_find, sp, ["a", "c"], ["b"], 2)
     assert got == ("raised", PreconditionViolated, "X and Y must lie in one component")
-    got = assert_agree(find_admissible_chain, ref_find, sp, ["a"], ["b"], 2, False)
+    got = assert_agree(find_admissible_chain, ref_find, sp, ["a"], ["b"], 2)
     assert got[0] == "returned"
-    assert_chain_agrees(sp, got[1], False)
+    assert_chain_agrees(sp, got[1])
 
 
 def test_independent_bfs_catches_a_short_path(monkeypatch):
@@ -802,13 +799,14 @@ def test_set_outside_the_space_raises_unknown_point():
     small, big = build_dual_model(7, 1), build_dual_model(7, 3)
     x, y = cls([0, 0, 0], 7), cls([3, 3, 3], 7)
     chain = find_admissible_chain(big, [x], [y], 3)
-    for fn in (validate_chain, is_admissible, chain_to_json):
+    for fn in (validate_chain, is_admissible):
         with pytest.raises(UnknownPoint):
             fn(small, chain)
-    for fn in (chain_lower_bound, chains.witness_violations):
+    for fn in (chain_lower_bound, chains.witness_violations, chain_to_json):
         with pytest.raises(UnknownPoint):
             fn(small, chain, x, y)
-    payload = chain_to_json(small, find_admissible_chain(small, [x], [cls([1, 1, 1], 7)], 3))
+    y = cls([1, 1, 1], 7)
+    payload = chain_to_json(small, find_admissible_chain(small, [x], [y], 3), x, y)
     payload["sets"][0].append("class:3,3,3")
     with pytest.raises(UnknownPoint):
         chain_from_json(small, payload)

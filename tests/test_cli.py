@@ -236,9 +236,12 @@ def test_chain_reads_its_signatures_before_building_the_model(capsys, monkeypatc
 
 def _long_chain(capsys, tmp_path, n, bound, sets):
     """Re-check a chain file of the given sets; expect exit 2 and one short
-    failure line, and return it."""
+    failure line, and return it.  The end witnesses are two classes, which
+    are checked only on a valid chain."""
     path = tmp_path / "chain.json"
-    path.write_text(json.dumps({"n": n, "bound": bound, "length": len(sets), "sets": sets}))
+    x, y = build_dual_model(n, bound).space.ids[:2]
+    payload = {"n": n, "bound": bound, "restrict_to_class": True, "length": len(sets), "sets": sets, "x": x, "y": y}
+    path.write_text(json.dumps(payload))
     code, out, err = run(["chain", "--check", str(path)], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("invalid chain: ") and len(err.splitlines()) == 1
@@ -326,15 +329,6 @@ def test_chain_check_missing_file_is_usage_error(capsys, tmp_path):
     assert "FileNotFoundError" in _check_chain_file(capsys, tmp_path / "absent.json")
 
 
-def test_chain_check_missing_sets_is_usage_error(capsys, tmp_path):
-    out_file = tmp_path / "chain.json"
-    run(["chain", "--n", "7", "0,0,0", "1,1,1", "--bound", "1", "--output", str(out_file)], capsys)
-    payload = json.loads(out_file.read_text())
-    del payload["sets"]
-    out_file.write_text(json.dumps(payload))
-    assert "'sets'" in _check_chain_file(capsys, out_file)
-
-
 def test_chain_check_non_string_point_is_usage_error(capsys, tmp_path):
     out_file = tmp_path / "chain.json"
     run(["chain", "--n", "7", "0,0,0", "1,1,1", "--bound", "1", "--output", str(out_file)], capsys)
@@ -342,16 +336,6 @@ def test_chain_check_non_string_point_is_usage_error(capsys, tmp_path):
     payload["sets"][0] = [1]
     out_file.write_text(json.dumps(payload))
     assert "is not a string" in _check_chain_file(capsys, out_file)
-
-
-@pytest.mark.parametrize("key", ["x", "y"])
-def test_chain_check_refuses_one_end_witness(capsys, tmp_path, key):
-    # the other witness alone would leave the chain's bound unchecked
-    out_file = _written_chain(capsys, tmp_path)
-    payload = json.loads(out_file.read_text())
-    del payload[key]
-    out_file.write_text(json.dumps(payload))
-    assert f"KeyError: '{key}'" in _check_chain_file(capsys, out_file)
 
 
 @pytest.mark.parametrize(
@@ -398,15 +382,26 @@ def test_chain_check_top_level_list_is_usage_error(capsys, tmp_path):
     assert "not a JSON object" in _check_chain_file(capsys, bad)
 
 
-@pytest.mark.parametrize("value", ["no", 0.5, 1, None], ids=["string", "float", "int", "null"])
+@pytest.mark.parametrize("value", ["no", 0.5, 1, None, False], ids=["string", "float", "int", "null", "false"])
 def test_chain_check_rejects_non_boolean_restrict_to_class(capsys, tmp_path, value):
-    # read with bool(), each of these re-verified as a class-restricted chain
-    out_file = tmp_path / "chain.json"
-    run(["chain", "--n", "7", "0,0,0", "1,1,1", "--bound", "1", "--output", str(out_file)], capsys)
+    # every chain file is class-restricted: read with bool(), the first four
+    # would pass as one, and false would ask for a search over germs too
+    out_file = _written_chain(capsys, tmp_path)
     payload = json.loads(out_file.read_text())
     payload["restrict_to_class"] = value
     out_file.write_text(json.dumps(payload))
-    assert "restrict_to_class must be true or false" in _check_chain_file(capsys, out_file)
+    assert f"TypeError: restrict_to_class must be true, got {value!r}" in _check_chain_file(capsys, out_file)
+
+
+@pytest.mark.parametrize("key", ["n", "bound", "restrict_to_class", "length", "sets", "x", "y"])
+def test_chain_check_refuses_a_file_without_a_key(capsys, tmp_path, key):
+    # without an end witness the file would certify nothing, and without
+    # n, bound or length it would not say which chain it certifies
+    out_file = _written_chain(capsys, tmp_path)
+    payload = json.loads(out_file.read_text())
+    del payload[key]
+    out_file.write_text(json.dumps(payload))
+    assert f"KeyError: '{key}'" in _check_chain_file(capsys, out_file)
 
 
 def _written_chain(capsys, tmp_path):

@@ -175,6 +175,44 @@ def test_guard_reports_benchmark_only_api():
     assert benchmark_only([library], [bench], ["helper", "bench_only", "user"]) == ["G.bfs", "bench_only"]
 
 
+# Two chain shapes kept only because `perfbench/` relies on them: it passes
+# `restrict_to_class=` to `chain_lower_bound`, and it unpacks four items, the
+# last always True, from `chain_from_json`.  ROADMAP direction 1 deletes both
+# with the next benchmark change.
+BENCHMARK_CHAIN_SHAPES = {"chain_from_json -> 4 items", "chain_lower_bound(restrict_to_class=)"}
+
+
+def chain_shapes(sources: list[str]) -> set[str]:
+    """Which of the two kept chain shapes the sources use."""
+
+    def callee(node) -> str | None:
+        return getattr(node.func, "attr", getattr(node.func, "id", None)) if isinstance(node, ast.Call) else None
+
+    found = set()
+    for node in (node for source in sources for node in ast.walk(ast.parse(source))):
+        if callee(node) == "chain_lower_bound" and any(kw.arg == "restrict_to_class" for kw in node.keywords):
+            found.add("chain_lower_bound(restrict_to_class=)")
+        if isinstance(node, ast.Assign) and callee(node.value) == "chain_from_json":
+            if any(isinstance(t, ast.Tuple) and len(t.elts) == 4 for t in node.targets):
+                found.add("chain_from_json -> 4 items")
+    return found
+
+
+def test_benchmark_chain_shapes_are_pinned():
+    """The benchmark still uses both kept chain shapes: once it stops, the
+    shape is deleted from the library, not forgotten there."""
+    assert chain_shapes([p.read_text() for p in PERFBENCH.glob("*.py")]) == BENCHMARK_CHAIN_SHAPES
+
+
+def test_guard_reports_chain_shapes():
+    source = (
+        "chain, x, y, flag = chains.chain_from_json(model, payload)\n"
+        "chain_lower_bound(model, chain, x, y, restrict_to_class=flag)\n"
+    )
+    assert chain_shapes([source]) == BENCHMARK_CHAIN_SHAPES
+    assert chain_shapes(["chain, x, y = chain_from_json(m, p)\nchains.chain_lower_bound(m, chain, x, y)\n"]) == set()
+
+
 def test_importing_the_package_loads_no_process_pool():
     """The package, its command line and every library module import
     neither `concurrent.futures` nor `multiprocessing`: only a sweep with

@@ -1,4 +1,5 @@
 import copy
+import gc
 import os
 import pickle
 import subprocess
@@ -204,6 +205,23 @@ def test_enumeration_cache_is_bounded():
     for b in range(info().maxsize + 3):
         enumerate_signatures(3, b)
         assert info().currsize <= info().maxsize
+
+
+def test_cold_enumeration_leaves_no_garbage():
+    # a self-referencing closure would keep each enumeration alive as a
+    # cycle until the collector runs; DEBUG_SAVEALL keeps what it finds
+    signatures._enumerate_cached.cache_clear()
+    gc.collect()
+    flags, found = gc.get_debug(), len(gc.garbage)
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        enumerate_signatures(6, 10)
+        gc.collect()
+        garbage = gc.garbage[found:]
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[found:]
+    assert garbage == []
 
 
 # --- branching --------------------------------------------------------------
