@@ -9,19 +9,19 @@ BFS, decide separation by disjoint open sets, and construct admissible
 chains of prescribed length from a set pair at sufficient distance.
 
 Every function takes a `DualModel`.  A `Chain` holds one int mask per set
-over the points of the model space it was built on, and every search is the
-space's layered search on masks (`Graph._layers`): the private helpers
-`_violations`, `_admissible`, `_separate` and the space's `_ball` do the set
-algebra, and `_build_chain` is the construction on end masks, which the
-sweep's `chain-lemma` check calls with the class masks it draws; the check
-re-checks each chain once with `validate_chain`, then on its masks with
-`_admissible` and `_lower_bound`.  The
-construction, the JSON reader and writer and every re-check use those
-masks as they are, so no step hashes the chain's points; the
-reader turns each canonical id into a point number by the model's one id
-table and refuses any other spelling.  A chain
-checked on another model than its own must be over the same points (the
-same model rebuilt after a cache eviction); any other raises UnknownPoint.
+over the points of the model space it was built on, and every search is
+the space's layered search on masks (`Graph._layers`): the private helpers
+`_violations`, `_admissible`, `_separate` and the space's `_closed` and
+`_ball` do the set algebra, and `_build_chain` is the construction on end
+masks, which the sweep's `chain-lemma` check calls with the class masks it
+draws; the check re-checks each chain once with `validate_chain`, then on
+its masks with `_admissible` and `_lower_bound`.  The construction, the
+JSON reader and writer and every re-check use those masks as they are, so
+no step hashes the chain's points; the reader turns each canonical id into
+a point number by the model's one id table and refuses any other spelling.
+A chain checked on another model than its own must be over the same points
+(the same model rebuilt after a cache eviction); any other raises
+UnknownPoint.
 
 Topological operations (closure, separation, neighborhoods used during
 construction) run on the full model relation; distance certificates are
@@ -68,17 +68,6 @@ class ChainReport:
     violations: tuple[str, ...]
 
 
-def _closed(space: FiniteT0Space, s: int) -> bool:
-    """Whether the set mask is closed: it holds the closure of each of its
-    points, or equally no point outside it has a minimal open set that meets
-    it.  The side with fewer points is unioned, so the large sets of a chain
-    cost as little as their small complements."""
-    rest = space._within(None) & ~s
-    if s.bit_count() <= rest.bit_count():
-        return _union(space._closure, s) == s
-    return not _union(space._min_open, rest) & s
-
-
 def _violations(space: FiniteT0Space, sets: Sequence[int]) -> tuple[str, ...]:
     """Why the chain of set masks is not valid, in the order of the checks:
     closedness, cover, non-consecutive disjointness (one message), end
@@ -89,7 +78,7 @@ def _violations(space: FiniteT0Space, sets: Sequence[int]) -> tuple[str, ...]:
         return ("chain has no sets",)
     if n > len(space.points):
         return (f"chain has {n} sets, more than the {len(space.points)} points of the space",)
-    bad = [f"set {i} is not closed" for i, s in enumerate(sets, start=1) if not _closed(space, s)]
+    bad = [f"set {i} is not closed" for i, s in enumerate(sets, start=1) if not space._closed(s)]
     if reduce(or_, sets) != space._within(None):
         bad.append("union of the sets does not cover the space")
     overlaps = ((i, j) for i in range(n) for j in range(i + 2, n) if sets[i] & sets[j])
@@ -127,7 +116,9 @@ def _valid_masks(model: DualModel, chain: Chain) -> tuple[int, ...]:
 def _admissible(space: FiniteT0Space, sets: Sequence[int], within: int) -> tuple[int, int] | None:
     """End witnesses (x, y) of the valid chain at finite distance inside
     `within`, as point numbers: the first x in point order that reaches an
-    end candidate, and the first candidate y in x's whole component."""
+    end candidate other than itself, and the first such candidate y in x's
+    whole component.  So a one-set chain gets two distinct witnesses, as
+    `_witness_faults` demands, or none."""
     if len(sets) == 1:
         xs = ys = sets[0] & within
     else:
@@ -136,7 +127,7 @@ def _admissible(space: FiniteT0Space, sets: Sequence[int], within: int) -> tuple
     while xs:
         x = xs & -xs
         comp = space._ball(x, within)
-        hits = comp & ys
+        hits = comp & ys & ~x
         if hits:
             return x.bit_length() - 1, (hits & -hits).bit_length() - 1
         xs &= ~comp  # the rest of this component reaches no candidate either

@@ -60,9 +60,8 @@ def cmd_report(args) -> int:
         try:
             report = constants_mod.cross_check(args.n, resolve_bound(args.n, args.bound))
         except TheoremViolation as exc:
-            report = getattr(exc, "report", None)
-            if report is not None and args.format == "json":
-                _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.output)
+            if exc.report is not None and args.format == "json":
+                _emit(json.dumps(exc.report.to_dict(), indent=2) + "\n", args.output)
             print(f"error: {exc}", file=sys.stderr)
             return 2
     if args.format == "json":

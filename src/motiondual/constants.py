@@ -165,9 +165,7 @@ def cross_check(n: int, bound: int) -> ConstantsReport:
     )
     failed = tuple(name for name, ok in checks if not ok)
     if failed:
-        exc = TheoremViolation(failed, f"n={n}, bound={bound}")
-        exc.report = report
-        raise exc
+        raise TheoremViolation(failed, f"n={n}, bound={bound}", report)
     return report
 
 

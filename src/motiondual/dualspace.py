@@ -32,9 +32,12 @@ few searches, not one per vertex: eccentricity bounds (Takes and Kosters)
 settle most vertices without a search of their own.
 `FiniteT0Space` is the `Graph` of its inseparability relation and adds
 only the topology, keeping closures and minimal open sets as bitmasks
-too; the sub-ideal graph of `primal` is a plain `Graph`, whose neighbor
-masks `overlap_masks` finds from sorted interval ends rather than by a scan
-over vertex pairs.
+too.  It is built in one pass over the members of its closures, which
+checks transitivity and yields both the minimal open sets and the neighbor
+masks; the minimal open sets serve the chain layer's closedness test
+(`FiniteT0Space._closed`) and separation.  The sub-ideal graph of
+`primal` is a plain `Graph`, whose neighbor masks `overlap_masks` finds
+from sorted interval ends rather than by a scan over vertex pairs.
 
 Inside the model a germ is inseparable from every class in its hull, an
 artifact of the collapse (the half-line points themselves are separated).
@@ -316,9 +319,12 @@ class FiniteT0Space(Graph):
     `closures[i]` is the closure of `points[i]` as a bitmask over the point
     numbers: bit j is set when `points[j]` lies in it.  The closure map must
     stay inside the points, be reflexive, transitive under the induced set
-    operation, and injective (T0); the constructor verifies all four.
-    Minimal open sets are kept as bitmasks too, so inseparability is one `&`
-    and the graph is built from the masks.
+    operation, and injective (T0); the constructor verifies all four.  It
+    walks each closure's members once: every pair (q, x in cl(q)) checks
+    that cl(x) lies inside cl(q), puts q in the minimal open set of x and
+    joins x to all of cl(q), since x and y are inseparable iff some closure
+    holds both.  The minimal open sets are kept as bitmasks too, for the
+    closedness test `_closed` and for separation by open sets.
     """
 
     def __init__(self, points: Iterable, closures: Iterable[int]):
@@ -328,25 +334,37 @@ class FiniteT0Space(Graph):
             raise ValueError("a space needs one closure mask per point")
         outside = -1 << len(points)
         seen = {}
-        for i, (p, mask) in enumerate(zip(points, cl)):
+        mo = [0] * len(points)  # minimal open set of x: all q whose closure holds x
+        adj = [0] * len(points)
+        for q, (p, mask) in enumerate(zip(points, cl)):
             if mask & outside:
                 raise ValueError(f"closure of {p} leaves the point set")
-            if not mask >> i & 1:
+            if not mask >> q & 1:
                 raise ValueError(f"closure of {p} is not reflexive")
-            if _union(cl, mask) != mask:
-                raise ValueError(f"closure of {p} is not transitive")
+            rest, bit = ~mask, 1 << q
+            for x in _members(mask):
+                if cl[x] & rest:
+                    raise ValueError(f"closure of {p} is not transitive")
+                mo[x] |= bit
+                adj[x] |= mask
             if mask in seen:
                 raise ValueError(f"points {seen[mask]} and {p} share a closure (not T0)")
             seen[mask] = p
-        # minimal open set of x: all q whose closure contains x
-        mo = [0] * len(points)
-        for q, mask in enumerate(cl):
-            for x in _members(mask):
-                mo[x] |= 1 << q
+        for x in range(len(adj)):
+            adj[x] &= ~(1 << x)  # in place, so no second set of masks is held
         self._closure = cl
         self._min_open = tuple(mo)
-        # x and y are inseparable iff some q has both in its closure
-        super().__init__(points, (_union(cl, m) & ~(1 << x) for x, m in enumerate(mo)))
+        super().__init__(points, adj)
+
+    def _closed(self, s: int) -> bool:
+        """Whether the set mask is closed: it holds the closure of each of its
+        points, or equally no point outside it has a minimal open set that
+        meets it.  The side with fewer points is unioned, so a large set
+        costs as little as its small complement."""
+        rest = self._within(None) & ~s
+        if s.bit_count() <= rest.bit_count():
+            return _union(self._closure, s) == s
+        return not _union(self._min_open, rest) & s
 
 
 @dataclass(frozen=True)
@@ -372,20 +390,20 @@ MAX_SIZE = 8192
 in signature entries: points times floor(n/2).  A point counts by its
 length because each signature is built, hashed and enumerated entry by
 entry.  The sub-ideal graph and the diameters are cheap at the cap, so the
-cost lies in the `FiniteT0Space` constructor, which checks every closure
-and folds the minimal open sets into neighbor masks, and in the class
-diameter where the classes are many.  For n >= 4 the largest admitted
-models run `motiondual report` in under 0.9 s and 31 MB (Python 3.11.7, 2
-vCPUs, best of 3 runs): (5, 44), at 8100 sub-ideal entries, spends 0.47 s
-building the model, and (6, 18), at 7980 entries, 0.53 s in the class
-diameter (617 searches); (4, 62) took 0.33 s in one run.  At n = 3 a
-point has one entry, so the cap admits bounds up to 2730 and germ
-closures of up to 2731 classes, which the constructor walks member by
-member: `build_dual_model(3, 2730)` (8192 points) took 11.4 s and 39 MB,
-and `motiondual report --n 3 --bound 2047`, the largest bound whose
-sub-ideal graph the cap admits, 12.6 s (one run each, same machine).  The
-cap admits every (n, bound) of the benchmark and of
-`BENCH_bitmask_core.json`; the largest, (8, 10), has 8008 entries."""
+cost lies in the `FiniteT0Space` constructor, which walks every closure
+member once, and in the class diameter where the classes are many.  For
+n >= 4 the largest admitted models run `motiondual report` in under 0.7 s
+and 26 MB (Python 3.11.7, 2 vCPUs, best of 3 runs, peak RSS of the
+process): (5, 44), at 8100 sub-ideal entries, spends 0.21 s building the
+model, and (6, 18), at 7980 entries, 0.44 s in the class diameter (617
+searches); (4, 62) took 0.28 s.  At n = 3 a point has one entry, so the
+cap admits bounds up to 2730 and germ closures of up to 2731 classes,
+which the constructor walks member by member: `build_dual_model(3, 2730)`
+(8192 points) took 6.0 s and 40 MB, and `motiondual report --n 3 --bound
+2047`, the largest bound whose sub-ideal graph the cap admits, 10.7 s
+(best of 3 each, same machine).  The cap admits every (n, bound) of the
+benchmark and of `BENCH_bitmask_core.json`; the largest, (8, 10), has
+8008 entries."""
 
 
 def require_size(n: int, bound: int, points: Callable[[int, int], int]) -> None:

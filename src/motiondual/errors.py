@@ -56,9 +56,11 @@ class CertificationError(MotionDualError):
 
 
 class TheoremViolation(CertificationError):
-    """A named cross-check between computed and predicted invariants failed."""
+    """A named cross-check between computed and predicted invariants failed;
+    `report` is the partially populated report of the check, if any."""
 
-    def __init__(self, failed: tuple[str, ...], detail: str = ""):
+    def __init__(self, failed: tuple[str, ...], detail: str = "", report=None):
         self.failed = tuple(failed)
+        self.report = report
         names = ", ".join(self.failed)
         super().__init__(f"cross-check failed: {names}" + (f" ({detail})" if detail else ""))

@@ -90,30 +90,18 @@ class GroupContext:
 
 
 def _check_entries(entries: tuple[int, ...], ctx: GroupContext) -> None:
-    k = ctx.k
+    n, k = ctx.n, ctx.k
     if len(entries) != k:
-        raise WrongLength(len(entries), k, ctx.n)
-    if ctx.n <= 2:
-        return  # SO(1): empty; SO(2): one unconstrained integer
-    if ctx.n % 2:
-        for i in range(k - 1):
-            if entries[i] < entries[i + 1]:
-                raise MonotonicityViolated(
-                    i + 1, f"entry {i + 1} must dominate entry {i + 2}: {entries[i]} < {entries[i + 1]}"
-                )
-        if entries[k - 1] < 0:
-            raise NegativeEntry(k, f"SO({ctx.n}) forbids a negative entry {k}: {entries[k - 1]}")
-    else:
-        for i in range(k - 2):
-            if entries[i] < entries[i + 1]:
-                raise MonotonicityViolated(
-                    i + 1, f"entry {i + 1} must dominate entry {i + 2}: {entries[i]} < {entries[i + 1]}"
-                )
-        if entries[k - 2] < abs(entries[k - 1]):
-            raise MonotonicityViolated(
-                k - 1,
-                f"entry {k - 1} must dominate |entry {k}|: {entries[k - 2]} < |{entries[k - 1]}|",
-            )
+        raise WrongLength(len(entries), k, n)
+    for i in range(1, k):
+        a, b = entries[i - 1], entries[i]
+        if n % 2 == 0 and i == k - 1:  # an even group's last entry counts by its absolute value
+            if a < abs(b):
+                raise MonotonicityViolated(i, f"entry {i} must dominate |entry {i + 1}|: {a} < |{b}|")
+        elif a < b:
+            raise MonotonicityViolated(i, f"entry {i} must dominate entry {i + 1}: {a} < {b}")
+    if n % 2 and k and entries[-1] < 0:
+        raise NegativeEntry(k, f"SO({n}) forbids a negative entry {k}: {entries[-1]}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -43,7 +43,6 @@ from .dualspace import (
     LINE_KIND,
     Point,
     _members,
-    _union,
     build_dual_model,
     components_and_orc,
     model_points,
@@ -296,7 +295,7 @@ def _property1_violation(model) -> str:
         samples.append(germs[0] | germs[-1])
     for s in samples:
         ball = space._ball(s, everything, 1)
-        if _union(cl, ball) != ball:
+        if not space._closed(ball):
             return "Property 1 fails: a one-step neighborhood of a closed set is not closed"
     return ""
 

@@ -134,6 +134,21 @@ def test_single_component_chain_admissible():
     assert ok and x is not None and y is not None
 
 
+@pytest.mark.parametrize("n,bound", [(4, 1), (5, 2)])
+def test_one_set_chain_witnesses_are_distinct(n, bound):
+    m = build_dual_model(n, bound)
+    chain = chain_of(m, [all_points(m)])
+    ok, x, y = is_admissible(m, chain)
+    assert ok and x != y
+    assert chain_lower_bound(m, chain, x, y) == 1
+
+
+def test_one_set_chain_on_a_lone_class_is_not_admissible():
+    m = build_dual_model(3, 0)
+    assert m.class_count == 1
+    assert is_admissible(m, chain_of(m, [all_points(m)])) == (False, None, None)
+
+
 def test_two_component_chain_not_admissible():
     m = toy_model({"a": {"a"}, "b": {"b"}})
     chain = chain_of(m, [{"a"}, {"b"}])
@@ -412,7 +427,7 @@ def ref_is_admissible(model, chain):
     xs, ys = sorted(xs, key=space.order.get), sorted(ys, key=space.order.get)
     for x in xs:
         dist = space.distances([x], within)
-        hits = [y for y in ys if y in dist]
+        hits = [y for y in ys if y in dist and y != x]
         if hits:
             return True, x, hits[0]
     return False, None, None

@@ -63,6 +63,16 @@ def test_report_injected_bug_exits_2(capsys, monkeypatch):
     assert "cross-check failed" in err
 
 
+def test_report_json_writes_the_partial_report_of_a_failed_cross_check(capsys, monkeypatch):
+    import motiondual.primal as primal_mod
+
+    monkeypatch.setattr(primal_mod, "big_d", lambda n, bound: 99)
+    code, out, err = run(["report", "--n", "5", "--bound", "1", "--format", "json"], capsys)
+    assert code == 2
+    assert json.loads(out)["d_a"] == 99
+    assert len(err.splitlines()) == 1 and err.startswith("error: cross-check failed")
+
+
 def test_report_refuses_an_oversized_sub_ideal_graph_before_building_the_model(capsys, monkeypatch):
     """(5, 51) fits the dual model's size cap but not the sub-ideal graph's."""
     from motiondual import constants

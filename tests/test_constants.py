@@ -84,7 +84,7 @@ def test_cross_check_names_failed_identity(monkeypatch):
     with pytest.raises(TheoremViolation) as exc:
         cross_check(5, 1)
     assert any("parity formula" in name for name in exc.value.failed)
-    assert getattr(exc.value, "report").d_a == 99
+    assert exc.value.report.d_a == 99
 
 
 def test_render_table():

@@ -125,6 +125,40 @@ def test_space_rejects_a_closure_beyond_the_points(closures):
         FiniteT0Space("ab", closures)
 
 
+@pytest.mark.parametrize(
+    "points,closures,message",
+    [
+        ("ab", (0b1, 0b110), "closure of b leaves the point set"),
+        ("ab", (0b1, 0b0), "closure of b is not reflexive"),
+        ("abc", (0b1, 0b11, 0b110), "closure of c is not transitive"),
+        ("ab", (0b11, 0b11), "points a and b share a closure (not T0)"),
+        # a's member b closes beyond the points, but a is checked first
+        ("ab", (0b11, 0b110), "closure of a is not transitive"),
+    ],
+)
+def test_space_names_the_first_fault(points, closures, message):
+    with pytest.raises(ValueError) as exc:
+        FiniteT0Space(points, closures)
+    assert str(exc.value) == message
+
+
+def test_space_walks_each_closure_once(monkeypatch):
+    space = build_dual_model(5, 3).space
+    walked = []
+
+    def counted(mask):
+        walked.append(mask)
+        return _members(mask)
+
+    def unused(masks, mask):
+        raise AssertionError("the constructor unions closures")
+
+    monkeypatch.setattr(dualspace, "_members", counted)
+    monkeypatch.setattr(dualspace, "_union", unused)
+    FiniteT0Space(space.points, space._closure)
+    assert walked == list(space._closure)
+
+
 def test_space_needs_one_closure_per_point():
     with pytest.raises(ValueError, match="one closure mask per point"):
         FiniteT0Space("ab", (0b1,))
@@ -252,6 +286,24 @@ def product_closures(n, bound):
 # the degenerate bound 0
 RUN_GRID = [(3, 1), (3, 10), (4, 5), (5, 12), (5, 40), (6, 6), (6, 16), (7, 3), (8, 5), (8, 10), (9, 8)]
 RUN_GRID += [(10, 6), (24, 2), (4, 62), (3, 0), (4, 0), (5, 0), (6, 0)]
+
+
+def folded_masks(closures):
+    """The minimal open sets and neighbor masks of a closure map, each in
+    a pass of its own: the minimal open sets folded bit by bit from the
+    closures, then each neighbor mask the union of the closures over a
+    minimal open set, less the point itself."""
+    mo = [0] * len(closures)
+    for q, mask in enumerate(closures):
+        for x in _members(mask):
+            mo[x] |= 1 << q
+    return tuple(mo), tuple(_union(closures, m) & ~(1 << x) for x, m in enumerate(mo))
+
+
+@pytest.mark.parametrize("n,bound", sorted(set(CLOSURE_GRID + RUN_GRID)))
+def test_one_pass_matches_the_folded_masks(n, bound):
+    space = build_dual_model(n, bound).space
+    assert (space._min_open, space._adj) == folded_masks(space._closure)
 
 
 @pytest.mark.parametrize("n,bound", RUN_GRID)
