@@ -32,7 +32,6 @@ from .errors import (
 from .primal import (
     MergeCertificate,
     big_d,
-    contains_ideal,
     merge_certificate,
     min_primal,
     star_adjacent,

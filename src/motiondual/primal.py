@@ -14,10 +14,11 @@ common-extension test.
 
 Germ ideals are ordered by reverse inclusion of their hulls.  By
 interleaving, a hull is a product of integer intervals, the first one
-unbounded above (`signatures.hull_intervals`), so containment and
-minimality are exact O(k) closed forms with no truncation.  The tests
-enumerate truncated hulls as the brute-force oracle they are checked
-against, and the sweep's `min-primal-parity` check does the same on masks.
+unbounded above (`signatures.hull_intervals`), so containment is an
+exact O(k) interval test and minimality a closed form, with no
+truncation.  The tests keep the containment test next to the truncated
+hulls they enumerate as the brute-force oracle, and the sweep's
+`min-primal-parity` check compares hulls on masks.
 
 Merge certificates package the constructions behind the derivation-constant
 bound ceil(n/2)/2 for the multiplier algebra: three germ signatures are
@@ -62,25 +63,6 @@ def sub_ideals(n: int, bound: int) -> list[Point]:
     """The vertices of `star_graph(n, bound)`, whose one build every caller
     shares: the germ ideals, then the line kernels."""
     return list(star_graph(n, bound).points)
-
-
-def _require_germs(*ideals: Point) -> None:
-    for i in ideals:
-        if i.kind != GERM_KIND:
-            raise PreconditionViolated("ideal containment is defined for germ ideals")
-    if any(i.sig.ctx is not ideals[0].sig.ctx for i in ideals):
-        raise ContextMismatch("germ ideals live in different groups")
-
-
-def contains_ideal(I: Point, J: Point) -> bool:
-    """True when I contains J as an ideal, i.e. hull(I) is inside hull(J):
-    every interval of I's hull lies inside the matching interval of J's.
-    Exact on the infinite hulls, so no truncation is involved."""
-    _require_germs(I, J)
-    return all(
-        lo_j <= lo_i and hi_i <= hi_j
-        for (lo_i, hi_i), (lo_j, hi_j) in zip(hull_intervals(I.sig), hull_intervals(J.sig))
-    )
 
 
 def star_adjacent(I: Point, J: Point) -> bool:

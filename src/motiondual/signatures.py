@@ -21,6 +21,9 @@ enumeration in :func:`branch` is kept as the brute-force oracle that the
 closed forms are tested against.  Read the other way, the classes that
 restrict to an SO(N-1) signature form a product of intervals too, its hull
 (:func:`hull_intervals`).
+
+Signatures are hash-consed: the enumerations, walks and certificates that
+repeat a value share one `Signature` object and its entry tuple.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import is_
 from typing import Sequence
 
 from .errors import (
@@ -104,41 +108,72 @@ def _check_entries(entries: tuple[int, ...], ctx: GroupContext) -> None:
         raise NegativeEntry(k, f"SO({n}) forbids a negative entry {k}: {entries[-1]}")
 
 
-@dataclass(frozen=True, slots=True)
+def _check(entries: tuple, ctx: GroupContext) -> None:
+    """Raise unless `entries` is a valid signature of `ctx`."""
+    # One pass accepts every valid signature: integer entries that never
+    # increase (an even group's last entry m_k satisfies m_{k-1} >= |m_k|
+    # >= m_k), the right length, and the rule on the last entry.
+    n = ctx.n
+    if len(entries) == n // 2:
+        if not entries:
+            return  # SO(1)
+        prev = entries[0]
+        for e in entries:
+            if type(e) is not int or e > prev:  # no floats, strings or bools
+                break
+            prev = e
+        else:
+            if n % 2:
+                if prev >= 0:
+                    return
+            elif n == 2 or entries[-2] >= -prev:
+                return
+    # Invalid: the checks below name the first fault, scanning left to right.
+    for e in entries:
+        if type(e) is not int:
+            raise SignatureError(f"signature entries must be integers, got {e!r}")
+    _check_entries(entries, ctx)
+
+
+_SIGNATURES: dict[tuple[int, tuple[int, ...]], "Signature"] = {}  # one Signature per (n, entries)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Signature:
-    """A validated signature; constructing an invalid one raises."""
+    """A validated signature; constructing an invalid one raises.
+
+    One instance per value of a true `GroupContext` (hash-consing, as for
+    `GroupContext`; Filliatre and Conchon, ML Workshop 2006): the
+    constructor, pickle and copy return the stored object.  A value is
+    checked in full before it is stored.  A later build takes the stored
+    object unchecked only when each entry is the very object stored
+    (CPython shares the ints -5 to 256); any other, such as True or 1.0 for
+    1, or an int outside that range, is checked again.  Equality and the
+    hash stay by value.  Like `_CONTEXTS`, the table holds strong
+    references and grows with the distinct values a process builds, which
+    the size caps bound."""
 
     entries: tuple[int, ...]
     ctx: GroupContext
 
-    def __post_init__(self):
-        entries = self.entries
+    def __new__(cls, entries: Sequence[int], ctx: GroupContext) -> "Signature":
         if type(entries) is not tuple:
             entries = tuple(entries)
-            object.__setattr__(self, "entries", entries)
-        # One pass accepts every valid signature: integer entries that never
-        # increase (an even group's last entry m_k satisfies m_{k-1} >= |m_k|
-        # >= m_k), the right length, and the rule on the last entry.
-        n = self.ctx.n
-        if len(entries) == n // 2:
-            if not entries:
-                return  # SO(1)
-            prev = entries[0]
-            for e in entries:
-                if type(e) is not int or e > prev:  # no floats, strings or bools
-                    break
-                prev = e
-            else:
-                if n % 2:
-                    if prev >= 0:
-                        return
-                elif n == 2 or entries[-2] >= -prev:
-                    return
-        # Invalid: the checks below name the first fault, scanning left to right.
-        for e in entries:
-            if type(e) is not int:
-                raise SignatureError(f"signature entries must be integers, got {e!r}")
-        _check_entries(entries, self.ctx)
+        key = (ctx.n, entries) if type(ctx) is GroupContext else None  # only true contexts are stored
+        try:
+            sig = _SIGNATURES[key]
+            if all(map(is_, sig.entries, entries)):
+                return sig
+        except (KeyError, TypeError):  # a new value, or an unhashable entry that the check names
+            pass
+        _check(entries, ctx)
+        sig = object.__new__(cls)
+        object.__setattr__(sig, "entries", entries)
+        object.__setattr__(sig, "ctx", ctx)
+        return sig if key is None else _SIGNATURES.setdefault(key, sig)
+
+    def __reduce__(self):
+        return Signature, (self.entries, self.ctx)
 
     def __str__(self) -> str:
         return ",".join([str(e) for e in self.entries])
@@ -370,7 +405,12 @@ class Walk:
 
 
 def walk_from_dict(payload: dict) -> Walk:
+    """The walk of a `Walk.to_dict` payload; steps or witnesses that are
+    not a list of lists raise TypeError."""
     ctx = GroupContext(int_field(payload, "n"))
+    for key in ("steps", "witnesses"):
+        if not isinstance(rows := payload[key], list) or not all(isinstance(row, list) for row in rows):
+            raise TypeError(f"{key} must be a list of lists of integers")
     steps = tuple(Signature(tuple(e), ctx) for e in payload["steps"])
     witnesses = payload["witnesses"]
     child = ctx.child if witnesses else None  # read once; SO(1) has no child, nor a walk there a witness

@@ -556,6 +556,21 @@ def test_certify_missing_key_is_usage_error(capsys, tmp_path):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("key, value", [("witnesses", {}), ("witnesses", [{}]), ("steps", {"1,0": [1, 0]})])
+def test_certify_walk_rows_must_be_lists_of_lists(capsys, tmp_path, key, value):
+    # the n = 6 walks have one step and no witness, so an empty object read
+    # as no witnesses would re-verify
+    out_file = _issue_certificate(capsys, tmp_path)
+    payload = json.loads(out_file.read_text())
+    for w in payload["certificate"]["walks"]:
+        w[key] = value
+    out_file.write_text(json.dumps(payload))
+    code, out, err = run(["certify", "--check", str(out_file)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot parse certificate file {out_file}: TypeError: {key} must be a list of lists")
+    assert len(err.splitlines()) == 1
+
+
 def test_certify_non_json_is_usage_error(capsys, tmp_path):
     out_file = _issue_certificate(capsys, tmp_path)
     out_file.write_text(out_file.read_text()[:40])  # truncated mid-object

@@ -537,6 +537,76 @@ def test_glimm_partition_bound_zero():
     assert part.single_class_block
 
 
+# --- layered search ------------------------------------------------------------
+
+
+def top_down_layers(adj, sources, within, stop=0, radius=inf) -> list:
+    """The reference for `Graph._layers`: the same search, always top-down,
+    each layer the union of the rows of the one before less what was seen."""
+    seen = layer = sources & within if radius >= 0 else 0
+    out = []
+    while layer:
+        out.append(layer)
+        if layer & stop or len(out) > radius:
+            break
+        rows = 0
+        for i in range(len(adj)):
+            if layer >> i & 1:
+                rows |= adj[i]
+        layer = rows & within & ~seen
+        seen |= layer
+    return out
+
+
+@pytest.fixture
+def bottom_up_calls(monkeypatch):
+    """The number of bottom-up layers `_layers` finds, so that a test can
+    show the bottom-up side ran."""
+    calls = []
+    meeting = dualspace._meeting
+    monkeypatch.setattr(dualspace, "_meeting", lambda *args: calls.append(1) or meeting(*args))
+    return calls
+
+
+@pytest.mark.parametrize("n,bound", [(3, 1), (3, 40), (3, 90), (4, 3), (5, 4), (6, 2), (7, 2), (8, 1)])
+def test_layers_match_top_down_on_models(n, bound, bottom_up_calls):
+    model = build_dual_model(n, bound)
+    for graph, inside in ((model.space, model.class_mask), (model.space, None), (primal.star_graph(n, bound), None)):
+        within = graph._within(inside)
+        for i in range(len(graph.points)):
+            want = top_down_layers(graph._adj, 1 << i, within)
+            assert list(graph._layers(1 << i, within)) == want
+    assert bottom_up_calls
+
+
+def test_layers_match_top_down_on_random_graphs(bottom_up_calls):
+    # up to 150 vertices, so the rows span several 64-bit words
+    rng = random.Random(2012)
+    for _ in range(60):
+        size = rng.randint(1, 150)
+        density = rng.choice([0.01, 0.05, 0.2, 0.6])
+        adj = [0] * size
+        for i in range(size):
+            for j in range(i + 1, size):
+                if rng.random() < density:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+        graph = Graph(range(size), adj)
+        for _ in range(20):
+            within = rng.choice([(1 << size) - 1, rng.getrandbits(size)])
+            sources = rng.choice([1 << rng.randrange(size), rng.getrandbits(size) & rng.getrandbits(size)])
+            stop = rng.choice([0, rng.getrandbits(size) & rng.getrandbits(size)])
+            radius = rng.choice([-1, 0, 1, 2, inf])
+            want = top_down_layers(adj, sources, within, stop, radius)
+            assert list(graph._layers(sources, within, stop, radius)) == want, (size, sources, within, stop, radius)
+    assert len(bottom_up_calls) > 100
+
+
+@pytest.mark.parametrize("mask", [0, 1, 2, 1 << 70, 0b1011, (1 << 200) - 1, (1 << 130) | 1 << 3])
+def test_members_lists_the_set_bits(mask):
+    assert _members(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 # --- diameter ----------------------------------------------------------------
 
 

@@ -45,9 +45,7 @@ def test_guard_reports_an_unused_import():
 
 
 PERFBENCH = PACKAGE.parent.parent / "perfbench"
-# Kept without a caller: the closed-form ideal containment that the ROADMAP
-# keeps next to its `hull` oracle in the tests.
-UNCALLED_EXPORTS = {"contains_ideal"}
+UNCALLED_EXPORTS: set[str] = set()
 
 
 def references(source: str, names: bool = True) -> set[str]:

@@ -12,7 +12,6 @@ from motiondual.primal import (
     big_d,
     certificate_from_dict,
     claimed_steps,
-    contains_ideal,
     expected_k_bound,
     implied_k_bound,
     merge_certificate,
@@ -26,7 +25,7 @@ from motiondual.primal import (
     validate_certificate,
 )
 from motiondual.signatures import Signature, Walk, common_restriction, enumerate_signatures, restricts_to, validate
-from test_primal_oracle import hull
+from test_primal_oracle import contains_ideal, hull
 from test_signatures import zero_tail_step_holds
 
 

@@ -1,9 +1,10 @@
 """Closed-form containment, minimality and merge certificates against
 brute-force oracles.
 
-`contains_ideal` and `min_primal` are interval tests on the infinite hulls;
-the oracle is the enumerated `hull` defined here, taken at a bound above
-every entry involved so that no hull is cut short.
+`contains_ideal`, the reference containment test kept here, and
+`min_primal` are interval tests on the infinite hulls; the oracle is the
+enumerated `hull` defined here, taken at a bound above every entry
+involved so that no hull is cut short.
 """
 
 import itertools
@@ -16,14 +17,21 @@ from hypothesis import strategies as st
 
 from motiondual import primal, signatures, verification
 from motiondual.dualspace import GERM_KIND, LINE_KIND, Point, overlap_masks
+from motiondual.errors import ContextMismatch, PreconditionViolated
 from motiondual.primal import (
-    contains_ideal,
     merge_certificate,
     min_primal,
     sub_ideals,
     validate_certificate,
 )
-from motiondual.signatures import common_extension, enumerate_signatures, inseparable, restricts_to, validate
+from motiondual.signatures import (
+    common_extension,
+    enumerate_signatures,
+    hull_intervals,
+    inseparable,
+    restricts_to,
+    validate,
+)
 from test_dualspace import graph_edges
 
 
@@ -38,6 +46,20 @@ def hull(ideal, bound):
         return frozenset()
     parents = enumerate_signatures(ideal.sig.ctx.n + 1, bound)
     return frozenset(pi for pi in parents if restricts_to(pi, ideal.sig))
+
+
+def contains_ideal(I, J) -> bool:
+    """True when the germ ideal I contains J, i.e. hull(I) is inside
+    hull(J): every interval of I's hull lies inside the matching interval
+    of J's.  Exact on the infinite hulls, so no truncation is involved."""
+    if I.kind != GERM_KIND or J.kind != GERM_KIND:
+        raise PreconditionViolated("ideal containment is defined for germ ideals")
+    if I.sig.ctx is not J.sig.ctx:
+        raise ContextMismatch("germ ideals live in different groups")
+    return all(
+        lo_j <= lo_i and hi_i <= hi_j
+        for (lo_i, hi_i), (lo_j, hi_j) in zip(hull_intervals(I.sig), hull_intervals(J.sig))
+    )
 
 
 def _hulls(n, entry_max, hull_bound=None):
@@ -109,8 +131,8 @@ def test_closed_forms_enumerate_no_hull_or_branch(monkeypatch):
         primal, "enumerate_signatures", lambda *a: calls.append(a) or enumerate_once(*a)
     )
 
-    assert primal.contains_ideal(germ([2, 1], 4), germ([2, 0], 4))
-    assert not primal.contains_ideal(germ([2, 0], 4), germ([2, 1], 4))
+    assert contains_ideal(germ([2, 1], 4), germ([2, 0], 4))
+    assert not contains_ideal(germ([2, 0], 4), germ([2, 1], 4))
     assert calls == []
     primal.star_graph.cache_clear()  # min_primal reads the vertices of a cached graph
     kept = primal.min_primal(7, 2)

@@ -614,3 +614,87 @@ def test_pickled_signature_is_found_as_a_dict_key():
     s = pickle.loads(bytes.fromhex(proc.stdout.strip()))
     table = {sig([2, -1], 4): "here", sig([2, 1], 4): "other"}
     assert table[s] == "here" and s.ctx is GroupContext(4)
+
+
+# --- hash-consing --------------------------------------------------------------
+
+
+def test_equal_signatures_are_one_object():
+    s = sig([2, 1, 0], 7)
+    ctx = GroupContext(7)
+    assert Signature((2, 1, 0), ctx) is s and Signature([2, 1, 0], ctx) is s
+    assert validate(iter([2, 1, 0]), 7) is s
+    assert enumerate_signatures(7, 2)[entries(enumerate_signatures(7, 2)).index((2, 1, 0))] is s
+    w = walk(s, sig([0, 0, 0], 7))
+    back = walk_from_dict(w.to_dict())
+    assert all(a is b for a, b in zip(back.steps + back.witnesses, w.steps + w.witnesses))
+    assert back.steps[0] is s
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(s, protocol)) is s
+    assert copy.copy(s) is s and copy.deepcopy(s) is s and copy.deepcopy([s])[0] is s
+    assert s.__reduce__() == (Signature, ((2, 1, 0), ctx))
+
+
+class Int(int):
+    pass
+
+
+@pytest.mark.parametrize("entries", [(True, 0), (1.0, 0), (Int(1), 0), (1, False), (1, Int(0))], ids=repr)
+@pytest.mark.parametrize("kind", [tuple, list])
+def test_a_stored_value_still_refuses_other_entry_types(entries, kind):
+    # equal and hashing alike, so the lookup finds the stored (1, 0)
+    stored = sig([1, 0], 5)
+    assert entries == stored.entries and hash(entries) == hash(stored.entries)
+    before = dict(signatures._SIGNATURES)
+    with pytest.raises(SignatureError, match="must be integers"):
+        Signature(kind(entries), GroupContext(5))
+    assert signatures._SIGNATURES == before
+    assert Signature(kind([1, 0]), GroupContext(5)) is stored and type(stored.entries) is tuple
+
+
+def test_large_entries_take_the_full_check_and_the_stored_object():
+    ctx = GroupContext(5)
+    first = Signature((int("1000"), int("999")), ctx)
+    fresh = (int("1000"), int("999"))
+    assert fresh[0] is not first.entries[0]  # outside the small-int cache
+    assert Signature(fresh, ctx) is first
+    with pytest.raises(MonotonicityViolated):
+        Signature((int("999"), int("1000")), ctx)
+
+
+@pytest.mark.parametrize(
+    "entries, n, error",
+    [
+        ((1, 2), 5, MonotonicityViolated),
+        ((0, -1), 5, NegativeEntry),
+        ((1,), 5, WrongLength),
+        (([1], 0), 5, SignatureError),
+    ],
+    ids=repr,
+)
+def test_a_refused_build_leaves_the_table_unchanged(entries, n, error):
+    sig([1, 0], 5)
+    before = dict(signatures._SIGNATURES)
+    with pytest.raises(error):
+        Signature(entries, GroupContext(n))
+    assert signatures._SIGNATURES == before
+    assert all(type(m) is int and type(e) is tuple and s.entries is e for (m, e), s in before.items())
+
+
+def test_equal_entries_in_different_groups_stay_distinct():
+    a, b, c = sig([1, 0], 4), sig([1, 0], 5), sig([1, 1], 4)
+    assert a.entries == b.entries and a is not b and a != b and a.ctx is not b.ctx
+    assert a is not c and {a, b, c} == {sig([1, 0], 4), sig([1, 0], 5), sig([1, 1], 4)}
+
+
+def test_only_true_contexts_are_stored():
+    class StandIn:
+        n, k = 5, 2
+
+    stored = sig([1, 0], 5)
+    before = dict(signatures._SIGNATURES)
+    other = Signature((1, 0), StandIn())
+    assert other is not stored and Signature((1, 0), StandIn()) is not other
+    assert signatures._SIGNATURES == before
+    with pytest.raises(MonotonicityViolated):
+        Signature((0, 1), StandIn())
