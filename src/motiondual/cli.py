@@ -202,18 +202,37 @@ def _chain_from_payload(payload: dict):
     return model, chain, x, y, int_field(payload, "length")
 
 
-def _certificate_from_payload(payload: dict) -> primal_mod.MergeCertificate:
-    """A merge certificate, bare or wrapped as {"certificate": ..., "report": ...}."""
-    return primal_mod.certificate_from_dict(payload.get("certificate", payload))
+def _certificate_from_payload(payload: dict) -> tuple[primal_mod.MergeCertificate, dict | None]:
+    """A merge certificate, bare or wrapped as {"certificate": ..., "report": ...},
+    and the file's report block, None when there is none."""
+    claimed = payload.get("report")
+    if "report" in payload and not isinstance(claimed, dict):
+        raise TypeError("report is not a JSON object")
+    return primal_mod.certificate_from_dict(payload.get("certificate", payload)), claimed
+
+
+def _report_mismatch(claimed: dict, derived: dict) -> str | None:
+    """The first key, the re-derived report's then the file's, that one of
+    the two lacks or that holds another value (1 for true counts as
+    another), or None when the two agree."""
+    missing = object()
+    for key in (*derived, *claimed):
+        a, b = claimed.get(key, missing), derived.get(key, missing)
+        if type(a) is not type(b) or a != b:
+            return key
+    return None
 
 
 def cmd_certify(args) -> int:
     if args.check:
-        cert = _read_json_file(args.check, "certificate", _certificate_from_payload)
+        cert, claimed = _read_json_file(args.check, "certificate", _certificate_from_payload)
         _same_as_file(args, n=cert.n)
         report = primal_mod.validate_certificate(cert)
         if not report.ok:
             print("certificate invalid: " + "; ".join(report.violations), file=sys.stderr)
+            return 2
+        if claimed is not None and (key := _report_mismatch(claimed, report.to_dict())) is not None:
+            print(f"certificate invalid: report field {key!r} differs from the re-derived report", file=sys.stderr)
             return 2
         print(f"certificate valid; implied bound {report.implied_bound}")
         return 0
@@ -314,7 +333,7 @@ def build_parser() -> Parser:
     p.add_argument("sig1", nargs="?")
     p.add_argument("sig2", nargs="?")
     p.add_argument("sig3", nargs="?")
-    p.add_argument("--check", default=None, help="re-verify a merge certificate file (n from the file)")
+    p.add_argument("--check", default=None, help="re-verify a merge certificate file and its report block (n from the file)")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("verify", help="full verification sweep")

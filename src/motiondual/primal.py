@@ -40,6 +40,7 @@ from .signatures import (
     GroupContext,
     Signature,
     Walk,
+    _intern,
     _pad,
     common_extension,
     common_restriction,
@@ -232,14 +233,14 @@ def merge_certificate(n: int, s1: Signature, s2: Signature, s3: Signature) -> Me
             states[-1] = _pad(P[: steps + 1] + e[steps + 1 : steps + 2], k)
         walks.append(
             Walk(
-                tuple(Signature(st, parent) for st in states),
-                tuple(Signature(w, child) for w in wits),
+                tuple(_intern(st, parent) for st in states),
+                tuple(_intern(w, child) for w in wits),
             )
         )
 
     targets = tuple(w.steps[-1] for w in walks)
     if triple:
-        witness = Signature(_pad(P[: steps + 1], c), child)
+        witness = _intern(_pad(P[: steps + 1], c), child)
     else:
         if len(set(targets)) != 1:
             raise CertificationError("single-target construction produced distinct targets")

@@ -23,13 +23,19 @@ restrict to an SO(N-1) signature form a product of intervals too, its hull
 (:func:`hull_intervals`).
 
 Signatures are hash-consed: the enumerations, walks and certificates that
-repeat a value share one `Signature` object and its entry tuple.
+repeat a value share one `Signature` object and its entry tuple, stored in
+its `GroupContext`'s table.  Files, the command line, the enumeration and
+`branch` (which relies on the constructor raising) go through the checked
+constructor.  Rows derived from stored signatures by slicing, zero
+padding, `abs`, `max`, `min` or negation (walk steps and witnesses,
+merge-certificate rows, the `common_*` corners) are exact ints by
+construction and take `_intern`, one table read.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 from operator import is_
@@ -54,9 +60,11 @@ class GroupContext:
     There is one instance per n (hash-consing): the constructor, `child`,
     pickle and copy all return it, so equal contexts are the same object and
     compare by identity.  The hash is that of the tuple (n,), the same in
-    every process."""
+    every process.  Each context also holds its table of signatures,
+    `entries -> Signature` (see `Signature`)."""
 
     n: int
+    _signatures: dict[tuple[int, ...], "Signature"] = field(init=False, repr=False)
 
     def __new__(cls, n: int) -> "GroupContext":
         # keyed by true ints only: 5.0 and True hash and compare as 5 and 1
@@ -68,6 +76,7 @@ class GroupContext:
                 raise PreconditionViolated(f"SO({n}) is not a group context; need n >= 1")
             ctx = object.__new__(cls)
             object.__setattr__(ctx, "n", n)
+            object.__setattr__(ctx, "_signatures", {})
             ctx = _CONTEXTS.setdefault(n, ctx)
         return ctx
 
@@ -135,22 +144,24 @@ def _check(entries: tuple, ctx: GroupContext) -> None:
     _check_entries(entries, ctx)
 
 
-_SIGNATURES: dict[tuple[int, tuple[int, ...]], "Signature"] = {}  # one Signature per (n, entries)
-
-
 @dataclass(frozen=True, slots=True, init=False)
 class Signature:
     """A validated signature; constructing an invalid one raises.
 
     One instance per value of a true `GroupContext` (hash-consing, as for
     `GroupContext`; Filliatre and Conchon, ML Workshop 2006): the
-    constructor, pickle and copy return the stored object.  A value is
-    checked in full before it is stored.  A later build takes the stored
-    object unchecked only when each entry is the very object stored
-    (CPython shares the ints -5 to 256); any other, such as True or 1.0 for
-    1, or an int outside that range, is checked again.  Equality and the
-    hash stay by value.  Like `_CONTEXTS`, the table holds strong
-    references and grows with the distinct values a process builds, which
+    constructor, pickle and copy return the object stored in the
+    context's table, keyed by the entry tuple.  A value is checked in full
+    before it is stored.  A later build takes the stored object unchecked
+    only when each entry is the very object stored (CPython shares the
+    ints -5 to 256); any other, such as True or 1.0 for 1, or an int
+    outside that range, is checked again.  The rows the library derives
+    from stored signatures (walk steps and witnesses, merge-certificate
+    rows, corners) skip that identity test through `_intern`: slicing,
+    zero padding, `abs`, `max`, `min` and negation of exact ints give
+    exact ints, so the test could refuse nothing there.  Equality and the
+    hash stay by value.  Like `_CONTEXTS`, the tables hold strong
+    references and grow with the distinct values a process builds, which
     the size caps bound."""
 
     entries: tuple[int, ...]
@@ -159,24 +170,34 @@ class Signature:
     def __new__(cls, entries: Sequence[int], ctx: GroupContext) -> "Signature":
         if type(entries) is not tuple:
             entries = tuple(entries)
-        key = (ctx.n, entries) if type(ctx) is GroupContext else None  # only true contexts are stored
+        table = ctx._signatures if type(ctx) is GroupContext else None  # only true contexts are stored
         try:
-            sig = _SIGNATURES[key]
+            sig = table[entries]
             if all(map(is_, sig.entries, entries)):
                 return sig
-        except (KeyError, TypeError):  # a new value, or an unhashable entry that the check names
+        except (KeyError, TypeError):  # a new value, no table, or an unhashable entry that the check names
             pass
         _check(entries, ctx)
         sig = object.__new__(cls)
         object.__setattr__(sig, "entries", entries)
         object.__setattr__(sig, "ctx", ctx)
-        return sig if key is None else _SIGNATURES.setdefault(key, sig)
+        return sig if table is None else table.setdefault(entries, sig)
 
     def __reduce__(self):
         return Signature, (self.entries, self.ctx)
 
     def __str__(self) -> str:
         return ",".join([str(e) for e in self.entries])
+
+
+def _intern(entries: tuple[int, ...], ctx: GroupContext) -> Signature:
+    """`Signature(entries, ctx)` for entries derived from stored signatures,
+    which are exact ints: a stored value is returned at once, a new one
+    takes the constructor's full check."""
+    try:
+        return ctx._signatures[entries]
+    except KeyError:
+        return Signature(entries, ctx)
 
 
 def int_field(payload: dict, key: str) -> int:
@@ -348,7 +369,7 @@ def common_restriction(pis: Sequence[Signature]) -> Signature | None:
     """
     child = _require_same_ctx(tuple(pis), 3, "common_restriction").child
     corner = _corner([p.entries for p in pis], 1, child.k)
-    return None if corner is None else Signature(corner, child)
+    return None if corner is None else _intern(corner, child)
 
 
 def common_extension(sigmas: Sequence[Signature]) -> Signature | None:
@@ -364,7 +385,7 @@ def common_extension(sigmas: Sequence[Signature]) -> Signature | None:
     if parent.n < 3:
         raise PreconditionViolated("common_extension needs a parent group SO(n), n >= 3")
     corner = _corner([s.entries for s in sigmas], 0, parent.k)
-    return None if corner is None else Signature(corner, parent)
+    return None if corner is None else _intern(corner, parent)
 
 
 def tail_start(entries: tuple[int, ...]) -> int:
@@ -476,8 +497,8 @@ def walk(pi1: Signature, pi2: Signature) -> Walk:
     kept = [0] + [i for i in range(1, len(steps_e)) if steps_e[i] != steps_e[i - 1]]
     wits_e = w1 + w2[::-1]
     return Walk(
-        tuple(Signature(steps_e[i], ctx) for i in kept),
-        tuple(Signature(wits_e[i - 1], child) for i in kept[1:]),
+        tuple(_intern(steps_e[i], ctx) for i in kept),
+        tuple(_intern(wits_e[i - 1], child) for i in kept[1:]),
     )
 
 

@@ -571,6 +571,71 @@ def test_certify_walk_rows_must_be_lists_of_lists(capsys, tmp_path, key, value):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("ok", False),
+        ("ok", 1),
+        ("violations", ["walk 1 has no steps"]),
+        ("violations", None),
+        ("implied_k_bound", "2"),
+        ("implied_k_bound", 1.5),
+        ("expected_k_bound", "7"),
+        ("expected_k_bound", "3/2 "),
+    ],
+    ids=repr,
+)
+def test_certify_check_rederives_the_report_block(capsys, tmp_path, key, value):
+    out_file = _issue_certificate(capsys, tmp_path)
+    payload = json.loads(out_file.read_text())
+    payload["report"][key] = value
+    out_file.write_text(json.dumps(payload))
+    code, out, err = run(["certify", "--check", str(out_file)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"certificate invalid: report field {key!r} differs from the re-derived report\n"
+
+
+@pytest.mark.parametrize("edit", ["drop", "extra"])
+def test_certify_check_refuses_a_missing_or_extra_report_field(capsys, tmp_path, edit):
+    out_file = _issue_certificate(capsys, tmp_path)
+    payload = json.loads(out_file.read_text())
+    if edit == "drop":
+        del payload["report"]["expected_k_bound"]
+    else:
+        payload["report"]["seed"] = None
+    out_file.write_text(json.dumps(payload))
+    code, _, err = run(["certify", "--check", str(out_file)], capsys)
+    key = "expected_k_bound" if edit == "drop" else "seed"
+    assert (code, err) == (2, f"certificate invalid: report field {key!r} differs from the re-derived report\n")
+
+
+@pytest.mark.parametrize("report", [None, [], "ok", True], ids=repr)
+def test_certify_check_refuses_a_report_that_is_not_an_object(capsys, tmp_path, report):
+    out_file = _issue_certificate(capsys, tmp_path)
+    payload = json.loads(out_file.read_text())
+    payload["report"] = report
+    out_file.write_text(json.dumps(payload))
+    code, out, err = run(["certify", "--check", str(out_file)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot parse certificate file {out_file}: TypeError: report is not a JSON object\n"
+
+
+@pytest.mark.parametrize("bad", [True, 1.0], ids=repr)
+def test_certify_check_refuses_a_derived_row_of_other_entry_types(capsys, tmp_path, bad):
+    # the primal witness (1, 0) is derived, so the build stores it first
+    out_file = tmp_path / "cert.json"
+    assert run(["certify", "--n", "6", "1,0", "0,0", "1,1", "--output", str(out_file)], capsys)[0] == 0
+    payload = json.loads(out_file.read_text())
+    assert payload["certificate"]["primal_witness"] == [1, 0]
+    payload["certificate"]["primal_witness"] = [bad, 0]
+    out_file.write_text(json.dumps(payload))
+    code, out, err = run(["certify", "--check", str(out_file)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot parse certificate file {out_file}: SignatureError: ")
+    assert "signature entries must be integers" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_certify_non_json_is_usage_error(capsys, tmp_path):
     out_file = _issue_certificate(capsys, tmp_path)
     out_file.write_text(out_file.read_text()[:40])  # truncated mid-object

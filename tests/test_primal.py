@@ -24,7 +24,16 @@ from motiondual.primal import (
     target_count,
     validate_certificate,
 )
-from motiondual.signatures import Signature, Walk, common_restriction, enumerate_signatures, restricts_to, validate
+from motiondual import signatures
+from motiondual.signatures import (
+    GroupContext,
+    Signature,
+    Walk,
+    common_restriction,
+    enumerate_signatures,
+    restricts_to,
+    validate,
+)
 from test_primal_oracle import contains_ideal, hull
 from test_signatures import zero_tail_step_holds
 
@@ -326,6 +335,42 @@ def test_merge_certificate_random_triples(n):
         assert rep.ok, (triple, rep.violations)
         assert cert.claimed_n == claimed_steps(n)
         assert rep.implied_bound == Fraction((n + 1) // 2, 2)
+
+
+def _rows(cert):
+    return (*cert.containers, *cert.targets, *(s for w in cert.walks for s in w.steps + w.witnesses)) + (
+        (cert.primal_witness,) if cert.primal_witness else ()
+    )
+
+
+@pytest.mark.parametrize("n", range(3, 41))
+def test_merge_certificate_rows_are_the_stored_objects(n):
+    rng = random.Random(200 + n)
+    pool = enumerate_signatures(n - 1, 2)
+    for _ in range(5):
+        cert = merge_certificate(n, *(rng.choice(pool) for _ in range(3)))
+        assert all(s is Signature(s.entries, s.ctx) and s is Signature(list(s.entries), s.ctx) for s in _rows(cert))
+
+
+def test_a_new_certificate_row_is_checked_once_and_then_stored(monkeypatch):
+    # n = 10 builds a primal witness; entries this large appear in no other test
+    child = GroupContext(9)
+    triple = [Signature(e, child) for e in ((7003, 7002, 7001, 7000), (7004, 7000, 5, 0), (7001, 7001, 7001, 7001))]
+    before = {(e, ctx.n) for ctx in (child, GroupContext(10)) for e in ctx._signatures}
+    checked = []
+    check = signatures._check
+
+    def counted(entries, ctx):
+        checked.append((entries, ctx.n))
+        check(entries, ctx)
+
+    monkeypatch.setattr(signatures, "_check", counted)
+    cert = merge_certificate(10, *triple)
+    new = {(s.entries, s.ctx.n) for s in _rows(cert)} - before
+    assert cert.primal_witness is not None and len(new) >= 4 and sorted(checked) == sorted(new)
+    assert all(s.ctx._signatures[s.entries] is s for s in _rows(cert))
+    again = merge_certificate(10, *triple)
+    assert len(checked) == len(new) and all(a is b for a, b in zip(_rows(again), _rows(cert)))
 
 
 def test_certificate_containment():

@@ -2,9 +2,11 @@ import copy
 import gc
 import os
 import pickle
+import random
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError
+from operator import is_
 
 import pytest
 from hypothesis import given, settings
@@ -619,6 +621,16 @@ def test_pickled_signature_is_found_as_a_dict_key():
 # --- hash-consing --------------------------------------------------------------
 
 
+def _stored():
+    """(context, entries, signature) for every stored signature."""
+    return [(ctx, e, s) for ctx in signatures._CONTEXTS.values() for e, s in ctx._signatures.items()]
+
+
+def _tables() -> dict:
+    """A copy of every context's signature table, keyed by n."""
+    return {n: dict(ctx._signatures) for n, ctx in signatures._CONTEXTS.items()}
+
+
 def test_equal_signatures_are_one_object():
     s = sig([2, 1, 0], 7)
     ctx = GroupContext(7)
@@ -645,10 +657,10 @@ def test_a_stored_value_still_refuses_other_entry_types(entries, kind):
     # equal and hashing alike, so the lookup finds the stored (1, 0)
     stored = sig([1, 0], 5)
     assert entries == stored.entries and hash(entries) == hash(stored.entries)
-    before = dict(signatures._SIGNATURES)
+    before = _tables()
     with pytest.raises(SignatureError, match="must be integers"):
         Signature(kind(entries), GroupContext(5))
-    assert signatures._SIGNATURES == before
+    assert _tables() == before
     assert Signature(kind([1, 0]), GroupContext(5)) is stored and type(stored.entries) is tuple
 
 
@@ -674,17 +686,18 @@ def test_large_entries_take_the_full_check_and_the_stored_object():
 )
 def test_a_refused_build_leaves_the_table_unchanged(entries, n, error):
     sig([1, 0], 5)
-    before = dict(signatures._SIGNATURES)
+    before = _tables()
     with pytest.raises(error):
         Signature(entries, GroupContext(n))
-    assert signatures._SIGNATURES == before
-    assert all(type(m) is int and type(e) is tuple and s.entries is e for (m, e), s in before.items())
+    assert _tables() == before
+    assert all(type(e) is tuple and s.entries is e and s.ctx is ctx for ctx, e, s in _stored())
 
 
 def test_equal_entries_in_different_groups_stay_distinct():
     a, b, c = sig([1, 0], 4), sig([1, 0], 5), sig([1, 1], 4)
     assert a.entries == b.entries and a is not b and a != b and a.ctx is not b.ctx
     assert a is not c and {a, b, c} == {sig([1, 0], 4), sig([1, 0], 5), sig([1, 1], 4)}
+    assert GroupContext(4)._signatures[(1, 0)] is a and GroupContext(5)._signatures[(1, 0)] is b
 
 
 def test_only_true_contexts_are_stored():
@@ -692,9 +705,70 @@ def test_only_true_contexts_are_stored():
         n, k = 5, 2
 
     stored = sig([1, 0], 5)
-    before = dict(signatures._SIGNATURES)
+    before = _tables()
     other = Signature((1, 0), StandIn())
     assert other is not stored and Signature((1, 0), StandIn()) is not other
-    assert signatures._SIGNATURES == before
+    assert _tables() == before
     with pytest.raises(MonotonicityViolated):
         Signature((0, 1), StandIn())
+
+
+# --- derived rows --------------------------------------------------------------
+
+
+def _is_stored(s) -> bool:
+    return s is Signature(s.entries, s.ctx) and s is Signature(tuple(list(s.entries)), s.ctx)
+
+
+@pytest.mark.parametrize("n", range(3, 41))
+def test_derived_rows_are_the_stored_objects(n):
+    rng = random.Random(n)
+    classes = enumerate_signatures(n, 2)
+    children = enumerate_signatures(n - 1, 2)
+    for _ in range(6):
+        a, b = rng.choice(classes), rng.choice(classes)
+        w = walk(a, b)
+        assert all(map(_is_stored, w.steps + w.witnesses))
+        sigmas = rng.sample(children, min(2, len(children)))
+        for corner in (common_restriction([a, b]), common_extension(sigmas)):
+            assert corner is None or _is_stored(corner)
+
+
+def _count_checks(monkeypatch) -> list:
+    calls = []
+    check = signatures._check
+
+    def counted(entries, ctx):
+        calls.append((ctx.n, entries))
+        check(entries, ctx)
+
+    monkeypatch.setattr(signatures, "_check", counted)
+    return calls
+
+
+def test_a_new_derived_value_is_checked_once_and_then_stored(monkeypatch):
+    # entries this large appear in no other test, so every row but the ends is new
+    ctx = GroupContext(9)
+    a, b = Signature((9005, 9004, 9003, 9002), ctx), Signature((9004, 9001, 7, 0), ctx)
+    before = _tables()
+    calls = _count_checks(monkeypatch)
+    w = walk(a, b)
+    rows = {(s.ctx.n, s.entries) for s in w.steps + w.witnesses}
+    new = {(m, e) for m, e in rows if e not in before[m]}
+    assert len(new) >= 4 and sorted(calls) == sorted(new)
+    assert all(s.ctx._signatures[s.entries] is s for s in w.steps + w.witnesses)
+    again = walk(a, b)
+    assert len(calls) == len(new)
+    assert again.steps == w.steps and all(map(is_, again.steps + again.witnesses, w.steps + w.witnesses))
+
+
+@pytest.mark.parametrize("bad", [True, 1.0], ids=repr)
+def test_a_derived_row_does_not_admit_other_entry_types(bad):
+    w = walk(sig([0, 0], 5), sig([1, 1], 5))
+    assert w.to_dict() == {"n": 5, "steps": [[0, 0], [1, 0], [1, 1]], "witnesses": [[0, 0], [1, 0]]}
+    assert GroupContext(5)._signatures[(1, 0)] is w.steps[1] and GroupContext(4)._signatures[(1, 0)] is w.witnesses[1]
+    for key, i in (("steps", 1), ("witnesses", 1)):
+        payload = w.to_dict()
+        payload[key][i] = [bad, 0]
+        with pytest.raises(SignatureError, match="must be integers"):
+            walk_from_dict(payload)
