@@ -27,7 +27,7 @@ Topological operations (closure, separation, neighborhoods used during
 construction) run on the full model relation; distance certificates are
 class-restricted, matching the faithful metric on the classes: end sets
 and witnesses are classes, the first `DualModel.class_count` points, and
-distances are searched inside `DualModel.class_mask` (the sweep's
+distances are searched on `DualModel.classes` (the sweep's
 `germ-mediation` check tests that germs add no shortcut between classes).
 
 The chain lemma rests on the paper's Property 1: the classes form a closed,
@@ -79,7 +79,7 @@ def _violations(space: FiniteT0Space, sets: Sequence[int]) -> tuple[str, ...]:
     if n > len(space.points):
         return (f"chain has {n} sets, more than the {len(space.points)} points of the space",)
     bad = [f"set {i} is not closed" for i, s in enumerate(sets, start=1) if not space._closed(s)]
-    if reduce(or_, sets) != space._within(None):
+    if reduce(or_, sets) != space._all:
         bad.append("union of the sets does not cover the space")
     overlaps = ((i, j) for i in range(n) for j in range(i + 2, n) if sets[i] & sets[j])
     if first := next(overlaps, None):
@@ -113,20 +113,20 @@ def _valid_masks(model: DualModel, chain: Chain) -> tuple[int, ...]:
     return sets
 
 
-def _admissible(space: FiniteT0Space, sets: Sequence[int], within: int) -> tuple[int, int] | None:
-    """End witnesses (x, y) of the valid chain at finite distance inside
-    `within`, as point numbers: the first x in point order that reaches an
-    end candidate other than itself, and the first such candidate y in x's
+def _admissible(model: DualModel, sets: Sequence[int]) -> tuple[int, int] | None:
+    """End witnesses (x, y) of the valid chain at finite distance in the
+    class graph, as point numbers: the first class x that reaches an end
+    candidate other than itself, and the first such candidate y in x's
     whole component.  So a one-set chain gets two distinct witnesses, as
     `_witness_faults` demands, or none."""
     if len(sets) == 1:
-        xs = ys = sets[0] & within
+        xs = ys = sets[0] & model.class_mask
     else:
-        xs = sets[0] & ~sets[1] & within
-        ys = sets[-1] & ~sets[-2] & within
+        xs = sets[0] & ~sets[1] & model.class_mask
+        ys = sets[-1] & ~sets[-2] & model.class_mask
     while xs:
         x = xs & -xs
-        comp = space._ball(x, within)
+        comp = model.classes._ball(x)
         hits = comp & ys & ~x
         if hits:
             return x.bit_length() - 1, (hits & -hits).bit_length() - 1
@@ -140,12 +140,8 @@ def _separate(space: FiniteT0Space, Y: int, Z: int) -> tuple[int, int] | None:
     U = _union(space._min_open, Y)
     V = _union(space._min_open, Z)
     found = not U & V
-    everything = space._within(None)
     cl = space._closure
-    criterion = (
-        not _union(cl, space._ball(Y, everything, 1)) & Z
-        and not _union(cl, space._ball(Z, everything, 1)) & Y
-    )
+    criterion = not _union(cl, space._ball(Y, 1)) & Z and not _union(cl, space._ball(Z, 1)) & Y
     if found != criterion:
         raise CertificationError(
             "separation by minimal open sets disagrees with the closure criterion"
@@ -161,11 +157,10 @@ def validate_chain(model: DualModel, chain: Chain) -> ChainReport:
 
 def is_admissible(model: DualModel, chain: Chain):
     """Search for end witnesses at finite distance; returns (found, x, y)."""
-    space = model.space
-    hit = _admissible(space, _valid_masks(model, chain), model.class_mask)
+    hit = _admissible(model, _valid_masks(model, chain))
     if hit is None:
         return False, None, None
-    return True, space.points[hit[0]], space.points[hit[1]]
+    return True, model.space.points[hit[0]], model.space.points[hit[1]]
 
 
 def chain_lower_bound(model: DualModel, chain: Chain, x, y, restrict_to_class: bool = True) -> int:
@@ -183,7 +178,7 @@ def _lower_bound(model: DualModel, sets: Sequence[int], xb: int, yb: int) -> int
     bits."""
     if bad := _witness_faults(model, sets, xb, yb):
         raise PreconditionViolated(bad[0])
-    d = model.space._reach(xb, yb, model.class_mask)
+    d = model.classes._reach(xb, yb)
     if d < len(sets):
         raise CertificationError(f"chain of length {len(sets)} contradicted by graph distance {d}")
     return len(sets)
@@ -221,7 +216,7 @@ def chain_for_distance(model: DualModel, x, y, k: int) -> tuple[Chain, int]:
     if k >= 2:
         chain = find_admissible_chain(model, [x], [y], k)
     else:
-        chain = Chain(model.space, (model.space._within(None),))
+        chain = Chain(model.space, (model.space._all,))
     return chain, chain_lower_bound(model, chain, x, y)
 
 
@@ -257,23 +252,24 @@ def find_admissible_chain(model: DualModel, X: Iterable, Y: Iterable, k: int) ->
     if k < 2:
         raise PreconditionViolated("chain construction needs k >= 2")
     xm, ym = sum(bits[: len(X)]), sum(bits[len(X) :])
-    return _build_chain(space, xm, ym, k, model.class_mask)
+    return _build_chain(model, xm, ym, k)
 
 
-def _build_chain(space: FiniteT0Space, xm: int, ym: int, k: int, inside: int) -> Chain:
+def _build_chain(model: DualModel, xm: int, ym: int, k: int) -> Chain:
     """`find_admissible_chain` on masks: the chain for the end masks xm and
-    ym, nonempty masks of points inside the `inside` mask, and k >= 2.
-    PreconditionViolated unless d(xm, ym) >= k inside `inside` within one
-    component; CertificationError if the construction fails its re-checks."""
-    d = space._reach(xm, ym, inside)
+    ym, nonempty masks of classes, and k >= 2.  PreconditionViolated unless
+    d(xm, ym) >= k in the class graph within one component;
+    CertificationError if the construction fails its re-checks."""
+    space, classes = model.space, model.classes
+    d = classes._reach(xm, ym)
     if d < k:
         raise PreconditionViolated(f"need d(X, Y) >= {k}, got {d}")
     ends = xm | ym
-    if ends & ~space._ball(ends & -ends, inside):  # from the first end point
+    if ends & ~classes._ball(ends & -ends):  # from the first end point
         raise PreconditionViolated("X and Y must lie in one component")
 
-    everything = space._within(None)
-    sep = _separate(space, xm, space._ball(ym, everything, k - 2))
+    everything = space._all
+    sep = _separate(space, xm, space._ball(ym, k - 2))
     if sep is None:
         raise CertificationError("initial separation failed despite the distance bound")
     U, V = sep
@@ -281,7 +277,7 @@ def _build_chain(space: FiniteT0Space, xm: int, ym: int, k: int, inside: int) ->
     front = sets[0]  # the union of the sets so far
     front_complement = everything & ~U  # the current Y_i
     for i in range(2, k):
-        sep = _separate(space, front, space._ball(ym, everything, k - i - 1))
+        sep = _separate(space, front, space._ball(ym, k - i - 1))
         if sep is None:
             raise CertificationError(f"separation stage {i} failed despite the distance bound")
         U, V = sep
@@ -297,7 +293,7 @@ def _build_chain(space: FiniteT0Space, xm: int, ym: int, k: int, inside: int) ->
         raise CertificationError("constructed chain does not isolate X in the first set")
     if ym & ~(sets[-1] & ~sets[-2]):
         raise CertificationError("constructed chain does not isolate Y in the last set")
-    if _admissible(space, sets, inside) is None:
+    if _admissible(model, sets) is None:
         raise CertificationError("constructed chain is not admissible")
     return Chain(space, tuple(sets))
 

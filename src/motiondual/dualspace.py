@@ -22,14 +22,14 @@ writers.
 
 All traversal lives in `Graph`: an undirected graph with a fixed vertex
 order, carrying breadth-first distances, connected components (as masks)
-and the largest component diameter, each optionally restricted to a vertex
-subset given as a mask.  The adjacency is one int bitmask of neighbors per
-vertex number, so every traversal is one layered breadth-first search over
-masks (layers, the visited set and the vertex subset alike).  A graph keeps
-one vertex table, id to number, built on first use: a point is found by its
-id and confirmed equal to the vertex of that number.  The diameter takes a
-few searches, not one per vertex: eccentricity bounds (Takes and Kosters)
-settle most vertices without a search of their own.
+and the largest component diameter, each over all its vertices.  The
+adjacency is one int bitmask of neighbors per vertex number, so every
+traversal is one layered breadth-first search over masks (layers and the
+visited set alike).  A graph keeps one vertex table, id to number, built
+on first use: a point is found by its id and confirmed equal to the vertex
+of that number.  The diameter takes a few searches, not one per vertex:
+eccentricity bounds (Takes and Kosters) settle most vertices without a
+search of their own.
 `FiniteT0Space` is the `Graph` of its inseparability relation and adds
 only the topology, keeping closures and minimal open sets as bitmasks
 too.  It is built in one pass over the members of its closures, which
@@ -41,8 +41,8 @@ from sorted interval ends rather than by a scan over vertex pairs.
 
 Inside the model a germ is inseparable from every class in its hull, an
 artifact of the collapse (the half-line points themselves are separated).
-All headline metrics therefore run on the class-restricted graph; the
-full-space relation is kept for the topological machinery.
+All headline metrics therefore run on the class graph `DualModel.classes`;
+the full-space relation is kept for the topological machinery.
 """
 
 from __future__ import annotations
@@ -162,10 +162,10 @@ class Graph:
 
     Vertices are numbered in the order given, and the adjacency is one int
     mask per vertex: bit j of `adjacency[i]` is set when vertices i and j
-    are joined.  Every traversal runs the one layered search `_layers`,
-    optionally restricted to a vertex subset `within`: a mask over the
-    vertex numbers, or None for every vertex.  Vertices are looked up only
-    at the API edge, by `_bit` on the table `_number` of their unique ids.
+    are joined.  Every traversal runs the one layered search `_layers` over
+    all the vertices; a search on a vertex subset runs on the graph of that
+    subset (`DualModel.classes`).  Vertices are looked up only at the API
+    edge, by `_bit` on the table `_number` of their unique ids.
     """
 
     def __init__(self, points: Iterable, adjacency: Iterable[int]):
@@ -173,6 +173,7 @@ class Graph:
         self._adj = tuple(adjacency)
         if len(self._adj) != len(self.points):
             raise ValueError("adjacency needs one neighbor mask per vertex")
+        self._all = (1 << len(self.points)) - 1  # every vertex
 
     @cached_property
     def ids(self) -> tuple[str, ...]:
@@ -220,26 +221,23 @@ class Graph:
         pts = self.points
         return frozenset(pts[i] for i in _members(mask))
 
-    def _within(self, within: int | None) -> int:
-        return (1 << len(self.points)) - 1 if within is None else within
-
-    def _layers(self, sources: int, within: int, stop: int = 0, radius: float = inf) -> Iterator[int]:
-        """Breadth-first layers from the `sources` mask inside the `within`
-        mask: layer d is the mask of the vertices at distance d.  Ends after
-        the first layer that meets `stop`, or after layer `radius`.
+    def _layers(self, sources: int, stop: int = 0, radius: float = inf) -> Iterator[int]:
+        """Breadth-first layers from the `sources` mask: layer d is the mask
+        of the vertices at distance d.  Ends after the first layer that meets
+        `stop`, or after layer `radius`.
 
         Direction-optimizing (Beamer, Asanovic and Patterson, SC 2012): a
-        layer larger than the unvisited rest of `within` is followed
+        layer larger than the unvisited rest of the graph is followed
         bottom-up, as the unvisited vertices whose row meets it, which the
         symmetric adjacency makes the same set as the union of its rows."""
-        adj = self._adj
-        seen = layer = sources & within if radius >= 0 else 0
+        adj, everything = self._adj, self._all
+        seen = layer = sources & everything if radius >= 0 else 0
         d = 0
         while layer:
             yield layer
             if layer & stop or d >= radius:
                 return
-            left = within & ~seen
+            left = everything & ~seen
             if layer.bit_count() > left.bit_count():
                 layer = _meeting(adj, left, layer)
             else:
@@ -247,15 +245,15 @@ class Graph:
             seen |= layer
             d += 1
 
-    def _ball(self, sources: int, within: int, radius: float = inf) -> int:
-        """The mask of the vertices within `radius` of the `sources` mask
-        inside `within`: their whole components for the default radius."""
-        return reduce(or_, self._layers(sources, within, radius=radius), 0)
+    def _ball(self, sources: int, radius: float = inf) -> int:
+        """The mask of the vertices within `radius` of the `sources` mask:
+        their whole components for the default radius."""
+        return reduce(or_, self._layers(sources, radius=radius), 0)
 
-    def _reach(self, sources: int, targets: int, within: int):
-        """The distance from the `sources` mask to the `targets` mask inside
-        `within`: the first layer that meets the targets, inf if none does."""
-        for d, layer in enumerate(self._layers(sources, within, stop=targets)):
+    def _reach(self, sources: int, targets: int):
+        """The distance from the `sources` mask to the `targets` mask: the
+        first layer that meets the targets, inf if none does."""
+        for d, layer in enumerate(self._layers(sources, stop=targets)):
             if layer & targets:
                 return d
         return inf
@@ -264,30 +262,23 @@ class Graph:
         """Every edge once, as vertex numbers (i, j) with i < j, in vertex order."""
         return [(i, j) for i, m in enumerate(self._adj) for j in _members(m) if i < j]
 
-    def bfs(self, sources: Iterable, within: int | None = None) -> dict:
-        """Graph distances from the source set, restricted to `within`."""
+    def bfs(self, sources: Iterable) -> dict:
+        """Graph distances from the source set."""
         pts = self.points
-        layers = self._layers(self._mask(sources), self._within(within))
+        layers = self._layers(self._mask(sources))
         return {pts[i]: d for d, layer in enumerate(layers) for i in _members(layer)}
 
-    def distance(self, x, y, within: int | None = None):
-        xb, yb = self._mask((x,)), self._mask((y,))
-        inside = self._within(within)
-        if not (xb & inside and yb & inside):
-            raise PreconditionViolated("distance endpoints must lie in the restricted vertex set")
-        return self._reach(xb, yb, inside)
-
-    def components(self, within: int | None = None) -> tuple[int, ...]:
+    def components(self) -> tuple[int, ...]:
         """The vertex masks of the components, by lowest vertex."""
-        left = self._within(within)
+        left = self._all
         comps = []
         while left:
-            comp = self._ball(left & -left, left)  # from the lowest vertex left
+            comp = self._ball(left & -left)  # from the lowest vertex left
             comps.append(comp)
             left &= ~comp
         return tuple(comps)
 
-    def diameter(self, within: int | None = None) -> int:
+    def diameter(self) -> int:
         """Largest component diameter, i.e. the largest eccentricity of a
         vertex; 0 when every component is a singleton.
 
@@ -308,12 +299,9 @@ class Graph:
         `atleast[t]` holds the vertices whose lower bound is t or more, and
         `atmost[t]` those whose upper bound is t or less (inf past the end).
         """
-        inside = self._within(within)
-        adj = self._adj
         by_degree: dict[int, int] = {}
-        for i in _members(inside):
-            deg = (adj[i] & inside).bit_count()
-            if deg:  # an isolated vertex has eccentricity 0
+        for i, row in enumerate(self._adj):
+            if deg := row.bit_count():  # an isolated vertex has eccentricity 0
                 by_degree[deg] = by_degree.get(deg, 0) | 1 << i
         tiers = [by_degree[deg] for deg in sorted(by_degree, reverse=True)]
         left = reduce(or_, tiers, 0)
@@ -326,7 +314,7 @@ class Graph:
                 pool = next(left & ~m for m in atleast[1:] + [0] if left & ~m)
             high = not high
             pool = next(pool & tier for tier in tiers if pool & tier)  # of the highest degree
-            layers = list(self._layers(pool & -pool, inside))
+            layers = list(self._layers(pool & -pool))
             e = len(layers) - 1
             best = max(best, e)
             atleast += [0] * (e + 1 - len(atleast))
@@ -389,7 +377,7 @@ class FiniteT0Space(Graph):
         points, or equally no point outside it has a minimal open set that
         meets it.  The side with fewer points is unioned, so a large set
         costs as little as its small complement."""
-        rest = self._within(None) & ~s
+        rest = self._all & ~s
         if s.bit_count() <= rest.bit_count():
             return _union(self._closure, s) == s
         return not _union(self._min_open, rest) & s
@@ -412,6 +400,15 @@ class DualModel:
         `class_count` bits."""
         return (1 << self.class_count) - 1
 
+    @cached_property
+    def classes(self) -> Graph:
+        """The class-restricted inseparability graph, the domain of the
+        model's metric: the first `class_count` points of `space`, each
+        keeping its number, with the rows of `space` cut to the classes.  It
+        builds no vertex table; points are looked up in `space`."""
+        rows = self.space._adj[: self.class_count]
+        return Graph(self.space.points[: self.class_count], [row & self.class_mask for row in rows])
+
 
 MAX_SIZE = 8192
 """The largest model `build_dual_model` and `primal.sub_ideals` will build,
@@ -421,17 +418,18 @@ entry.  The sub-ideal graph and the diameters are cheap at the cap, so the
 cost lies in the `FiniteT0Space` constructor, which walks every closure
 member once, and in the class diameter where the classes are many.  For
 n >= 4 the largest admitted models run `motiondual report` in under 0.7 s
-and 26 MB (Python 3.11.7, 2 vCPUs, best of 3 runs, peak RSS of the
+and 28 MB (Python 3.11.7, 2 vCPUs, best of 3 runs, peak RSS of the
 process): (5, 44), at 8100 sub-ideal entries, spends 0.21 s building the
-model, and (6, 18), at 7980 entries, 0.23 s in the class diameter (617
-searches); (4, 62) took 0.28 s.  At n = 3 a point has one entry, so the
-cap admits bounds up to 2730 and germ closures of up to 2731 classes,
-which the constructor walks member by member: `build_dual_model(3, 2730)`
-(8192 points) took 6.0 s and 40 MB, and `motiondual report --n 3 --bound
-2047`, the largest bound whose sub-ideal graph the cap admits, 10.7 s
-(best of 3 each, same machine).  The cap admits every (n, bound) of the
-benchmark and of `BENCH_bitmask_core.json`; the largest, (8, 10), has
-8008 entries."""
+model, and (6, 18), at 7980 entries, 0.19 s building its class graph and
+its diameter (617 searches); (4, 62) took 0.18 s and 27 MB, 2 MB of them
+a second copy of the class rows in the class graph.  At n = 3 a point has
+one entry, so the cap admits bounds up to 2730 and germ closures of up to
+2731 classes, which the constructor walks member by member:
+`build_dual_model(3, 2730)` (8192 points) took 6.0 s and 40 MB, and
+`motiondual report --n 3 --bound 2047`, the largest bound whose sub-ideal
+graph the cap admits, 10.7 s (best of 3 each, same machine).  The cap
+admits every (n, bound) of the benchmark and of `BENCH_bitmask_core.json`;
+the largest, (8, 10), has 8008 entries."""
 
 
 def require_size(n: int, bound: int, points: Callable[[int, int], int]) -> None:
@@ -486,15 +484,18 @@ def build_dual_model(n: int, bound: int) -> DualModel:
 
 def distance(model: DualModel, x, y):
     """BFS distance in the class-restricted inseparability graph (the
-    faithful distance, since the half-line points are separated)."""
-    return model.space.distance(x, y, model.class_mask)
+    faithful distance, since the half-line points are separated).  Both
+    endpoints are looked up in the space and must be classes."""
+    xb, yb = model.space._mask((x,)), model.space._mask((y,))
+    if (xb | yb) & ~model.class_mask:
+        raise PreconditionViolated("distance endpoints must lie in the restricted vertex set")
+    return model.classes._reach(xb, yb)
 
 
 def components_and_orc(model: DualModel) -> tuple[int, int]:
     """The component count of the class-restricted graph and the connecting
     order: the largest component diameter, a singleton component counting 1."""
-    comps = model.space.components(model.class_mask)
-    return len(comps), max(1, model.space.diameter(model.class_mask))
+    return len(model.classes.components()), max(1, model.classes.diameter())
 
 
 @dataclass(frozen=True)
@@ -508,7 +509,7 @@ class GlimmPartition:
 
 
 def glimm_partition(model: DualModel) -> GlimmPartition:
-    class_comps = tuple(map(model.space._set, model.space.components(model.class_mask)))
+    class_comps = tuple(map(model.space._set, model.classes.components()))
     germ_blocks = tuple(frozenset([g]) for g in model.space.points[model.class_count :])
     return GlimmPartition(class_comps + germ_blocks, len(class_comps), len(class_comps) == 1)
 

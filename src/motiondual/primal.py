@@ -88,7 +88,8 @@ def star_graph(n: int, bound: int) -> Graph:
     overlap in every coordinate (the hull being the product of its
     intervals).  The germ rows come from sorted interval ends
     (`dualspace.overlap_masks`), not from a scan over germ pairs.  Its
-    `distance` is the sub-ideal distance d* on the truncated vertex set."""
+    graph distance (`Graph._reach`) is the sub-ideal distance d* on the
+    truncated vertex set."""
     if n < 3:
         raise PreconditionViolated("sub-ideal models need n >= 3")
     require_size(n, bound, ideal_points)

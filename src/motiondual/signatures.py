@@ -61,7 +61,7 @@ class GroupContext:
     pickle and copy all return it, so equal contexts are the same object and
     compare by identity.  The hash is that of the tuple (n,), the same in
     every process.  Each context also holds its table of signatures,
-    `entries -> Signature` (see `Signature`)."""
+    `entries -> Signature` (see `Signature`).  Subclasses are refused."""
 
     n: int
     _signatures: dict[tuple[int, ...], "Signature"] = field(init=False, repr=False)
@@ -79,6 +79,9 @@ class GroupContext:
             object.__setattr__(ctx, "_signatures", {})
             ctx = _CONTEXTS.setdefault(n, ctx)
         return ctx
+
+    def __init_subclass__(cls, **kwargs):
+        raise TypeError("GroupContext cannot be subclassed")
 
     def __reduce__(self):
         return GroupContext, (self.n,)

@@ -288,13 +288,12 @@ def _property1_violation(model) -> str:
     classes = model.class_count
     if any(cl[i] != 1 << i for i in range(classes)):
         return "Property 1 fails: the class set is not closed and relatively discrete"
-    everything = space._within(None)
     germs = cl[classes:]
-    samples = [0, model.class_mask, everything, *germs[:16]]
+    samples = [0, model.class_mask, space._all, *germs[:16]]
     if len(germs) >= 2:
         samples.append(germs[0] | germs[-1])
     for s in samples:
-        ball = space._ball(s, everything, 1)
+        ball = space._ball(s, 1)
         if not space._closed(ball):
             return "Property 1 fails: a one-step neighborhood of a closed set is not closed"
     return ""
@@ -323,23 +322,23 @@ def check_chain_lemma(n: int, bound: int, rng: random.Random) -> CheckResult:
         x, y = (space._mask([Point(CLASS_KIND, s)]) for s in sig_mod.extremal_pair(n))
         trials.append((x, y, k))
     attempts = 0
-    futile = space.diameter(model.class_mask) < 2
+    futile = model.classes.diameter() < 2
     while not futile and len(trials) < 51 and attempts < 5000:
         attempts += 1
         xs = sum(1 << i for i in rng.sample(classes, rng.randint(1, min(3, len(classes)))))
         ys = sum(1 << i for i in rng.sample(classes, rng.randint(1, min(3, len(classes)))))
-        d = space._reach(xs, ys, model.class_mask)
+        d = model.classes._reach(xs, ys)
         if d == inf or d < 2:
             continue
         trials.append((xs, ys, rng.randint(2, int(d))))
     for xs, ys, kk in trials:
         try:
-            chain = chains_mod._build_chain(space, xs, ys, kk, model.class_mask)
+            chain = chains_mod._build_chain(model, xs, ys, kk)
             rep = chains_mod.validate_chain(model, chain)
             if not rep.valid or chain.length != kk:
                 return CheckResult(n, "chain-lemma", False, "constructed chain invalid")
             # the chain is valid, so re-check it on its masks: no point ids
-            hit = chains_mod._admissible(space, chain.masks, model.class_mask)
+            hit = chains_mod._admissible(model, chain.masks)
             if hit is None:
                 return CheckResult(n, "chain-lemma", False, "constructed chain inadmissible")
             chains_mod._lower_bound(model, chain.masks, 1 << hit[0], 1 << hit[1])
@@ -386,9 +385,8 @@ def check_germ_mediation(n: int, bound: int, rng=None) -> CheckResult:
         hull = adj[g] & classes
         if any(hull & ~adj[a] & ~(1 << a) for a in _members(hull)):
             return CheckResult(n, "germ-mediation", False, f"open triangle through {space.points[g]}")
-    everything = space._within(None)
     for a in range(model.class_count):
-        b = _first_moved(space._layers(1 << a, everything), space._layers(1 << a, classes), classes)
+        b = _first_moved(space._layers(1 << a), model.classes._layers(1 << a), classes)
         if b >= 0:
             return CheckResult(n, "germ-mediation", False, f"shortcut between {space.points[a]} and {space.points[b]}")
     return CheckResult(n, "germ-mediation", True)
@@ -405,7 +403,7 @@ def check_distance_stability(n: int, bound: int, rng=None) -> CheckResult:
     models = build_dual_model(n, 3), build_dual_model(n, 4)
     pts = models[0].space.points
     for a in range(count):
-        b = _first_moved(*(m.space._layers(1 << a, m.class_mask) for m in models), (1 << count) - 1)
+        b = _first_moved(*(m.classes._layers(1 << a) for m in models), (1 << count) - 1)
         if b >= 0:
             return CheckResult(n, "distance-stability", False, f"{pts[a].sig} vs {pts[b].sig} moved")
     return CheckResult(n, "distance-stability", True, f"{count}^2 pairs")

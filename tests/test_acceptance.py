@@ -179,7 +179,7 @@ def test_criterion_8_chain_lemma():
             attempts += 1
             xs = frozenset(rng.sample(classes, rng.randint(1, 3)))
             ys = frozenset(rng.sample(classes, rng.randint(1, 3)))
-            dist = model.space.bfs(xs, model.class_mask)
+            dist = model.classes.bfs(xs)
             d = min((dist[y] for y in ys if y in dist), default=inf)
             if d == inf or d < 2:
                 continue
@@ -190,7 +190,7 @@ def test_criterion_8_chain_lemma():
             if not ok:
                 violations += 1
                 continue
-            d = model.space.distance(wx, wy, model.class_mask)
+            d = distance(model, wx, wy)
             if d < chain.length:
                 violations += 1
             total += 1
@@ -221,8 +221,8 @@ def test_criterion_10_truncation_stability_and_sweep():
         small = [Point(CLASS_KIND, s) for s in enumerate_signatures(n, 2)]
         m3, m4 = build_dual_model(n, 3), build_dual_model(n, 4)
         for a in small:
-            d3 = m3.space.bfs([a], m3.class_mask)
-            d4 = m4.space.bfs([a], m4.class_mask)
+            d3 = m3.classes.bfs([a])
+            d4 = m4.classes.bfs([a])
             for b in small:
                 if d3.get(b, inf) != d4.get(b, inf):
                     stable = False

@@ -30,7 +30,16 @@ from motiondual.dualspace import (
 )
 from motiondual.errors import CertificationError, PreconditionViolated, UnknownPoint
 from motiondual.signatures import count_signatures, validate
-from test_dualspace import class_points, closure, germ_points, inseparable_points, neighbors, number, toy_space
+from test_dualspace import (
+    class_points,
+    closure,
+    germ_points,
+    graph_distance,
+    inseparable_points,
+    neighbors,
+    number,
+    toy_space,
+)
 
 
 def cls(entries, n):
@@ -61,10 +70,10 @@ def point_sets(chain):
 # --- neighborhoods ------------------------------------------------------------
 
 
-def ball(space, s, radius, within=None):
-    """The points within `radius` of the point set `s`: the space's mask
+def ball(graph, s, radius):
+    """The points within `radius` of the point set `s`: the graph's mask
     ball, which the chain construction runs on."""
-    return space._set(space._ball(space._mask(s), space._within(within), radius))
+    return graph._set(graph._ball(graph._mask(s), radius))
 
 
 def test_neighborhood_zero_is_identity():
@@ -76,14 +85,14 @@ def test_neighborhood_zero_is_identity():
 def test_neighborhood_saturates_at_diameter():
     m = build_dual_model(5, 1)
     y = frozenset([cls([0, 0], 5)])
-    big = ball(m.space, y, 10, m.class_mask)
+    big = ball(m.classes, y, 10)
     assert big == class_points(m)  # one component
 
 
 def test_neighborhood_class_restricted_adjacency_scan():
     m = build_dual_model(4, 2)
     y = frozenset([cls([2, 2], 4)])
-    got = ball(m.space, y, 1, m.class_mask)
+    got = ball(m.classes, y, 1)
     expect = {p for p in class_points(m) if inseparable_points(m.space, p, cls([2, 2], 4))}
     assert got == frozenset(expect) | y
 
@@ -164,7 +173,7 @@ def test_chain_lower_bound_extremal_n7():
     assert chain.length == 3
     assert chain_lower_bound(m, chain, x, y) == 3
     # the bound is tight here
-    assert m.space.distance(x, y, m.class_mask) == 3
+    assert distance(m, x, y) == 3
 
 
 def test_chain_lower_bound_length_one():
@@ -210,7 +219,7 @@ def test_separate_adjacent_fails():
 def test_separate_matches_distance_two():
     m = build_dual_model(5, 1)
     y, z = cls([0, 0], 5), cls([1, 1], 5)
-    assert m.space.distance(y, z) >= 2
+    assert graph_distance(m.space, y, z) >= 2
     got = separate(m, [y], [z])
     assert got is not None
     u, v = got
@@ -312,7 +321,7 @@ def test_property1_witness(n):
 
 def test_property1_empty_sample_closed():
     m = build_dual_model(4, 1)
-    empty = m.space._ball(0, m.space._within(None), 1)
+    empty = m.space._ball(0, 1)
     assert empty == 0 == _union(m.space._closure, empty)
 
 
@@ -706,6 +715,7 @@ def test_independent_bfs_catches_a_short_path(monkeypatch):
     adj[i] |= 1 << j
     adj[j] |= 1 << i
     monkeypatch.setattr(m.space, "_adj", tuple(adj))
+    monkeypatch.setattr(m.classes, "_adj", tuple(row & m.class_mask for row in adj[: m.class_count]))
     assert validate_chain(m, chain).valid
     with pytest.raises(CertificationError, match="contradicted by graph distance 1"):
         chain_lower_bound(m, chain, x, y)
@@ -718,7 +728,7 @@ RECHECKS = {
     "constructed chain is invalid": {"_separate": lambda space, Y, Z: (0, 0)},
     "does not isolate X": {"_separate": lambda space, Y, Z: (0, 0), "_violations": lambda space, sets: ()},
     "does not isolate Y": {"_separate": lambda space, Y, Z: (-1, 0), "_violations": lambda space, sets: ()},
-    "is not admissible": {"_admissible": lambda space, sets, within: None},
+    "is not admissible": {"_admissible": lambda model, sets: None},
 }
 
 
@@ -779,7 +789,7 @@ def test_json_reader_refuses_non_canonical_ids():
     for n, bound, pid, spelled in NON_CANONICAL_IDS:
         m = build_dual_model(n, bound)
         x, y = point_from_id(m, pid), cls([0, 0], n)
-        payload = chain_to_json(m, Chain(m.space, (m.space._within(None),)), x, y)
+        payload = chain_to_json(m, Chain(m.space, (m.space._all,)), x, y)
         assert chain_from_json(m, payload)[1] is x
         in_set = dict(payload, sets=[[spelled if i == pid else i for i in payload["sets"][0]]])
         for bad in (in_set, dict(payload, x=spelled)):

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from motiondual import dualspace, primal, signatures
+from motiondual import constants, dualspace, primal, signatures
+from motiondual.cli import main
 from motiondual.dualspace import (
     CLASS_KIND,
     GERM_KIND,
@@ -78,6 +79,30 @@ def germ_points(model):
 def separated_points(model):
     """The points of a dual model joined to no other point."""
     return frozenset(p for p, m in zip(model.space.points, model.space._adj) if not m)
+
+
+def graph_distance(graph, x, y):
+    """The distance from the vertex x to the vertex y: the layered search
+    between their bits, as `dualspace.distance` runs it on the classes."""
+    return graph._reach(graph._mask((x,)), graph._mask((y,)))
+
+
+def pack(mask, keep):
+    """The mask over positions in `keep` of the vertex numbers in `mask`."""
+    return sum(1 << j for j, i in enumerate(keep) if mask >> i & 1)
+
+
+def unpack(mask, keep):
+    """The vertex numbers `keep[j]` of the positions j in `mask`."""
+    return sum(1 << keep[j] for j in _members(mask))
+
+
+def induced(graph, mask):
+    """The subgraph of `graph` on the vertices of `mask`, numbered in vertex
+    order (vertex j is `_members(mask)[j]`): a search inside a vertex subset
+    runs on such a graph, as the class searches run on `DualModel.classes`."""
+    keep = _members(mask)
+    return Graph([graph.points[i] for i in keep], [pack(graph._adj[i], keep) for i in keep])
 
 
 def closure(space, x):
@@ -167,7 +192,7 @@ def test_space_needs_one_closure_per_point():
 def test_discrete_two_point_space():
     sp = toy_space({"a": {"a"}, "b": {"b"}})
     assert not inseparable_points(sp, "a", "b")
-    assert sp.distance("a", "b") == inf
+    assert graph_distance(sp, "a", "b") == inf
     assert sp.components() == (0b01, 0b10)
 
 
@@ -431,7 +456,9 @@ def test_germs_pairwise_separated():
 def test_unknown_point():
     m = build_dual_model(4, 1)
     with pytest.raises(UnknownPoint):
-        m.space.distance(cls([5, 0], 4), cls([0, 0], 4))
+        distance(m, cls([5, 0], 4), cls([0, 0], 4))
+    with pytest.raises(UnknownPoint):
+        distance(m, cls([0, 0], 4), cls([1, 0], 5))
 
 
 # --- separated points ---------------------------------------------------------
@@ -484,6 +511,8 @@ def test_distance_restriction_requires_class():
     m = build_dual_model(4, 1)
     with pytest.raises(PreconditionViolated):
         distance(m, germ([1], 3), cls([1, 1], 4))
+    with pytest.raises(PreconditionViolated):
+        distance(m, cls([1, 1], 4), germ([1], 3))
 
 
 def test_germ_mediation_no_shortcuts():
@@ -491,7 +520,7 @@ def test_germ_mediation_no_shortcuts():
     classes = sorted(class_points(m), key=str)
     for a in classes:
         full = m.space.bfs([a])
-        restricted = m.space.bfs([a], m.class_mask)
+        restricted = m.classes.bfs([a])
         for b in classes:
             assert full.get(b, inf) == restricted.get(b, inf)
 
@@ -537,6 +566,50 @@ def test_glimm_partition_bound_zero():
     assert part.single_class_block
 
 
+# --- the class graph -----------------------------------------------------------
+
+# the models of the default verification sweep
+SWEEP_MODELS = [(n, bound) for n in range(3, 10) for bound in range(1, 5)] + [(n, 1) for n in range(10, 13)]
+
+
+@pytest.mark.parametrize("n,bound", SWEEP_MODELS)
+def test_class_graph_is_the_space_cut_to_the_classes(n, bound):
+    """The class graph holds the first `class_count` points with the space's
+    rows cut to the classes, and its components and diameter are those of
+    the search inside the class mask on the space's rows."""
+    model = build_dual_model(n, bound)
+    space, classes, mask = model.space, model.classes, model.class_mask
+    assert classes.points == space.points[: model.class_count]
+    for i in range(model.class_count):
+        assert classes._adj[i] == space._adj[i] & mask
+    layers = [top_down_layers(space._adj, 1 << i, mask) for i in range(model.class_count)]
+    comps, left = [], mask
+    while left:
+        comp = sum(layers[(left & -left).bit_length() - 1])  # the layers are disjoint
+        comps.append(comp)
+        left &= ~comp
+    assert classes.components() == tuple(comps)
+    assert classes.diameter() == max(len(ls) - 1 for ls in layers)
+
+
+def test_library_class_searches_build_no_class_vertex_table(tmp_path, capsys):
+    """Every point lookup goes through the space: the class graph of a model
+    that the cross-check, `distance --certificates`, `chain`, `chain --check`
+    and `glimm_partition` searched holds no ids and no id table."""
+    n, bound = 7, 3
+    build_dual_model.cache_clear()
+    constants.cross_check(n, bound)
+    assert main(["distance", "--n", "7", "--bound", "3", "0,0,0", "3,3,3", "--certificates"]) == 0
+    out = tmp_path / "chain.json"
+    assert main(["chain", "--n", "7", "--bound", "3", "0,0,0", "3,3,3", "--output", str(out)]) == 0
+    assert main(["chain", "--check", str(out)]) == 0
+    model = build_dual_model(n, bound)
+    glimm_partition(model)
+    capsys.readouterr()
+    assert "classes" in vars(model)
+    assert not {"ids", "_number"} & set(vars(model.classes))
+
+
 # --- layered search ------------------------------------------------------------
 
 
@@ -571,11 +644,11 @@ def bottom_up_calls(monkeypatch):
 @pytest.mark.parametrize("n,bound", [(3, 1), (3, 40), (3, 90), (4, 3), (5, 4), (6, 2), (7, 2), (8, 1)])
 def test_layers_match_top_down_on_models(n, bound, bottom_up_calls):
     model = build_dual_model(n, bound)
-    for graph, inside in ((model.space, model.class_mask), (model.space, None), (primal.star_graph(n, bound), None)):
-        within = graph._within(inside)
+    for graph in (model.space, primal.star_graph(n, bound)):
         for i in range(len(graph.points)):
-            want = top_down_layers(graph._adj, 1 << i, within)
-            assert list(graph._layers(1 << i, within)) == want
+            assert list(graph._layers(1 << i)) == top_down_layers(graph._adj, 1 << i, graph._all)
+    for i in range(model.class_count):  # a class keeps its number in the class graph
+        assert list(model.classes._layers(1 << i)) == top_down_layers(model.space._adj, 1 << i, model.class_mask)
     assert bottom_up_calls
 
 
@@ -593,12 +666,16 @@ def test_layers_match_top_down_on_random_graphs(bottom_up_calls):
                     adj[j] |= 1 << i
         graph = Graph(range(size), adj)
         for _ in range(20):
+            # the search inside `within` runs on the subgraph it induces
             within = rng.choice([(1 << size) - 1, rng.getrandbits(size)])
+            keep = _members(within)
+            sub = induced(graph, within)
             sources = rng.choice([1 << rng.randrange(size), rng.getrandbits(size) & rng.getrandbits(size)])
             stop = rng.choice([0, rng.getrandbits(size) & rng.getrandbits(size)])
             radius = rng.choice([-1, 0, 1, 2, inf])
             want = top_down_layers(adj, sources, within, stop, radius)
-            assert list(graph._layers(sources, within, stop, radius)) == want, (size, sources, within, stop, radius)
+            got = [unpack(layer, keep) for layer in sub._layers(pack(sources, keep), pack(stop, keep), radius)]
+            assert got == want, (size, sources, within, stop, radius)
     assert len(bottom_up_calls) > 100
 
 
@@ -610,11 +687,10 @@ def test_members_lists_the_set_bits(mask):
 # --- diameter ----------------------------------------------------------------
 
 
-def per_source_diameter(graph, within=None) -> int:
+def per_source_diameter(graph) -> int:
     """The oracle for `Graph.diameter`: the largest eccentricity, found by
     one breadth-first search from every vertex."""
-    inside = graph._within(within)
-    return max((len(list(graph._layers(1 << i, inside))) - 1 for i in _members(inside)), default=0)
+    return max((len(list(graph._layers(1 << i))) - 1 for i in range(len(graph.points))), default=0)
 
 
 def family_edges(kind, size):
@@ -627,8 +703,9 @@ def family_edges(kind, size):
 @st.composite
 def family_graphs(draw):
     """A disjoint union of paths, cycles, complete graphs and singletons,
-    with a few extra edges and the vertex numbers shuffled, and a `within`
-    mask: None, empty, or any subset, which may cut components apart."""
+    with a few extra edges and the vertex numbers shuffled, or its subgraph
+    induced by a vertex subset: empty, or any subset, which may cut
+    components apart."""
     parts = draw(st.lists(st.tuples(st.sampled_from(["path", "cycle", "complete"]), st.integers(1, 9)), max_size=5))
     edges, size = [], 0
     for kind, part in parts:
@@ -643,20 +720,20 @@ def family_graphs(draw):
             adjacency[order[i]] |= 1 << order[j]
             adjacency[order[j]] |= 1 << order[i]
     within = draw(st.none() | st.just(0) | st.integers(0, (1 << size) - 1))
-    return Graph(range(size), adjacency), within
+    graph = Graph(range(size), adjacency)
+    return graph if within is None else induced(graph, within)
 
 
 @given(family_graphs())
 @settings(max_examples=300, deadline=None)
-def test_diameter_matches_one_search_per_vertex(case):
-    graph, within = case
-    assert graph.diameter(within) == per_source_diameter(graph, within)
+def test_diameter_matches_one_search_per_vertex(graph):
+    assert graph.diameter() == per_source_diameter(graph)
 
 
 @pytest.mark.parametrize("n,bound", [(8, 5), (5, 12), (6, 6), (24, 2), (3, 4)])
 def test_model_diameters_match_one_search_per_vertex(n, bound):
     model = build_dual_model(n, bound)
-    assert model.space.diameter(model.class_mask) == per_source_diameter(model.space, model.class_mask)
+    assert model.classes.diameter() == per_source_diameter(model.classes)
     assert model.space.diameter() == per_source_diameter(model.space)
     star = primal.star_graph(n, bound)
     assert star.diameter() == per_source_diameter(star)
@@ -805,7 +882,7 @@ def test_dot_export_shapes():
 def test_sorted_ids_match_sorting_the_member_ids(n, bound):
     space = build_dual_model(n, bound).space
     rng = random.Random(n)
-    full = space._within(None)
+    full = space._all
     masks = [0, full, 1, 1 << len(space.points) - 1] + [rng.getrandbits(len(space.points)) for _ in range(20)]
     for mask in masks:
         assert space._sorted_ids(mask) == sorted(space.ids[i] for i in _members(mask))

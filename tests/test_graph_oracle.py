@@ -37,9 +37,8 @@ from motiondual.primal import (  # noqa: E402
     star_graph_to_json,
     sub_ideals,
 )
-from motiondual.errors import PreconditionViolated  # noqa: E402
 from motiondual.signatures import count_signatures, enumerate_signatures, inseparable, restricts_to  # noqa: E402
-from test_dualspace import closure, graph_edges, inseparable_points, neighbors  # noqa: E402
+from test_dualspace import closure, graph_distance, graph_edges, induced, inseparable_points, neighbors  # noqa: E402
 
 GRID = [(3, 1), (3, 3), (4, 1), (4, 2), (5, 1), (5, 2), (6, 1), (6, 2), (7, 1), (8, 1)]
 
@@ -94,8 +93,8 @@ def check_class_graph(n, bound):
     ref = class_reference(n, bound)
     count, orc = components_and_orc(model)
     assert count == len(components_of(ref))
-    assert set(map(model.space._set, model.space.components(model.class_mask))) == components_of(ref)
-    assert model.space.diameter(model.class_mask) == largest_diameter(ref)
+    assert set(map(model.space._set, model.classes.components())) == components_of(ref)
+    assert model.classes.diameter() == largest_diameter(ref)
     assert orc == max(1, largest_diameter(ref))
     for x, lengths in nx.all_pairs_shortest_path_length(ref):
         for y in ref:
@@ -152,7 +151,7 @@ def test_orc_and_d_at_large_truncations_match_networkx(n, bound):
     ref = class_reference(n, bound)
     model = build_dual_model(n, bound)
     count, orc = components_and_orc(model)
-    assert set(map(model.space._set, model.space.components(model.class_mask))) == components_of(ref)
+    assert set(map(model.space._set, model.classes.components())) == components_of(ref)
     assert count == 1 and orc == max(1, bounded_largest_diameter(ref)) == n // 2
     del ref
     sub = reference(sub_ideals(n, bound), star_adjacent)
@@ -167,7 +166,7 @@ def test_d_star_matches_networkx(n, bound):
     graph = star_graph(n, bound)
     for x, lengths in nx.all_pairs_shortest_path_length(ref):
         for y in verts:
-            assert graph.distance(x, y) == lengths.get(y, inf)
+            assert graph_distance(graph, x, y) == lengths.get(y, inf)
 
 
 def pairwise_scan(vertices, related, label) -> list:
@@ -205,8 +204,8 @@ def test_exporter_edges_match_pairwise_scan(n, bound):
 @st.composite
 def random_graphs(draw):
     """Up to 12 string-labelled vertices, random edges, a vertex mask (or
-    None) for `within`, vertex subsets for the sources and the targets, and
-    a radius."""
+    None) whose induced subgraph is searched, vertex subsets for the sources
+    and the targets, and a radius."""
     labels = draw(st.lists(st.text(min_size=1, max_size=3), unique=True, max_size=12))
     pairs = [(i, j) for i in range(len(labels)) for j in range(i + 1, len(labels))]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
@@ -223,40 +222,39 @@ def test_graph_core_matches_networkx(case):
     for i, j in edges:
         adjacency[i] |= 1 << j
         adjacency[j] |= 1 << i
-    graph = Graph(labels, adjacency)
+    full = Graph(labels, adjacency)
     ref = nx.Graph()
     ref.add_nodes_from(labels)
     ref.add_edges_from((labels[i], labels[j]) for i, j in edges)
-    sub = ref if within is None else ref.subgraph(graph._set(within))
     order = {v: i for i, v in enumerate(labels)}.__getitem__
 
-    assert graph_edges(graph) == sorted(
+    assert graph_edges(full) == sorted(
         (tuple(sorted(e, key=order)) for e in ref.edges()), key=lambda e: (order(e[0]), order(e[1]))
     )
     for v in labels:
-        assert list(neighbors(graph, v)) == sorted(ref[v], key=order)
+        assert list(neighbors(full, v)) == sorted(ref[v], key=order)
 
-    lengths = nx.multi_source_dijkstra_path_length(sub, xs & set(sub)) if xs & set(sub) else {}
-    assert graph.bfs(xs, within) == lengths
+    # the searches run on the subgraph that `within` induces
+    graph = full if within is None else induced(full, within)
+    sub = ref.subgraph(graph.points)
+    xs, ys = xs & set(sub), ys & set(sub)
+    lengths = nx.multi_source_dijkstra_path_length(sub, xs) if xs else {}
+    assert graph.bfs(xs) == lengths
     hits = [d for y, d in lengths.items() if y in ys]
-    sources, inside = graph._mask(xs), graph._within(within)
-    assert graph._reach(sources, graph._mask(ys), inside) == (min(hits) if hits else inf)
-    assert graph._set(graph._ball(sources, inside, radius)) == {v for v, d in lengths.items() if d <= radius}
+    sources = graph._mask(xs)
+    assert graph._reach(sources, graph._mask(ys)) == (min(hits) if hits else inf)
+    assert graph._set(graph._ball(sources, radius)) == {v for v, d in lengths.items() if d <= radius}
 
-    comps = tuple(map(graph._set, graph.components(within)))
+    comps = tuple(map(graph._set, graph.components()))
     assert set(comps) == {frozenset(c) for c in nx.connected_components(sub)}
     assert [min(map(order, c)) for c in comps] == sorted(min(map(order, c)) for c in comps)
     want = max((nx.diameter(sub.subgraph(c)) for c in nx.connected_components(sub)), default=0)
-    assert graph.diameter(within) == want
+    assert graph.diameter() == want
 
-    for x in labels:
-        for y in labels:
-            if not {x, y} <= set(sub):
-                with pytest.raises(PreconditionViolated):
-                    graph.distance(x, y, within)
-            else:
-                want = nx.shortest_path_length(sub, x, y) if nx.has_path(sub, x, y) else inf
-                assert graph.distance(x, y, within) == want
+    for x in sub:
+        for y in sub:
+            want = nx.shortest_path_length(sub, x, y) if nx.has_path(sub, x, y) else inf
+            assert graph_distance(graph, x, y) == want
 
 
 @given(random_graphs())
@@ -270,11 +268,13 @@ def test_layers_match_networkx_bfs_layers(case):
         adjacency[i] |= 1 << j
         adjacency[j] |= 1 << i
     graph = Graph(labels, adjacency)
+    if within is not None:  # the search inside `within` runs on the subgraph it induces
+        graph = induced(graph, within)
     ref = nx.Graph()
     ref.add_nodes_from(labels)
     ref.add_edges_from((labels[i], labels[j]) for i, j in edges)
-    sub = ref if within is None else ref.subgraph(graph._set(within))
+    sub = ref.subgraph(graph.points)
     starts = xs & set(sub)
     want = [graph._mask(layer) for layer in nx.bfs_layers(sub, starts)] if starts else []
-    got = list(islice(graph._layers(graph._mask(xs), graph._within(within)), len(labels) + 1))
+    got = list(islice(graph._layers(graph._mask(starts)), len(labels) + 1))
     assert got == want

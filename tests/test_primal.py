@@ -34,6 +34,7 @@ from motiondual.signatures import (
     restricts_to,
     validate,
 )
+from test_dualspace import graph_distance
 from test_primal_oracle import contains_ideal, hull
 from test_signatures import zero_tail_step_holds
 
@@ -132,9 +133,9 @@ def test_star_context_mismatch():
 
 
 def test_d_star_examples():
-    assert star_graph(5, 1).distance(germ([0, 0], 4), germ([1, 1], 4)) == 2
-    assert star_graph(5, 1).distance(germ([1, 0], 4), germ([1, 0], 4)) == 0
-    assert star_graph(7, 1).distance(germ([0, 0, 0], 6), germ([1, 1, 1], 6)) == 3
+    assert graph_distance(star_graph(5, 1), germ([0, 0], 4), germ([1, 1], 4)) == 2
+    assert graph_distance(star_graph(5, 1), germ([1, 0], 4), germ([1, 0], 4)) == 0
+    assert graph_distance(star_graph(7, 1), germ([0, 0, 0], 6), germ([1, 1, 1], 6)) == 3
 
 
 @pytest.mark.parametrize("n,bound", [(3, 0), (4, 1), (5, 2), (8, 2)])
@@ -147,7 +148,7 @@ def test_germ_ideals_are_the_germ_points_of_the_dual_model(n, bound):
 
 
 def test_d_star_line_infinite():
-    assert star_graph(5, 1).distance(line([0, 0], 4), germ([0, 0], 4)) == inf
+    assert graph_distance(star_graph(5, 1), line([0, 0], 4), germ([0, 0], 4)) == inf
 
 
 def test_library_paths_never_number_the_sub_ideal_vertices():
@@ -156,7 +157,7 @@ def test_library_paths_never_number_the_sub_ideal_vertices():
     for path in (big_d, min_primal, sub_ideals, star_graph_to_json, star_graph_to_dot):
         path(n, bound)
     assert "_number" not in star_graph(n, bound).__dict__
-    star_graph(n, bound).distance(germ([0, 0], 5), germ([1, 1], 5))
+    graph_distance(star_graph(n, bound), germ([0, 0], 5), germ([1, 1], 5))
     assert "_number" in star_graph(n, bound).__dict__
 
 
@@ -166,7 +167,7 @@ def test_d_star_calls_share_one_star_graph():
     germs = [Point(GERM_KIND, s) for s in enumerate_signatures(4, 12)]
     for _ in range(20):
         x, y = rng.sample(germs, 2)
-        star_graph(5, 12).distance(x, y)
+        graph_distance(star_graph(5, 12), x, y)
     info = star_graph.cache_info()
     assert (info.misses, info.hits, info.maxsize) == (1, 19, 16)
 

@@ -713,6 +713,18 @@ def test_only_true_contexts_are_stored():
         Signature((0, 1), StandIn())
 
 
+def test_group_context_refuses_subclasses():
+    """A subclass could put its own instance in the context table, which
+    `GroupContext(n)` would then return and which stores no signatures."""
+    with pytest.raises(TypeError, match="cannot be subclassed"):
+
+        class Sub(GroupContext):
+            pass
+
+    assert type(GroupContext(77)) is GroupContext
+    assert validate((1,) * 38, 77) is validate((1,) * 38, 77)
+
+
 # --- derived rows --------------------------------------------------------------
 
 

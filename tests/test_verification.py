@@ -366,7 +366,7 @@ def point_set_trials(n, bound, rng):
         attempts += 1
         xs = frozenset(rng.sample(classes, rng.randint(1, min(3, len(classes)))))
         ys = frozenset(rng.sample(classes, rng.randint(1, min(3, len(classes)))))
-        dist = model.space.bfs(xs, model.class_mask)
+        dist = model.classes.bfs(xs)
         d = min((dist[y] for y in ys if y in dist), default=inf)
         if d == inf or d < 2:
             continue
@@ -385,16 +385,16 @@ def test_chain_lemma_draws_the_point_set_trials(monkeypatch, n, seed):
     built = []
     real = chains._build_chain
 
-    def recording(space, xm, ym, k, inside):
-        built.append((space._set(xm), space._set(ym), k))
-        return real(space, xm, ym, k, inside)
+    def recording(model, xm, ym, k):
+        built.append((model.space._set(xm), model.space._set(ym), k))
+        return real(model, xm, ym, k)
 
     monkeypatch.setattr(chains, "_build_chain", recording)
     rng, expected = random.Random(f"{seed}:{n}"), random.Random(f"{seed}:{n}")
     result = verification.check_chain_lemma(n, bound, rng)
     assert result.ok, result
     model = build_dual_model(n, bound)
-    if model.space.diameter(model.class_mask) < 2:
+    if model.classes.diameter() < 2:
         assert rng.getstate() == expected.getstate()
         assert built == [] and result.detail == "0 chains"
         assert point_set_trials(n, bound, expected) == []
@@ -414,8 +414,8 @@ def test_chain_lemma_mask_chains_match_find_admissible_chain(monkeypatch, n, see
     built = []
     real = chains._build_chain
 
-    def recording(space, xm, ym, k, inside):
-        chain = real(space, xm, ym, k, inside)
+    def recording(model, xm, ym, k):
+        chain = real(model, xm, ym, k)
         built.append((xm, ym, k, chain))
         return chain
 
@@ -459,7 +459,7 @@ def test_n3_class_diameter_is_one(bound):
     """At n = 3 every two classes are joined, so no two class sets lie 2
     apart and the chain-lemma check rightly draws no random trial."""
     model = build_dual_model(3, bound)
-    assert model.space.diameter(model.class_mask) == 1
+    assert model.classes.diameter() == 1
 
 
 def contradicted(*args, **kwargs):
@@ -471,9 +471,9 @@ def admissible_then_none(real):
     own call, None for the re-check that the check makes after it."""
     calls = []
 
-    def fake(space, sets, within):
+    def fake(model, sets):
         calls.append(sets)
-        return real(space, sets, within) if len(calls) % 2 else None
+        return real(model, sets) if len(calls) % 2 else None
 
     return fake
 
