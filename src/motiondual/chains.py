@@ -44,7 +44,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Sequence
 
-from .dualspace import DualModel, FiniteT0Space, Point, _point_number, _union, point_from_id
+from .dualspace import DualModel, FiniteT0Space, Point, _members, _point_number, _union, point_from_id
 from .errors import CertificationError, PreconditionViolated, UnknownPoint
 
 
@@ -300,7 +300,10 @@ def _build_chain(model: DualModel, xm: int, ym: int, k: int) -> Chain:
 
 def chain_to_json(model: DualModel, chain: Chain, x, y) -> dict:
     """The certificate file of the chain and its end witnesses x and y."""
-    sets = [model.space._sorted_ids(m) for m in _masks(model, chain)]
+    ids, masks = model.space.ids, _masks(model, chain)
+    if any(m >> len(ids) for m in masks):
+        raise UnknownPoint("the chain holds bits beyond the points")
+    sets = [sorted(map(ids.__getitem__, _members(m))) for m in masks]
     model.space._mask((x, y))  # UnknownPoint for a point outside the space
     return {
         "n": model.n,

@@ -50,7 +50,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import compress, product
+from itertools import product
 from math import inf
 from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
@@ -154,9 +154,6 @@ def overlap_masks(boxes: Sequence[Sequence[tuple[int, float]]]) -> list[int]:
     return rows
 
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-
-
 class Graph:
     """An undirected graph with a fixed vertex order.
 
@@ -187,21 +184,6 @@ class Graph:
         if len(number) != len(self.ids):
             raise ValueError("vertex ids must be unique")
         return number
-
-    @cached_property
-    def _id_order(self) -> tuple[tuple[int, ...], tuple[str, ...]]:
-        """The vertex numbers sorted by id, and the ids in that order."""
-        order = tuple(sorted(range(len(self.ids)), key=self.ids.__getitem__))
-        return order, tuple(map(self.ids.__getitem__, order))
-
-    def _sorted_ids(self, mask: int) -> list[str]:
-        """The ids of the vertices in `mask`, sorted as strings: the ids of
-        `_id_order` whose bits are set, picked in one pass with no sort."""
-        order, ids = self._id_order
-        if mask >> len(order):
-            raise UnknownPoint("the mask holds bits beyond the vertices")
-        bits = bin(mask)[:1:-1].ljust(len(order), "0").encode().translate(_BIT_BYTES)  # byte i: bit i
-        return list(compress(ids, map(bits.__getitem__, order)))
 
     def _bit(self, p) -> int:
         """The bit of the vertex p, found by its id and confirmed equal to

@@ -10,11 +10,13 @@ fan out across processes and aggregate order-independently.
 
 The brute-force oracles read one relation, parent p `branch`es to child c,
 enumerated once per parent at each (n, probe) into a cached table of masks,
-a row per parent and a column per child.  Only `oracle-restriction` reads
-`restricts_to`, the closed form it tests, and only the other two pair
-oracles call `inseparable` and `common_extension`.  The pair oracles stay
-quadratic in the signatures, so `run_sweep` refuses a bound below 1 and any
-n whose pairs exceed `MAX_ORACLE_PAIRS` before any check runs.
+a row per parent and a column per child.  `oracle-restriction` checks it
+against `restricts_to`, the only row to call that closed form; then it
+checks the class graph Orc is read from (`oracle-inseparable`, one mask per
+class), and `common_extension` and the sub-ideal graph D is read from
+(`oracle-common-extension`, the one row that calls a closed form per pair).
+The pair loops stay quadratic in the signatures, so `run_sweep` refuses a
+bound below 1 and any n whose `oracle_pairs` exceed `MAX_ORACLE_PAIRS` first.
 
 Every row runs at every admitted n, except where the one large-n rule,
 `default_bound(n) == 1`, skips `chain-lemma` and `distance-stability`, and
@@ -43,6 +45,7 @@ from .dualspace import (
     LINE_KIND,
     Point,
     _members,
+    _union,
     build_dual_model,
     components_and_orc,
     model_points,
@@ -54,7 +57,6 @@ from .signatures import (
     common_extension,
     count_signatures,
     enumerate_signatures,
-    inseparable,
     restricts_to,
     tail_start,
 )
@@ -70,13 +72,15 @@ class CheckResult:
 
 
 MAX_ORACLE_PAIRS = 2**18
-"""The most signature pairs one check of the sweep may compare.  The pair
-oracles are quadratic in the signatures at the bound: the slowest admitted
-single-n sweeps, (7, 10), (3, 255) and (5, 21), take 1.7 to 2.2 s each (wall
-clock, median of five runs, 2-vCPU guest, Python 3.11), while the checks at
-(5, 30) compare 923,521 pairs and take 5.4 s.  Above n = 9 the largest
-admitted single-n sweeps, (10, 5), (11, 5), (14, 4), (15, 4), (20, 3) and
-(22, 3), take 0.5 to 1.9 s each (median of three runs, the same guest)."""
+"""The most signature pairs one check of the sweep may compare, as counted
+by `oracle_pairs`.  Two rows still compare pairs, `oracle-common-extension`
+and `oracle-restriction`.  The slowest admitted single-n sweeps, (7, 10),
+(3, 255) and (5, 21), take 1.6 to 2.5 s each (wall clock, median of five
+runs, 2-vCPU guest, Python 3.11), while the checks at (5, 30) compare
+923,521 pairs and take 4.5 s.  Above n = 9 the largest admitted single-n
+sweeps, (10, 5), (11, 5), (14, 4), (15, 4), (20, 3) and (22, 3), take 0.4
+to 1.8 s each (median of five runs, the same guest)."""
+
 
 MERGE_TRIPLES = 100
 """The seeded random triples `check_merge_certificates` draws per n."""
@@ -109,30 +113,39 @@ def _branch_table(n: int, probe: int) -> tuple:
 
 
 def check_oracle_inseparable(n: int, bound: int, rng=None) -> CheckResult:
-    """Closed-form inseparability == branching-set intersection, all ordered
-    pairs (order independence comes for free).  Each `branch` set is a mask
-    over the child enumeration, so a pair costs one `&` of two ints."""
-    sigs, _, masks, _, _ = _branch_table(n, bound)
-    for (a, ma), (b, mb) in product(zip(sigs, masks), repeat=2):
-        if inseparable(a, b) != bool(ma & mb):
-            return CheckResult(n, "oracle-inseparable", False, f"mismatch at {a} vs {b}")
+    """The class graph Orc is computed on == branching-set intersection:
+    class a's row in `DualModel.classes`, plus a, is the union of the
+    columns of the children in a's `branch` row, both in lexicographic
+    class order.  One mask per class; a difference names its lowest pair."""
+    sigs, _, rows, cols, _ = _branch_table(n, bound)
+    classes = build_dual_model(n, bound).classes
+    for a, (row, adj) in enumerate(zip(rows, classes._adj)):
+        if moved := (adj | 1 << a) ^ _union(cols, row):
+            b = (moved & -moved).bit_length() - 1
+            return CheckResult(n, "oracle-inseparable", False, f"mismatch at {sigs[a]} vs {sigs[b]}")
     return CheckResult(n, "oracle-inseparable", True, f"{len(sigs) ** 2} pairs")
 
 
 def check_oracle_common_extension(n: int, bound: int, rng=None) -> CheckResult:
     """Closed-form parent feasibility == brute-force parent search with the
-    enumeration bound raised one past the largest entry.  A pair's common
-    parents are the AND of its children's columns at bound + 1, cut to the
-    first `count_signatures(n, p)` at the pair's probe p, one past its largest
-    entry.  The witness must be the least of them in lexicographic order."""
+    enumeration bound raised one past the largest entry == an edge of the
+    sub-ideal graph D is computed on (a germ joined to itself).  A pair's
+    common parents are the AND of its children's columns at bound + 1, cut
+    to the first `count_signatures(n, p)` at the pair's probe p, one past
+    its largest entry.  The witness must be the least of them in
+    lexicographic order."""
     parents, wider, _, cols, _ = _branch_table(n, bound + 1)
     hulls = dict(zip(wider, cols))  # SO(2) at bound is no prefix of SO(2) at bound + 1
     children = enumerate_signatures(n - 1, bound)
-    rows = [(c, (1 << count_signatures(n, abs(c.entries[0]) + 1)) - 1, hulls[c]) for c in children]
-    for (a, pa, ma), (b, pb, mb) in product(rows, repeat=2):
+    star = primal_mod.star_graph(n, bound)._adj  # the germ ideals come first, in the same order
+    rows = [
+        (c, (1 << count_signatures(n, abs(c.entries[0]) + 1)) - 1, hulls[c], star[i] | 1 << i, 1 << i)
+        for i, c in enumerate(children)
+    ]
+    for (a, pa, ma, joined, _), (b, pb, mb, _, bit) in product(rows, repeat=2):
         both = ma & mb & max(pa, pb)
         got = common_extension([a, b])
-        if (got is not None) != bool(both):
+        if not ((got is None) == (not both) == (not joined & bit)):
             return CheckResult(n, "oracle-common-extension", False, f"mismatch at {a} vs {b}")
         if got is not None and got != parents[(both & -both).bit_length() - 1]:
             return CheckResult(n, "oracle-common-extension", False, f"bad witness at {a} vs {b}")
@@ -173,13 +186,13 @@ def _tail_step_violation(sigs, masks, k: int):
 
 
 def check_zero_tail_dual(n: int, bound: int, rng=None) -> CheckResult:
-    """The tail step on the class edges of the bound-1 dual model, the
-    graph Orc is computed on (the classes come first in point order)."""
+    """The tail step on the edges of the bound-1 class graph
+    `DualModel.classes`, the graph Orc is computed on."""
     if n // 2 < 2:
         return CheckResult(n, "zero-tail-dual", True, "vacuous below k = 2", skipped=True)
-    model = build_dual_model(n, 1)
-    sigs = [p.sig for p in model.space.points[: model.class_count]]
-    if bad := _tail_step_violation(sigs, model.space._adj, n // 2):
+    classes = build_dual_model(n, 1).classes
+    sigs = [p.sig for p in classes.points]
+    if bad := _tail_step_violation(sigs, classes._adj, n // 2):
         return CheckResult(n, "zero-tail-dual", False, "counterexample {} vs {}".format(*bad))
     return CheckResult(n, "zero-tail-dual", True, f"{len(sigs)}^2 pairs at bound 1")
 
@@ -480,9 +493,10 @@ def worker_count(jobs: int | None, tasks: int) -> int:
 
 
 def oracle_pairs(n: int, bound: int) -> int:
-    """The most signature pairs one check compares at (n, bound): the pair
-    oracles take all pairs of SO(n) or SO(n-1) signatures at the bound, at
-    every n."""
+    """An upper bound on the signature pairs one check compares at (n,
+    bound): all pairs of SO(n) or SO(n-1) signatures.  `oracle-inseparable`
+    compares masks, not pairs, but is still counted, so that the cap
+    refuses the sweeps it refused when that row compared pairs."""
     return max(count_signatures(n, bound), count_signatures(n - 1, bound)) ** 2
 
 

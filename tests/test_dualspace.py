@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from motiondual import constants, dualspace, primal, signatures
+from motiondual.chains import Chain, chain_to_json
 from motiondual.cli import main
 from motiondual.dualspace import (
     CLASS_KIND,
@@ -880,15 +881,19 @@ def test_dot_export_shapes():
 
 @pytest.mark.parametrize("n, bound", [(3, 12), (6, 2), (7, 3), (12, 1)])
 def test_sorted_ids_match_sorting_the_member_ids(n, bound):
-    space = build_dual_model(n, bound).space
+    """`chain_to_json` writes each set as its member ids sorted as strings,
+    and refuses a set with bits beyond the points."""
+    model = build_dual_model(n, bound)
+    space = model.space
+    x, y = space.points[0], space.points[model.class_count - 1]
     rng = random.Random(n)
     full = space._all
     masks = [0, full, 1, 1 << len(space.points) - 1] + [rng.getrandbits(len(space.points)) for _ in range(20)]
-    for mask in masks:
-        assert space._sorted_ids(mask) == sorted(space.ids[i] for i in _members(mask))
+    payload = chain_to_json(model, Chain(space, tuple(masks)), x, y)
+    assert payload["sets"] == [sorted(space.ids[i] for i in _members(mask)) for mask in masks]
     for beyond in (full + 1, -1):
         with pytest.raises(UnknownPoint):
-            space._sorted_ids(beyond)
+            chain_to_json(model, Chain(space, (full, beyond)), x, y)
 
 
 # --- point hashing ---------------------------------------------------------------

@@ -51,8 +51,13 @@ UNCALLED_EXPORTS: set[str] = set()
 def references(source: str, names: bool = True) -> set[str]:
     """Every attribute and string constant the source mentions, and every
     name unless `names` is false."""
+    return node_references(ast.parse(source), names)
+
+
+def node_references(tree: ast.AST, names: bool = True) -> set[str]:
+    """`references` of one parsed node."""
     out = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and names:
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -134,7 +139,20 @@ def test_guard_reports_an_uncalled_member():
 
 # Kept only because `perfbench/` binds them: ROADMAP direction 1 deletes them
 # with the next benchmark change.
-BENCHMARK_ONLY = {"Graph.bfs", "glimm_partition", "is_admissible", "separate", "star_adjacent"}
+BENCHMARK_ONLY = {"Graph.bfs", "glimm_partition", "inseparable", "is_admissible", "separate", "star_adjacent"}
+
+
+def called_names(source: str) -> set[str]:
+    """`references` of the source, leaving out each top-level function's
+    mentions of its own name: its own error label or a recursive call is
+    no caller."""
+    out = set()
+    for node in ast.parse(source).body:
+        refs = node_references(node)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            refs.discard(node.name)
+        out |= refs
+    return out
 
 
 def benchmark_only(library: list[str], bench: list[str], exported) -> list[str]:
@@ -142,7 +160,7 @@ def benchmark_only(library: list[str], bench: list[str], exported) -> list[str]:
     benchmark reads, by attribute or string, and no library source does: an
     export read by name counts too, wherever it is read."""
     bench_refs = set().union(*(references(source, names=False) for source in bench))
-    names = set().union(*(references(source) for source in library))
+    names = set().union(*(called_names(source) for source in library))
     attrs = set().union(*(references(source, names=False) for source in library))
     found = {name for name in exported if name in bench_refs and name not in names}
     found |= {
@@ -164,13 +182,15 @@ def test_guard_reports_benchmark_only_api():
         "def helper(): pass\n"
         "def bench_only(): pass\n"
         "def user(): return helper()\n"
+        "def labelled(): raise ValueError('labelled')\n"
         "class G:\n"
         "    def bfs(self): pass\n"
         "    def size(self): pass\n"
         "    def depth(self): return self.size()\n"
     )
-    bench = "m.helper()\nm.bench_only()\ng.bfs()\ng.size()\n"
-    assert benchmark_only([library], [bench], ["helper", "bench_only", "user"]) == ["G.bfs", "bench_only"]
+    bench = "m.helper()\nm.bench_only()\nm.labelled()\ng.bfs()\ng.size()\n"
+    exported = ["helper", "bench_only", "user", "labelled"]
+    assert benchmark_only([library], [bench], exported) == ["G.bfs", "bench_only", "labelled"]
 
 
 # Two chain shapes kept only because `perfbench/` relies on them: it passes

@@ -17,7 +17,7 @@ import pytest
 
 from motiondual import chains, primal, signatures, verification
 from motiondual.chains import ChainReport
-from motiondual.dualspace import CLASS_KIND, GERM_KIND, DualModel, Graph, Point, build_dual_model
+from motiondual.dualspace import CLASS_KIND, GERM_KIND, DualModel, FiniteT0Space, Graph, Point, build_dual_model
 from motiondual.errors import CertificationError
 from motiondual.cli import main
 from motiondual.signatures import Signature, branch, count_signatures, enumerate_signatures, validate
@@ -26,7 +26,6 @@ from test_signatures import zero_tail_step_holds
 
 ORACLE_NS = range(3, 13)  # the default range of `motiondual verify`
 REAL_COMMON_EXTENSION = verification.common_extension
-REAL_INSEPARABLE = verification.inseparable
 REAL_RESTRICTS_TO = verification.restricts_to
 
 
@@ -108,17 +107,62 @@ def test_common_extension_oracle_searches_only_up_to_the_probe(monkeypatch, n):
     assert not result.ok and result.detail.startswith("mismatch at")
 
 
+def _flip(adj, i, j):
+    adj[i] ^= 1 << j
+    adj[j] ^= 1 << i
+
+
+def _with_space(monkeypatch, space, model):
+    """Make the rows build `model` with `space` in place of its own."""
+    tampered = DualModel(space, model.n, model.bound, model.class_count)
+    monkeypatch.setattr(verification, "build_dual_model", lambda n, bound: tampered)
+
+
 @pytest.mark.parametrize("n", ORACLE_NS)
 def test_inseparable_oracle_catches_one_negated_pair(monkeypatch, n):
-    sigs = enumerate_signatures(n, _bound(n))
-    target = (sigs[-1], sigs[0])
-
-    def negated_once(a, b):
-        return REAL_INSEPARABLE(a, b) != ((a, b) == target)
-
-    monkeypatch.setattr(verification, "inseparable", negated_once)
+    """One class-graph edge flipped, between two classes in the middle of
+    the enumeration, fails the row at exactly that pair."""
+    model = build_dual_model(n, _bound(n))
+    space = copy.copy(model.space)
+    adj = list(space._adj)
+    i, j = model.class_count // 3, 2 * model.class_count // 3
+    _flip(adj, i, j)
+    space._adj = tuple(adj)
+    _with_space(monkeypatch, space, model)
     result = verification.check_oracle_inseparable(n, _bound(n))
-    assert not result.ok and result.detail == f"mismatch at {target[0]} vs {target[1]}"
+    sigs = enumerate_signatures(n, _bound(n))
+    assert (result.ok, result.detail) == (False, f"mismatch at {sigs[i]} vs {sigs[j]}")
+
+
+@pytest.mark.parametrize("n", ORACLE_NS)
+def test_inseparable_oracle_catches_a_germ_closure_cut_one_class_short(monkeypatch, n):
+    """The zero germ's closure is the run of classes t,0,...,0 for t up to
+    the bound, and no other closure holds both of its ends.  With that run
+    cut one class short, the row fails at the zero class and the class
+    it lost."""
+    model = build_dual_model(n, _bound(n))
+    points = model.space.points
+    closures = list(model.space._closure)
+    g = next(i for i, p in enumerate(points) if p.kind == GERM_KIND and not any(p.sig.entries))
+    last = (closures[g] & model.class_mask).bit_length() - 1
+    closures[g] &= ~(1 << last)
+    _with_space(monkeypatch, FiniteT0Space(points, closures), model)
+    result = verification.check_oracle_inseparable(n, _bound(n))
+    assert (result.ok, result.detail) == (False, f"mismatch at {points[0].sig} vs {points[last].sig}")
+
+
+@pytest.mark.parametrize("n", ORACLE_NS)
+def test_common_extension_oracle_catches_one_flipped_star_edge(monkeypatch, n):
+    """One flipped edge of the sub-ideal graph, between two germ ideals in
+    the middle of the enumeration, fails the row at that pair."""
+    graph = primal.star_graph(n, _bound(n))
+    germs = sum(p.kind == GERM_KIND for p in graph.points)
+    adj = list(graph._adj)
+    i, j = germs // 3, 2 * germs // 3
+    _flip(adj, i, j)
+    monkeypatch.setattr(primal, "star_graph", lambda n, bound: Graph(graph.points, adj))
+    result = verification.check_oracle_common_extension(n, _bound(n))
+    assert (result.ok, result.detail) == (False, f"mismatch at {graph.points[i].sig} vs {graph.points[j].sig}")
 
 
 @pytest.mark.parametrize("n", ORACLE_NS)
@@ -250,14 +294,15 @@ def test_zero_tail_star_fails_on_a_planted_germ_edge(monkeypatch):
 
 
 def test_zero_tail_rows_call_no_pairwise_closed_form(monkeypatch):
-    """Both rows, model builds included, read graph edges only: neither
-    calls `inseparable`, `star_adjacent` or `common_extension`."""
+    """Both zero-tail rows and `oracle-inseparable`, model builds included,
+    read graph edges and mask tables only: none calls `inseparable`,
+    `star_adjacent` or `common_extension`."""
 
     def forbidden(*args):
-        raise AssertionError("a zero-tail row called a pairwise closed form")
+        raise AssertionError("a graph row called a pairwise closed form")
 
+    assert not hasattr(verification, "inseparable")
     for module, name in [
-        (verification, "inseparable"),
         (verification, "common_extension"),
         (signatures, "inseparable"),
         (signatures, "common_extension"),
@@ -268,7 +313,11 @@ def test_zero_tail_rows_call_no_pairwise_closed_form(monkeypatch):
     build_dual_model.cache_clear()
     primal.star_graph.cache_clear()
     for n in ORACLE_NS:
-        for check in (verification.check_zero_tail_dual, verification.check_zero_tail_star):
+        for check in (
+            verification.check_zero_tail_dual,
+            verification.check_zero_tail_star,
+            verification.check_oracle_inseparable,
+        ):
             assert check(n, _bound(n)).ok
 
 
@@ -576,11 +625,6 @@ def test_germ_mediation_fails_on_a_model_with_germ_shortcuts(monkeypatch, name):
 
 
 # --- the distance-stability check -----------------------------------------------
-
-
-def _flip(adj, i, j):
-    adj[i] ^= 1 << j
-    adj[j] ^= 1 << i
 
 
 def _isolate(adj, i):
