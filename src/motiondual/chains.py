@@ -14,11 +14,12 @@ the space's layered search on masks (`Graph._layers`): the private helpers
 `_violations`, `_admissible`, `_separate` and the space's `_closed` and
 `_ball` do the set algebra, and `_build_chain` is the construction on end
 masks, which the sweep's `chain-lemma` check calls with the class masks it
-draws; the check re-checks each chain once with `validate_chain`, then on
-its masks with `_admissible` and `_lower_bound`.  The construction, the
-JSON reader and writer and every re-check use those masks as they are, so
-no step hashes the chain's points; the reader turns each canonical id into
-a point number by the model's one id table and refuses any other spelling.
+draws.  The construction validates each chain once, `_lower_bound` checks
+its bound once, and only a chain read from a file is validated again.  The
+construction, the JSON reader and writer and every re-check use the masks
+as they are, so no step hashes the chain's points; the reader turns each
+canonical id into a point number by the model's one id table and refuses
+any other spelling.
 A chain checked on another model than its own must be over the same points
 (the same model rebuilt after a cache eviction); any other raises
 UnknownPoint.
@@ -209,15 +210,16 @@ def _witness_faults(model: DualModel, sets: Sequence[int], xb: int, yb: int) -> 
     return tuple(bad)
 
 
-def chain_for_distance(model: DualModel, x, y, k: int) -> tuple[Chain, int]:
-    """A chain certifying d(x, y) >= k, and the bound it certifies: the
-    admissible chain of length k for k >= 2, else the one-set chain on the
-    whole space."""
+def chain_for_distance(model: DualModel, x, y, k: int) -> Chain:
+    """The chain whose length certifies d(x, y) >= k: the admissible chain
+    of length k for k >= 2, else the one-set chain on the whole space.  Both
+    are valid as built, so only the certificate is checked, by `_lower_bound`."""
     if k >= 2:
         chain = find_admissible_chain(model, [x], [y], k)
     else:
         chain = Chain(model.space, (model.space._all,))
-    return chain, chain_lower_bound(model, chain, x, y)
+    _lower_bound(model, chain.masks, *map(model.space._bit, (x, y)))
+    return chain
 
 
 def separate(model: DualModel, Y: Iterable, Z: Iterable):
@@ -240,7 +242,7 @@ def find_admissible_chain(model: DualModel, X: Iterable, Y: Iterable, k: int) ->
 
     Construction: separate X from the (k-2)-neighborhood of Y, take closed
     complements, then repeatedly separate the accumulated front from the
-    shrinking neighborhoods of Y.  The result is re-validated before return.
+    shrinking neighborhoods of Y.  The result is validated before return.
     """
     space = model.space
     X, Y = frozenset(X), frozenset(Y)
@@ -259,7 +261,8 @@ def _build_chain(model: DualModel, xm: int, ym: int, k: int) -> Chain:
     """`find_admissible_chain` on masks: the chain for the end masks xm and
     ym, nonempty masks of classes, and k >= 2.  PreconditionViolated unless
     d(xm, ym) >= k in the class graph within one component;
-    CertificationError if the construction fails its re-checks."""
+    CertificationError if the chain fails its one validation, which makes
+    every point of xm and ym an end witness for `_lower_bound`."""
     space, classes = model.space, model.classes
     d = classes._reach(xm, ym)
     if d < k:

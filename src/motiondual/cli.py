@@ -104,7 +104,7 @@ def cmd_distance(args) -> int:
         lines.append(f"walk upper bound: {w.length}")
         payload["walk_upper_bound"] = w.length
         payload["walk"] = w.to_dict()
-        lb = chains_mod.chain_for_distance(model, x, y, int(d))[1] if d >= 1 else 0
+        lb = chains_mod.chain_for_distance(model, x, y, int(d)).length if d >= 1 else 0
         lines.append(f"chain lower bound: {lb}")
         payload["chain_lower_bound"] = lb
     if args.format == "json":
@@ -169,11 +169,11 @@ def cmd_chain(args) -> int:
         k = int(distance(model, x, y))
     if k < 1 or (k == 1 and a == b):
         raise PreconditionViolated("no chain certificate for coinciding classes")
-    chain, lb = chains_mod.chain_for_distance(model, x, y, k)
+    chain = chains_mod.chain_for_distance(model, x, y, k)
     payload = chains_mod.chain_to_json(model, chain, x, y)
     _emit(json.dumps(payload, indent=2) + "\n", args.output)
     if args.output:
-        print(f"chain certifying distance >= {lb} written to {args.output}")
+        print(f"chain certifying distance >= {chain.length} written to {args.output}")
     return 0
 
 

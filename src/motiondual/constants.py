@@ -124,7 +124,7 @@ def cross_check(n: int, bound: int) -> ConstantsReport:
     x, y = Point(CLASS_KIND, zero), Point(CLASS_KIND, ones)
     w = walk(zero, ones)
     bfs_d = distance(model, x, y)
-    chain, chain_bound = chains_mod.chain_for_distance(model, x, y, k)
+    chain = chains_mod.chain_for_distance(model, x, y, k)
     chain_payload = chains_mod.chain_to_json(model, chain, x, y)
 
     cert = primal_mod.merge_certificate(n, *_merge_triple(n, bound))
@@ -142,7 +142,7 @@ def cross_check(n: int, bound: int) -> ConstantsReport:
         ("ks equals k", ks_ma == k_ma),
         (
             "extremal distance equals floor(n/2)",
-            bfs_d == k and w.length == k and chain_bound == (k if k >= 2 else 1),
+            bfs_d == k and w.length == k and chain.length == (k if k >= 2 else 1),
         ),
     )
     report = ConstantsReport(

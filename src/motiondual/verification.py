@@ -73,13 +73,12 @@ class CheckResult:
 
 MAX_ORACLE_PAIRS = 2**18
 """The most signature pairs one check of the sweep may compare, as counted
-by `oracle_pairs`.  Two rows still compare pairs, `oracle-common-extension`
-and `oracle-restriction`.  The slowest admitted single-n sweeps, (7, 10),
-(3, 255) and (5, 21), take 1.6 to 2.5 s each (wall clock, median of five
-runs, 2-vCPU guest, Python 3.11), while the checks at (5, 30) compare
-923,521 pairs and take 4.5 s.  Above n = 9 the largest admitted single-n
-sweeps, (10, 5), (11, 5), (14, 4), (15, 4), (20, 3) and (22, 3), take 0.4
-to 1.8 s each (median of five runs, the same guest)."""
+by `oracle_pairs`.  Two rows compare pairs, `oracle-common-extension` and
+`oracle-restriction`.  The slowest admitted single-n sweeps, (7, 10),
+(3, 255) and (5, 21), take 1.1 to 1.2 s each, and the largest even-n ones,
+(4, 62), (6, 15), (8, 8), (10, 6), (12, 5) and (16, 4), 0.35 to 0.71 s
+(`verify` wall clock, median of five runs, 2-vCPU guest, Python 3.11),
+while the checks at (5, 30) compare 923,521 pairs and take 4.4 s."""
 
 
 MERGE_TRIPLES = 100
@@ -314,7 +313,8 @@ def _property1_violation(model) -> str:
 
 def check_chain_lemma(n: int, bound: int, rng: random.Random) -> CheckResult:
     """Admissible chains never overestimate the distance: systematic for the
-    extremal pair plus seeded random class-set pairs.  Property 1, which the
+    extremal pair plus seeded random class-set pairs, each validated by its
+    construction and its bound checked once by BFS.  Property 1, which the
     chain lemma rests on, is checked first and draws nothing from `rng`; its
     neighborhood half cross-checks the constructor's adjacency fold (see
     `_property1_violation` and its tampered-adjacency test).  The random
@@ -347,14 +347,10 @@ def check_chain_lemma(n: int, bound: int, rng: random.Random) -> CheckResult:
     for xs, ys, kk in trials:
         try:
             chain = chains_mod._build_chain(model, xs, ys, kk)
-            rep = chains_mod.validate_chain(model, chain)
-            if not rep.valid or chain.length != kk:
+            if chain.length != kk:
                 return CheckResult(n, "chain-lemma", False, "constructed chain invalid")
-            # the chain is valid, so re-check it on its masks: no point ids
-            hit = chains_mod._admissible(model, chain.masks)
-            if hit is None:
-                return CheckResult(n, "chain-lemma", False, "constructed chain inadmissible")
-            chains_mod._lower_bound(model, chain.masks, 1 << hit[0], 1 << hit[1])
+            # validated by its construction, with xs in the first set only and ys in the last
+            chains_mod._lower_bound(model, chain.masks, xs & -xs, ys & -ys)
         except MotionDualError as exc:
             return CheckResult(n, "chain-lemma", False, str(exc))
     return CheckResult(n, "chain-lemma", True, f"{len(trials)} chains")
@@ -493,11 +489,12 @@ def worker_count(jobs: int | None, tasks: int) -> int:
 
 
 def oracle_pairs(n: int, bound: int) -> int:
-    """An upper bound on the signature pairs one check compares at (n,
-    bound): all pairs of SO(n) or SO(n-1) signatures.  `oracle-inseparable`
-    compares masks, not pairs, but is still counted, so that the cap
-    refuses the sweeps it refused when that row compared pairs."""
-    return max(count_signatures(n, bound), count_signatures(n - 1, bound)) ** 2
+    """The signature pairs that the larger of the sweep's two pair loops
+    compares at (n, bound): `oracle-common-extension` compares all C^2
+    pairs of the C SO(n-1) signatures, `oracle-restriction` the P * C pairs
+    of the P SO(n) signatures with them."""
+    children = count_signatures(n - 1, bound)
+    return children * max(count_signatures(n, bound), children)
 
 
 def run_sweep(n_min: int, n_max: int, bound: int | None = None, seed: int = 0, jobs: int | None = None) -> SweepSummary:

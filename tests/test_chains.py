@@ -184,6 +184,18 @@ def test_chain_lower_bound_length_one():
         chain_lower_bound(m, chain_of(m, [all_points(m)]), x, x)
 
 
+def test_chain_for_distance_checks_the_end_points_of_a_one_set_chain():
+    """The one-set chain is valid as built, so only its end points are
+    checked, with the errors of `chain_lower_bound`: two distinct classes."""
+    m = build_dual_model(3, 1)
+    x, y, germ = cls([0], 3), cls([1], 3), Point(GERM_KIND, validate([0], 2))
+    assert chains.chain_for_distance(m, x, y, 1).masks == (m.space._all,)
+    with pytest.raises(PreconditionViolated, match="a length-1 certificate needs distinct end points"):
+        chains.chain_for_distance(m, x, x, 1)
+    with pytest.raises(PreconditionViolated, match="end witnesses of a class-restricted chain must be classes"):
+        chains.chain_for_distance(m, x, germ, 1)
+
+
 @pytest.mark.parametrize("flag", [False, None, 1])
 def test_chain_lower_bound_refuses_an_unrestricted_chain(flag):
     # the keyword is kept for the flag `chain_from_json` returns, always True
@@ -644,7 +656,7 @@ def test_class_of_another_group_with_the_same_id_is_foreign():
     assert str(same_id) == str(x) and same_id != x
     with pytest.raises(UnknownPoint):
         distance(m, same_id, y)
-    chain, _ = chains.chain_for_distance(m, x, y, int(distance(m, x, y)))
+    chain = chains.chain_for_distance(m, x, y, int(distance(m, x, y)))
     assert chains.witness_violations(m, chain, x, y) == ()
     assert chains.witness_violations(m, chain, same_id, y) == (
         "x must lie in the first set and not the second",

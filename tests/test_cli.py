@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from motiondual import cli
+from motiondual import chains, cli
 from motiondual.cli import main
 from motiondual.dualspace import build_dual_model, dual_model_to_json
 from motiondual.errors import CertificationError, MotionDualError, PreconditionViolated, TheoremViolation
@@ -206,6 +206,25 @@ def test_chain_emit_and_recheck(capsys, tmp_path):
     code, out, _ = run(["chain", "--n", "7", "--check", str(out_file)], capsys)
     assert code == 0
     assert "certifies distance >= 3" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--n", "8", "--bound", "5"],
+        ["chain", "--n", "7", "0,0,0", "1,1,1"],
+        ["distance", "--n", "7", "0,0,0", "1,1,1", "--certificates"],
+    ],
+    ids=["report", "chain", "distance"],
+)
+def test_a_constructed_chain_is_validated_once(capsys, monkeypatch, argv):
+    """Each command builds one chain and runs `chains._violations` on it
+    once, in the construction; the certificate check does not run it again."""
+    calls = []
+    real = chains._violations
+    monkeypatch.setattr(chains, "_violations", lambda space, sets: calls.append(sets) or real(space, sets))
+    code, _, _ = run(argv, capsys)
+    assert code == 0 and len(calls) == 1
 
 
 @pytest.mark.parametrize("k", ["0", "-3"])

@@ -16,7 +16,6 @@ from operator import and_
 import pytest
 
 from motiondual import chains, primal, signatures, verification
-from motiondual.chains import ChainReport
 from motiondual.dualspace import CLASS_KIND, GERM_KIND, DualModel, FiniteT0Space, Graph, Point, build_dual_model
 from motiondual.errors import CertificationError
 from motiondual.cli import main
@@ -342,7 +341,7 @@ def no_checks(monkeypatch):
         (["--n-min", "5", "--n-max", "5", "--bound", "51"], "error: n = 5, bound = 51: the sweep would compare"),
         (["--n-min", "5", "--n-max", "5", "--bound", "60"], "error: n = 5, bound = 60: the sweep would compare"),
         (["--n-min", "39", "--n-max", "39", "--bound", "2"], "error: n = 39, bound = 2 is beyond the model size cap"),
-        (["--n-min", "12", "--n-max", "12", "--bound", "5"], "error: n = 12, bound = 5: the sweep would compare"),
+        (["--n-min", "12", "--n-max", "12", "--bound", "6"], "error: n = 12, bound = 6: the sweep would compare"),
         (["--n-min", "20", "--n-max", "60"], "error: n = 39, bound = 2 is beyond the model size cap"),
         (["--n-min", "3", "--n-max", str(10**9)], "error: n = 39, bound = 2 is beyond the model size cap"),
     ],
@@ -352,7 +351,7 @@ def no_checks(monkeypatch):
         "n5-bound-51",
         "n5-bound-60",
         "dual-model-cap",
-        "n12-bound-5",
+        "n12-bound-6",
         "sub-ideal-cap",
         "huge-n-range",
     ],
@@ -375,8 +374,29 @@ def test_size_cap_admits_the_default_sweep_and_bound_3():
 
 
 def test_oracle_pairs_counts_the_larger_group():
+    """The larger pair loop: SO(n-1) x SO(n-1) at odd n, SO(n) x SO(n-1) at
+    even n, where SO(n) has the more signatures."""
     assert verification.oracle_pairs(5, 30) == count_signatures(4, 30) ** 2 == 961**2
-    assert verification.oracle_pairs(12, 30) == count_signatures(12, 30) ** 2
+    assert verification.oracle_pairs(12, 30) == count_signatures(12, 30) * count_signatures(11, 30)
+
+
+@pytest.mark.parametrize("n, bound", [(4, 5), (5, 3), (6, 4), (7, 2), (8, 3)])
+def test_oracle_pairs_is_the_work_of_the_larger_pair_loop(monkeypatch, n, bound):
+    """The cap counts what the two pair loops do: `oracle_pairs` is the
+    larger of the `common_extension` calls of `oracle-common-extension` and
+    the `restricts_to` calls of `oracle-restriction` on a passing row."""
+    calls = {"common_extension": 0, "restricts_to": 0}
+    for name in calls:
+        real = getattr(verification, name)
+
+        def counting(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(verification, name, counting)
+    assert verification.check_oracle_common_extension(n, bound).ok
+    assert verification.check_oracle_restriction(n, bound).ok
+    assert verification.oracle_pairs(n, bound) == max(calls.values())
 
 
 def test_default_sweep_skips_only_the_vacuous_and_large_n_rows():
@@ -493,14 +513,24 @@ def test_chain_lemma_looks_up_each_end_witness_once(monkeypatch):
     assert len(calls) == 2 * extremal == 12
 
 
-def test_chain_lemma_validates_each_trial_chain_once(monkeypatch):
-    """Over the default sweep's chain-lemma rows, `chains._violations` runs
-    twice per chain: once in the construction and once in `validate_chain`."""
+def chain_lemma_calls(monkeypatch, name):
+    """The calls to `chains.<name>` and the chains built over the default
+    sweep's chain-lemma rows (seed 0)."""
     calls = []
-    real = chains._violations
-    monkeypatch.setattr(chains, "_violations", lambda space, sets: calls.append(sets) or real(space, sets))
+    real = getattr(chains, name)
+    monkeypatch.setattr(chains, name, lambda first, sets: calls.append(sets) or real(first, sets))
     details = [verification.check_chain_lemma(n, _bound(n), random.Random(f"0:{n}")).detail for n in ORACLE_NS]
-    assert len(calls) == 2 * sum(int(d.split()[0]) for d in details if d.endswith(" chains")) == 612
+    return len(calls), sum(int(d.split()[0]) for d in details if d.endswith(" chains"))
+
+
+def test_chain_lemma_validates_each_trial_chain_once(monkeypatch):
+    """`chains._violations` runs once per chain, in its construction."""
+    assert chain_lemma_calls(monkeypatch, "_violations") == (306, 306)
+
+
+def test_chain_lemma_tests_each_trial_chain_admissible_once(monkeypatch):
+    """`chains._admissible` runs once per chain, in its construction."""
+    assert chain_lemma_calls(monkeypatch, "_admissible") == (306, 306)
 
 
 @pytest.mark.parametrize("bound", range(1, 9))
@@ -515,24 +545,10 @@ def contradicted(*args, **kwargs):
     raise CertificationError("stand-in")
 
 
-def admissible_then_none(real):
-    """A stand-in for `_admissible`: the real answer for the construction's
-    own call, None for the re-check that the check makes after it."""
-    calls = []
-
-    def fake(model, sets):
-        calls.append(sets)
-        return real(model, sets) if len(calls) % 2 else None
-
-    return fake
-
-
-# Each re-check that the chain-lemma check makes after a construction must
-# run: a failing stand-in for it fails the check.  Each entry makes the
-# stand-in from the real function.
+# The re-check that the chain-lemma check makes after a construction (the
+# construction validates the chain itself) must run: a failing stand-in for
+# it fails the check.  Each entry makes the stand-in from the real function.
 FAILING_RECHECKS = {
-    "validate_chain": (lambda real: lambda model, chain: ChainReport(False, ("stand-in",)), "constructed chain invalid"),
-    "_admissible": (admissible_then_none, "constructed chain inadmissible"),
     "_lower_bound": (lambda real: contradicted, "stand-in"),
 }
 
