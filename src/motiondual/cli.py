@@ -148,7 +148,8 @@ def cmd_chain(args) -> int:
         if bad:
             print("invalid chain: " + "; ".join(bad), file=sys.stderr)
             return 2
-        lb = chains_mod.chain_lower_bound(model, chain, x, y)
+        # valid, with valid witnesses: certify the bound without validating again
+        lb = chains_mod._lower_bound(model, chain.masks, *map(model.space._bit, (x, y)))
         print(f"chain of length {chain.length} certifies distance >= {lb}")
         return 0
     if args.n is None:

@@ -31,7 +31,6 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product, repeat, zip_longest
-from math import inf
 from operator import and_, or_
 from typing import Iterator
 
@@ -311,16 +310,46 @@ def _property1_violation(model) -> str:
     return ""
 
 
+def _merged_chain_fault(model, sets) -> str:
+    """Why a chain made from the valid chain `sets` by merging two
+    consecutive sets breaks the chain lemma; "" when none does.  With three
+    sets or more, sets 1 and 2 are merged, and then the last two.  Each
+    merged chain must be valid: its sets stay closed and cover the space,
+    non-consecutive sets stay disjoint (sets 1 and 3 were), and the end sets
+    still stick out.  Then the classes in its first set only must lie at
+    least its length from those in its last set only.  The end sets need not
+    be the X and Y the chain was built for, so this tests the lemma on a
+    chain the construction did not shape."""
+    if len(sets) < 3:
+        return ""
+    for merged in ((sets[0] | sets[1], *sets[2:]), (*sets[:-2], sets[-2] | sets[-1])):
+        if bad := chains_mod._violations(model.space, merged):
+            return "merged chain invalid: " + "; ".join(bad)
+        first, last = merged[0] & ~merged[1], merged[-1] & ~merged[-2]
+        d = model.classes._reach(first & model.class_mask, last & model.class_mask)
+        if d < len(merged):
+            return f"merged chain of length {len(merged)} contradicted by graph distance {d}"
+    return ""
+
+
 def check_chain_lemma(n: int, bound: int, rng: random.Random) -> CheckResult:
     """Admissible chains never overestimate the distance: systematic for the
     extremal pair plus seeded random class-set pairs, each validated by its
-    construction and its bound checked once by BFS.  Property 1, which the
-    chain lemma rests on, is checked first and draws nothing from `rng`; its
-    neighborhood half cross-checks the constructor's adjacency fold (see
-    `_property1_violation` and its tampered-adjacency test).  The random
-    pairs are drawn only when the class graph has diameter 2 or more:
-    below that no two class sets are 2 apart, so no draw could give a trial
-    and `rng` is left as it was."""
+    construction and its bound checked once by BFS, and then the chains made
+    from it by merging two consecutive sets (`_merged_chain_fault`), which
+    draw nothing from `rng`.  Property 1, which the chain lemma rests on, is
+    checked first and draws nothing from `rng` either; its neighborhood half
+    cross-checks the constructor's adjacency fold (see
+    `_property1_violation` and its tampered-adjacency test).
+
+    A random trial is drawn from one layered search: 1 to 3 classes X, then
+    1 to 3 classes Y among those 2 or more from X (an X with none is drawn
+    again, at most 5000 draws of X in all), then k from 2 to d(X, Y), the
+    first layer that meets Y.  These are exactly the pairs 2 <= d < inf on
+    the connected class graph, with no draw of Y thrown away.  The trials
+    are drawn only when the class graph has diameter 2 or more: below that
+    no two classes are 2 apart, so no X could give a trial and `rng` is
+    left as it was."""
     if default_bound(n) == 1:
         return CheckResult(n, "chain-lemma", True, "skipped where default_bound(n) == 1", skipped=True)
     model = build_dual_model(n, bound)
@@ -339,11 +368,12 @@ def check_chain_lemma(n: int, bound: int, rng: random.Random) -> CheckResult:
     while not futile and len(trials) < 51 and attempts < 5000:
         attempts += 1
         xs = sum(1 << i for i in rng.sample(classes, rng.randint(1, min(3, len(classes)))))
-        ys = sum(1 << i for i in rng.sample(classes, rng.randint(1, min(3, len(classes)))))
-        d = model.classes._reach(xs, ys)
-        if d == inf or d < 2:
+        layers = list(model.classes._layers(xs))
+        if not (far := reduce(or_, layers[2:], 0)):
             continue
-        trials.append((xs, ys, rng.randint(2, int(d))))
+        ys = sum(1 << i for i in rng.sample(_members(far), rng.randint(1, min(3, far.bit_count()))))
+        d = next(d for d, layer in enumerate(layers) if layer & ys)
+        trials.append((xs, ys, rng.randint(2, d)))
     for xs, ys, kk in trials:
         try:
             chain = chains_mod._build_chain(model, xs, ys, kk)
@@ -353,6 +383,8 @@ def check_chain_lemma(n: int, bound: int, rng: random.Random) -> CheckResult:
             chains_mod._lower_bound(model, chain.masks, xs & -xs, ys & -ys)
         except MotionDualError as exc:
             return CheckResult(n, "chain-lemma", False, str(exc))
+        if bad := _merged_chain_fault(model, chain.masks):
+            return CheckResult(n, "chain-lemma", False, bad)
     return CheckResult(n, "chain-lemma", True, f"{len(trials)} chains")
 
 

@@ -227,6 +227,19 @@ def test_a_constructed_chain_is_validated_once(capsys, monkeypatch, argv):
     assert code == 0 and len(calls) == 1
 
 
+def test_chain_check_validates_the_file_chain_once(capsys, monkeypatch, tmp_path):
+    """`chain --check` runs `chains._violations` once on the file's chain,
+    in `validate_chain`; the bound is then certified without a second run."""
+    out_file = tmp_path / "chain.json"
+    assert run(["chain", "--n", "7", "0,0,0", "1,1,1", "--output", str(out_file)], capsys)[0] == 0
+    calls = []
+    real = chains._violations
+    monkeypatch.setattr(chains, "_violations", lambda space, sets: calls.append(sets) or real(space, sets))
+    code, out, _ = run(["chain", "--check", str(out_file)], capsys)
+    assert (code, out) == (0, "chain of length 3 certifies distance >= 3\n")
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("k", ["0", "-3"])
 def test_chain_refuses_k_below_one(capsys, k):
     code, out, err = run(["chain", "--n", "5", "0,0", "1,1", "--k", k], capsys)

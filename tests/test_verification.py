@@ -10,7 +10,6 @@ import time
 from collections import Counter
 from functools import reduce
 from itertools import product
-from math import inf
 from operator import and_
 
 import pytest
@@ -424,9 +423,9 @@ def test_default_sweep_skips_only_the_vacuous_and_large_n_rows():
 
 
 def point_set_trials(n, bound, rng):
-    """The random trials of `check_chain_lemma` drawn as it drew them on
-    point sets (sorted class points, distances from a class-restricted
-    `bfs`), leaving `rng` where that loop left it."""
+    """The random trials of `check_chain_lemma` drawn on point sets (sorted
+    class points, distances from a class-restricted `bfs`, the classes 2 or
+    more from X in class order), leaving `rng` where the check leaves it."""
     model = build_dual_model(n, bound)
     classes = list(model.space.points[: model.class_count])
     trials = []
@@ -434,23 +433,27 @@ def point_set_trials(n, bound, rng):
     while len(trials) < 51 - (n // 2 >= 2) and attempts < 5000:
         attempts += 1
         xs = frozenset(rng.sample(classes, rng.randint(1, min(3, len(classes)))))
-        ys = frozenset(rng.sample(classes, rng.randint(1, min(3, len(classes)))))
         dist = model.classes.bfs(xs)
-        d = min((dist[y] for y in ys if y in dist), default=inf)
-        if d == inf or d < 2:
+        far = [p for p in classes if dist.get(p, 0) >= 2]
+        if not far:
             continue
-        trials.append((xs, ys, rng.randint(2, int(d))))
+        ys = frozenset(rng.sample(far, rng.randint(1, min(3, len(far)))))
+        trials.append((xs, ys, rng.randint(2, min(dist[y] for y in ys))))
     return trials
 
 
+CHAIN_LEMMA_GRID = [pytest.param(n, verification.default_bound(n), id=str(n)) for n in range(3, 10)] + [
+    pytest.param(n, bound, id=f"{n}-bound{bound}") for bound in (2, 4) for n in range(4, 8)
+]
+
+
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("n", range(3, 10))
-def test_chain_lemma_draws_the_point_set_trials(monkeypatch, n, seed):
+@pytest.mark.parametrize("n, bound", CHAIN_LEMMA_GRID)
+def test_chain_lemma_draws_the_point_set_trials(monkeypatch, n, bound, seed):
     """The same trials and the same rng state afterwards, so the
     merge-certificates check, which shares the rng, sees the same triples.
     Below class diameter 2 (n = 3) the point-set loop finds no trial, and
     the check draws nothing and builds no chain."""
-    bound = verification.default_bound(n)
     built = []
     real = chains._build_chain
 
@@ -472,6 +475,25 @@ def test_chain_lemma_draws_the_point_set_trials(monkeypatch, n, seed):
     assert rng.getstate() == expected.getstate()
     assert built[n // 2 >= 2 :] == trials
     assert result.detail == f"{len(built)} chains"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_chain_lemma_draws_each_far_set_once_per_trial(seed):
+    """No draw of Y is thrown away: over the default rows, `rng.sample`
+    runs on a list of far classes exactly once per random trial (the class
+    draws of X take a range)."""
+    populations = []
+
+    class Recording(random.Random):
+        def sample(self, population, k, **kwargs):
+            populations.append(type(population))
+            return super().sample(population, k, **kwargs)
+
+    details = [verification.check_chain_lemma(n, _bound(n), Recording(f"{seed}:{n}")).detail for n in ORACLE_NS]
+    chain_count = sum(int(d.split()[0]) for d in details if d.endswith(" chains"))
+    extremal = sum(1 for n in ORACLE_NS if n // 2 >= 2 and _bound(n) > 1)
+    assert set(populations) == {list, range}
+    assert populations.count(list) == chain_count - extremal == 300
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -524,8 +546,10 @@ def chain_lemma_calls(monkeypatch, name):
 
 
 def test_chain_lemma_validates_each_trial_chain_once(monkeypatch):
-    """`chains._violations` runs once per chain, in its construction."""
-    assert chain_lemma_calls(monkeypatch, "_violations") == (306, 306)
+    """`chains._violations` runs once per chain, in its construction, and
+    once per merged chain: two for each of the 20 chains of three sets or
+    more."""
+    assert chain_lemma_calls(monkeypatch, "_violations") == (306 + 2 * 20, 306)
 
 
 def test_chain_lemma_tests_each_trial_chain_admissible_once(monkeypatch):
@@ -559,6 +583,37 @@ def test_chain_lemma_runs_every_recheck(monkeypatch, name):
     monkeypatch.setattr(chains, name, make(getattr(chains, name)))
     result = verification.check_chain_lemma(6, 3, random.Random(0))
     assert not result.ok and result.detail == detail
+
+
+def real_then(calls, real, fake):
+    """`real` for the first `calls` calls, `fake` from then on."""
+    seen = []
+
+    def standin(*args):
+        seen.append(args)
+        return (real if len(seen) <= calls else fake)(*args)
+
+    return standin
+
+
+# The checks of the chains merged from a built chain must run.  At (6, 3)
+# the first trial is the extremal pair, a chain of three sets: its
+# construction validates it (one `_violations`) and searches twice (its
+# distance precondition and the bound's re-check), so the next call of each
+# is on the first merged chain.  Each entry: the owner of the function, the
+# calls left to the real one, the stand-in, and the detail it gives.
+FAILING_MERGED_CHECKS = {
+    "_violations": (chains, 1, lambda space, sets: ("stand-in",), "merged chain invalid: stand-in"),
+    "_reach": (Graph, 2, lambda self, sources, targets: 1, "merged chain of length 2 contradicted by graph distance 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_MERGED_CHECKS))
+def test_chain_lemma_runs_every_merged_chain_check(monkeypatch, name):
+    owner, calls, fake, detail = FAILING_MERGED_CHECKS[name]
+    monkeypatch.setattr(owner, name, real_then(calls, getattr(owner, name), fake))
+    result = verification.check_chain_lemma(6, 3, random.Random(0))
+    assert (result.ok, result.detail) == (False, detail)
 
 
 # Hand-built n = 3 models on classes c0, c1 and germs g0, g1, in that point
