@@ -15,14 +15,7 @@ from . import chains as chains_mod
 from . import constants as constants_mod
 from . import primal as primal_mod
 from . import verification
-from .dualspace import (
-    CLASS_KIND,
-    Point,
-    build_dual_model,
-    distance,
-    dual_model_to_dot,
-    dual_model_to_json,
-)
+from .dualspace import CLASS_KIND, Point, build_dual_model, dual_model_to_dot, dual_model_to_json
 from .errors import CertificationError, MotionDualError, PreconditionViolated, TheoremViolation
 from .signatures import int_field, parse_entries, validate, walk, walk_violations
 
@@ -94,17 +87,17 @@ def cmd_distance(args) -> int:
     bound = resolve_bound(args.n, args.bound)
     a = validate(parse_entries(args.sig1), args.n)
     b = validate(parse_entries(args.sig2), args.n)
-    model = build_dual_model(args.n, max(bound, *(abs(e) for s in (a, b) for e in s.entries), 1))
-    x, y = Point(CLASS_KIND, a), Point(CLASS_KIND, b)
-    d = distance(model, x, y)
+    w = walk(a, b)
+    d = w.length  # a geodesic: its length is the distance
     lines = [f"distance: {d}"]
     payload = {"n": args.n, "from": str(a), "to": str(b), "distance": d}
     if args.certificates:
-        w = walk(a, b)
-        lines.append(f"walk upper bound: {w.length}")
-        payload["walk_upper_bound"] = w.length
+        lines.append(f"walk upper bound: {d}")
+        payload["walk_upper_bound"] = d
         payload["walk"] = w.to_dict()
-        lb = chains_mod.chain_for_distance(model, x, y, int(d)).length if d >= 1 else 0
+        model = build_dual_model(args.n, max(bound, *(abs(e) for s in (a, b) for e in s.entries), 1))
+        x, y = Point(CLASS_KIND, a), Point(CLASS_KIND, b)
+        lb = chains_mod.chain_for_distance(model, x, y, d).length if d >= 1 else 0
         lines.append(f"chain lower bound: {lb}")
         payload["chain_lower_bound"] = lb
     if args.format == "json":
@@ -165,9 +158,7 @@ def cmd_chain(args) -> int:
         raise PreconditionViolated(f"signature {above[0]} has an entry above --bound {bound}")
     model = build_dual_model(args.n, bound)
     x, y = Point(CLASS_KIND, a), Point(CLASS_KIND, b)
-    k = args.k
-    if k is None:
-        k = int(distance(model, x, y))
+    k = walk(a, b).length if args.k is None else args.k
     if k < 1 or (k == 1 and a == b):
         raise PreconditionViolated("no chain certificate for coinciding classes")
     chain = chains_mod.chain_for_distance(model, x, y, k)
@@ -315,7 +306,7 @@ def build_parser() -> Parser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_distance)
 
-    p = sub.add_parser("walk", help="explicit bounded-length walk between two classes")
+    p = sub.add_parser("walk", help="shortest walk between two classes, with its witnesses")
     add_common(p, with_bound=False)
     p.add_argument("sig1")
     p.add_argument("sig2")

@@ -20,7 +20,9 @@ share an irreducible" is an O(k) interval-overlap test; the box
 enumeration in :func:`branch` is kept as the brute-force oracle that the
 closed forms are tested against.  Read the other way, the classes that
 restrict to an SO(N-1) signature form a product of intervals too, its hull
-(:func:`hull_intervals`).
+(:func:`hull_intervals`).  Read t steps at a time, the overlap test gives
+the distance of two classes in closed form (:func:`_distance`), and
+:func:`walk` builds a shortest walk of that length.
 
 Signatures are hash-consed: the enumerations, walks and certificates that
 repeat a value share one `Signature` object and its entry tuple, stored in
@@ -411,7 +413,8 @@ def merge_max(sigs: Sequence[Signature]) -> list[int]:
 @dataclass(frozen=True, slots=True)
 class Walk:
     """A sequence of signatures with, for every consecutive pair, a child
-    signature witnessing that both restrictions contain it."""
+    signature witnessing that both restrictions contain it: a geodesic from
+    `walk`, or a merge-certificate walk of its case-table length."""
 
     steps: tuple[Signature, ...]
     witnesses: tuple[Signature, ...]
@@ -464,45 +467,42 @@ def _pad(entries: tuple[int, ...], length: int) -> tuple[int, ...]:
     return entries + (0,) * (length - len(entries))
 
 
-def _tower(entries: tuple[int, ...], s: tuple[int, ...], k: int, c: int):
-    """Successively overwrite prefixes with the merged maxima `s` and zero
-    the tail, one coordinate per step, for k // 2 steps.  The witness of a
-    step is the previous state cut before the coordinate the step zeroes,
-    padded to the child length `c`.  Returns states and witnesses."""
-    states = [_pad(s[:j] + entries[j : k - j], k) for j in range(k // 2 + 1)]
-    wits = [_pad(states[j - 1][: k - j], c) for j in range(1, k // 2 + 1)]
-    return states, wits
+def _distance(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """The class distance of the entry tuples a and b, with no truncation: 0
+    for a == b, else 1 + the largest t with |b[i+t]| > a[i] or |a[i+t]| >
+    b[i] for some i (0 if none).  As |b| never increases, the entries of b
+    breaking the rule at a[i] are a prefix growing with i: one pointer each."""
+    if a == b:
+        return 0
+    k = len(a)
+    t = p = q = 0
+    for i in range(k - 1):
+        while p < k and abs(b[p]) > a[i]:
+            p += 1
+        while q < k and abs(a[q]) > b[i]:
+            q += 1
+        t = max(t, p - 1 - i, q - 1 - i)
+    return 1 + t
 
 
 def walk(pi1: Signature, pi2: Signature) -> Walk:
-    """An explicit walk of length at most k between the two signatures.
+    """A shortest walk between the two signatures, of length d = `_distance`.
 
-    Both endpoints march toward the coordinate-wise maximum: step j replaces
-    the prefix by the merged maxima and zeroes the tail coordinate, and the
-    two towers meet in the middle (for odd k via one joining step whose
-    witness is the merged prefix padded with zeros).  The length certifies
-    an upper bound; it is not necessarily the graph distance.
+    Reading entries past the end as 0, step t is max(|a[i+t]|, |b[i+d-t]|),
+    and the witness joining steps t and t+1 is max(|a[i+t+1]|, |b[i+d-t]|)
+    for i < k-1, then -min of the two steps' last entries when the child
+    group has k entries: their lower corner (`_corner`).  No entry exceeds
+    the endpoints', so the walk lies in every truncation holding both ends.
     """
     ctx = _require_same_ctx((pi1, pi2), 3, "walk")
     if pi1 == pi2:
         return Walk((pi1,), ())
-    child = ctx.child
-    k, c = ctx.k, child.k
-    s = tuple(merge_max([pi1, pi2]))
-    st1, w1 = _tower(pi1.entries, s, k, c)
-    st2, w2 = _tower(pi2.entries, s, k, c)
-    if k % 2 == 0:  # both towers end at the same merged signature
-        steps_e = st1 + st2[-2::-1]
-    else:
-        steps_e = st1 + st2[::-1]
-        w1.append(_pad(s[: k // 2], c))
-    # a step that repeats the state before it is dropped with its witness
-    kept = [0] + [i for i in range(1, len(steps_e)) if steps_e[i] != steps_e[i - 1]]
-    wits_e = w1 + w2[::-1]
-    return Walk(
-        tuple(_intern(steps_e[i], ctx) for i in kept),
-        tuple(_intern(wits_e[i - 1], child) for i in kept[1:]),
-    )
+    child, k, d = ctx.child, ctx.k, _distance(pi1.entries, pi2.entries)
+    a, b = (tuple(map(abs, s.entries)) + (0,) * d for s in (pi1, pi2))
+    rows = [tuple(map(max, a[t : t + k], b[d - t : d - t + k])) for t in range(d + 1)]
+    last = [(-min(x[-1], y[-1]),) if child.k == k else () for x, y in zip(rows, rows[1:])]
+    wits = [tuple(map(max, a[t + 1 : t + k], b[d - t : d - t + k - 1])) + last[t] for t in range(d)]
+    return Walk((pi1, *(_intern(z, ctx) for z in rows[1:-1]), pi2), tuple(_intern(w, child) for w in wits))
 
 
 def extremal_pair(n: int) -> tuple[Signature, Signature]:

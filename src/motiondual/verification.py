@@ -4,8 +4,9 @@ Every check re-derives one family of claims on truncated models: the
 closed forms against their brute-force oracles, the zero-tail step on the
 edges of the bound-1 graphs that Orc and D are computed on, the computed
 graph invariants against the closed formulas, chain and walk certificates
-on systematic and seeded random inputs, and truncation stability of
-distances.  Checks are pure functions of (n, bound, seed), so the sweep can
+on systematic and seeded random inputs, and the distance law of
+`signatures`, which reads no bound, against the layered search on both
+graphs.  Checks are pure functions of (n, bound, seed), so the sweep can
 fan out across processes and aggregate order-independently.
 
 The brute-force oracles read one relation, parent p `branch`es to child c,
@@ -19,9 +20,8 @@ The pair loops stay quadratic in the signatures, so `run_sweep` refuses a
 bound below 1 and any n whose `oracle_pairs` exceed `MAX_ORACLE_PAIRS` first.
 
 Every row runs at every admitted n, except where the one large-n rule,
-`default_bound(n) == 1`, skips `chain-lemma` and `distance-stability`, and
-where a zero-tail claim is vacuous (`zero-tail-dual` at n = 3 and
-`zero-tail-star` at even n).
+`default_bound(n) == 1`, skips `chain-lemma`, and where a zero-tail claim
+is vacuous (`zero-tail-dual` at n = 3 and `zero-tail-star` at even n).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product, repeat, zip_longest
 from operator import and_, or_
-from typing import Iterator
+from typing import Iterable
 
 from . import chains as chains_mod
 from . import constants as constants_mod
@@ -86,8 +86,8 @@ MERGE_TRIPLES = 100
 
 def default_bound(n: int) -> int:
     """Sweep default: 3 while the lattice is small, 1 from n = 10 on.  This
-    is the sweep's one large-n rule: where it is 1, `chain-lemma` and
-    `distance-stability` are skipped."""
+    is the sweep's one large-n rule: where it is 1, `chain-lemma` is
+    skipped."""
     return 3 if n <= 9 else 1
 
 
@@ -192,7 +192,7 @@ def check_zero_tail_dual(n: int, bound: int, rng=None) -> CheckResult:
     sigs = [p.sig for p in classes.points]
     if bad := _tail_step_violation(sigs, classes._adj, n // 2):
         return CheckResult(n, "zero-tail-dual", False, "counterexample {} vs {}".format(*bad))
-    return CheckResult(n, "zero-tail-dual", True, f"{len(sigs)}^2 pairs at bound 1")
+    return CheckResult(n, "zero-tail-dual", True, f"{len(classes._pairs())} edges at bound 1")
 
 
 def check_zero_tail_star(n: int, bound: int, rng=None) -> CheckResult:
@@ -204,7 +204,7 @@ def check_zero_tail_star(n: int, bound: int, rng=None) -> CheckResult:
     sigs = [p.sig for p in graph.points if p.kind == GERM_KIND]
     if bad := _tail_step_violation(sigs, graph._adj, n // 2):
         return CheckResult(n, "zero-tail-star", False, "counterexample {} vs {}".format(*bad))
-    return CheckResult(n, "zero-tail-star", True, f"{len(sigs)}^2 pairs at bound 1")
+    return CheckResult(n, "zero-tail-star", True, f"{len(graph._pairs())} edges at bound 1")
 
 
 def check_orc(n: int, bound: int, rng=None) -> CheckResult:
@@ -261,21 +261,21 @@ def check_constants(n: int, bound: int, rng=None) -> CheckResult:
 
 
 def check_walks(n: int, bound: int, rng: random.Random) -> CheckResult:
-    """Walk construction: valid witnesses, length <= k, the extremal pair
-    needing exactly k."""
-    k = n // 2
+    """Walk construction: valid witnesses, a length equal to the distance in
+    the class graph of Orc (the law against the search), k for the extremal pair."""
     zero, ones = sig_mod.extremal_pair(n)
     sigs = enumerate_signatures(n, min(bound, 2))
     sample = [(zero, ones)] + [(rng.choice(sigs), rng.choice(sigs)) for _ in range(30)]
+    model = build_dual_model(n, bound)
     for a, b in sample:
         w = sig_mod.walk(a, b)
         if w.steps[0] != a or w.steps[-1] != b:
             return CheckResult(n, "walk-validity", False, f"endpoints wrong for {a} -> {b}")
-        if w.length > k:
-            return CheckResult(n, "walk-validity", False, f"walk too long for {a} -> {b}")
+        if w.length != model.classes._reach(*(model.space._bit(Point(CLASS_KIND, s)) for s in (a, b))):
+            return CheckResult(n, "walk-validity", False, f"walk length is not the distance for {a} -> {b}")
         if sig_mod.walk_violations(w):
             return CheckResult(n, "walk-validity", False, f"invalid witness for {a} -> {b}")
-    if sig_mod.walk(zero, ones).length != k:
+    if sig_mod.walk(zero, ones).length != n // 2:
         return CheckResult(n, "walk-validity", False, "extremal walk shorter than k")
     return CheckResult(n, "walk-validity", True, f"{len(sample)} pairs")
 
@@ -406,7 +406,7 @@ def check_merge_certificates(n: int, bound: int, rng: random.Random) -> CheckRes
     return CheckResult(n, "merge-certificates", True, f"{MERGE_TRIPLES} triples")
 
 
-def _first_moved(layers: Iterator[int], other: Iterator[int], within: int) -> int:
+def _first_moved(layers: Iterable[int], other: Iterable[int], within: int) -> int:
     """The lowest vertex of `within` that two layered searches put at
     different distances, or -1 if there is none."""
     moved = reduce(or_, ((a ^ b) & within for a, b in zip_longest(layers, other, fillvalue=0)), 0)
@@ -434,20 +434,29 @@ def check_germ_mediation(n: int, bound: int, rng=None) -> CheckResult:
 
 
 def check_distance_stability(n: int, bound: int, rng=None) -> CheckResult:
-    """Class distances between small signatures (leading entry at most 2)
-    do not move when the truncation grows from bound 3 to bound 4.  The
-    small classes are the first `count_signatures(n, 2)` points of both
-    models, in the same order, so the layers are compared on that prefix."""
-    if default_bound(n) == 1:
-        return CheckResult(n, "distance-stability", True, "skipped where default_bound(n) == 1", skipped=True)
-    count = count_signatures(n, 2)
-    models = build_dual_model(n, 3), build_dual_model(n, 4)
-    pts = models[0].space.points
-    for a in range(count):
-        b = _first_moved(*(m.classes._layers(1 << a) for m in models), (1 << count) - 1)
-        if b >= 0:
-            return CheckResult(n, "distance-stability", False, f"{pts[a].sig} vs {pts[b].sig} moved")
-    return CheckResult(n, "distance-stability", True, f"{count}^2 pairs")
+    """The law of `signatures._distance`, which reads no bound, gives every
+    distance of the class graph of Orc and of the germ rows of the sub-ideal
+    graph of D.  From each class, then each germ, the layered search must
+    match the law read as its definition: the t-ball of a is every row but
+    those with a shift-t violation, some i with |b[i+t]| > |a[i]| or |b[i]| <
+    |a[i+t]|, an OR of the masks `under[j][v]` of the rows with |r[j]| < v.
+    A failure names the source and the lowest vertex that moved."""
+    counts = []
+    for graph in build_dual_model(n, bound).classes, primal_mod.star_graph(n, bound):
+        rows = [[abs(e) for e in p.sig.entries] for p in graph.points if p.kind != LINE_KIND]
+        k, top, everything = len(rows[0]), max(map(max, rows)), (1 << len(rows)) - 1
+        under = [[sum(1 << i for i, r in enumerate(rows) if r[j] < v) for v in range(top + 2)] for j in range(k)]
+        for a, e in enumerate(rows):
+            balls = [1 << a] + [  # no violation is possible at shift k
+                everything & ~reduce(or_, (~under[i + t][e[i] + 1] | under[i][e[i + t]] for i in range(k - t)), 0)
+                for t in range(1, k + 1)
+            ]
+            law = [ball & ~inner for inner, ball in zip([0, *balls], balls)]
+            if (b := _first_moved(graph._layers(1 << a), law, everything)) >= 0:
+                pts = graph.points
+                return CheckResult(n, "distance-stability", False, f"{pts[a]} to {pts[b]} differs from the law")
+        counts.append(len(rows))
+    return CheckResult(n, "distance-stability", True, "{} classes and {} germs".format(*counts))
 
 
 CHECKS = (

@@ -183,6 +183,28 @@ def test_distance_json_roundtrip(capsys):
     assert payload["chain_lower_bound"] == 2
 
 
+def test_distance_answers_beyond_the_model_size_cap(capsys):
+    """The distance is the length of `walk`'s geodesic, so an n whose model
+    the size cap refuses is answered all the same."""
+    a, b = "3,3,3,2,2,1" + ",0" * 14, "3" + ",1" * 18 + ",-1"
+    code, out, err = run(["distance", "--n", "40", a, b], capsys)
+    assert (code, out, err) == (0, "distance: 14\n", "")
+
+
+def test_distance_builds_no_model_without_certificates(capsys, monkeypatch):
+    def refuse(n, bound):
+        raise AssertionError("a dual model was built")
+
+    monkeypatch.setattr(cli, "build_dual_model", refuse)
+    code, out, _ = run(["distance", "--n", "9", "0,0,0,0", "1,1,1,1"], capsys)
+    assert (code, out) == (0, "distance: 4\n")
+
+
+def test_distance_refuses_n_2(capsys):
+    code, out, err = run(["distance", "--n", "2", "1", "2"], capsys)
+    assert (code, out) == (1, "") and err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_distance_malformed_signature(capsys):
     code, _, err = run(["distance", "--n", "5", "0,x", "1,1"], capsys)
     assert code == 1

@@ -12,7 +12,7 @@ import itertools
 import pytest
 
 from motiondual.cli import main
-from motiondual.signatures import Signature, Walk, _pad, _tower, enumerate_signatures, merge_max, walk
+from motiondual.signatures import Signature, Walk, enumerate_signatures, walk
 
 
 def padded(*head, k):
@@ -28,17 +28,17 @@ def runs_of(*runs):
 GOLDEN = {
     "verify": (
         ["verify", "--n-min", "3", "--n-max", "12", "--seed", "1", "--format", "json"],
-        "8f8e138aa91e34fe3713dcc89d80c6d5520dc39d8029ce54a5001103b5ab6810",
+        "ac02b354a3f57b4e49c9b146cbb6adc9f3f7e10a5d84e383515097b0b59dfbc4",
     ),
     # the pair oracles and germ-mediation above n = 9, at a raised bound
     "verify-n10-12-bound-2": (
         ["verify", "--n-min", "10", "--n-max", "12", "--bound", "2", "--seed", "1", "--format", "json"],
-        "ce5966042d5aa6ff43c7255be30f9ee2c203c795827d7454a2a90a63e674970e",
+        "301870380ddfef4adada0dc8487ce79de40e926c4ac5bc9030167b3059d6c163",
     ),
     # the pair oracles at a raised bound, where every table is larger
     "verify-bound-8": (
         ["verify", "--n-min", "5", "--n-max", "6", "--bound", "8", "--seed", "1", "--format", "json"],
-        "963c72b8b1b005f2a5616fa70128020dc11ce1428dcb2ba4d284d4e5f5698575",
+        "8c9f17bc40b1283783e09e06bab7757824c0f5d17c44065f3954bb20c6d8f5dc",
     ),
     "chain": (
         ["chain", "--n", "7", "0,0,0", "1,1,1"],
@@ -68,7 +68,7 @@ GOLDEN = {
     ),
     "walk-40": (
         ["walk", "--n", "40", padded(2, 2, 2, 1, 1, k=20), runs_of((1, 19), (-1, 1))],
-        "2c0a43f9a5f720a438a9e69691d2f44bc081bd8c92f899f5623fd83bad73cc96",
+        "c08019229c25ea87b506483960952615a9fb14c145525fe1e7716fc8d6299c72",
     ),
     "graph": (
         ["graph", "--n", "5", "--kind", "dual", "--format", "json"],
@@ -123,24 +123,28 @@ def test_chain_check_output_matches_its_golden_digest(capsys, tmp_path):
 
 
 def walk_built_then_compressed(pi1: Signature, pi2: Signature) -> Walk:
-    """The walk as `walk` once made it: every state and witness of both
-    towers built as a Signature, then each step that repeats the one before
-    it dropped with its witness."""
+    """The geodesic built in full: its length d by a naive scan over every
+    (i, t), every state z_t[i] = max(|a[i+t]|, |b[i+d-t]|) and every witness
+    built and checked as a Signature, then each step that repeats the one
+    before it dropped with its witness."""
     ctx = pi1.ctx
     if pi1 == pi2:
         return Walk((pi1,), ())
-    child = ctx.child
-    k, c = ctx.k, child.k
-    s = tuple(merge_max([pi1, pi2]))
-    st1, w1 = _tower(pi1.entries, s, k, c)
-    st2, w2 = _tower(pi2.entries, s, k, c)
-    if k % 2 == 0:
-        states = st1 + st2[-2::-1]
-    else:
-        states = st1 + st2[::-1]
-        w1.append(_pad(s[: k // 2], c))
-    steps = [Signature(e, ctx) for e in states]
-    wits = [Signature(e, child) for e in w1 + w2[::-1]]
+    child, k = ctx.child, ctx.k
+    a, b = pi1.entries, pi2.entries
+    shifts = [t for t in range(1, k) for i in range(k - t) if abs(b[i + t]) > a[i] or abs(a[i + t]) > b[i]]
+    d = 1 + max(shifts, default=0)
+
+    def at(e, i):
+        return abs(e[i]) if i < k else 0
+
+    rows = [tuple(max(at(a, i + t), at(b, i + d - t)) for i in range(k)) for t in range(d + 1)]
+    steps = [pi1, *(Signature(z, ctx) for z in rows[1:-1]), pi2]
+    wits = []
+    for t in range(d):
+        head = tuple(max(at(a, i + t + 1), at(b, i + d - t)) for i in range(k - 1))
+        tail = (-min(rows[t][-1], rows[t + 1][-1]),) if child.k == k else ()
+        wits.append(Signature(head + tail, child))
     kept_steps, kept_wits = [steps[0]], []
     for step, wit in zip(steps[1:], wits):
         if step != kept_steps[-1]:

@@ -48,13 +48,13 @@ PERFBENCH = PACKAGE.parent.parent / "perfbench"
 UNCALLED_EXPORTS: set[str] = set()
 
 
-def references(source: str, names: bool = True) -> set[str]:
-    """Every attribute and string constant the source mentions, and every
-    name unless `names` is false."""
-    return node_references(ast.parse(source), names)
+def references(source: str, names: bool = True, strings: bool = True) -> set[str]:
+    """Every attribute the source mentions, every name unless `names` is
+    false, and every string constant unless `strings` is false."""
+    return node_references(ast.parse(source), names, strings)
 
 
-def node_references(tree: ast.AST, names: bool = True) -> set[str]:
+def node_references(tree: ast.AST, names: bool = True, strings: bool = True) -> set[str]:
     """`references` of one parsed node."""
     out = set()
     for node in ast.walk(tree):
@@ -62,7 +62,7 @@ def node_references(tree: ast.AST, names: bool = True) -> set[str]:
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and strings:
             out.add(node.value)
     return out
 
@@ -139,16 +139,25 @@ def test_guard_reports_an_uncalled_member():
 
 # Kept only because `perfbench/` binds them: ROADMAP direction 1 deletes them
 # with the next benchmark change.
-BENCHMARK_ONLY = {"Graph.bfs", "glimm_partition", "inseparable", "is_admissible", "separate", "star_adjacent"}
+BENCHMARK_ONLY = {
+    "Graph.bfs",
+    "chain_lower_bound",
+    "glimm_partition",
+    "inseparable",
+    "is_admissible",
+    "separate",
+    "star_adjacent",
+}
 
 
 def called_names(source: str) -> set[str]:
-    """`references` of the source, leaving out each top-level function's
-    mentions of its own name: its own error label or a recursive call is
-    no caller."""
+    """The names and attributes the source reads, leaving out each
+    top-level function's mentions of its own name: a recursive call is no
+    caller.  String constants are left out too: a JSON key or an error
+    label that spells a function's name does not call it."""
     out = set()
     for node in ast.parse(source).body:
-        refs = node_references(node)
+        refs = node_references(node, strings=False)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             refs.discard(node.name)
         out |= refs
@@ -157,11 +166,12 @@ def called_names(source: str) -> set[str]:
 
 def benchmark_only(library: list[str], bench: list[str], exported) -> list[str]:
     """The exports and the public members of the library classes that the
-    benchmark reads, by attribute or string, and no library source does: an
-    export read by name counts too, wherever it is read."""
+    benchmark reads, by attribute or string, and no library source reads by
+    name or attribute: an export read by name counts too, wherever it is
+    read, and a string constant in the library is no call."""
     bench_refs = set().union(*(references(source, names=False) for source in bench))
     names = set().union(*(called_names(source) for source in library))
-    attrs = set().union(*(references(source, names=False) for source in library))
+    attrs = set().union(*(references(source, names=False, strings=False) for source in library))
     found = {name for name in exported if name in bench_refs and name not in names}
     found |= {
         m for source in library for m in public_members(source) if m.split(".")[1] in bench_refs - attrs
@@ -183,14 +193,16 @@ def test_guard_reports_benchmark_only_api():
         "def bench_only(): pass\n"
         "def user(): return helper()\n"
         "def labelled(): raise ValueError('labelled')\n"
+        "def keyed(): pass\n"
+        "def report(): return {'keyed': 1, 'walk': 'bfs'}\n"
         "class G:\n"
         "    def bfs(self): pass\n"
         "    def size(self): pass\n"
         "    def depth(self): return self.size()\n"
     )
-    bench = "m.helper()\nm.bench_only()\nm.labelled()\ng.bfs()\ng.size()\n"
-    exported = ["helper", "bench_only", "user", "labelled"]
-    assert benchmark_only([library], [bench], exported) == ["G.bfs", "bench_only", "labelled"]
+    bench = "m.helper()\nm.bench_only()\nm.labelled()\nm.keyed()\ng.bfs()\ng.size()\n"
+    exported = ["helper", "bench_only", "user", "labelled", "keyed"]
+    assert benchmark_only([library], [bench], exported) == ["G.bfs", "bench_only", "keyed", "labelled"]
 
 
 # Two chain shapes kept only because `perfbench/` relies on them: it passes

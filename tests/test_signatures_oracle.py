@@ -3,10 +3,12 @@ against brute force.
 
 `signatures` states the interleaving rule once, as the abs rule.  The
 forms below write it out separately for even and odd groups, as the
-library did before; the library must agree with them value for value,
-witness for witness and walk for walk.  The brute-force tests pin the
-witnesses of `common_extension` and `common_restriction` to the
-lexicographically least common parent and child.
+library did before; the library must agree with them value for value and
+witness for witness.  `walk` must be the geodesic of the class distance
+law, written here as a naive scan, with the least common child of each
+step as its witness.  The brute-force tests pin the witnesses of
+`common_extension` and `common_restriction` to the lexicographically least
+common parent and child.
 """
 
 import itertools
@@ -17,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motiondual import signatures
+from motiondual.dualspace import LINE_KIND, _members, build_dual_model
+from motiondual.primal import star_graph
 from motiondual.signatures import (
     GroupContext,
     Signature,
@@ -24,6 +28,7 @@ from motiondual.signatures import (
     branch,
     enumerate_signatures,
     restricts_to,
+    walk_violations,
 )
 from motiondual.verification import default_bound
 
@@ -122,49 +127,33 @@ def merge_max(sigs):
     return out
 
 
-def _tower(entries, s, r, even, k):
-    states = [entries]
-    wits = []
-    for j in range(1, r + 1):
-        prev = states[-1]
-        nxt = tuple(s[:j]) + entries[j : k - j] + (0,) * j
-        if even:
-            wit = prev[: k - j] + prev[k - j + 1 :]
-        else:
-            wit = prev[: k - j] + (0,) * j
-        states.append(nxt)
-        wits.append(wit)
-    return states, wits
+def shift_law(a, b):
+    """The class distance by its law, as a naive scan over (i, t): 0 for
+    a == b, else 1 + the largest shift t with |b[i+t]| > a[i] or |a[i+t]| >
+    b[i] for some i, 0 when there is none."""
+    if a == b:
+        return 0
+    k = len(a)
+    shifts = [t for t in range(1, k) for i in range(k - t) if abs(b[i + t]) > a[i] or abs(a[i + t]) > b[i]]
+    return 1 + max(shifts, default=0)
 
 
 def walk(pi1, pi2):
-    ctx = pi1.ctx
+    """The geodesic: step t of d is max(|a[i+t]|, |b[i+d-t]|), entries past
+    the end read as 0, and each witness is the least common child of the
+    two steps it joins."""
     if pi1 == pi2:
         return Walk((pi1,), ())
-    k = ctx.k
-    even = ctx.n % 2 == 0
-    s = merge_max([pi1, pi2])
-    r = k // 2
-    st1, w1 = _tower(pi1.entries, s, r, even, k)
-    st2, w2 = _tower(pi2.entries, s, r, even, k)
-    steps_e = list(st1)
-    wits_e = list(w1)
-    if k % 2 == 0:
-        steps_e.extend(reversed(st2[:-1]))
-        wits_e.extend(reversed(w2))
-    else:
-        mid_pad = (k - 1 - r) if even else (k - r)
-        wits_e.append(tuple(s[:r]) + (0,) * mid_pad)
-        steps_e.extend(reversed(st2))
-        wits_e.extend(reversed(w2))
-    steps = [Signature(e, ctx) for e in steps_e]
-    wits = [Signature(e, ctx.child) for e in wits_e]
-    out_s, out_w = [steps[0]], []
-    for st, w in zip(steps[1:], wits):
-        if st != out_s[-1]:
-            out_s.append(st)
-            out_w.append(w)
-    return Walk(tuple(out_s), tuple(out_w))
+    ctx = pi1.ctx
+    a, b = pi1.entries, pi2.entries
+    d = shift_law(a, b)
+
+    def at(e, i):
+        return abs(e[i]) if i < ctx.k else 0
+
+    middle = [Signature(tuple(max(at(a, i + t), at(b, i + d - t)) for i in range(ctx.k)), ctx) for t in range(1, d)]
+    steps = (pi1, *middle, pi2)
+    return Walk(steps, tuple(common_restriction([x, y]) for x, y in zip(steps, steps[1:])))
 
 
 # --- agreement ----------------------------------------------------------------
@@ -278,3 +267,65 @@ def test_common_restriction_is_least_common_child(n):
         common = set.intersection(*(branches[pi] for pi in family))
         least = min(common, key=lambda s: s.entries, default=None)
         assert signatures.common_restriction(family) == least, family
+
+
+# --- the class distance law ---------------------------------------------------
+
+
+def random_signature(rng, n, entry_max):
+    k = n // 2
+    entries = sorted((rng.randint(0, entry_max) for _ in range(k)), reverse=True)
+    if n % 2 == 0 and k and rng.random() < 0.5:
+        entries[-1] = -entries[-1]
+    return Signature(tuple(entries), GroupContext(n))
+
+
+@pytest.mark.parametrize("n", range(3, 31))
+def test_distance_law_matches_the_naive_scan(n):
+    rng = random.Random(n)
+    for _ in range(700):
+        a, b = (random_signature(rng, n, rng.choice((1, 2, 5))).entries for _ in range(2))
+        assert signatures._distance(a, b) == shift_law(a, b), (a, b)
+
+
+@pytest.mark.parametrize("n", range(3, 31))
+def test_geodesic_rows_stay_within_the_endpoints(n):
+    """No step or witness of `walk` has an entry above the endpoints' larger
+    entry in the same coordinate, so the walk lies in every truncation that
+    holds both ends."""
+    rng = random.Random(n)
+    for _ in range(200):
+        a, b = (random_signature(rng, n, 4) for _ in range(2))
+        top = [max(abs(x), abs(y)) for x, y in zip(a.entries, b.entries)]
+        w = signatures.walk(a, b)
+        for row in (*w.steps, *w.witnesses):
+            assert all(abs(e) <= t for e, t in zip(row.entries, top)), (a, b, row)
+
+
+def assert_law_is_the_search_distance(graph, walks: bool):
+    """From each vertex of the graph that is no line kernel, the layered
+    search puts every other such vertex at the law's distance; with `walks`,
+    `walk` is also a valid walk of that length between them."""
+    sigs = [p.sig for p in graph.points if p.kind != LINE_KIND]
+    for a, x in enumerate(sigs):
+        dist = {b: d for d, layer in enumerate(graph._layers(1 << a)) for b in _members(layer)}
+        for b, y in enumerate(sigs):
+            assert signatures._distance(x.entries, y.entries) == dist[b], (x, y)
+            if walks:
+                w = signatures.walk(x, y)
+                assert w.length == dist[b] and not walk_violations(w), (x, y)
+
+
+GRID = [(13, 2), (20, 1), (10, 3), (5, 12), (8, 5), (3, 40), (6, 8), (4, 20)]
+SLOW_GRID = {(6, 8), (4, 20)}
+
+
+@pytest.mark.parametrize(
+    "n, bound", [pytest.param(*nb, marks=pytest.mark.slow) if nb in SLOW_GRID else nb for nb in GRID]
+)
+def test_law_and_geodesic_match_the_layered_search(n, bound):
+    """On every class pair of the class graph and every germ pair of the
+    sub-ideal graph, the law is the search distance and the geodesic a valid
+    walk of that length (germs of SO(2) have no child group to walk in)."""
+    assert_law_is_the_search_distance(build_dual_model(n, bound).classes, walks=True)
+    assert_law_is_the_search_distance(star_graph(n, bound), walks=n - 1 >= 3)

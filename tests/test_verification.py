@@ -11,11 +11,21 @@ from collections import Counter
 from functools import reduce
 from itertools import product
 from operator import and_
+from types import SimpleNamespace
 
 import pytest
 
 from motiondual import chains, primal, signatures, verification
-from motiondual.dualspace import CLASS_KIND, GERM_KIND, DualModel, FiniteT0Space, Graph, Point, build_dual_model
+from motiondual.dualspace import (
+    CLASS_KIND,
+    GERM_KIND,
+    LINE_KIND,
+    DualModel,
+    FiniteT0Space,
+    Graph,
+    Point,
+    build_dual_model,
+)
 from motiondual.errors import CertificationError
 from motiondual.cli import main
 from motiondual.signatures import Signature, branch, count_signatures, enumerate_signatures, validate
@@ -400,23 +410,22 @@ def test_oracle_pairs_is_the_work_of_the_larger_pair_loop(monkeypatch, n, bound)
 
 def test_default_sweep_skips_only_the_vacuous_and_large_n_rows():
     """In `run_sweep(3, 12)` a row is skipped only where its claim is
-    vacuous (zero-tail-dual at n = 3, zero-tail-star at even n) or where
-    `default_bound(n) == 1` (chain-lemma and distance-stability); every
-    row that runs passes."""
+    vacuous (zero-tail-dual at n = 3, zero-tail-star at even n) or, for
+    chain-lemma alone, where `default_bound(n) == 1`; every row that runs
+    passes, distance-stability at every n."""
     summary = verification.run_sweep(3, 12)
-    large_n = {"chain-lemma", "distance-stability"}
     skipped = {(r.n, r.name) for r in summary.results if r.skipped}
     assert skipped == (
         {(3, "zero-tail-dual")}
         | {(n, "zero-tail-star") for n in range(4, 13, 2)}
-        | {(n, name) for n in range(3, 13) if verification.default_bound(n) == 1 for name in large_n}
+        | {(n, "chain-lemma") for n in range(3, 13) if verification.default_bound(n) == 1}
     )
-    assert {r.detail for r in summary.results if r.skipped and r.name in large_n} == {
+    assert {r.detail for r in summary.results if r.skipped and r.name == "chain-lemma"} == {
         "skipped where default_bound(n) == 1"
     }
     assert summary.ok
-    nine = next(r for r in summary.results if (r.n, r.name) == (9, "distance-stability"))
-    assert nine.ok and not nine.skipped
+    stability = [r for r in summary.results if r.name == "distance-stability"]
+    assert [r.n for r in stability if r.ok and not r.skipped] == list(range(3, 13))
 
 
 # --- the chain-lemma check ------------------------------------------------------
@@ -698,39 +707,59 @@ def test_germ_mediation_fails_on_a_model_with_germ_shortcuts(monkeypatch, name):
 # --- the distance-stability check -----------------------------------------------
 
 
-def _isolate(adj, i):
-    adj[:] = [m & ~(1 << i) for m in adj]
-    adj[i] = 0
+def _drop_first_edge(adj, count):
+    i = next(i for i, row in enumerate(adj) if row)
+    _flip(adj, i, (adj[i] & -adj[i]).bit_length() - 1)
 
 
-# Bound-4 models whose neighbor masks are edited, by the point numbers of
-# the small classes (`count` of them, leading entry at most 2), and the
-# (ok, detail) the check gives on them: the first pair of small classes,
-# in enumeration order, whose class distance moved from bound 3.
-TAMPERED_BOUND_4 = {
-    (4, "last small class isolated"): (lambda adj, count: _isolate(adj, count - 1), False, "0,0 vs 2,2 moved"),
-    (5, "edge 1-2 flipped"): (lambda adj, count: _flip(adj, 1, 2), False, "1,0 vs 1,1 moved"),
-    (6, "edge 1-2 flipped"): (lambda adj, count: _flip(adj, 1, 2), False, "0,0,0 vs 1,1,-1 moved"),
-    (6, "first class joined to the last small one"): (
-        lambda adj, count: _flip(adj, 0, count - 1),
-        False,
-        "0,0,0 vs 2,2,-2 moved",
-    ),
-    (4, "edge to a large class flipped"): (lambda adj, count: _flip(adj, 2, count + 3), True, "9^2 pairs"),
+def _join_first_to_last(adj, count):
+    _flip(adj, 0, count - 1)
+
+
+def _flip_1_2(adj, count):
+    _flip(adj, 1, 2)
+
+
+# Graphs whose neighbor masks are edited, by vertex number over the `count`
+# vertices the law covers, and the detail the check gives on them: the
+# first source whose layered search leaves the law, and the lowest vertex it
+# puts at another distance.  A "class" case edits the class graph, a "germ"
+# case the germ rows of the sub-ideal graph, both at bound 3; each drops an
+# edge or adds one ("edge 1-2 flipped" drops one at n = 5, adds one at 6).
+TAMPERED = {
+    (4, "class first edge dropped"): ("class", _drop_first_edge, "class:0,0 to class:1,0 differs from the law"),
+    (4, "class first joined to last"): ("class", _join_first_to_last, "class:0,0 to class:3,3 differs from the law"),
+    (5, "class edge 1-2 flipped"): ("class", _flip_1_2, "class:1,0 to class:1,1 differs from the law"),
+    (6, "class edge 1-2 flipped"): ("class", _flip_1_2, "class:0,0,0 to class:1,1,-1 differs from the law"),
+    (6, "class first joined to last"): ("class", _join_first_to_last, "class:0,0,0 to class:3,3,-3 differs from the law"),
+    (5, "germ first edge dropped"): ("germ", _drop_first_edge, "germ:0,0 to germ:1,0 differs from the law"),
+    (5, "germ first joined to last"): ("germ", _join_first_to_last, "germ:0,0 to germ:3,3 differs from the law"),
+    (6, "germ first edge dropped"): ("germ", _drop_first_edge, "germ:0,0 to germ:1,0 differs from the law"),
+    (6, "germ first joined to last"): ("germ", _join_first_to_last, "germ:0,0 to germ:3,3 differs from the law"),
 }
 
 
-@pytest.mark.parametrize("n,name", sorted(TAMPERED_BOUND_4))
-def test_distance_stability_names_the_first_moved_pair(monkeypatch, n, name):
-    edit, ok, detail = TAMPERED_BOUND_4[n, name]
-    real = build_dual_model(n, 4)
-    space = copy.copy(real.space)
-    adj = list(space._adj)
-    edit(adj, count_signatures(n, 2))
-    space._adj = tuple(adj)
-    tampered = DualModel(space, n, 4, real.class_count)
-    monkeypatch.setattr(
-        verification, "build_dual_model", lambda n, bound: tampered if bound == 4 else build_dual_model(n, bound)
-    )
+@pytest.mark.parametrize("n,name", sorted(TAMPERED))
+def test_distance_stability_names_the_first_source(monkeypatch, n, name):
+    which, edit, detail = TAMPERED[n, name]
+    real = build_dual_model(n, 3).classes if which == "class" else primal.star_graph(n, 3)
+    adj = list(real._adj)
+    edit(adj, sum(p.kind != LINE_KIND for p in real.points))
+    tampered = Graph(real.points, adj)
+    if which == "class":
+        monkeypatch.setattr(verification, "build_dual_model", lambda n, bound: SimpleNamespace(classes=tampered))
+    else:
+        monkeypatch.setattr(primal, "star_graph", lambda n, bound: tampered)
     result = verification.check_distance_stability(n, 3)
-    assert (result.ok, result.detail) == (ok, detail)
+    assert (result.ok, result.detail) == (False, detail)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_class_distances_do_not_move_from_bound_3_to_4(n):
+    """The small classes (leading entry at most 2) are the first points of
+    both models, in the same order, and the layered search from each puts
+    them at the same distances at bound 3 and at bound 4."""
+    count = count_signatures(n, 2)
+    graphs = build_dual_model(n, 3).classes, build_dual_model(n, 4).classes
+    for a in range(count):
+        assert verification._first_moved(*(g._layers(1 << a) for g in graphs), (1 << count) - 1) == -1
