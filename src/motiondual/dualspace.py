@@ -4,21 +4,21 @@ The dual consists of the SO(n) classes (a closed, relatively discrete
 subset) together with, for each SO(n-1) signature, an open half-line of
 separated points.  Each half-line is collapsed to a single "germ" point
 whose closure is its limit set: the classes whose restriction contains the
-germ's signature.  By interleaving that set is a product of integer
-intervals (`signatures.hull_intervals`), so each closure is written
-straight from the germ's intervals, cut at the truncation bound, with no
-search over the classes.  That encoding is an Alexandrov topology given by
-an explicit closure map, so inseparability, separation and distance become
-finite computations.  A `Point` is a plain (kind, signature) value with
-the id `kind:entries`, and also a vertex of the sub-ideal graph of
-`primal`: a germ ideal has its germ's kind and signature, and a line
-kernel is a third kind.  The classes come first in point order, so the
-class/germ split of a model is one number, `DualModel.class_count`.  Each
-graph formats its vertex ids once (`Graph.ids`) and reads them back by one
-id table (`point_from_id`), so the exports and the chain files neither
-format nor parse a point per mention; only the canonical id of a point
-names it.  Every export writes its vertices and edges by the same two
-writers.
+germ's signature.  By interleaving a class lies in that set iff the germ
+lies in the class's `signatures.branch_box`, and two classes are
+inseparable iff their boxes meet, so one `overlap_masks` call gives every
+closure, minimal open set and neighbor mask.  That encoding is an
+Alexandrov topology given by an explicit closure map, so inseparability,
+separation and distance become finite computations.  A `Point` is a plain
+(kind, signature) value with the id `kind:entries`, and also a vertex of
+the sub-ideal graph of `primal`: a germ ideal has its germ's kind and
+signature, and a line kernel is a third kind.  The classes come first in
+point order, so the class/germ split of a model is one number,
+`DualModel.class_count`.  Each graph formats its vertex ids once
+(`Graph.ids`) and reads them back by one id table (`point_from_id`), so
+the exports and the chain files neither format nor parse a point per
+mention; only the canonical id of a point names it.  Every export writes
+its vertices and edges by the same two writers.
 
 All traversal lives in `Graph`: an undirected graph with a fixed vertex
 order, carrying breadth-first distances, connected components (as masks)
@@ -31,13 +31,11 @@ of that number.  The diameter takes a few searches, not one per vertex:
 eccentricity bounds (Takes and Kosters) settle most vertices without a
 search of their own.
 `FiniteT0Space` is the `Graph` of its inseparability relation and adds
-only the topology, keeping closures and minimal open sets as bitmasks
-too.  It is built in one pass over the members of its closures, which
-checks transitivity and yields both the minimal open sets and the neighbor
-masks; the minimal open sets serve the chain layer's closedness test
+only the topology: closures and minimal open sets as bitmasks too, given
+with the neighbor masks and tied to the closures by O(V) mask tests.  The
+minimal open sets serve the chain layer's closedness test
 (`FiniteT0Space._closed`) and separation.  The sub-ideal graph of
-`primal` is a plain `Graph`, whose neighbor masks `overlap_masks` finds
-from sorted interval ends rather than by a scan over vertex pairs.
+`primal` is a plain `Graph`, whose neighbor masks `overlap_masks` finds.
 
 Inside the model a germ is inseparable from every class in its hull, an
 artifact of the collapse (the half-line points themselves are separated).
@@ -47,21 +45,14 @@ the full-space relation is kept for the topological machinery.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import product
 from math import inf
-from operator import or_
+from operator import and_, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import PreconditionViolated, UnknownPoint
-from .signatures import (
-    Signature,
-    count_signatures,
-    enumerate_signatures,
-    hull_intervals,
-)
+from .signatures import Signature, branch_box, count_signatures, enumerate_signatures
 
 CLASS_KIND = "class"
 GERM_KIND = "germ"
@@ -133,24 +124,33 @@ def overlap_masks(boxes: Sequence[Sequence[tuple[int, float]]]) -> list[int]:
     """For each box, the mask of the boxes that meet it in every coordinate,
     itself included.  A box is one closed interval (lo, hi) per coordinate,
     hi possibly inf.  Box b meets box a in a coordinate when lo_b <= hi_a
-    and hi_b >= lo_a: with the boxes sorted by lower end the first test
-    holds on a prefix, and with them sorted by upper end the second holds on
-    a suffix, each found by bisection.  A row is the AND of those prefix and
-    suffix masks over the coordinates: O(V k log V) steps, not V^2 k."""
-    rows = [(1 << len(boxes)) - 1] * len(boxes)
-    for coord in zip(*boxes):
-        by_lo = sorted(range(len(coord)), key=lambda i: coord[i][0])
-        by_hi = sorted(range(len(coord)), key=lambda i: coord[i][1])
-        los = [coord[i][0] for i in by_lo]
-        his = [coord[i][1] for i in by_hi]
-        pre = [0]  # pre[j]: the first j boxes by lower end
-        for i in by_lo:
-            pre.append(pre[-1] | 1 << i)
-        suf = [0] * (len(coord) + 1)  # suf[j]: the boxes from the j-th on by upper end
-        for j in reversed(range(len(coord))):
-            suf[j] = suf[j + 1] | 1 << by_hi[j]
-        for a, (lo, hi) in enumerate(coord):
-            rows[a] &= pre[bisect_right(los, hi)] & suf[bisect_left(his, lo)]
+    and hi_b >= lo_a, so each coordinate buckets the boxes by interval and
+    sorts the interval ends once: a running OR by lower end, ascending,
+    gives each interval the boxes that start at or below its upper end, and
+    one by upper end, descending, keeps those that end at or above its
+    lower end.  The rows are ANDed with one coordinate's masks at a time:
+    O(V k) steps, not V^2 k."""
+    rows = [(1 << len(boxes)) - 1] * len(boxes)  # every box, where there are no coordinates
+    for c, coord in enumerate(zip(*boxes)):
+        having = {}  # each interval: the boxes that have it
+        for i, interval in enumerate(coord):
+            having[interval] = having.get(interval, 0) | 1 << i
+        # (end, upper?, interval): a lower end sorts before an equal upper end
+        ends = sorted([(iv[0], 0, iv) for iv in having] + [(iv[1], 1, iv) for iv in having])
+        meets, run = {}, 0
+        for _, upper, iv in ends:  # run: the boxes with lower end <= this end
+            if upper:
+                meets[iv] = run
+            else:
+                run |= having[iv]
+        run = 0
+        for _, upper, iv in reversed(ends):  # run: the boxes with upper end >= this end
+            if upper:
+                run |= having[iv]
+            else:
+                meets[iv] &= run
+        column = map(meets.__getitem__, coord)
+        rows = list(map(and_, rows, column) if c else column)
     return rows
 
 
@@ -315,44 +315,49 @@ class FiniteT0Space(Graph):
     its inseparability relation (intersecting minimal open sets).
 
     `closures[i]` is the closure of `points[i]` as a bitmask over the point
-    numbers: bit j is set when `points[j]` lies in it.  The closure map must
-    stay inside the points, be reflexive, transitive under the induced set
-    operation, and injective (T0); the constructor verifies all four.  It
-    walks each closure's members once: every pair (q, x in cl(q)) checks
-    that cl(x) lies inside cl(q), puts q in the minimal open set of x and
-    joins x to all of cl(q), since x and y are inseparable iff some closure
-    holds both.  The minimal open sets are kept as bitmasks too, for the
-    closedness test `_closed` and for separation by open sets.
+    numbers: bit j is set when `points[j]` lies in it.  `min_open[i]` (the
+    points whose closure holds `points[i]`) and `adjacency[i]` (the other
+    points that share a closure with it) are given, as `build_dual_model`
+    cuts all three from one `overlap_masks` call.  The closure map must
+    stay inside the points and be reflexive, transitive and injective (T0),
+    checked in that order per point.  A closure that is just its point lies
+    in every closure holding it and equals no other, so the last two are
+    tested only where a closure holds another point whose closure is more
+    than its bit.  Then a row must stay inside the points, leave out its
+    point and hold the rest of its closure, and a minimal open set must
+    hold its point: O(V) mask tests in all, with the member-by-member fold
+    of both kinds of mask from the closures kept as the tests' oracle.
     """
 
-    def __init__(self, points: Iterable, closures: Iterable[int]):
-        points = tuple(points)
-        cl = tuple(closures)
+    def __init__(self, points: Iterable, closures: Iterable[int], min_open: Iterable[int], adjacency: Iterable[int]):
+        points, cl, mo = tuple(points), tuple(closures), tuple(min_open)
         if len(cl) != len(points):
             raise ValueError("a space needs one closure mask per point")
-        outside = -1 << len(points)
-        seen = {}
-        mo = [0] * len(points)  # minimal open set of x: all q whose closure holds x
-        adj = [0] * len(points)
+        if len(mo) != len(points):
+            raise ValueError("a space needs one minimal open set per point")
+        larger = sum(1 << x for x, mask in enumerate(cl) if mask != 1 << x)  # closures not just their point
         for q, (p, mask) in enumerate(zip(points, cl)):
-            if mask & outside:
+            if mask >> len(points):
                 raise ValueError(f"closure of {p} leaves the point set")
             if not mask >> q & 1:
                 raise ValueError(f"closure of {p} is not reflexive")
-            rest, bit = ~mask, 1 << q
-            for x in _members(mask):
-                if cl[x] & rest:
-                    raise ValueError(f"closure of {p} is not transitive")
-                mo[x] |= bit
-                adj[x] |= mask
-            if mask in seen:
-                raise ValueError(f"points {seen[mask]} and {p} share a closure (not T0)")
-            seen[mask] = p
-        for x in range(len(adj)):
-            adj[x] &= ~(1 << x)  # in place, so no second set of masks is held
+            if (mask & larger).bit_count() > 1:  # another point whose closure is more than its bit
+                members = _members(mask & larger)
+                for x in members:
+                    if cl[x] | mask != mask:
+                        raise ValueError(f"closure of {p} is not transitive")
+                if (twin := next(x for x in members if cl[x] == mask)) != q:  # p unless an earlier point
+                    raise ValueError(f"points {points[twin]} and {p} share a closure (not T0)")
+        super().__init__(points, adjacency)
+        for x, (p, mask, up, row) in enumerate(zip(points, cl, mo, self._adj)):
+            if row >> len(points) or row >> x & 1:
+                raise ValueError(f"neighbors of {p} leave the point set or hold {p}")
+            if mask & row != mask ^ 1 << x:
+                raise ValueError(f"neighbors of {p} miss a point of its closure")
+            if not up >> x & 1:
+                raise ValueError(f"minimal open set of {p} lacks {p}")
         self._closure = cl
-        self._min_open = tuple(mo)
-        super().__init__(points, adj)
+        self._min_open = mo
 
     def _closed(self, s: int) -> bool:
         """Whether the set mask is closed: it holds the closure of each of its
@@ -396,22 +401,19 @@ MAX_SIZE = 8192
 """The largest model `build_dual_model` and `primal.sub_ideals` will build,
 in signature entries: points times floor(n/2).  A point counts by its
 length because each signature is built, hashed and enumerated entry by
-entry.  The sub-ideal graph and the diameters are cheap at the cap, so the
-cost lies in the `FiniteT0Space` constructor, which walks every closure
-member once, and in the class diameter where the classes are many.  For
-n >= 4 the largest admitted models run `motiondual report` in under 0.7 s
-and 28 MB (Python 3.11.7, 2 vCPUs, best of 3 runs, peak RSS of the
-process): (5, 44), at 8100 sub-ideal entries, spends 0.21 s building the
-model, and (6, 18), at 7980 entries, 0.19 s building its class graph and
-its diameter (617 searches); (4, 62) took 0.18 s and 27 MB, 2 MB of them
-a second copy of the class rows in the class graph.  At n = 3 a point has
-one entry, so the cap admits bounds up to 2730 and germ closures of up to
-2731 classes, which the constructor walks member by member:
-`build_dual_model(3, 2730)` (8192 points) took 6.0 s and 40 MB, and
-`motiondual report --n 3 --bound 2047`, the largest bound whose sub-ideal
-graph the cap admits, 10.7 s (best of 3 each, same machine).  The cap
-admits every (n, bound) of the benchmark and of `BENCH_bitmask_core.json`;
-the largest, (8, 10), has 8008 entries."""
+entry.  The model build is one `overlap_masks` call and O(V) mask tests,
+so at the cap the cost lies in the diameters.  For n >= 4 the largest
+admitted models run `motiondual report` in under 0.3 s and 27 MB (Python
+3.11.7, 2 vCPUs, best of 3 runs, peak RSS of the process): (5, 44), at
+8100 sub-ideal entries, in 0.12 s, 0.017 s of it the build; (6, 18), at
+7980 entries, in 0.29 s, 0.19 s of it the class diameter; (4, 62) in
+0.12 s, 2 MB of its 27 a second copy of the class rows in the class
+graph.  At n = 3 a point has one entry, so the cap admits bounds up to
+2730: `build_dual_model(3, 2730)` (8192 points) took 0.07 s and 38 MB,
+and `report --n 3 --bound 2047`, the largest bound whose sub-ideal graph
+the cap admits, 3.7 s, nearly all of it the diameter of 4095 dense germ
+rows.  The cap admits every (n, bound) of the benchmark and of
+`BENCH_bitmask_core.json`; the largest, (8, 10), has 8008 entries."""
 
 
 def require_size(n: int, bound: int, points: Callable[[int, int], int]) -> None:
@@ -435,33 +437,31 @@ def build_dual_model(n: int, bound: int) -> DualModel:
     """Model of the dual of R^n x SO(n) truncated at the given leading entry.
 
     Class points are the SO(n) signatures, each closed; germ points are the
-    SO(n-1) signatures, each closing onto its hull of classes: the product
-    of its hull intervals with the first one cut at `bound`.  The classes
-    are numbered in lexicographic order, last entry fastest, so each prefix
-    of the intervals gives one run of consecutive numbers over the last
-    interval.  Both ends of a run are looked up, so a run end that is no
-    class of the truncation is a fault and raises.  The classes come first
-    in point order, which `DualModel.class_count` records.  Accepts bound
-    0 (the degenerate one-class model).
+    SO(n-1) signatures, each closing onto the classes that restrict to it.
+    By interleaving two classes are inseparable iff their `branch_box`es
+    meet, and a class lies in a germ's closure iff the germ lies in the
+    class's box.  So one `overlap_masks` call on the class boxes and the
+    germs' point boxes (g_i, g_i) gives one row per point: less its bit, the
+    point's neighbors; a germ's closure and a class's minimal open set are
+    its bit and the class or germ part of its row, the rest its bit alone.
+    The classes come first (`DualModel.class_count`).  Accepts bound 0.
     """
     if n < 3:
         raise PreconditionViolated("dual models need n >= 3; n = 2 is covered by closed formulas")
     if bound < 0:
         raise PreconditionViolated("bound must be >= 0")
     require_size(n, bound, model_points)
-    classes = [Point(CLASS_KIND, s) for s in enumerate_signatures(n, bound)]
-    germs = [Point(GERM_KIND, s) for s in enumerate_signatures(n - 1, bound)]
-    index = {p.sig.entries: i for i, p in enumerate(classes)}
-    closures = [1 << i for i in range(len(classes))]
-    for i, g in enumerate(germs, len(classes)):
-        (first, _), *rest = hull_intervals(g.sig)
-        *head, (lo, hi) = (first, bound), *rest
-        mask = 1 << i
-        for prefix in product(*(range(a, b + 1) for a, b in head)):
-            mask |= (2 << index[prefix + (hi,)]) - (1 << index[prefix + (lo,)])
-        closures.append(mask)
-    space = FiniteT0Space(classes + germs, closures)
-    return DualModel(space, n, bound, len(classes))
+    classes, germs = enumerate_signatures(n, bound), enumerate_signatures(n - 1, bound)
+    rows = overlap_masks([branch_box(c) for c in classes] + [tuple(zip(g.entries, g.entries)) for g in germs])
+    cut = len(classes)
+    bits = [1 << i for i in range(len(rows))]
+    class_part, germ_part = (1 << cut) - 1, (1 << len(rows)) - (1 << cut)
+    closures = bits[:cut] + [row & class_part | bit for row, bit in zip(rows[cut:], bits[cut:])]
+    min_open = [row & germ_part | bit for row, bit in zip(rows, bits[:cut])] + bits[cut:]
+    for i, bit in enumerate(bits):
+        rows[i] ^= bit  # in place, so no second set of rows is held
+    points = [Point(CLASS_KIND, s) for s in classes] + [Point(GERM_KIND, s) for s in germs]
+    return DualModel(FiniteT0Space(points, closures, min_open, rows), n, bound, cut)
 
 
 def distance(model: DualModel, x, y):

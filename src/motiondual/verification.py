@@ -288,12 +288,11 @@ def _property1_violation(model) -> str:
     classes, every point, the first 16 germ closures and the union of the
     first and last germ closure (the germs follow the classes).
 
-    The neighborhood half cannot fail on neighbor masks that the
-    `FiniteT0Space` constructor folds from the closures: a point joined to
-    x shares some closure cl(q) with x, its own closure lies inside cl(q),
-    and every point of cl(q) is joined to x.  It is kept as a cross-check
-    of that adjacency fold; the tampered-adjacency model in
-    `tests/test_verification.py` shows what it catches."""
+    The neighborhood half checks the neighbor masks against the closures:
+    the `FiniteT0Space` constructor only ties each neighbor mask to hold its
+    point's closure, so it passes a neighbor that shares no closure with the
+    point, which fails here when its closure leaves the neighborhood (the
+    tampered-adjacency model in `tests/test_verification.py`)."""
     space = model.space
     cl = space._closure
     classes = model.class_count
@@ -339,7 +338,7 @@ def check_chain_lemma(n: int, bound: int, rng: random.Random) -> CheckResult:
     from it by merging two consecutive sets (`_merged_chain_fault`), which
     draw nothing from `rng`.  Property 1, which the chain lemma rests on, is
     checked first and draws nothing from `rng` either; its neighborhood half
-    cross-checks the constructor's adjacency fold (see
+    checks the model's neighbor masks against its closures (see
     `_property1_violation` and its tampered-adjacency test).
 
     A random trial is drawn from one layered search: 1 to 3 classes X, then

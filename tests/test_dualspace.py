@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from motiondual import constants, dualspace, primal, signatures
+from motiondual import constants, dualspace, primal, signatures, verification
 from motiondual.chains import Chain, chain_to_json
 from motiondual.cli import main
 from motiondual.dualspace import (
@@ -119,10 +119,28 @@ def closure_masks(closures):
     return [sum(1 << index[q] for q in set(members)) for members in closures.values()]
 
 
+def fold(points, closures):
+    """The space of a closure map given as masks, with its minimal open sets
+    and neighbor rows folded from the closures member by member: for q and
+    each x in cl(q), q joins the minimal open set of x and every point of
+    cl(q) joins the row of x, since x and y are inseparable iff some closure
+    holds both.  The oracle of the rows `build_dual_model` cuts from one
+    `overlap_masks` call.  Bits beyond the points are not folded, so the
+    constructor sees, and refuses, a closure that leaves them."""
+    points, cl = tuple(points), tuple(closures)
+    mo, adj = [0] * len(points), [0] * len(points)
+    inside = (1 << len(points)) - 1
+    for q, mask in enumerate(cl):
+        for x in _members(mask & inside):
+            mo[x] |= 1 << q
+            adj[x] |= mask
+    return FiniteT0Space(points, cl, mo, [row & ~(1 << x) for x, row in enumerate(adj)])
+
+
 def toy_space(closures):
     """The space of a closure map written out point by point, such as
     {"a": "a", "q": "qa"}: the points in the mapping's order."""
-    return FiniteT0Space(closures, closure_masks(closures))
+    return fold(closures, closure_masks(closures))
 
 
 # --- space plumbing ----------------------------------------------------------
@@ -148,7 +166,7 @@ def test_space_rejects_non_transitive():
 @pytest.mark.parametrize("closures", [(0b101, 0b10), (0b1, 0b110), (0b1, -1)])
 def test_space_rejects_a_closure_beyond_the_points(closures):
     with pytest.raises(ValueError, match="leaves the point set"):
-        FiniteT0Space("ab", closures)
+        fold("ab", closures)
 
 
 @pytest.mark.parametrize(
@@ -160,20 +178,49 @@ def test_space_rejects_a_closure_beyond_the_points(closures):
         ("ab", (0b11, 0b11), "points a and b share a closure (not T0)"),
         # a's member b closes beyond the points, but a is checked first
         ("ab", (0b11, 0b110), "closure of a is not transitive"),
+        # b's member a closes onto c, outside cl(b)
+        ("abc", (0b101, 0b011, 0b100), "closure of b is not transitive"),
+        # a's member b closes onto c alone, one bit that is not b's own
+        ("abc", (0b011, 0b100, 0b100), "closure of a is not transitive"),
+        # the second of three equal closures names the first, and a closure
+        # shared after point 0 names its own first point
+        ("abc", (0b111, 0b111, 0b111), "points a and b share a closure (not T0)"),
+        ("abc", (0b001, 0b110, 0b110), "points b and c share a closure (not T0)"),
     ],
 )
 def test_space_names_the_first_fault(points, closures, message):
     with pytest.raises(ValueError) as exc:
-        FiniteT0Space(points, closures)
+        fold(points, closures)
     assert str(exc.value) == message
 
 
-def test_space_walks_each_closure_once(monkeypatch):
-    space = build_dual_model(5, 3).space
-    walked = []
+@pytest.mark.parametrize(
+    "points,closures,listed",
+    [
+        # each germ closure holds one point whose closure is more than its
+        # bit, the germ itself, so no closure of a dual model is listed
+        (None, None, []),
+        # c's closure holds b, whose closure {a, b} is more than its bit:
+        # only the points b and c of it are listed; b's closure holds no
+        # such point but b
+        ("abc", (0b001, 0b011, 0b111), [0b110]),
+    ],
+    ids=["dual-model", "chain"],
+)
+def test_space_lists_members_only_of_masks_that_hold_a_larger_closure(monkeypatch, points, closures, listed):
+    """The transitivity and T0 scan lists the members of a closure only
+    where it holds a point besides its own whose closure is more than that
+    point's bit, and then only those points; it unions no closures."""
+    if points is None:
+        space = build_dual_model(5, 3).space
+        points, closures, min_open, rows = space.points, space._closure, space._min_open, space._adj
+    else:
+        folded = fold(points, closures)
+        min_open, rows = folded._min_open, folded._adj
+    calls = []
 
     def counted(mask):
-        walked.append(mask)
+        calls.append(mask)
         return _members(mask)
 
     def unused(masks, mask):
@@ -181,13 +228,54 @@ def test_space_walks_each_closure_once(monkeypatch):
 
     monkeypatch.setattr(dualspace, "_members", counted)
     monkeypatch.setattr(dualspace, "_union", unused)
-    FiniteT0Space(space.points, space._closure)
-    assert walked == list(space._closure)
+    FiniteT0Space(points, closures, min_open, rows)
+    assert calls == listed
 
 
 def test_space_needs_one_closure_per_point():
     with pytest.raises(ValueError, match="one closure mask per point"):
-        FiniteT0Space("ab", (0b1,))
+        fold("ab", (0b1,))
+
+
+def test_space_needs_one_minimal_open_set_per_point():
+    with pytest.raises(ValueError, match="one minimal open set per point"):
+        FiniteT0Space("ab", (0b1, 0b10), (0b1,), (0, 0))
+
+
+# the given masks of a valid closure map on "ab", cl(a) = {a} and
+# cl(b) = {a, b}: minimal open sets {a, b} and {b}, a and b joined
+CLOSURES, MIN_OPEN, ROWS = (0b01, 0b11), (0b11, 0b10), (0b10, 0b01)
+
+
+def test_space_takes_the_folded_masks():
+    space = FiniteT0Space("ab", CLOSURES, MIN_OPEN, ROWS)
+    assert (space._closure, space._min_open, space._adj) == (CLOSURES, MIN_OPEN, ROWS)
+    assert (fold("ab", CLOSURES)._min_open, fold("ab", CLOSURES)._adj) == (MIN_OPEN, ROWS)
+
+
+@pytest.mark.parametrize("rows", [(0b110, 0b01), (0b11, 0b01)], ids=["beyond", "own point"])
+def test_space_refuses_a_row_beyond_the_points_or_holding_its_point(rows):
+    with pytest.raises(ValueError) as exc:
+        FiniteT0Space("ab", CLOSURES, MIN_OPEN, rows)
+    assert str(exc.value) == "neighbors of a leave the point set or hold a"
+
+
+def test_space_refuses_a_row_that_misses_its_closure():
+    with pytest.raises(ValueError) as exc:
+        FiniteT0Space("ab", CLOSURES, MIN_OPEN, (0b10, 0b00))
+    assert str(exc.value) == "neighbors of b miss a point of its closure"
+
+
+def test_space_refuses_a_minimal_open_set_without_its_point():
+    with pytest.raises(ValueError) as exc:
+        FiniteT0Space("ab", CLOSURES, (0b11, 0b01), ROWS)
+    assert str(exc.value) == "minimal open set of b lacks b"
+
+
+def test_space_names_a_closure_fault_before_a_row_fault():
+    with pytest.raises(ValueError) as exc:
+        FiniteT0Space("ab", (0b11, 0b11), (0b00, 0b00), (0b111, 0b00))
+    assert str(exc.value) == "points a and b share a closure (not T0)"
 
 
 def test_discrete_two_point_space():
@@ -340,27 +428,59 @@ def test_closure_runs_match_the_product_enumeration(n, bound):
     assert list(space._closure) == closure_masks(closures)
 
 
+# every n and bound of the sweep's size, the benchmark's deep points, and
+# the admitted extremes, the largest of them only under --runslow
+FOLD_GRID = [(n, b) for n in range(3, 14) for b in range(5)] + [(8, 5), (5, 12), (6, 6), (24, 2)]
+FOLD_GRID += [pytest.param(n, b, marks=pytest.mark.slow) for n, b in [(5, 40), (3, 600), (4, 62), (6, 18), (3, 2730)]]
+
+
+@pytest.mark.parametrize("n,bound", FOLD_GRID)
+def test_build_rows_match_the_fold(n, bound):
+    """The closures, minimal open sets and rows cut from one `overlap_masks`
+    call are those folded member by member from the product closures, and
+    the classes are the points before the first germ."""
+    model = build_dual_model(n, bound)
+    closures = product_closures(n, bound)
+    oracle = fold(closures, closure_masks(closures))
+    assert model.space.points == oracle.points
+    assert model.space._closure == oracle._closure
+    assert model.space._min_open == oracle._min_open
+    assert model.space._adj == oracle._adj
+    assert model.class_count == sum(p.kind == CLASS_KIND for p in closures)
+
+
 def test_build_calls_no_restriction_oracle(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the model build called a restriction oracle")
 
     assert not hasattr(dualspace, "restricts_to")
-    for name in ("restricts_to", "branch", "branch_box"):
+    for name in ("restricts_to", "branch"):
         monkeypatch.setattr(signatures, name, forbidden)
     model = build_dual_model.__wrapped__(6, 3)
     assert len(closure(model.space, germ([3, 3], 5))) == 1 + 7  # (3,3,m) for |m| <= 3
 
 
-def test_build_raises_on_a_product_point_outside_the_truncation(monkeypatch):
-    # hull intervals one too wide in their last coordinate reach points that
-    # are no class; the build must fail there, not skip them
-    def too_wide(sigma):
-        *head, (lo, hi) = signatures.hull_intervals(sigma)
+# at odd n the last coordinate of every branch box is [-m, m], which holds
+# 0, so widening it joins no two classes
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_inseparable_oracle_catches_a_branch_box_one_too_wide(monkeypatch, n):
+    """Branch boxes one too wide in their last coordinate join classes whose
+    branching sets are disjoint; `oracle-inseparable` must fail at the first
+    such pair, not pass the wider rows."""
+    def too_wide(pi):
+        *head, (lo, hi) = signatures.branch_box(pi)
         return (*head, (lo, hi + 1))
 
-    monkeypatch.setattr(dualspace, "hull_intervals", too_wide)
-    with pytest.raises(KeyError):
-        build_dual_model.__wrapped__(5, 2)
+    def meet(a, b):
+        return all(lo <= hi_ and lo_ <= hi for (lo, hi), (lo_, hi_) in zip(too_wide(a), too_wide(b)))
+
+    sigs = enumerate_signatures(n, 2)
+    a, b = next((a, b) for a, b in product(sigs, repeat=2) if meet(a, b) != inseparable(a, b))
+    assert not inseparable(a, b)
+    monkeypatch.setattr(dualspace, "branch_box", too_wide)
+    monkeypatch.setattr(verification, "build_dual_model", build_dual_model.__wrapped__)
+    result = verification.check_oracle_inseparable(n, 2)
+    assert (result.ok, result.detail) == (False, f"mismatch at {a} vs {b}")
 
 
 def test_dual_model_cache_is_bounded():

@@ -263,8 +263,10 @@ def hull_pair_scan(boxes) -> list[int]:
     return rows
 
 
-# endpoints from a small range, so that ties and equal endpoints are common
-intervals = st.tuples(st.integers(0, 4), st.integers(0, 4) | st.just(inf)).map(lambda ends: tuple(sorted(ends)))
+# endpoints from a small range, so that ties and equal endpoints are common;
+# negative ends and point boxes (v, v) as in the dual model's germ boxes
+ends = st.integers(-3, 4)
+intervals = st.tuples(ends, ends | st.just(inf)).map(lambda pair: tuple(sorted(pair))) | ends.map(lambda v: (v, v))
 box_lists = st.integers(1, 4).flatmap(lambda k: st.lists(st.tuples(*[intervals] * k), max_size=12))
 
 
@@ -272,6 +274,8 @@ box_lists = st.integers(1, 4).flatmap(lambda k: st.lists(st.tuples(*[intervals] 
 @example([])
 @example([((2, inf),)])
 @example([((1, 1), (0, inf)), ((1, 1), (0, 0)), ((0, 1), (1, inf)), ((1, inf), (0, 0))])
+@example([((-2, 2),), ((-3, -3),), ((-2, -2),), ((2, 2),), ((3, inf),), ((-1, 1),)])
+@example([((-1, 1), (0, 0)), ((-1, -1), (0, inf)), ((1, 1), (-2, -2)), ((0, 2), (-2, 0))])
 @settings(max_examples=200, deadline=None)
 def test_overlap_masks_match_pair_scan(boxes):
     assert overlap_masks(boxes) == hull_pair_scan(boxes)

@@ -29,7 +29,7 @@ from motiondual.dualspace import (
 from motiondual.errors import CertificationError
 from motiondual.cli import main
 from motiondual.signatures import Signature, branch, count_signatures, enumerate_signatures, validate
-from test_dualspace import toy_space
+from test_dualspace import fold, toy_space
 from test_signatures import zero_tail_step_holds
 
 ORACLE_NS = range(3, 13)  # the default range of `motiondual verify`
@@ -154,7 +154,7 @@ def test_inseparable_oracle_catches_a_germ_closure_cut_one_class_short(monkeypat
     g = next(i for i, p in enumerate(points) if p.kind == GERM_KIND and not any(p.sig.entries))
     last = (closures[g] & model.class_mask).bit_length() - 1
     closures[g] &= ~(1 << last)
-    _with_space(monkeypatch, FiniteT0Space(points, closures), model)
+    _with_space(monkeypatch, fold(points, closures), model)
     result = verification.check_oracle_inseparable(n, _bound(n))
     assert (result.ok, result.detail) == (False, f"mismatch at {points[0].sig} vs {points[last].sig}")
 
@@ -627,7 +627,8 @@ def test_chain_lemma_runs_every_merged_chain_check(monkeypatch, name):
 
 # Hand-built n = 3 models on classes c0, c1 and germs g0, g1, in that point
 # order, that break Property 1: the point closures and, where given, neighbor
-# masks (bit i for the i-th point) that replace the ones the closures induce.
+# masks (bit i for the i-th point) that the space is built with in place of
+# the ones the closures induce; the space constructor accepts them.
 C0, C1 = (Point(CLASS_KIND, validate([e], 3)) for e in (0, 1))
 G0, G1 = (Point(GERM_KIND, validate([e], 2)) for e in (0, 1))
 BROKEN_PROPERTY1 = {
@@ -652,7 +653,7 @@ def test_chain_lemma_fails_on_a_model_that_breaks_property1(monkeypatch, name):
     closures, adjacency, detail = BROKEN_PROPERTY1[name]
     space = toy_space(closures)
     if adjacency is not None:
-        monkeypatch.setattr(space, "_adj", adjacency)
+        space = FiniteT0Space(space.points, space._closure, space._min_open, adjacency)
     model = DualModel(space, 3, 1, 2)
     monkeypatch.setattr(verification, "build_dual_model", lambda n, bound: model)
     rng = random.Random(0)
