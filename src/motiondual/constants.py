@@ -134,10 +134,8 @@ def cross_check(n: int, bound: int) -> ConstantsReport:
     checks = (
         ("orc equals floor(n/2)", orc_a == predicted.orc_a),
         ("d equals parity formula", d_a == predicted.d_a),
-        ("orc of multiplier equals d plus one", orc_ma == predicted.orc_ma),
         ("orc and d differ by at most one", abs(orc_a - d_a) <= 1),
         ("orc sandwich", orc_a <= orc_ma <= orc_a + 2),
-        ("ks equals half orc of multiplier", ks_ma == Fraction(orc_ma, 2)),
         ("k from certificate matches formula", cert_report.ok and k_ma == predicted.k_ma),
         ("ks equals k", ks_ma == k_ma),
         (

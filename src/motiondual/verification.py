@@ -2,14 +2,16 @@
 
 Every check re-derives one family of claims on truncated models: the
 closed forms against their brute-force oracles, the zero-tail step on the
-edges of the bound-1 graphs that Orc and D are computed on, the computed
-graph invariants against the closed formulas, chain and walk certificates
-on systematic and seeded random inputs, and the distance law of
-`signatures`, which reads no bound, against the layered search on both
-graphs.  Checks are pure functions of (n, bound, seed), so the sweep can
-fan out across processes and aggregate order-independently.
+edges of the graphs that Orc and D are computed on, the computed graph
+invariants against the closed formulas, chain and walk certificates on
+systematic and seeded random inputs, and the distance law of `signatures`,
+which reads no bound, against the layered search on both graphs.  Checks
+are pure functions of (n, bound, seed), so the sweep can fan out across
+processes and aggregate order-independently.
 
-The brute-force oracles read one relation, parent p `branch`es to child c,
+Every row reads the models at the sweep bound b alone, one dual model and
+one sub-ideal graph per n; only the oracle tables also read b + 1.  The
+brute-force oracles read one relation, parent p `branch`es to child c,
 enumerated once per parent at each (n, probe) into a cached table of masks,
 a row per parent and a column per child.  `oracle-restriction` checks it
 against `restricts_to`, the only row to call that closed form; then it
@@ -19,9 +21,8 @@ class), and `common_extension` and the sub-ideal graph D is read from
 The pair loops stay quadratic in the signatures, so `run_sweep` refuses a
 bound below 1 and any n whose `oracle_pairs` exceed `MAX_ORACLE_PAIRS` first.
 
-Every row runs at every admitted n, except where the one large-n rule,
-`default_bound(n) == 1`, skips `chain-lemma`, and where a zero-tail claim
-is vacuous (`zero-tail-dual` at n = 3 and `zero-tail-star` at even n).
+Every row runs at every admitted n, except where a zero-tail claim is
+vacuous (`zero-tail-dual` at n = 3 and `zero-tail-star` at even n).
 """
 
 from __future__ import annotations
@@ -73,10 +74,9 @@ class CheckResult:
 MAX_ORACLE_PAIRS = 2**18
 """The most signature pairs one check of the sweep may compare, as counted
 by `oracle_pairs`.  Two rows compare pairs, `oracle-common-extension` and
-`oracle-restriction`.  The slowest admitted single-n sweeps, (7, 10),
-(3, 255) and (5, 21), take 1.1 to 1.2 s each, and the largest even-n ones,
-(4, 62), (6, 15), (8, 8), (10, 6), (12, 5) and (16, 4), 0.35 to 0.71 s
-(`verify` wall clock, median of five runs, 2-vCPU guest, Python 3.11),
+`oracle-restriction`.  The slowest admitted single-n sweeps, (4, 62),
+(3, 255), (7, 10) and (6, 15), take 1.8, 1.3, 1.2 and 0.85 s (`verify`
+wall clock, median of 7 fresh processes, 2-vCPU guest, Python 3.11.7),
 while the checks at (5, 30) compare 923,521 pairs and take 4.4 s."""
 
 
@@ -85,9 +85,7 @@ MERGE_TRIPLES = 100
 
 
 def default_bound(n: int) -> int:
-    """Sweep default: 3 while the lattice is small, 1 from n = 10 on.  This
-    is the sweep's one large-n rule: where it is 1, `chain-lemma` is
-    skipped."""
+    """Sweep default: 3 while the lattice is small, 1 from n = 10 on."""
     return 3 if n <= 9 else 1
 
 
@@ -184,27 +182,27 @@ def _tail_step_violation(sigs, masks, k: int):
 
 
 def check_zero_tail_dual(n: int, bound: int, rng=None) -> CheckResult:
-    """The tail step on the edges of the bound-1 class graph
-    `DualModel.classes`, the graph Orc is computed on."""
+    """The tail step on the edges of the class graph `DualModel.classes`,
+    the graph Orc is computed on."""
     if n // 2 < 2:
         return CheckResult(n, "zero-tail-dual", True, "vacuous below k = 2", skipped=True)
-    classes = build_dual_model(n, 1).classes
+    classes = build_dual_model(n, bound).classes
     sigs = [p.sig for p in classes.points]
     if bad := _tail_step_violation(sigs, classes._adj, n // 2):
         return CheckResult(n, "zero-tail-dual", False, "counterexample {} vs {}".format(*bad))
-    return CheckResult(n, "zero-tail-dual", True, f"{len(classes._pairs())} edges at bound 1")
+    return CheckResult(n, "zero-tail-dual", True, f"{sum(row.bit_count() for row in classes._adj) // 2} edges")
 
 
 def check_zero_tail_star(n: int, bound: int, rng=None) -> CheckResult:
-    """The tail step on the germ edges of the bound-1 sub-ideal graph, the
-    graph D is computed on (the germ ideals come first), odd n only."""
+    """The tail step on the germ edges of the sub-ideal graph, the graph D
+    is computed on (the germ ideals come first), odd n only."""
     if n % 2 == 0:
         return CheckResult(n, "zero-tail-star", True, "applies to odd n only", skipped=True)
-    graph = primal_mod.star_graph(n, 1)
+    graph = primal_mod.star_graph(n, bound)
     sigs = [p.sig for p in graph.points if p.kind == GERM_KIND]
     if bad := _tail_step_violation(sigs, graph._adj, n // 2):
         return CheckResult(n, "zero-tail-star", False, "counterexample {} vs {}".format(*bad))
-    return CheckResult(n, "zero-tail-star", True, f"{len(graph._pairs())} edges at bound 1")
+    return CheckResult(n, "zero-tail-star", True, f"{sum(row.bit_count() for row in graph._adj) // 2} edges")
 
 
 def check_orc(n: int, bound: int, rng=None) -> CheckResult:
@@ -216,12 +214,13 @@ def check_orc(n: int, bound: int, rng=None) -> CheckResult:
 
 
 def check_big_d(n: int, bound: int, rng=None) -> CheckResult:
-    """Sub-ideal diameter formula, stable from bound 1 to bound 2."""
+    """Sub-ideal diameter formula at the sweep bound.  By `distance-stability`
+    every germ distance is the bound-free law's, whose range caps it at
+    floor((n-1)/2) = `predicted_d(n)`, so a diameter that reaches the
+    formula at one bound cannot move at another."""
     want = constants_mod.predicted_d(n)
     got = primal_mod.big_d(n, bound)
-    stable = primal_mod.big_d(n, 1) == primal_mod.big_d(n, 2) == want
-    ok = got == want and stable
-    return CheckResult(n, "big-d", ok, f"d={got}, want {want}")
+    return CheckResult(n, "big-d", got == want, f"d={got}, want {want}")
 
 
 def _min_primal_oracle(n: int, bound: int) -> list:
@@ -349,8 +348,6 @@ def check_chain_lemma(n: int, bound: int, rng: random.Random) -> CheckResult:
     are drawn only when the class graph has diameter 2 or more: below that
     no two classes are 2 apart, so no X could give a trial and `rng` is
     left as it was."""
-    if default_bound(n) == 1:
-        return CheckResult(n, "chain-lemma", True, "skipped where default_bound(n) == 1", skipped=True)
     model = build_dual_model(n, bound)
     if bad := _property1_violation(model):
         return CheckResult(n, "chain-lemma", False, bad)
@@ -413,22 +410,22 @@ def _first_moved(layers: Iterable[int], other: Iterable[int], within: int) -> in
 
 
 def check_germ_mediation(n: int, bound: int, rng=None) -> CheckResult:
-    """Germ points add no shortcuts, on the model's masks: the classes
-    joined to a germ are pairwise joined (any class-germ-class path closes
-    directly), and the full-space distance layers from each class, cut to
-    the classes, are its class-restricted layers.  No model point is
-    separated (every germ's hull holds a class of the truncation, and every
-    class restricts to some germ of it), so none is checked as one."""
-    model = build_dual_model(n, min(bound, 2))
+    """Germ points add no shortcuts, on the model's masks: the classes joined
+    to each germ are pairwise joined (no open triangle), and no germ is
+    joined to a germ.  So a walk between classes meets germs one at a time,
+    and each step c - g - c' closes to c - c'.  No model point is separated
+    (every germ's hull holds a class of the truncation, and every class
+    restricts to some germ of it), so none is checked as one."""
+    model = build_dual_model(n, bound)
     space, classes, adj = model.space, model.class_mask, model.space._adj
+    closed = [row | 1 << a for a, row in enumerate(adj[: model.class_count])]
     for g in range(model.class_count, len(adj)):
         hull = adj[g] & classes
-        if any(hull & ~adj[a] & ~(1 << a) for a in _members(hull)):
+        if hull & ~reduce(and_, map(closed.__getitem__, _members(hull)), hull):
             return CheckResult(n, "germ-mediation", False, f"open triangle through {space.points[g]}")
-    for a in range(model.class_count):
-        b = _first_moved(space._layers(1 << a), model.classes._layers(1 << a), classes)
-        if b >= 0:
-            return CheckResult(n, "germ-mediation", False, f"shortcut between {space.points[a]} and {space.points[b]}")
+        if germs := adj[g] & ~classes:
+            h = (germs & -germs).bit_length() - 1
+            return CheckResult(n, "germ-mediation", False, f"germ edge between {space.points[g]} and {space.points[h]}")
     return CheckResult(n, "germ-mediation", True)
 
 
@@ -541,8 +538,7 @@ def run_sweep(n_min: int, n_max: int, bound: int | None = None, seed: int = 0, j
     """Run every check for n_min..n_max.  Refused before any check runs: a
     bound below 1 (a degenerate truncation, where the closed formulas do not
     hold), an n whose `oracle_pairs` exceed MAX_ORACLE_PAIRS, and an n whose
-    largest models exceed the size cap: the dual model at the sweep bound
-    and the sub-ideals at bound 2 or more, which `big-d` reads."""
+    dual model or sub-ideals at the sweep bound exceed the size cap."""
     if n_min < 3 or n_max < n_min:
         raise PreconditionViolated("sweep range must satisfy 3 <= n_min <= n_max")
     if bound is not None and bound < 1:
@@ -555,10 +551,7 @@ def run_sweep(n_min: int, n_max: int, bound: int | None = None, seed: int = 0, j
                 f" beyond its cap of {MAX_ORACLE_PAIRS}"
             )
         require_size(n, b, model_points)
-        try:
-            require_size(n, max(b, 2), primal_mod.ideal_points)
-        except PreconditionViolated as exc:
-            raise PreconditionViolated(f"{exc} (the sub-ideals of the big-d check)") from None
+        require_size(n, b, primal_mod.ideal_points)
     ns = list(range(n_min, n_max + 1))
     jobs = worker_count(jobs, len(ns))
     if jobs > 1:

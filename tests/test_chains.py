@@ -740,7 +740,6 @@ RECHECKS = {
     "constructed chain is invalid": {"_separate": lambda space, Y, Z: (0, 0)},
     "does not isolate X": {"_separate": lambda space, Y, Z: (0, 0), "_violations": lambda space, sets: ()},
     "does not isolate Y": {"_separate": lambda space, Y, Z: (-1, 0), "_violations": lambda space, sets: ()},
-    "is not admissible": {"_admissible": lambda model, sets: None},
 }
 
 
@@ -752,6 +751,22 @@ def test_construction_rechecks_run(monkeypatch, message, k):
         monkeypatch.setattr(chains, name, fake)
     with pytest.raises(CertificationError, match=message):
         find_admissible_chain(m, [cls([0, 0, 0], 7)], [cls([1, 1, 1], 7)], k)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_construction_makes_no_admissible_search(monkeypatch, k):
+    """A chain `_build_chain` returns is admissible as built, so it runs no
+    `_admissible` search; the reference construction, which runs one,
+    builds the same chain."""
+    m = build_dual_model(7, 1)
+    xs, ys = [cls([0, 0, 0], 7)], [cls([1, 1, 1], 7)]
+    ref = ref_find(m, xs, ys, k)
+
+    def searched(model, sets):
+        raise AssertionError("the construction ran an admissibility search")
+
+    monkeypatch.setattr(chains, "_admissible", searched)
+    assert find_admissible_chain(m, xs, ys, k) == ref
 
 
 def test_class_mask_is_the_class_points():

@@ -28,17 +28,17 @@ def runs_of(*runs):
 GOLDEN = {
     "verify": (
         ["verify", "--n-min", "3", "--n-max", "12", "--seed", "1", "--format", "json"],
-        "ac02b354a3f57b4e49c9b146cbb6adc9f3f7e10a5d84e383515097b0b59dfbc4",
+        "15d658186610ee0c9ed12b63d067d452a18746c812ee5eb64c805c8860351a18",
     ),
-    # the pair oracles and germ-mediation above n = 9, at a raised bound
+    # every row above n = 9 at a raised bound, where the default is 1
     "verify-n10-12-bound-2": (
         ["verify", "--n-min", "10", "--n-max", "12", "--bound", "2", "--seed", "1", "--format", "json"],
-        "301870380ddfef4adada0dc8487ce79de40e926c4ac5bc9030167b3059d6c163",
+        "ff705add5f8c3528a25cde9d14880f4f546056bdcc202ee75c68224efc827e17",
     ),
     # the pair oracles at a raised bound, where every table is larger
     "verify-bound-8": (
         ["verify", "--n-min", "5", "--n-max", "6", "--bound", "8", "--seed", "1", "--format", "json"],
-        "8c9f17bc40b1283783e09e06bab7757824c0f5d17c44065f3954bb20c6d8f5dc",
+        "c5d973bbd752a5cc2872311dff93009b2e59bfca8a10b60af4bfe52a8d5fa338",
     ),
     "chain": (
         ["chain", "--n", "7", "0,0,0", "1,1,1"],
@@ -92,7 +92,7 @@ GOLDEN = {
     ),
     "report": (
         ["report", "--n", "7", "--format", "json"],
-        "1644180db97fef7816349bba2de81b52c92e413355857dc1185e469d3e9cafa6",
+        "ad46bb46dba685bf9264edf86c624984b123a8d4d83bd17cdbd2a19219ee0f12",
     ),
 }
 # `chain --n 7 --check` on the file that the "chain" command writes

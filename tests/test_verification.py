@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from motiondual import chains, primal, signatures, verification
+from motiondual import chains, constants, primal, signatures, verification
 from motiondual.dualspace import (
     CLASS_KIND,
     GERM_KIND,
@@ -24,6 +24,7 @@ from motiondual.dualspace import (
     FiniteT0Space,
     Graph,
     Point,
+    _members,
     build_dual_model,
 )
 from motiondual.errors import CertificationError
@@ -281,22 +282,26 @@ def _with_edge(adj, i, j):
 
 
 def test_zero_tail_dual_fails_on_a_planted_class_edge(monkeypatch):
-    """The row reads the class edges of the bound-1 model: an edge from the
-    zero class to 1,1, whose tail is one position too long, fails it."""
-    model = build_dual_model(5, 1)
+    """The row reads the class edges of the model at the sweep bound: an
+    edge of the bound-3 model from the zero class to 1,1, whose tail is one
+    position too long, fails it (every other bound reads the real model)."""
+    model = build_dual_model(5, 3)
     space = copy.copy(model.space)
     space._adj = _with_edge(space._adj, space._number["class:0,0"], space._number["class:1,1"])
-    monkeypatch.setattr(verification, "build_dual_model", lambda n, bound: DualModel(space, n, bound, model.class_count))
+    planted = DualModel(space, 5, 3, model.class_count)
+    monkeypatch.setattr(
+        verification, "build_dual_model", lambda n, bound: planted if bound == 3 else build_dual_model(n, bound)
+    )
     result = verification.check_zero_tail_dual(5, 3)
     assert (result.ok, result.detail) == (False, "counterexample 0,0 vs 1,1")
 
 
 def test_zero_tail_star_fails_on_a_planted_germ_edge(monkeypatch):
-    """The row reads the germ edges of the bound-1 sub-ideal graph: an edge
-    from the zero germ to 1,1 fails it."""
-    graph = primal.star_graph(5, 1)
+    """The row reads the germ edges of the sub-ideal graph at the sweep
+    bound: an edge of the bound-3 graph from the zero germ to 1,1 fails it."""
+    graph, real = primal.star_graph(5, 3), primal.star_graph
     planted = Graph(graph.points, _with_edge(graph._adj, graph._number["germ:0,0"], graph._number["germ:1,1"]))
-    monkeypatch.setattr(primal, "star_graph", lambda n, bound: planted)
+    monkeypatch.setattr(primal, "star_graph", lambda n, bound: planted if bound == 3 else real(n, bound))
     result = verification.check_zero_tail_star(5, 3)
     assert (result.ok, result.detail) == (False, "counterexample 0,0 vs 1,1")
 
@@ -351,8 +356,10 @@ def no_checks(monkeypatch):
         (["--n-min", "5", "--n-max", "5", "--bound", "60"], "error: n = 5, bound = 60: the sweep would compare"),
         (["--n-min", "39", "--n-max", "39", "--bound", "2"], "error: n = 39, bound = 2 is beyond the model size cap"),
         (["--n-min", "12", "--n-max", "12", "--bound", "6"], "error: n = 12, bound = 6: the sweep would compare"),
-        (["--n-min", "20", "--n-max", "60"], "error: n = 39, bound = 2 is beyond the model size cap"),
-        (["--n-min", "3", "--n-max", str(10**9)], "error: n = 39, bound = 2 is beyond the model size cap"),
+        # no n the pair cap admits has sub-ideals past the size cap while its
+        # dual model fits, so a default-bound range is refused first at n = 128
+        (["--n-min", "3", "--n-max", "200"], "error: n = 128, bound = 1 is beyond the model size cap"),
+        (["--n-min", "3", "--n-max", str(10**9)], "error: n = 128, bound = 1 is beyond the model size cap"),
     ],
     ids=[
         "bound-0",
@@ -410,22 +417,40 @@ def test_oracle_pairs_is_the_work_of_the_larger_pair_loop(monkeypatch, n, bound)
 
 def test_default_sweep_skips_only_the_vacuous_and_large_n_rows():
     """In `run_sweep(3, 12)` a row is skipped only where its claim is
-    vacuous (zero-tail-dual at n = 3, zero-tail-star at even n) or, for
-    chain-lemma alone, where `default_bound(n) == 1`; every row that runs
-    passes, distance-stability at every n."""
+    vacuous (zero-tail-dual at n = 3, zero-tail-star at even n); every row
+    that runs passes, chain-lemma and distance-stability at every n."""
     summary = verification.run_sweep(3, 12)
     skipped = {(r.n, r.name) for r in summary.results if r.skipped}
-    assert skipped == (
-        {(3, "zero-tail-dual")}
-        | {(n, "zero-tail-star") for n in range(4, 13, 2)}
-        | {(n, "chain-lemma") for n in range(3, 13) if verification.default_bound(n) == 1}
-    )
-    assert {r.detail for r in summary.results if r.skipped and r.name == "chain-lemma"} == {
-        "skipped where default_bound(n) == 1"
-    }
+    assert skipped == {(3, "zero-tail-dual")} | {(n, "zero-tail-star") for n in range(4, 13, 2)}
     assert summary.ok
     stability = [r for r in summary.results if r.name == "distance-stability"]
     assert [r.n for r in stability if r.ok and not r.skipped] == list(range(3, 13))
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_every_row_reads_the_models_at_the_sweep_bound_alone(monkeypatch, n):
+    """Where the default bound is 3, the rows of one n build the dual model
+    and the sub-ideal graph at bound 3 only."""
+    seen = set()
+    for module, name in [(verification, "build_dual_model"), (constants, "build_dual_model"), (primal, "star_graph")]:
+        real = getattr(module, name)
+
+        def spy(n, bound, name=name, real=real):
+            seen.add((name, bound))
+            return real(n, bound)
+
+        monkeypatch.setattr(module, name, spy)
+    assert all(r.ok for r in verification.run_checks_for_n(n, None, 0))
+    assert seen == {("build_dual_model", 3), ("star_graph", 3)}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [39, 127])
+def test_verify_passes_every_row_where_the_size_cap_allows(capsys, n):
+    """n = 39, once refused for its bound-2 sub-ideals, and n = 127, the
+    last n the size cap admits at the default bound 1, run every row."""
+    assert main(["verify", "--n-min", str(n), "--n-max", str(n)]) == 0
+    assert capsys.readouterr().out.endswith("checks passed: 14/14 (+ 0 not applicable)\n")
 
 
 # --- the chain-lemma check ------------------------------------------------------
@@ -500,9 +525,9 @@ def test_chain_lemma_draws_each_far_set_once_per_trial(seed):
 
     details = [verification.check_chain_lemma(n, _bound(n), Recording(f"{seed}:{n}")).detail for n in ORACLE_NS]
     chain_count = sum(int(d.split()[0]) for d in details if d.endswith(" chains"))
-    extremal = sum(1 for n in ORACLE_NS if n // 2 >= 2 and _bound(n) > 1)
+    extremal = sum(1 for n in ORACLE_NS if n // 2 >= 2)
     assert set(populations) == {list, range}
-    assert populations.count(list) == chain_count - extremal == 300
+    assert populations.count(list) == chain_count - extremal == 450
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -539,9 +564,9 @@ def test_chain_lemma_looks_up_each_end_witness_once(monkeypatch):
     monkeypatch.setattr(Graph, "_bit", lambda self, p: calls.append(p) or real(self, p))
     details = [verification.check_chain_lemma(n, _bound(n), random.Random(f"0:{n}")).detail for n in ORACLE_NS]
     chain_count = sum(int(d.split()[0]) for d in details if d.endswith(" chains"))
-    extremal = sum(1 for n in ORACLE_NS if n // 2 >= 2 and _bound(n) > 1)
-    assert (chain_count, extremal) == (306, 6)
-    assert len(calls) == 2 * extremal == 12
+    extremal = sum(1 for n in ORACLE_NS if n // 2 >= 2)
+    assert (chain_count, extremal) == (459, 9)
+    assert len(calls) == 2 * extremal == 18
 
 
 def chain_lemma_calls(monkeypatch, name):
@@ -556,14 +581,9 @@ def chain_lemma_calls(monkeypatch, name):
 
 def test_chain_lemma_validates_each_trial_chain_once(monkeypatch):
     """`chains._violations` runs once per chain, in its construction, and
-    once per merged chain: two for each of the 20 chains of three sets or
+    once per merged chain: two for each of the 46 chains of three sets or
     more."""
-    assert chain_lemma_calls(monkeypatch, "_violations") == (306 + 2 * 20, 306)
-
-
-def test_chain_lemma_tests_each_trial_chain_admissible_once(monkeypatch):
-    """`chains._admissible` runs once per chain, in its construction."""
-    assert chain_lemma_calls(monkeypatch, "_admissible") == (306, 306)
+    assert chain_lemma_calls(monkeypatch, "_violations") == (459 + 2 * 46, 459)
 
 
 @pytest.mark.parametrize("bound", range(1, 9))
@@ -665,9 +685,42 @@ def test_chain_lemma_fails_on_a_model_that_breaks_property1(monkeypatch, name):
 # --- the germ-mediation check ---------------------------------------------------
 
 
+def searched_mediation_fault(model) -> str:
+    """The germ-mediation check as a search, the reference the row's mask
+    test is held to: an open triangle through a germ, or else the first
+    class whose full-space distance layers, cut to the classes, differ from
+    its class-restricted layers; "" when there is neither."""
+    space, classes, adj = model.space, model.class_mask, model.space._adj
+    for g in range(model.class_count, len(adj)):
+        hull = adj[g] & classes
+        if any(hull & ~adj[a] & ~(1 << a) for a in _members(hull)):
+            return f"open triangle through {space.points[g]}"
+    for a in range(model.class_count):
+        b = verification._first_moved(space._layers(1 << a), model.classes._layers(1 << a), classes)
+        if b >= 0:
+            return f"shortcut between {space.points[a]} and {space.points[b]}"
+    return ""
+
+
+MEDIATION_GRID = sorted(
+    {(n, _bound(n)) for n in range(3, 13)} | {(n, bound) for n in range(3, 8) for bound in range(1, 5)}
+)
+
+
+@pytest.mark.parametrize("n, bound", MEDIATION_GRID)
+def test_germ_mediation_agrees_with_the_search(monkeypatch, n, bound):
+    """On the model at the sweep bound, the only one the row may read, the
+    row and the search both pass."""
+    model = build_dual_model(n, bound)
+    monkeypatch.setattr(verification, "build_dual_model", lambda *key: {(n, bound): model}[key])
+    result = verification.check_germ_mediation(n, bound)
+    assert (result.ok, result.detail, searched_mediation_fault(model)) == (True, "", "")
+
+
 # Hand-built n = 3 models in which germs join classes that the classes alone
-# do not: the point closures, classes first.  The neighbor masks are the ones
-# the closures induce.
+# do not, or join other germs: the point closures, classes first, and the
+# detail of the row and of the search.  The neighbor masks are the ones the
+# closures induce.
 CS = [Point(CLASS_KIND, validate([e], 3)) for e in range(5)]
 GS = [Point(GERM_KIND, validate([e], 2)) for e in range(-4, 5)]
 GERM_SHORTCUTS = {
@@ -676,10 +729,12 @@ GERM_SHORTCUTS = {
     "open triangle": (
         {CS[0]: [CS[0]], CS[1]: [CS[1]], GS[0]: [GS[0]], GS[1]: [GS[1], CS[0], GS[0]], GS[2]: [GS[2], CS[1], GS[0]]},
         "open triangle through germ:-4",
+        "open triangle through germ:-4",
     ),
     # the classes form the path CS[0] - ... - CS[4] through GS[0] to GS[3],
     # and CS[0] - GS[4] - GS[5] - CS[4] is shorter; the classes joined to
-    # any one germ are joined to each other, so no triangle is open
+    # any one germ are joined to each other, so no triangle is open, and
+    # the row names the first germ edge on that path
     "shortcut": (
         {
             **{c: [c] for c in CS},
@@ -690,19 +745,30 @@ GERM_SHORTCUTS = {
             GS[7]: [GS[7], CS[0], GS[4]],
             GS[8]: [GS[8], CS[4], GS[5]],
         },
+        "germ edge between germ:0 and germ:1",
         "shortcut between class:0 and class:4",
+    ),
+    # GS[0] - GS[1] lies in the closure of GS[1], next to CS[0] alone, and
+    # GS[2] joins CS[0] to CS[1]: every class triangle closes and no walk
+    # between the classes gets shorter, but the row's premise, no germ
+    # edge, fails
+    "germ edge without a shortcut": (
+        {CS[0]: [CS[0]], CS[1]: [CS[1]], GS[0]: [GS[0]], GS[1]: [GS[1], GS[0], CS[0]], GS[2]: [GS[2], CS[0], CS[1]]},
+        "germ edge between germ:-4 and germ:-3",
+        "",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GERM_SHORTCUTS))
 def test_germ_mediation_fails_on_a_model_with_germ_shortcuts(monkeypatch, name):
-    closures, detail = GERM_SHORTCUTS[name]
+    closures, detail, searched = GERM_SHORTCUTS[name]
     classes = sum(p.kind == CLASS_KIND for p in closures)
     model = DualModel(toy_space(closures), 3, 1, classes)
     monkeypatch.setattr(verification, "build_dual_model", lambda n, bound: model)
     result = verification.check_germ_mediation(3, 1)
     assert (result.ok, result.detail) == (False, detail)
+    assert searched_mediation_fault(model) == searched
 
 
 # --- the distance-stability check -----------------------------------------------
